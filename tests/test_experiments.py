@@ -205,6 +205,30 @@ class TestCli:
         assert main(["run", cfg, "--trials", "5", "--seed", "9", "--out", str(out)]) == 0
         assert ",5," in out.read_text().split("\n")[1]
 
+    @pytest.mark.parametrize("command", ["run", "simulate-equal-budget"])
+    def test_constants_file_with_overrides(self, tmp_path, command):
+        # the file's constants reach every mechanism without its own, and the
+        # flags override trials and seed: same output as the inlined config
+        consts = {"c_xi": 1.0, "p_xi": 1, "base_threshold_log": 6}
+        consts_path = tmp_path / "consts.json"
+        consts_path.write_text(json.dumps(consts))
+        doc = dict(CONFIG_DOC, instance={"family": "uniform", "size": 128, "scale": 100.0},
+                   mechanisms=[{"name": "recursive_gap"}, {"name": "combined"}])
+        inlined = dict(doc, trials=2, master_seed=11,
+                       mechanisms=[dict(m, constants=consts) for m in doc["mechanisms"]])
+        outputs = []
+        for config, flags in ((doc, ["--constants", str(consts_path),
+                                     "--trials", "2", "--seed", "11"]),
+                              (inlined, []),
+                              (doc, ["--trials", "2", "--seed", "11"])):
+            out = tmp_path / f"out{len(outputs)}.csv"
+            cfg = self._write_config(tmp_path, config)
+            assert main([command, cfg, *flags, "--out", str(out)]) == 0
+            outputs.append(out.read_text())
+        flagged, expected, unscaled = outputs
+        assert flagged == expected
+        assert flagged != unscaled
+
     def test_config_error_exit_code(self, tmp_path):
         bad = dict(CONFIG_DOC, mechanisms=[{"name": "bogus"}])
         cfg = self._write_config(tmp_path, bad)
