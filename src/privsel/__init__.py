@@ -18,10 +18,9 @@ from .queries import (
     parse_expr, sensitivity_bound,
 )
 from .oracle import (
-    BudgetExceededError, BudgetOracle, EqualBudgetAdapter, EqualBudgetOracle,
-    EqualBudgetPlan, NonFiniteQueryError, OracleError, QueryRecord,
-    RoundsExceededError, SensitivityViolationError, equal_budget_simulate,
-    plan_equal_budget,
+    BudgetExceededError, BudgetOracle, EqualBudgetAdapter, EqualBudgetPlan,
+    NonFiniteQueryError, OracleError, QueryRecord, RoundsExceededError,
+    SensitivityViolationError, equal_budget_simulate, plan_equal_budget,
 )
 from .mechanisms import (
     DEFAULT_WORK_CAP, InfeasibleConfigError, SelectionResult,

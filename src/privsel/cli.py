@@ -15,24 +15,20 @@ Exit codes: 0 all checks pass, 1 any non-PASS verdict, 2 config error.
 from __future__ import annotations
 
 import argparse
+import dataclasses
 import json
 import math
 import sys
 
 import numpy as np
 
-from .core import MechanismConstants, generate_instance
+from .core import DEFAULT_CONSTANTS, MechanismConstants, generate_instance
 from .experiments import (
-    ConfigError, ExperimentConfig, run_trials, summarize,
-)
-from .mechanisms import (
-    binary_tree_round_bound, binary_tree_select, combined_round_bound,
-    combined_select, query_all_baseline, query_all_round_bound,
-    recursive_gap_round_bound, recursive_gap_select,
+    MECHANISM_TABLE, ConfigError, ExperimentConfig, run_trials, summarize,
 )
 from .oracle import equal_budget_simulate
 from .verify import (
-    Verdict, appendix_grid, check_good_subset_rate, sensitivity_fuzz,
+    CheckResult, Verdict, appendix_grid, check_good_subset_rate, sensitivity_fuzz,
     subset_event_mc, subset_event_probability, subset_event_probability_dp,
     subset_event_probability_enum, GRID_KS,
 )
@@ -68,10 +64,7 @@ def _load_config(args) -> ExperimentConfig:
         overrides["master_seed"] = args.seed
     if args.trials is not None:
         overrides["trials"] = args.trials
-    if overrides:
-        doc = config.to_json() | overrides
-        config = ExperimentConfig.from_json(doc, _load_constants(args.constants))
-    return config
+    return dataclasses.replace(config, **overrides)
 
 
 def _cmd_run(args) -> int:
@@ -94,7 +87,6 @@ def _report_csv(results) -> str:
 
 
 def _cmd_verify(args) -> int:
-    from .verify import CheckResult
     results = []
     consts = _load_constants(args.constants) or MechanismConstants()
 
@@ -194,22 +186,13 @@ def _cmd_simulate_equal_budget(args) -> int:
              "mean_equal_rounds_used,max_equal_rounds_used,mean_repeats,"
              "mean_topup_variance,min_topup_variance"]
     for mi, spec in enumerate(config.mechanisms):
-        consts = spec.constants or MechanismConstants()
-        if spec.name == "binary_tree":
-            m_bound = binary_tree_round_bound(n)
-            mech = lambda o: binary_tree_select(o, config.rho)
-        elif spec.name == "recursive_gap":
-            m_bound = recursive_gap_round_bound(n, config.beta, consts)
-            mech = lambda o: recursive_gap_select(o, config.rho, config.beta, consts)
-        elif spec.name == "combined":
-            m_bound = combined_round_bound(n, consts)
-            mech = lambda o: combined_select(o, config.rho, consts)
-        elif spec.name == "query_all":
-            m_bound = query_all_round_bound(n)
-            mech = lambda o: query_all_baseline(o, config.rho)
-        else:
+        run, round_bound = MECHANISM_TABLE[spec.name]
+        if round_bound is None:
             raise ConfigError(
                 f"mechanism {spec.name!r} does not run in the query model")
+        consts = spec.constants or DEFAULT_CONSTANTS
+        m_bound = round_bound(n, config.beta, consts)
+        mech = lambda o: run(o, config.rho, config.beta, consts, None)
         errors, rounds, repeats, topups = [], [], [], []
         for trial in range(config.trials):
             seed = np.random.SeedSequence([config.master_seed, trial, 7000 + mi])
@@ -280,9 +263,6 @@ def main(argv=None) -> int:
     args = parser.parse_args(argv)
     try:
         return args.func(args)
-    except ConfigError as exc:
-        print(f"config error: {exc}", file=sys.stderr)
-        return 2
     except (FileNotFoundError, ValueError) as exc:
         print(f"config error: {exc}", file=sys.stderr)
         return 2

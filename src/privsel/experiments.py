@@ -40,24 +40,48 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .core import (
-    INSTANCE_FAMILIES, LossInstance, MechanismConstants, PrivacyParams,
+    DEFAULT_CONSTANTS, INSTANCE_FAMILIES, MechanismConstants, PrivacyParams,
     generate_instance,
 )
 from .mechanisms import (
-    binary_tree_select, combined_select, exponential_mechanism,
-    query_all_baseline, recursive_gap_select,
+    binary_tree_round_bound, binary_tree_select, combined_round_bound,
+    combined_select, exponential_mechanism, query_all_baseline,
+    query_all_round_bound, recursive_gap_round_bound, recursive_gap_select,
 )
 from .oracle import BudgetOracle
 
 __all__ = [
-    "MECHANISM_NAMES", "ConfigError", "EmptyRecordsError",
+    "MECHANISM_TABLE", "MECHANISM_NAMES", "ConfigError", "EmptyRecordsError",
     "InstanceSpec", "MechanismSpec", "ExperimentConfig",
     "TrialRecord", "MechanismSummary", "ExperimentSummary",
     "SUMMARY_CSV_HEADER", "nearest_rank_quantile",
     "run_trials", "summarize", "run_experiment",
 ]
 
-MECHANISM_NAMES = ("binary_tree", "recursive_gap", "combined", "exponential", "query_all")
+# name -> (run(oracle, rho, beta, consts, rng), round_bound(n, beta, consts)).
+# A round bound of None marks a mechanism outside the query model; its run
+# takes the instance in place of an oracle.  With rng=None a mechanism spawns
+# its stream from the oracle.  The entries call the mechanisms through this
+# module's names so that wrapping a name here reaches every caller.
+MECHANISM_TABLE = {
+    "binary_tree": (
+        lambda o, rho, beta, consts, rng: binary_tree_select(o, rho),
+        lambda n, beta, consts: binary_tree_round_bound(n)),
+    "recursive_gap": (
+        lambda o, rho, beta, consts, rng: recursive_gap_select(o, rho, beta, consts, rng),
+        recursive_gap_round_bound),
+    "combined": (
+        lambda o, rho, beta, consts, rng: combined_select(o, rho, consts, rng),
+        lambda n, beta, consts: combined_round_bound(n, consts)),
+    "exponential": (
+        lambda instance, rho, beta, consts, rng: exponential_mechanism(instance, rho, rng),
+        None),
+    "query_all": (
+        lambda o, rho, beta, consts, rng: query_all_baseline(o, rho),
+        lambda n, beta, consts: query_all_round_bound(n)),
+}
+
+MECHANISM_NAMES = tuple(MECHANISM_TABLE)
 
 SUMMARY_CSV_HEADER = ("mechanism,trials,mean_error,p50_error,p90_error,p99_error,"
                       "failure_frequency,threshold,mean_rounds,mean_budget_spent,master_seed")
@@ -262,26 +286,6 @@ def _derived_seed(*parts: int) -> int:
     return int(np.random.SeedSequence(list(parts)).generate_state(1)[0])
 
 
-def _run_one(name: str, instance: LossInstance, config: ExperimentConfig,
-             consts: MechanismConstants | None, trial: int, mech_index: int):
-    oracle_seed = np.random.SeedSequence([config.master_seed, trial])
-    mech_rng = np.random.default_rng(
-        np.random.SeedSequence([config.master_seed, trial, 1 + mech_index]))
-    kwargs = {} if consts is None else {"consts": consts}
-    if name == "exponential":
-        return exponential_mechanism(instance, config.rho, mech_rng)
-    oracle = BudgetOracle(instance, config.rho, oracle_seed, record_log=False)
-    if name == "binary_tree":
-        return binary_tree_select(oracle, config.rho)
-    if name == "recursive_gap":
-        return recursive_gap_select(oracle, config.rho, config.beta, rng=mech_rng, **kwargs)
-    if name == "combined":
-        return combined_select(oracle, config.rho, rng=mech_rng, **kwargs)
-    if name == "query_all":
-        return query_all_baseline(oracle, config.rho)
-    raise ConfigError(f"unknown mechanism {name!r}")
-
-
 def run_trials(config: ExperimentConfig) -> list[TrialRecord]:
     """All trial records, in (trial, mechanism) order."""
     instance_seed = (config.instance.seed if config.instance.seed is not None
@@ -298,7 +302,15 @@ def run_trials(config: ExperimentConfig) -> list[TrialRecord]:
                 _derived_seed(instance_seed, trial))
         best = instance.min_loss()
         for mi, spec in enumerate(config.mechanisms):
-            result = _run_one(spec.name, instance, config, spec.constants, trial, mi)
+            run, round_bound = MECHANISM_TABLE[spec.name]
+            mech_rng = np.random.default_rng(
+                np.random.SeedSequence([config.master_seed, trial, 1 + mi]))
+            target = instance
+            if round_bound is not None:
+                oracle_seed = np.random.SeedSequence([config.master_seed, trial])
+                target = BudgetOracle(instance, config.rho, oracle_seed, record_log=False)
+            result = run(target, config.rho, config.beta,
+                         spec.constants or DEFAULT_CONSTANTS, mech_rng)
             records.append(TrialRecord(
                 mechanism=spec.name,
                 trial=trial,

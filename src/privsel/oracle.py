@@ -26,8 +26,7 @@ __all__ = [
     "OracleError", "BudgetExceededError", "SensitivityViolationError",
     "NonFiniteQueryError", "RoundsExceededError", "QueryRecord",
     "BudgetOracle", "EqualBudgetPlan", "plan_equal_budget",
-    "EqualBudgetOracle", "EqualBudgetAdapter", "equal_budget_simulate",
-    "RELATIVE_BUDGET_SLACK",
+    "EqualBudgetAdapter", "equal_budget_simulate", "RELATIVE_BUDGET_SLACK",
 ]
 
 # Relative float slack: splits like 4*rho/5 + rho/5 must recombine.
@@ -132,16 +131,19 @@ class BudgetOracle:
                 f"spent {self.spent} + {amount} exceeds budget {self.total_budget}")
         self.spent += amount
 
+    def _answer(self, value: float, rho_i: float) -> float:
+        """The noisy answer to an admitted, charged query of budget rho_i."""
+        if self.noiseless:
+            return value
+        return value + self._generator().normal(0.0, math.sqrt(1.0 / (2.0 * rho_i)))
+
     def noisy_query(self, expr: LossExpr, rho_i: float) -> float:
         """Answer expr(instance) + N(0, 1/(2*rho_i)), charging rho_i."""
         if not rho_i > 0:
             raise ValueError(f"rho_i must be positive, got {rho_i}")
         bound, value = self._admit(expr)
         self._charge(rho_i)
-        if self.noiseless:
-            answer = value
-        else:
-            answer = value + self._generator().normal(0.0, math.sqrt(1.0 / (2.0 * rho_i)))
+        answer = self._answer(value, rho_i)
         self.rounds_used += 1
         if self.record_log:
             self.log.append(QueryRecord(self.rounds_used - 1, rho_i, bound, answer))
@@ -234,46 +236,14 @@ def plan_equal_budget(rho_i: float, m_bound: int, rho: float) -> EqualBudgetPlan
     return EqualBudgetPlan(m_prime, rho_prime / m_prime, repeats, max(topup, 0.0))
 
 
-class EqualBudgetOracle:
-    """Answers rounds of one fixed budget each, up to a declared round count."""
+class EqualBudgetAdapter(BudgetOracle):
+    """A BudgetOracle whose answers are built from equal-budget rounds.
 
-    def __init__(self, instance: LossInstance, rounds_total: int,
-                 per_round_budget: float, rng: np.random.Generator, *,
-                 noiseless: bool = False):
-        self.instance = instance
-        self.rounds_total = rounds_total
-        self.per_round_budget = per_round_budget
-        self.rounds_used = 0
-        self.noiseless = noiseless
-        self._rng = rng
-        self._eval_memo: dict = {}
-        self._bound_memo: dict = {}
-
-    def query(self, expr: LossExpr, repeats: int = 1) -> np.ndarray:
-        bound = sensitivity_bound(expr, self._bound_memo)
-        if bound > 1.0 + _SENSITIVITY_TOL:
-            raise SensitivityViolationError(f"sensitivity bound {bound} exceeds 1")
-        value = eval_expr(expr, self.instance, self._eval_memo)
-        if not math.isfinite(value):
-            raise NonFiniteQueryError(f"query value is {value}")
-        if self.rounds_used + repeats > self.rounds_total:
-            raise RoundsExceededError(
-                f"{self.rounds_used} + {repeats} rounds exceeds {self.rounds_total}")
-        self.rounds_used += repeats
-        if self.noiseless:
-            return np.full(repeats, value)
-        sigma = math.sqrt(1.0 / (2.0 * self.per_round_budget))
-        return value + self._rng.normal(0.0, sigma, size=repeats)
-
-
-class EqualBudgetAdapter:
-    """Presents the variable-budget interface on top of equal-budget rounds.
-
-    Duck-typed like BudgetOracle (``noisy_query``, ``spent``, ``rounds_used``,
-    ``n_candidates``, ``spawn_rng``), so any mechanism runs unchanged.  The
-    declared contract (at most ``m_bound`` variable-budget rounds, total
-    budget at most ``rho``) is enforced; the induced equal-budget round count
-    then never exceeds 2 * m_bound by construction.
+    Admission, budget accounting, logging and ``spawn_rng`` are the
+    oracle's own, so any mechanism runs unchanged.  The declared contract (at
+    most ``m_bound`` variable-budget rounds, total budget at most ``rho``) is
+    enforced; the induced equal-budget round count ``inner_rounds_used`` then
+    never exceeds 2 * m_bound by construction.
     """
 
     def __init__(self, instance: LossInstance, m_bound: int, rho: float,
@@ -281,59 +251,39 @@ class EqualBudgetAdapter:
                  noiseless: bool = False, record_log: bool = True):
         if not (isinstance(m_bound, int) and m_bound >= 1):
             raise ValueError(f"m_bound must be a positive integer, got {m_bound}")
-        if not rho > 0:
-            raise ValueError(f"rho must be positive, got {rho}")
-        self.instance = instance
+        super().__init__(instance, rho, seed, rng=rng, noiseless=noiseless,
+                         record_log=record_log)
         self.m_bound = m_bound
-        self.rho = float(rho)
-        self.spent = 0.0
-        self.rounds_used = 0
-        self.record_log = record_log
-        self.log: list[QueryRecord] = []
+        self.inner_rounds_used = 0
         self.plans: list[EqualBudgetPlan] = []
-        self._seed_seq = None if rng is not None else _as_seed_seq(seed)
-        self._rng = rng if rng is not None else np.random.default_rng(self._seed_seq)
-        self.inner = EqualBudgetOracle(
-            instance, rounds_total=2 * m_bound, per_round_budget=rho / m_bound,
-            rng=self._rng, noiseless=noiseless)
-        self._bound_memo = self.inner._bound_memo
 
-    @property
-    def n_candidates(self) -> int:
-        return len(self.instance)
-
-    @property
-    def inner_rounds_used(self) -> int:
-        return self.inner.rounds_used
-
-    def spawn_rng(self) -> np.random.Generator:
-        if self._seed_seq is not None:
-            return np.random.default_rng(self._seed_seq.spawn(1)[0])
-        return self._rng.spawn(1)[0]
+    def _answer(self, value: float, rho_i: float) -> float:
+        """Average m_i equal-budget rounds, then top up to variance 1/(2*rho_i)."""
+        plan = plan_equal_budget(rho_i, self.m_bound, self.total_budget)
+        repeats = plan.per_query_repeats
+        if self.inner_rounds_used + repeats > plan.m_rounds_total:
+            raise RoundsExceededError(
+                f"{self.inner_rounds_used} + {repeats} rounds exceeds {plan.m_rounds_total}")
+        self.inner_rounds_used += repeats
+        self.plans.append(plan)
+        if self.noiseless:
+            return float(np.full(repeats, value).mean())
+        rng = self._generator()
+        sigma = math.sqrt(1.0 / (2.0 * plan.per_round_budget))
+        answer = float((value + rng.normal(0.0, sigma, size=repeats)).mean())
+        if plan.topup_variance > 0:
+            answer += rng.normal(0.0, math.sqrt(plan.topup_variance))
+        return answer
 
     def noisy_query(self, expr: LossExpr, rho_i: float) -> float:
-        if not rho_i > 0:
-            raise ValueError(f"rho_i must be positive, got {rho_i}")
         if self.rounds_used + 1 > self.m_bound:
             raise RoundsExceededError(
                 f"mechanism exceeded its declared bound of {self.m_bound} rounds")
-        if self.spent + rho_i > self.rho * (1.0 + RELATIVE_BUDGET_SLACK):
-            raise BudgetExceededError(
-                f"spent {self.spent} + {rho_i} exceeds budget {self.rho}")
-        plan = plan_equal_budget(rho_i, self.m_bound, self.rho)
-        replies = self.inner.query(expr, repeats=plan.per_query_repeats)
-        answer = float(replies.mean())
-        if plan.topup_variance > 0 and not self.inner.noiseless:
-            answer += self._rng.normal(0.0, math.sqrt(plan.topup_variance))
-        self.spent += rho_i
-        self.rounds_used += 1
-        self.plans.append(plan)
-        if self.record_log:
-            bound = sensitivity_bound(expr, self._bound_memo)
-            self.log.append(QueryRecord(self.rounds_used - 1, rho_i, bound, answer))
-        return answer
+        return super().noisy_query(expr, rho_i)
 
     def noisy_query_batch(self, exprs, rho_each: float) -> np.ndarray:
+        # one query at a time: each query's rounds and top-up are drawn
+        # before the next query's, which a vectorised batch would reorder
         return np.asarray([self.noisy_query(e, rho_each) for e in exprs])
 
 

@@ -151,6 +151,16 @@ def _check_domain(k, rho, beta, *, integer_k: bool) -> None:
         raise ValueError(f"domain requires beta in (0, 0.001], got {beta}")
 
 
+def _scale_dominance_sides(k, rho, beta, consts: MechanismConstants):
+    """(loss_scale(k, rho, beta), loss_scale(3*sqrt(k), 4rho/5, 4beta/5)) at _DPS digits."""
+    _check_domain(k, rho, beta, integer_k=False)
+    with mpmath.workdps(_DPS):
+        lhs = loss_scale_hp(k, rho, beta, consts)
+        rhs = loss_scale_hp(3 * mpmath.sqrt(mpmath.mpf(k)),
+                            mpmath.mpf(rho) * 4 / 5, mpmath.mpf(beta) * 4 / 5, consts)
+    return lhs, rhs
+
+
 def scale_dominance_result(k, rho, beta,
                            consts: MechanismConstants = DEFAULT_CONSTANTS) -> CheckResult:
     """Check loss_scale(k, rho, beta) >= 36 * loss_scale(3*sqrt(k), 4rho/5, 4beta/5).
@@ -158,11 +168,8 @@ def scale_dominance_result(k, rho, beta,
     This one-step dominance of the scale function is what lets the error
     recursion telescope; k may be any real >= 1000.
     """
-    _check_domain(k, rho, beta, integer_k=False)
+    lhs, rhs = _scale_dominance_sides(k, rho, beta, consts)
     with mpmath.workdps(_DPS):
-        lhs = loss_scale_hp(k, rho, beta, consts)
-        rhs = loss_scale_hp(3 * mpmath.sqrt(mpmath.mpf(k)),
-                            mpmath.mpf(rho) * 4 / 5, mpmath.mpf(beta) * 4 / 5, consts)
         verdict, margin = _verdict(lhs, 36 * rhs)
         ratio = float(lhs / rhs)
     return CheckResult("scale_dominance", f"K={k};rho={rho};beta={beta}",
@@ -172,11 +179,8 @@ def scale_dominance_result(k, rho, beta,
 def check_scale_dominance(k, rho, beta,
                           consts: MechanismConstants = DEFAULT_CONSTANTS) -> tuple[bool, float]:
     """(inequality holds, lhs/rhs ratio of the two scale values)."""
-    _check_domain(k, rho, beta, integer_k=False)
+    lhs, rhs = _scale_dominance_sides(k, rho, beta, consts)
     with mpmath.workdps(_DPS):
-        lhs = loss_scale_hp(k, rho, beta, consts)
-        rhs = loss_scale_hp(3 * mpmath.sqrt(mpmath.mpf(k)),
-                            mpmath.mpf(rho) * 4 / 5, mpmath.mpf(beta) * 4 / 5, consts)
         return bool(lhs >= 36 * rhs), float(lhs / rhs)
 
 

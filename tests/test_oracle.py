@@ -190,6 +190,7 @@ class TestEqualBudgetAdapter:
             inst, lambda o: binary_tree_select(o, 1.0), m_bound, 1.0, seed=3)
         assert 0 <= result.winner < 32
         assert adapter.rounds_used == 5
+        assert adapter.log_csv().count("\n") == 1 + 5
         assert adapter.inner_rounds_used <= 2 * m_bound
         assert adapter.spent == pytest.approx(1.0)
         assert all(p.topup_variance >= 0 for p in adapter.plans)
