@@ -11,6 +11,7 @@ the affected digest and records why in CHANGES.md.
 import hashlib
 import json
 
+import numpy as np
 import pytest
 
 from privsel.cli import main
@@ -26,6 +27,8 @@ SCALED = MechanismConstants(c_xi=1.0, p_xi=1, base_threshold_log=6)
 SCALED_DOC = {"c_xi": 1.0, "p_xi": 1, "base_threshold_log": 6}
 UNIFORM = generate_instance("uniform", 256, 1000.0, 3)
 LAYERED = generate_instance("layered", 1024, 1.0, 0)
+CONSTANT = generate_instance("constant", 1024, 1.0, 0)
+GAPPED = generate_instance("gapped", 1024, 50.0, 0)
 
 
 def sha256(text: str) -> str:
@@ -49,6 +52,57 @@ ORACLE_LOGS = {
     "recursive_gap_scaled": (
         LAYERED, lambda o: recursive_gap_select(o, 1.0, 0.1, SCALED),
         "56e16568b3c30400242cbc51591922689c0edf80a9912a6dcf6ba2b63d874ce3"),
+}
+
+# Edge cases of the derived-loss recursion (scaled constants, n = 1024, about
+# 15 derived levels each): constant losses tie everywhere, so gaps are 0 and
+# derived values -0.0; gapped has one isolated optimum; a non-contiguous
+# candidate set makes the first level's minimum range over the candidates
+# only.  Noiseless logs print exact values, so they pin the sign of zero and
+# the tie rules as well as the query order.
+# The noisy layered runs are ORACLE_LOGS' combined and recursive_gap_scaled.
+# name -> (instance, mechanism, noiseless, digest of BudgetOracle.log_csv())
+RECURSIVE = lambda o: recursive_gap_select(o, 1.0, 0.1, SCALED)  # noqa: E731
+COMBINED = lambda o: combined_select(o, 1.0, SCALED)  # noqa: E731
+SPARSE = lambda o: recursive_gap_select(  # noqa: E731
+    o, 1.0, 0.1, SCALED, candidates=np.arange(5, 1024, 3))
+RECURSION_LOGS = {
+    "recursive_gap/layered/noiseless": (
+        LAYERED, RECURSIVE, True,
+        "1fce0a1ba76ce19ec6052a5ec3e0a70ac3c329ab48f0be7d970952d6d5af881e"),
+    "recursive_gap/constant/noiseless": (
+        CONSTANT, RECURSIVE, True,
+        "9dd1f56775e62cc30dbeee479dfb8020d714bcc66de680658d91acd11dacbb85"),
+    "recursive_gap/constant/noisy": (
+        CONSTANT, RECURSIVE, False,
+        "d9a276e5faa0d7fa86bde90a19797e0de90a622bc4d990534cde5275b2251dc7"),
+    "recursive_gap/gapped/noiseless": (
+        GAPPED, RECURSIVE, True,
+        "4a5cd194fd5c07f5d3a8b17cef67553fc4026b5d66792bb4845d08367691f2e5"),
+    "recursive_gap/gapped/noisy": (
+        GAPPED, RECURSIVE, False,
+        "217d898daecf3e06dcec23f48894ee91c40da11fdc39116a6919ca2c062f9fd2"),
+    "recursive_gap/sparse_candidates/noiseless": (
+        LAYERED, SPARSE, True,
+        "82fd2bf71ebd74171ea1828bbc967591200eb38561e38316fad34035bbbd877b"),
+    "recursive_gap/sparse_candidates/noisy": (
+        LAYERED, SPARSE, False,
+        "7ca126fda327d6993ef2c22018e85e6cb6f0884a0b28405a577ec1769eecea4b"),
+    "combined/layered/noiseless": (
+        LAYERED, COMBINED, True,
+        "af421b1519f1e66faf712c21cef2217521f010ee586eacc2413907d0c4a6aa55"),
+    "combined/constant/noiseless": (
+        CONSTANT, COMBINED, True,
+        "73ad6c85442f5b4e4f5e0f9a8f5762fd1f38929744de581c794e2b5b380a431d"),
+    "combined/constant/noisy": (
+        CONSTANT, COMBINED, False,
+        "6c7e333a8cbb681ff59bb62c65d4c64f1e8140208fa4320feeb3f8fadf365965"),
+    "combined/gapped/noiseless": (
+        GAPPED, COMBINED, True,
+        "871448c49b4076bc83e29d6b0c06174a93ae6417fdb356ef75f72ae90f0da813"),
+    "combined/gapped/noisy": (
+        GAPPED, COMBINED, False,
+        "f318caa46df99758ab48f87f613587e4965d03499fef79ce145518a20cce5235"),
 }
 
 # name -> (mechanism, declared round bound, digest of the adapter's query log).
@@ -99,6 +153,13 @@ def oracle_log(name: str) -> str:
     return oracle.log_csv()
 
 
+def recursion_log(name: str) -> str:
+    instance, mechanism, noiseless, _ = RECURSION_LOGS[name]
+    oracle = BudgetOracle(instance, 1.0, seed=11, noiseless=noiseless)
+    mechanism(oracle)
+    return oracle.log_csv()
+
+
 def adapter_log(name: str) -> str:
     mechanism, m_bound, _ = ADAPTER_LOGS[name]
     _, adapter = equal_budget_simulate(UNIFORM, mechanism, m_bound, 1.0, seed=11)
@@ -122,6 +183,11 @@ def cli_outputs(tmp_path, argv: list[str], doc: dict | None = None,
 @pytest.mark.parametrize("name", sorted(ORACLE_LOGS))
 def test_oracle_log(name):
     assert sha256(oracle_log(name)) == ORACLE_LOGS[name][2]
+
+
+@pytest.mark.parametrize("name", sorted(RECURSION_LOGS))
+def test_recursion_log(name):
+    assert sha256(recursion_log(name)) == RECURSION_LOGS[name][3]
 
 
 @pytest.mark.parametrize("name", sorted(ADAPTER_LOGS))
