@@ -1,17 +1,20 @@
 """The expression language and the oracle's sensitivity audit.
 
 Mechanisms can only see the data through expressions submitted to the
-budgeted oracle.  This script builds the two query shapes the mechanisms
-use, shows the structural sensitivity bound at work (including a rejected
-over-sensitive query), and round-trips the canonical serialization.
+budgeted oracle.  This script builds the query shapes the mechanisms use
+(including a derived level of the recursive mechanism), shows the
+structural sensitivity bound at work (including a rejected over-sensitive
+query), and round-trips the canonical serialization.
 
 Run:  python demos/query_language.py
 """
 
+import numpy as np
+
 from privsel import (
-    Base, BudgetOracle, Gap, LossInstance, Scale, SensitivityViolationError,
-    build_bintree_query, build_tilde_loss, eval_expr, format_expr, parse_expr,
-    sensitivity_bound,
+    Base, BudgetOracle, Gap, Level, LevelMin, LossInstance, MinCompare, Scale,
+    SensitivityViolationError, Sub, build_bintree_query, build_tilde_loss,
+    eval_expr, format_expr, parse_expr, sensitivity_bound,
 )
 
 
@@ -30,6 +33,23 @@ def main():
     print(f"  text : {format_expr(tilde)}")
     print(f"  value: {eval_expr(tilde, inst):.4f}")
     print(f"  sensitivity bound: {sensitivity_bound(tilde)}")
+
+    print("\n== A derived level: one node for all subsets ==")
+    # subsets {1, 2} and {0, 3} in CSR form, with the offset of the tree above
+    level = Level(np.arange(4), indptr=[0, 2, 4], indices=[1, 2, 0, 3],
+                  offset=(2 + 2 ** 0.5) * 1.5)
+    for t in range(len(level)):
+        print(f"  derived loss {t}: {eval_expr(LevelMin(level, [t]), inst):.4f}")
+    print("  (derived loss 0 is the tree above, evaluated level-wise in numpy)")
+    compare = MinCompare([0, 1], 1, level)  # the tournament's query on a level
+    tree = Scale(0.5, Sub(LevelMin(level, [0]), LevelMin(level, [1])))
+    assert eval_expr(compare, inst) == eval_expr(tree, inst)
+    print(f"  comparison value: {eval_expr(compare, inst):.4f},"
+          f" sensitivity bound: {sensitivity_bound(compare)}")
+    try:
+        format_expr(compare)
+    except TypeError as exc:
+        print(f"  not serializable: {exc}")
 
     print("\n== The oracle audits every query ==")
     oracle = BudgetOracle(inst, total_budget=1.0, seed=0)

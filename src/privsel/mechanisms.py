@@ -9,14 +9,13 @@ mechanism's own seeded randomness.
 from __future__ import annotations
 
 import math
+import operator
 from dataclasses import dataclass
 
 import numpy as np
 
 from .core import LossInstance, MechanismConstants, DEFAULT_CONSTANTS, ceil_log2, loss_scale
-from .queries import (
-    AddConst, Base, Gap, GapOver, MaxOver, MinOver, Scale, Sub, base_nodes,
-)
+from .queries import Base, Level, MinCompare, Scale, Sub, base_nodes
 
 __all__ = [
     "SelectionResult", "InfeasibleConfigError", "DEFAULT_WORK_CAP",
@@ -62,7 +61,7 @@ def _candidate_array(oracle, candidates) -> np.ndarray:
         arr = candidates
         if arr.size <= 64:
             lst = arr.tolist()
-            increasing = all(a < b for a, b in zip(lst, lst[1:]))
+            increasing = all(map(operator.lt, lst, lst[1:]))
         else:
             increasing = bool((arr[1:] > arr[:-1]).all())
         if not increasing:
@@ -76,43 +75,26 @@ def _candidate_array(oracle, candidates) -> np.ndarray:
     return arr
 
 
-def _min_node(members):
-    if isinstance(members, np.ndarray):
-        return MinOver(base_indices=members)
-    return MinOver(tuple(members))
-
-
-def _gap_node(members):
-    if isinstance(members, np.ndarray):
-        return Gap(members)
-    return GapOver(tuple(members))
-
-
-def _tournament(oracle, members, rho: float) -> int:
+def _tournament(oracle, members, rho: float, level: Level | None = None) -> int:
     """Halving tournament; returns the position of the survivor in members.
 
-    members is either an index array (base candidates) or a list of loss
-    expressions (derived candidates).  Each round queries half the difference
-    of the two halves' minima with budget rho/K, K fixed from the initial
-    size, and keeps the right half iff the noisy answer is strictly positive.
-    The survivors always form a contiguous span, so only (lo, hi) is tracked.
+    members are base candidate indices, or, when ``level`` is given,
+    strictly increasing positions in that level's derived losses.  Each
+    round queries half the difference of the two halves' minima (one
+    MinCompare) with budget rho/K, K fixed from the initial size, and keeps
+    the right half iff the noisy answer is strictly positive.  The survivors
+    always form a contiguous span, so only (lo, hi) is tracked.
     """
     n = len(members)
     if n == 1:
         return 0
     k = ceil_log2(n)
     rho_round = rho / k
-    is_base = isinstance(members, np.ndarray)
+    noisy_query = oracle.noisy_query
     lo, hi = 0, n
     while hi - lo > 1:
         mid = lo + (hi - lo + 1) // 2
-        if is_base:
-            query = Scale(0.5, Sub(MinOver(base_indices=members[lo:mid]),
-                                   MinOver(base_indices=members[mid:hi])))
-        else:
-            query = Scale(0.5, Sub(MinOver(tuple(members[lo:mid])),
-                                   MinOver(tuple(members[mid:hi]))))
-        answer = oracle.noisy_query(query, rho_round)
+        answer = noisy_query(MinCompare(members[lo:hi], mid - lo, level), rho_round)
         if answer > 0:
             lo = mid
         else:
@@ -142,13 +124,19 @@ def binary_tree_select(oracle, rho: float, candidates=None) -> SelectionResult:
 
 
 def _recursive_gap(oracle, members, rho, beta, consts, rng, work_cap):
-    """Returns (position of winner in members, recursion depth used)."""
+    """Returns (position of winner in members, recursion depth used).
+
+    members are base candidate indices, or a Level whose derived losses are
+    the candidates.
+    """
     n = len(members)
     if n == 1:
         return 0, 0
+    level = members if type(members) is Level else None
+    positions = members if level is None else np.arange(n)
     k = ceil_log2(n)
     if k <= consts.base_threshold_log or beta <= 2.0 ** (-k):
-        return _tournament(oracle, members, rho), 0
+        return _tournament(oracle, positions, rho, level), 0
 
     log2_t = consts.t_coeff * math.sqrt(k) - 1.0
     # feasibility in log space: T * 2**(k-1) must stay under the work cap
@@ -157,36 +145,26 @@ def _recursive_gap(oracle, members, rho, beta, consts, rng, work_cap):
             f"subsampling work 2**{log2_t + (k - 1):.1f} exceeds cap {work_cap}")
     t_rounds = int(math.ceil(2.0 ** log2_t))
     xi_value = loss_scale(k, rho, beta, consts)
-    offset = (k + math.sqrt(k)) * xi_value
-    all_min = _min_node(members)
 
     subsets = []
-    tilde = []
     for _ in range(t_rounds):
         k_t = int(rng.integers(1, k + 1))
         size = 1 << (k - k_t)
-        sel = np.sort(rng.choice(n, size=size, replace=False))
-        if isinstance(members, np.ndarray):
-            chosen = members[sel]
-        else:
-            chosen = [members[i] for i in sel]
-        first = Sub(_min_node(chosen), AddConst(offset, all_min))
-        second = Scale(-1.0, _gap_node(chosen))
-        tilde.append(Scale(0.5, MaxOver((first, second))))
-        subsets.append(sel)
+        subsets.append(np.sort(rng.choice(n, size=size, replace=False)))
+    indptr = np.zeros(t_rounds + 1, dtype=np.int64)
+    np.cumsum([s.size for s in subsets], out=indptr[1:])
+    derived = Level(members, indptr, np.concatenate(subsets),
+                    (k + math.sqrt(k)) * xi_value)
 
     t_out, depth = _recursive_gap(
-        oracle, tilde,
+        oracle, derived,
         consts.budget_split_recursive * rho,
         consts.beta_split_recursive * beta,
         consts, rng, work_cap)
 
     sel = subsets[t_out]
-    if isinstance(members, np.ndarray):
-        finalists = members[sel]
-    else:
-        finalists = [members[i] for i in sel]
-    pos = _tournament(oracle, finalists, (1.0 - consts.budget_split_recursive) * rho)
+    pos = _tournament(oracle, positions[sel],
+                      (1.0 - consts.budget_split_recursive) * rho, level)
     return int(sel[pos]), depth + 1
 
 
@@ -204,8 +182,9 @@ def recursive_gap_select(oracle, rho: float, beta: float,
     subset by recursing on the derived losses with budgets (4/5*rho, 4/5*beta),
     and finishes with a tournament over the chosen subset at rho/5.
 
-    Derived losses are expression trees composed over the current level's
-    expressions, so every noisy answer still flows through the single oracle.
+    Each derived level is one Level node over the level below, and every
+    query on it is a MinCompare over that level, so every noisy answer still
+    flows through the single oracle.
     """
     if not rho > 0:
         raise ValueError(f"rho must be positive, got {rho}")

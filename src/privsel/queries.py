@@ -17,6 +17,29 @@ Node semantics on a loss vector l (extended-real valued):
     Sub(a, b)          a - b
     Scale(c, e)        c * e
     AddConst(c, e)     e + c
+    Level(P, S, c)     vector, one entry per subset S_t of positions in P:
+                       (1/2) * max(min_{S_t} v - (min v + c), -gap_{S_t} v)
+                       where v is P's vector: the losses l[i] of its
+                       candidate indices when P is an index array (level 0),
+                       else P's own values; a singleton's gap is +inf
+    LevelMin(L, Q)     min of the level vector L at the positions Q
+    MinCompare(Q, s)   (min of l at Q[:s] - min of l at Q[s:]) / 2, the
+                       halving tournament's query; both parts non-empty
+    MinCompare(Q, s, L)
+                       the same over the level vector L at the strictly
+                       increasing positions Q
+
+A Level is one derived level of the recursive mechanism, the vector of its
+T derived losses; it holds the subsets in CSR form and has no scalar value
+of its own, so it is queried only through LevelMin.  Its entries are what
+one build_tilde_loss-shaped tree per subset gives (MinOver / GapOver over
+the level below, the universe being all of it), evaluated level by level in
+numpy instead of node by node.  Minima and gaps take, among equal values,
+the first in position order, as the tree nodes' Python min does; that only
+decides the sign of a zero.  (Over more than 64 base candidates the trees
+reduce with numpy, whose choice between 0.0 and -0.0 is unspecified, so on
+losses that mix the two a level-0 entry may differ from its tree in the
+sign of a zero.)
 
 Sensitivity calculus (upper bound on the change of the value between loss
 vectors differing by at most 1 per coordinate):
@@ -24,7 +47,15 @@ vectors differing by at most 1 per coordinate):
     Base -> 1;  Const -> 0;  MinOver/MaxOver -> max of child bounds;
     Sub -> sum of child bounds;  Scale(c, e) -> |c| * bound(e);
     AddConst -> unchanged;  Gap -> 2 (0 for a singleton);
-    GapOver -> 2 * max child bound (0 for a single child).
+    GapOver -> 2 * max child bound (0 for a single child);
+    Level -> bound of the level below (1 for an index array), per entry;
+    LevelMin(L, Q) -> bound(L);  MinCompare -> 1, or bound(L) with a level.
+
+MinCompare is Scale(1/2, Sub(MinOver, MinOver)) (or the same over two
+LevelMin) as one node, so the rule is the tree rule: (b + b) / 2 = b.
+The Level rule is the tree rule folded once: with b the bound below, the
+subset minimum minus the offset universe minimum has bound 2b, the negated
+gap 2b (0 for a singleton), their max 2b, and the halving gives b again.
 
 Canonical text serialization (prefix notation, whitespace separated):
 
@@ -34,12 +65,17 @@ Canonical text serialization (prefix notation, whitespace separated):
 
 N is a nonnegative integer; NUM is a Python float repr, with inf/-inf
 accepted.  ``gap`` carries base candidate indices, ``gapx`` the general
-expression form.
+expression form.  A MinCompare over base candidates is written as its tree,
+``(scale 0.5 (sub (min ...) (min ...)))``, which parses back to that tree.
+Level, LevelMin and a MinCompare over a level have no text form: a chain of
+d levels expands into trees whose size grows exponentially with d, so
+format_expr raises TypeError on them.
 """
 
 from __future__ import annotations
 
 import math
+import operator
 import threading
 from dataclasses import dataclass
 from typing import Iterable, Union
@@ -50,13 +86,15 @@ from .core import LossInstance
 
 __all__ = [
     "Base", "Const", "MinOver", "MaxOver", "Gap", "GapOver", "Sub", "Scale",
-    "AddConst", "LossExpr", "eval_expr", "sensitivity_bound",
-    "build_bintree_query", "build_tilde_loss", "format_expr", "parse_expr",
-    "ParseError", "base_nodes",
+    "AddConst", "Level", "LevelMin", "MinCompare", "LossExpr", "eval_expr",
+    "sensitivity_bound", "build_bintree_query", "build_tilde_loss", "format_expr",
+    "parse_expr", "ParseError", "base_nodes",
 ]
 
 # Below this size, plain Python beats numpy gather on index-set nodes.
 _SMALL = 64
+
+_INT64 = np.dtype(np.int64)
 
 
 def _index_array(indices) -> np.ndarray:
@@ -179,7 +217,108 @@ class AddConst:
     child: "LossExpr"
 
 
-LossExpr = Union[Base, Const, MinOver, MaxOver, Gap, GapOver, Sub, Scale, AddConst]
+def _increasing(arr: np.ndarray) -> bool:
+    return bool((arr[1:] > arr[:-1]).all())
+
+
+@dataclass(frozen=True, eq=False)
+class Level:
+    """One derived level: T derived losses over the level below.
+
+    ``prev`` is the level below: an index array of base candidates (level 0)
+    or another Level.  Subset t is ``indices[indptr[t]:indptr[t+1]]``, a
+    non-empty, strictly increasing run of positions in ``prev``.  ``offset``
+    is the recursion's (k + sqrt(k)) * xi.  See the module docstring for the
+    value and bound rules.
+    """
+
+    prev: "np.ndarray | Level"
+    indptr: np.ndarray
+    indices: np.ndarray
+    offset: float
+
+    def __post_init__(self):
+        if type(self.prev) is not Level:
+            prev = _index_array(self.prev)
+            if prev.size == 0:
+                raise ValueError("level 0 needs at least one candidate")
+            object.__setattr__(self, "prev", prev)
+        indptr = _index_array(self.indptr)
+        indices = _index_array(self.indices)
+        if indptr.size < 2 or indptr[0] != 0 or indptr[-1] != indices.size:
+            raise ValueError("indptr must run from 0 to len(indices) over at least one subset")
+        if not _increasing(indptr):
+            raise ValueError("every subset must be non-empty")
+        if indices.min() < 0 or indices.max() >= len(self.prev):
+            raise IndexError(f"subset position out of range for {len(self.prev)} entries")
+        rising = indices[1:] > indices[:-1]
+        rising[indptr[1:-1] - 1] = True  # a subset may start below the last one's end
+        if not rising.all():
+            raise ValueError("subset positions must be strictly increasing")
+        object.__setattr__(self, "indptr", indptr)
+        object.__setattr__(self, "indices", indices)
+        object.__setattr__(self, "offset", float(self.offset))
+
+    def __len__(self) -> int:
+        return self.indptr.size - 1
+
+
+@dataclass(frozen=True, eq=False)
+class LevelMin:
+    """Minimum of a Level's derived losses at strictly increasing positions."""
+
+    level: Level
+    positions: np.ndarray
+
+    def __post_init__(self):
+        if type(self.level) is not Level:
+            raise TypeError(f"LevelMin needs a Level, got {type(self.level).__name__}")
+        pos = _index_array(self.positions)
+        if pos.size == 0:
+            raise ValueError("need at least one position")
+        if not _increasing(pos):
+            raise ValueError("positions must be strictly increasing")
+        if pos[0] < 0 or pos[-1] >= len(self.level):
+            raise IndexError(f"position out of range for {len(self.level)} entries")
+        object.__setattr__(self, "positions", pos)
+
+
+@dataclass(frozen=True, eq=False)
+class MinCompare:
+    """Half the difference of two minima: the halving tournament's query.
+
+    (min v[indices[:split]] - min v[indices[split:]]) / 2, where v is the
+    base losses, or ``level``'s derived losses when it is given; positions in
+    a level must be strictly increasing.  Both sides must be non-empty.
+    """
+
+    indices: np.ndarray
+    split: int
+    level: Level | None = None
+
+    def __post_init__(self):
+        idx = self.indices
+        if not (type(idx) is np.ndarray and idx.dtype is _INT64 and idx.ndim == 1):
+            idx = _index_array(idx)
+            object.__setattr__(self, "indices", idx)
+        split = self.split
+        if type(split) is not int:
+            split = operator.index(split)
+            object.__setattr__(self, "split", split)
+        if not 0 < split < idx.size:
+            raise ValueError(f"split {split} leaves a side of {idx.size} indices empty")
+        level = self.level
+        if level is not None:
+            if type(level) is not Level:
+                raise TypeError(f"MinCompare needs a Level, got {type(level).__name__}")
+            if not _increasing(idx):
+                raise ValueError("positions must be strictly increasing")
+            if idx[0] < 0 or idx[-1] >= len(level):
+                raise IndexError(f"position out of range for {len(level)} entries")
+
+
+LossExpr = Union[Base, Const, MinOver, MaxOver, Gap, GapOver, Sub, Scale, AddConst, LevelMin,
+                 MinCompare]
 
 
 _BASE_NODES: list[Base] = []
@@ -226,14 +365,89 @@ def _min_over_indices(idx: np.ndarray, losses, arr: np.ndarray, n: int) -> float
     return float(arr[idx].min())
 
 
-def _is_min_comparison(expr) -> bool:
-    """The halving tournament's query shape: Scale(c, Sub(MinOver, MinOver))
-    with both minima over base index sets.  Recognized for a fast path."""
-    if type(expr) is not Scale or type(expr.child) is not Sub:
-        return False
-    left, right = expr.child.left, expr.child.right
-    return (type(left) is MinOver and left.base_indices is not None
-            and type(right) is MinOver and right.base_indices is not None)
+def _first_min(values: np.ndarray) -> int:
+    """Position of the first minimal entry (so -0.0 and 0.0 tie)."""
+    return int(np.flatnonzero(values == values.min())[0])
+
+
+def _segment_first_min(values: np.ndarray, starts: np.ndarray,
+                       segment: np.ndarray) -> np.ndarray:
+    """Per segment, the position in ``values`` of its first minimal entry."""
+    hits = np.flatnonzero(values == np.minimum.reduceat(values, starts)[segment])
+    return hits[np.searchsorted(segment[hits], np.arange(starts.size))]
+
+
+def _derive(values: np.ndarray, level: Level) -> np.ndarray:
+    """A level's derived losses from the values of the level below."""
+    sizes = np.diff(level.indptr)
+    starts = level.indptr[:-1]
+    segment = np.repeat(np.arange(sizes.size), sizes)
+    members = values[level.indices]
+    first = _segment_first_min(members, starts, segment)
+    smallest = members[first]
+    members[first] = math.inf  # the second smallest is the minimum of the rest
+    second = members[_segment_first_min(members, starts, segment)]
+    offset_min = values[_first_min(values)] + level.offset
+    score = smallest - offset_min
+    neg_gap = -(second - smallest)  # -inf for a singleton
+    return 0.5 * np.where(neg_gap > score, neg_gap, score)
+
+
+def _unevaluated(level: Level, memo: dict) -> tuple[list[Level], object]:
+    """The levels of a chain not in ``memo``, top first, and what lies below
+    the lowest of them: a memoised Level or the level-0 index array."""
+    levels = []
+    node = level
+    while type(node) is Level and id(node) not in memo:
+        levels.append(node)
+        node = node.prev
+    return levels, node
+
+
+def _level_values(level: Level, instance: LossInstance, memo: dict) -> np.ndarray:
+    """Derived losses of a level, evaluated bottom-up and memoised per level."""
+    levels, below = _unevaluated(level, memo)
+    if type(below) is Level:
+        values = memo[id(below)][1]
+    else:
+        _check_bounds(below, len(instance))
+        values = instance.as_array()[below]
+    for node in reversed(levels):
+        values = _derive(values, node)
+        memo[id(node)] = (node, values)
+    return values
+
+
+def _level_bound(level: Level, memo: dict) -> float:
+    levels, below = _unevaluated(level, memo)
+    bound = memo[id(below)][1] if type(below) is Level else 1.0
+    for node in levels:
+        memo[id(node)] = (node, bound)
+    return bound
+
+
+def _compare_value(node: MinCompare, instance: LossInstance, memo: dict | None) -> float:
+    idx, split = node.indices, node.split
+    if node.level is not None:
+        vals = _level_values(node.level, instance, {} if memo is None else memo)
+        left, right = vals[idx[:split]], vals[idx[split:]]
+        return 0.5 * (float(left[_first_min(left)]) - float(right[_first_min(right)]))
+    losses = instance.losses
+    if idx.size <= _SMALL:
+        lst = idx.tolist()
+        if min(lst) < 0:
+            raise IndexError(f"negative candidate index in {lst}")
+        vals = [losses[i] for i in lst]
+        return 0.5 * (min(vals[:split]) - min(vals[split:]))
+    arr, n = instance.as_array(), len(losses)
+    return 0.5 * (_min_over_indices(idx[:split], losses, arr, n)
+                  - _min_over_indices(idx[split:], losses, arr, n))
+
+
+def _compare_bound(node: MinCompare, memo: dict | None) -> float:
+    if node.level is None:
+        return 1.0
+    return _level_bound(node.level, {} if memo is None else memo)
 
 
 def eval_expr(expr: LossExpr, instance: LossInstance, memo: dict | None = None) -> float:
@@ -246,14 +460,11 @@ def eval_expr(expr: LossExpr, instance: LossInstance, memo: dict | None = None) 
 
     Raises IndexError for out-of-range candidate indices.
     """
+    if type(expr) is MinCompare:
+        return _compare_value(expr, instance, memo)
     losses = instance.losses
     arr = instance.as_array()
     n = len(losses)
-    if _is_min_comparison(expr):
-        sub = expr.child
-        return expr.factor * (
-            _min_over_indices(sub.left.base_indices, losses, arr, n)
-            - _min_over_indices(sub.right.base_indices, losses, arr, n))
     if memo is None:
         memo = {}
 
@@ -315,12 +526,20 @@ def eval_expr(expr: LossExpr, instance: LossInstance, memo: dict | None = None) 
             v = node.factor * ev(node.child)
         elif t is AddConst:
             v = ev(node.child) + node.offset
+        elif t is LevelMin:
+            vals = _level_values(node.level, instance, memo)[node.positions]
+            v = float(vals[_first_min(vals)])
+        elif t is MinCompare:
+            v = _compare_value(node, instance, memo)
         else:
             raise TypeError(f"not a loss expression: {node!r}")
         memo[key] = (node, v)
         return v
 
-    return ev(expr)
+    try:
+        return ev(expr)
+    finally:
+        del ev  # ev refers to itself; a live cycle would keep memo alive
 
 
 def sensitivity_bound(expr: LossExpr, memo: dict | None = None) -> float:
@@ -330,8 +549,8 @@ def sensitivity_bound(expr: LossExpr, memo: dict | None = None) -> float:
     sound wherever both evaluations are finite; see the module docstring for
     the per-node rules.
     """
-    if _is_min_comparison(expr):
-        return abs(expr.factor) * 2.0
+    if type(expr) is MinCompare:
+        return _compare_bound(expr, memo)
     if memo is None:
         memo = {}
 
@@ -363,12 +582,19 @@ def sensitivity_bound(expr: LossExpr, memo: dict | None = None) -> float:
             b = abs(node.factor) * bd(node.child)
         elif t is AddConst:
             b = bd(node.child)
+        elif t is LevelMin:
+            b = _level_bound(node.level, memo)
+        elif t is MinCompare:
+            b = _compare_bound(node, memo)
         else:
             raise TypeError(f"not a loss expression: {node!r}")
         memo[key] = (node, b)
         return b
 
-    return bd(expr)
+    try:
+        return bd(expr)
+    finally:
+        del bd  # as in eval_expr
 
 
 def build_bintree_query(c1: Iterable[int], c2: Iterable[int]) -> LossExpr:
@@ -382,7 +608,7 @@ def build_bintree_query(c1: Iterable[int], c2: Iterable[int]) -> LossExpr:
         raise ValueError("both candidate sets must be non-empty")
     if np.intersect1d(a1, a2).size:
         raise ValueError("candidate sets must be disjoint")
-    return Scale(0.5, Sub(MinOver(base_indices=a1), MinOver(base_indices=a2)))
+    return MinCompare(np.concatenate((a1, a2)), a1.size)
 
 
 def build_tilde_loss(subset: Iterable[int], k: int, xi_value: float,
@@ -448,6 +674,14 @@ def format_expr(expr: LossExpr) -> str:
         return f"(scale {_fmt_num(expr.factor)} {format_expr(expr.child)})"
     if t is AddConst:
         return f"(addc {_fmt_num(expr.offset)} {format_expr(expr.child)})"
+    if t is MinCompare and expr.level is None:
+        sides = (expr.indices[:expr.split], expr.indices[expr.split:])
+        left, right = ("(min " + " ".join(f"(base {i})" for i in side.tolist()) + ")"
+                       for side in sides)
+        return f"(scale {_fmt_num(0.5)} (sub {left} {right}))"
+    if t is Level or t is LevelMin or t is MinCompare:
+        raise TypeError(f"{t.__name__} has no text form: its tree expansion grows "
+                        "exponentially with the number of levels")
     raise TypeError(f"not a loss expression: {expr!r}")
 
 

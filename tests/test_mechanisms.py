@@ -12,7 +12,7 @@ from privsel.mechanisms import (
     recursive_gap_round_bound, recursive_gap_select,
 )
 from privsel.oracle import BudgetOracle
-from privsel.queries import Base
+from privsel.queries import Base, MinCompare
 
 SCALED = MechanismConstants(c_xi=1.0, p_xi=1, base_threshold_log=6)
 
@@ -58,6 +58,23 @@ class TestBinaryTree:
     def test_ties_resolve_left_at_zero_noise(self):
         oracle = _oracle([2.0, 2.0, 2.0, 2.0], 1.0, noiseless=True)
         assert binary_tree_select(oracle, 1.0).winner == 0
+
+    def test_each_round_is_one_comparison_of_adjacent_halves(self):
+        submitted = []
+
+        class Recording(BudgetOracle):
+            def noisy_query(self, expr, rho_i):
+                submitted.append(expr)
+                return super().noisy_query(expr, rho_i)
+
+        losses = [5.0, 4.0, 3.0, 9.0, 0.0, 7.0, 8.0]
+        oracle = Recording(LossInstance(losses), 1.0, noiseless=True)
+        assert binary_tree_select(oracle, 1.0, candidates=[1, 2, 3, 4, 5, 6]).winner == 4
+        # survivors 1..6 -> right half 4..6 -> left half 4..5 -> left half 4
+        assert [(type(q), q.indices.tolist(), q.split, q.level) for q in submitted] == [
+            (MinCompare, [1, 2, 3, 4, 5, 6], 3, None),
+            (MinCompare, [4, 5, 6], 2, None),
+            (MinCompare, [4, 5], 1, None)]
 
 
 class TestRecursiveGap:

@@ -1,19 +1,21 @@
 """Budgeted oracle: noise calibration, enforcement, logging, equal-budget adapter."""
 
+import gc
 import math
+import weakref
 
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from privsel.core import LossInstance
+from privsel.core import LossInstance, MechanismConstants, generate_instance
 from privsel.oracle import (
     BudgetExceededError, BudgetOracle, EqualBudgetAdapter, NonFiniteQueryError,
     RoundsExceededError, SensitivityViolationError, equal_budget_simulate,
     plan_equal_budget, LOG_CSV_HEADER,
 )
-from privsel.queries import Base, Const, Gap, Scale, Sub
-from privsel.mechanisms import binary_tree_select
+from privsel.queries import Base, Const, Gap, Level, LevelMin, Scale, Sub
+from privsel.mechanisms import binary_tree_select, combined_select
 
 
 INST = LossInstance((2.0, 5.0, 1.0, 7.0))
@@ -33,6 +35,40 @@ class TestNoisyQuery:
             oracle.noisy_query(Gap([0, 1]), 0.5)
         # the halved version passes
         oracle.noisy_query(Scale(0.5, Gap([0, 1])), 0.5)
+
+    def test_unhalved_level_comparison_is_rejected(self):
+        # each LevelMin has bound 1, so their plain difference has bound 2
+        level = Level(np.arange(4), [0, 2, 4], [0, 1, 2, 3], 1.0)
+        first, second = LevelMin(level, [0]), LevelMin(level, [1])
+        oracle = BudgetOracle(INST, 1.0, seed=0)
+        with pytest.raises(SensitivityViolationError, match="bound 2.0"):
+            oracle.noisy_query(Sub(first, second), 0.5)
+        assert (oracle.spent, oracle.log) == (0.0, [])
+        oracle.noisy_query(Scale(0.5, Sub(first, second)), 0.5)
+        assert oracle.log[0].sensitivity_bound == 1.0
+
+    def test_trial_leaves_no_reference_cycle(self):
+        # with the collector off, only reference counting frees the oracle's
+        # memo and the query nodes it pins; a cycle through it would keep
+        # them alive after the trial
+        submitted = []
+
+        class Recording(BudgetOracle):
+            def noisy_query(self, expr, rho_i):
+                submitted.append(weakref.ref(expr))
+                return super().noisy_query(expr, rho_i)
+
+        scaled = MechanismConstants(c_xi=1.0, p_xi=1, base_threshold_log=6)
+        gc.collect()
+        gc.disable()
+        try:
+            oracle = Recording(generate_instance("layered", 256, 1.0, 0), 1.0, seed=3)
+            assert combined_select(oracle, 1.0, scaled).recursion_depth > 0
+            assert len(oracle._eval_memo) > 0
+            del oracle
+            assert submitted and all(ref() is None for ref in submitted)
+        finally:
+            gc.enable()
 
     def test_nonfinite_query_rejected(self):
         oracle = BudgetOracle(INST, 1.0, seed=0)

@@ -9,9 +9,9 @@ from hypothesis import given, settings, strategies as st
 
 from privsel.core import LossInstance
 from privsel.queries import (
-    AddConst, Base, Const, Gap, GapOver, MaxOver, MinOver, ParseError, Scale,
-    Sub, build_bintree_query, build_tilde_loss, eval_expr, format_expr,
-    parse_expr, sensitivity_bound,
+    AddConst, Base, Const, Gap, GapOver, Level, LevelMin, MaxOver, MinCompare,
+    MinOver, ParseError, Scale, Sub, build_bintree_query, build_tilde_loss, eval_expr,
+    format_expr, parse_expr, sensitivity_bound,
 )
 
 
@@ -212,6 +212,238 @@ class TestNodeValidation:
         assert node.resolved_children() == (Base(2), Base(0))
         direct = MaxOver((Base(1), Const(0.0)))
         assert direct.resolved_children() == (Base(1), Const(0.0))
+
+
+def bits(x: float) -> bytes:
+    """Exact float identity: tells -0.0 from 0.0."""
+    return np.float64(x).tobytes()
+
+
+def tilde_trees(members, subsets, k, xi_value):
+    """The reference form of a derived level: one tilde-loss tree per subset.
+
+    Over base candidates (an index array) this is build_tilde_loss itself;
+    over derived losses (a list of trees) the same shape with MinOver and
+    GapOver over the children.
+    """
+    if isinstance(members, np.ndarray):
+        return [build_tilde_loss(members[sel], k, xi_value, members) for sel in subsets]
+    offset = (k + math.sqrt(k)) * xi_value
+    universe = MinOver(tuple(members))
+    trees = []
+    for sel in subsets:
+        chosen = tuple(members[i] for i in sel)
+        trees.append(Scale(0.5, MaxOver((
+            Sub(MinOver(chosen), AddConst(offset, universe)),
+            Scale(-1.0, GapOver(chosen))))))
+    return trees
+
+
+def random_subsets(rng, n, count):
+    """Sorted position subsets of 1..n entries, singletons among them."""
+    sizes = rng.integers(1, n + 1, count)
+    sizes[rng.random(count) < 0.3] = 1
+    return [np.sort(rng.choice(n, size=int(m), replace=False)) for m in sizes]
+
+
+def csr(subsets):
+    indptr = np.zeros(len(subsets) + 1, dtype=np.int64)
+    np.cumsum([s.size for s in subsets], out=indptr[1:])
+    return indptr, np.concatenate(subsets)
+
+
+class TestLevel:
+    """Level and LevelMin against the tree nodes they replace (the reference)."""
+
+    @pytest.mark.parametrize("seed", range(40))
+    def test_matches_tilde_trees_bitwise(self, seed):
+        rng = np.random.default_rng(seed)
+        n = int(rng.integers(1, 160))
+        # few distinct integer losses: ties everywhere, zero gaps, -0.0 derived values
+        losses = rng.integers(0, int(rng.integers(1, 6)), n).astype(float)
+        inst = LossInstance(losses)
+        candidates = np.sort(rng.choice(n, size=int(rng.integers(1, n + 1)), replace=False))
+        members, level = candidates, candidates
+        memo, tree_memo = {}, {}
+        for _ in range(int(rng.integers(1, 5))):
+            k, xi_value = int(rng.integers(1, 9)), float(rng.choice([0.5, 1.0, 2.5]))
+            subsets = random_subsets(rng, len(level), int(rng.integers(1, 12)))
+            level = Level(level, *csr(subsets), (k + math.sqrt(k)) * xi_value)
+            members = tilde_trees(members, subsets, k, xi_value)
+            for t, tree in enumerate(members):
+                node = LevelMin(level, [t])
+                assert bits(eval_expr(node, inst, memo)) == bits(
+                    eval_expr(tree, inst, tree_memo))
+                assert sensitivity_bound(node) == sensitivity_bound(tree) == 1.0
+            for pos in random_subsets(rng, len(level), 4):
+                node = LevelMin(level, pos)
+                tree = MinOver(tuple(members[i] for i in pos))
+                assert bits(eval_expr(node, inst, memo)) == bits(
+                    eval_expr(tree, inst, tree_memo))
+            if len(level) > 1:
+                cut = int(rng.integers(1, len(level)))
+                pos = np.arange(len(level))
+                query = Scale(0.5, Sub(LevelMin(level, pos[:cut]), LevelMin(level, pos[cut:])))
+                tree = Scale(0.5, Sub(MinOver(tuple(members[:cut])),
+                                      MinOver(tuple(members[cut:]))))
+                assert bits(eval_expr(query, inst)) == bits(eval_expr(tree, inst))
+                assert sensitivity_bound(query) == sensitivity_bound(tree) == 1.0
+                compare = MinCompare(pos, cut, level)
+                assert bits(eval_expr(compare, inst, memo)) == bits(eval_expr(tree, inst))
+                assert sensitivity_bound(compare) == 1.0
+
+    def test_signed_zero_ties_follow_position_order(self):
+        # losses (0, 0, 1), offset 1: subset {0, 1} scores -0.0 (a zero gap
+        # beats the score -1) and {2} scores +0.0 (1 - (0 + 1)), so the level
+        # reads (-0.0, +0.0, -0.0, +0.0); among equal values the first wins
+        inst = LossInstance((0.0, 0.0, 1.0))
+        level = Level(np.arange(3), [0, 2, 3, 5, 6], [0, 1, 2, 0, 1, 2], 1.0)
+        values = [eval_expr(LevelMin(level, [t]), inst) for t in range(4)]
+        assert [bits(v) for v in values] == [bits(-0.0), bits(0.0)] * 2
+        assert bits(eval_expr(LevelMin(level, [0, 1]), inst)) == bits(-0.0)
+        assert bits(eval_expr(LevelMin(level, [1, 2]), inst)) == bits(0.0)
+        # a gap of (s2 = -0.0) - (s1 = +0.0) is -0.0, so subset {1, 2} scores +0.0
+        above = Level(level, [0, 2, 4], [0, 1, 1, 2], 1.0)
+        assert [bits(eval_expr(LevelMin(above, [t]), inst)) for t in range(2)] == [
+            bits(-0.0), bits(0.0)]
+        trees = tilde_trees(tilde_trees(np.arange(3), [[0, 1], [2], [0, 1], [2]], 1, 0.5),
+                            [[0, 1], [1, 2]], 1, 0.5)
+        assert [bits(eval_expr(t, inst)) for t in trees] == [bits(-0.0), bits(0.0)]
+
+    def test_min_of_one_level_is_shared(self):
+        inst = LossInstance((3.0, 1.0, 2.0, 5.0))
+        level = Level(np.arange(4), [0, 2, 4], [0, 1, 2, 3], 2.0)
+        memo = {}
+        for t in range(2):
+            eval_expr(LevelMin(level, [t]), inst, memo)
+        assert sum(entry[0] is level for entry in memo.values()) == 1
+
+    def test_level_zero_index_checked_at_evaluation(self):
+        level = Level(np.array([0, 7]), [0, 2], [0, 1], 1.0)
+        with pytest.raises(IndexError):
+            eval_expr(LevelMin(level, [0]), LossInstance((1.0, 2.0)))
+
+    def test_construction_rejects_bad_subsets(self):
+        base = np.arange(4)
+        with pytest.raises(ValueError):
+            Level(base, [0, 2, 2], [0, 1], 1.0)  # empty second subset
+        with pytest.raises(ValueError):
+            Level(base, [0], [], 1.0)  # no subset at all
+        with pytest.raises(ValueError):
+            Level(base, [0, 2], [0, 1, 2], 1.0)  # indptr does not cover indices
+        with pytest.raises(IndexError):
+            Level(base, [0, 2], [1, 4], 1.0)
+        with pytest.raises(IndexError):
+            Level(base, [0, 1, 2], [0, -1], 1.0)
+        with pytest.raises(ValueError):
+            Level(base, [0, 2], [1, 1], 1.0)  # repeated position
+        with pytest.raises(ValueError):
+            Level(base, [0, 2], [2, 1], 1.0)  # decreasing
+        with pytest.raises(ValueError):
+            Level([], [0, 1], [0], 1.0)
+        # a subset may start below where the previous one ended
+        assert len(Level(base, [0, 2, 4], [2, 3, 0, 1], 1.0)) == 2
+
+    def test_level_min_rejects_bad_positions(self):
+        level = Level(np.arange(4), [0, 1, 2, 4], [0, 1, 2, 3], 1.0)
+        for bad in ([], [1, 0], [0, 0]):
+            with pytest.raises(ValueError):
+                LevelMin(level, bad)
+        for bad in ([3], [-1, 0]):
+            with pytest.raises(IndexError):
+                LevelMin(level, bad)
+        with pytest.raises(TypeError):
+            LevelMin(np.arange(4), [0])
+
+    def test_bound_follows_the_level_below(self):
+        level = Level(np.arange(4), [0, 1, 4], [0, 1, 2, 3], 1.0)
+        above = Level(level, [0, 2], [0, 1], 1.0)
+        assert sensitivity_bound(LevelMin(above, [0])) == 1.0
+        assert sensitivity_bound(Sub(LevelMin(level, [0]), LevelMin(above, [0]))) == 2.0
+        assert sensitivity_bound(Scale(0.5, Sub(LevelMin(level, [0]),
+                                                LevelMin(level, [1])))) == 1.0
+
+    def test_bare_level_is_not_a_scalar_query(self):
+        level = Level(np.arange(2), [0, 2], [0, 1], 1.0)
+        with pytest.raises(TypeError):
+            eval_expr(level, LossInstance((1.0, 2.0)))
+        with pytest.raises(TypeError):
+            sensitivity_bound(level)
+
+    def test_format_expr_refuses_levels(self):
+        # a chain of d levels expands into text exponential in d
+        level = Level(np.arange(2), [0, 2], [0, 1], 1.0)
+        for expr in (LevelMin(level, [0]), Scale(0.5, Sub(LevelMin(level, [0]), Base(1)))):
+            with pytest.raises(TypeError, match="no text form"):
+                format_expr(expr)
+
+
+class TestMinCompare:
+    """The tournament's comparison node against the tree it stands for."""
+
+    @pytest.mark.parametrize("seed", range(20))
+    def test_matches_tree_bitwise(self, seed):
+        rng = np.random.default_rng(seed)
+        n = int(rng.integers(2, 200))
+        # signed zeros and ties on both sides of the 64-index threshold
+        inst = LossInstance(rng.choice([-0.0, 0.0, 1.0, 2.0], n))
+        for _ in range(10):
+            idx = rng.choice(n, size=int(rng.integers(2, n + 1)), replace=False)
+            split = int(rng.integers(1, idx.size))
+            node = MinCompare(idx, split)
+            tree = Scale(0.5, Sub(MinOver(base_indices=idx[:split]),
+                                  MinOver(base_indices=idx[split:])))
+            assert bits(eval_expr(node, inst)) == bits(eval_expr(tree, inst))
+            assert eval_expr(Sub(node, Base(0)), inst) == eval_expr(tree, inst) - inst.losses[0]
+            assert sensitivity_bound(node) == sensitivity_bound(tree) == 1.0
+            assert format_expr(node) == format_expr(tree)
+
+    def test_bintree_query_is_a_min_compare(self):
+        node = build_bintree_query([3, 1], [0, 2])
+        assert type(node) is MinCompare
+        assert (node.indices.tolist(), node.split) == ([1, 3, 0, 2], 2)
+
+    def test_text_is_the_tree(self):
+        node = MinCompare([4, 2, 7], 1)
+        text = "(scale 0.5 (sub (min (base 4)) (min (base 2) (base 7))))"
+        assert format_expr(node) == text
+        clone = parse_expr(text)
+        inst = LossInstance(np.arange(8.0))
+        assert eval_expr(clone, inst) == eval_expr(node, inst) == 1.0
+        assert sensitivity_bound(clone) == sensitivity_bound(node)
+        level = Level(np.arange(2), [0, 1, 2], [0, 1], 1.0)
+        with pytest.raises(TypeError, match="no text form"):
+            format_expr(MinCompare([0, 1], 1, level))
+
+    def test_construction_rejects_bad_arguments(self):
+        for indices, split in (([0, 1], 0), ([0, 1], 2), ([], 0), ([[0, 1]], 1)):
+            with pytest.raises(ValueError):
+                MinCompare(indices, split)
+        level = Level(np.arange(4), [0, 1, 2, 4], [0, 1, 2, 3], 1.0)
+        for bad in ([1, 0], [0, 0]):
+            with pytest.raises(ValueError):
+                MinCompare(bad, 1, level)
+        for bad in ([2, 3], [-1, 0]):
+            with pytest.raises(IndexError):
+                MinCompare(bad, 1, level)
+        with pytest.raises(TypeError):
+            MinCompare([0, 1], 1, np.arange(4))
+        assert MinCompare(np.array([0, 1], dtype=np.int32), np.int64(1)).split == 1
+
+    @pytest.mark.parametrize("size", [3, 100])
+    def test_indices_checked_at_evaluation(self, size):
+        inst = LossInstance(np.arange(float(size)))
+        for bad in (-1, size):
+            idx = np.arange(size)
+            idx[-1] = bad
+            with pytest.raises(IndexError):
+                eval_expr(MinCompare(idx, 1), inst)
+
+    def test_bound_follows_the_level(self):
+        level = Level(np.arange(4), [0, 1, 4], [0, 1, 2, 3], 1.0)
+        above = Level(level, [0, 1, 2], [0, 1], 1.0)
+        assert sensitivity_bound(MinCompare([0, 1], 1, above)) == 1.0
+        assert sensitivity_bound(Sub(MinCompare([0, 1], 1, level), Base(0))) == 2.0
 
 
 class TestSerialization:
