@@ -15,7 +15,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .core import LossInstance, MechanismConstants, DEFAULT_CONSTANTS, ceil_log2, loss_scale
-from .queries import Base, Level, MinCompare, Scale, Sub, base_nodes
+from .queries import Base, BaseBatch, Level, MinCompare, Scale, Sub
 
 __all__ = [
     "SelectionResult", "InfeasibleConfigError", "DEFAULT_WORK_CAP",
@@ -123,6 +123,27 @@ def binary_tree_select(oracle, rho: float, candidates=None) -> SelectionResult:
     )
 
 
+def _draw_subsets(rng, n: int, k: int, t_rounds: int) -> tuple[np.ndarray, np.ndarray]:
+    """The T random subsets of range(n) of one level, as CSR (indptr, indices).
+
+    Subset t has 2**(k - k_t) members, k_t uniform on 1..k, drawn without
+    replacement and stored in increasing order.
+    """
+    draws = []
+    for _ in range(t_rounds):
+        k_t = int(rng.integers(1, k + 1))
+        draws.append(rng.choice(n, size=1 << (k - k_t), replace=False))
+    indptr = np.zeros(t_rounds + 1, dtype=np.int64)
+    np.cumsum([d.size for d in draws], out=indptr[1:])
+    # sorting on segment * n + position sorts every subset in one call
+    shift = np.repeat(np.arange(0, t_rounds * n, n, dtype=np.int64), np.diff(indptr))
+    indices = np.concatenate(draws)
+    indices += shift
+    indices.sort()
+    indices -= shift
+    return indptr, indices
+
+
 def _recursive_gap(oracle, members, rho, beta, consts, rng, work_cap):
     """Returns (position of winner in members, recursion depth used).
 
@@ -146,15 +167,8 @@ def _recursive_gap(oracle, members, rho, beta, consts, rng, work_cap):
     t_rounds = int(math.ceil(2.0 ** log2_t))
     xi_value = loss_scale(k, rho, beta, consts)
 
-    subsets = []
-    for _ in range(t_rounds):
-        k_t = int(rng.integers(1, k + 1))
-        size = 1 << (k - k_t)
-        subsets.append(np.sort(rng.choice(n, size=size, replace=False)))
-    indptr = np.zeros(t_rounds + 1, dtype=np.int64)
-    np.cumsum([s.size for s in subsets], out=indptr[1:])
-    derived = Level(members, indptr, np.concatenate(subsets),
-                    (k + math.sqrt(k)) * xi_value)
+    indptr, indices = _draw_subsets(rng, n, k, t_rounds)
+    derived = Level(members, indptr, indices, (k + math.sqrt(k)) * xi_value)
 
     t_out, depth = _recursive_gap(
         oracle, derived,
@@ -162,7 +176,7 @@ def _recursive_gap(oracle, members, rho, beta, consts, rng, work_cap):
         consts.beta_split_recursive * beta,
         consts, rng, work_cap)
 
-    sel = subsets[t_out]
+    sel = indices[indptr[t_out]:indptr[t_out + 1]]
     pos = _tournament(oracle, positions[sel],
                       (1.0 - consts.budget_split_recursive) * rho, level)
     return int(sel[pos]), depth + 1
@@ -262,7 +276,7 @@ def query_all_baseline(oracle, rho: float) -> SelectionResult:
         raise ValueError(f"rho must be positive, got {rho}")
     n = oracle.n_candidates
     spent0, rounds0 = oracle.spent, oracle.rounds_used
-    answers = oracle.noisy_query_batch(base_nodes(n), rho / n)
+    answers = oracle.noisy_query_batch(BaseBatch(np.arange(n, dtype=np.int64)), rho / n)
     return SelectionResult(
         winner=int(np.argmin(answers)),
         rounds_used=oracle.rounds_used - rounds0,

@@ -20,7 +20,7 @@ from typing import Callable, Sequence
 import numpy as np
 
 from .core import LossInstance
-from .queries import Base, LossExpr, eval_expr, sensitivity_bound
+from .queries import Base, BaseBatch, LossExpr, eval_expr, sensitivity_bound
 
 __all__ = [
     "OracleError", "BudgetExceededError", "SensitivityViolationError",
@@ -152,34 +152,41 @@ class BudgetOracle:
     def noisy_query_batch(self, exprs: Sequence[LossExpr], rho_each: float) -> np.ndarray:
         """Answer many expressions, each with budget rho_each.
 
-        Equivalent to one noisy_query per expression; an all-Base batch is
-        evaluated as a single vectorized gather.
+        Equivalent to one noisy_query per expression, in order.  A BaseBatch
+        is answered as one vectorised batch: range check, one charge of
+        rho_each * len, one gather, one ``Generator.normal(size=len)`` draw
+        (the same values as that many scalar draws), then the log.  A list of
+        Base nodes only is turned into a BaseBatch first; any other sequence
+        is answered one noisy_query at a time.
         """
         if not rho_each > 0:
             raise ValueError(f"rho_each must be positive, got {rho_each}")
-        exprs = list(exprs)
-        if not exprs:
+        if type(exprs) is not BaseBatch:
+            exprs = list(exprs)
+            if not all(type(e) is Base for e in exprs):
+                return np.asarray([self.noisy_query(e, rho_each) for e in exprs])
+            exprs = BaseBatch(np.fromiter((e.index for e in exprs), dtype=np.int64,
+                                          count=len(exprs)))
+        idx = exprs.indices
+        count = idx.size
+        if count == 0:
             return np.empty(0)
-        if all(type(e) is Base for e in exprs):
-            idx = np.fromiter((e.index for e in exprs), dtype=np.int64, count=len(exprs))
-            n = self.n_candidates
-            if idx.min() < 0 or idx.max() >= n:
-                raise IndexError("candidate index out of range in batch")
-            self._charge(rho_each * len(exprs))
-            values = self.instance.as_array()[idx]
-            if self.noiseless:
-                answers = values.astype(np.float64)
-            else:
-                sigma = math.sqrt(1.0 / (2.0 * rho_each))
-                answers = values + self._generator().normal(0.0, sigma, size=len(exprs))
-            start = self.rounds_used
-            self.rounds_used += len(exprs)
-            if self.record_log:
-                self.log.extend(
-                    QueryRecord(start + i, rho_each, 1.0, float(a))
-                    for i, a in enumerate(answers))
-            return answers
-        return np.asarray([self.noisy_query(e, rho_each) for e in exprs])
+        if idx.min() < 0 or idx.max() >= self.n_candidates:
+            raise IndexError("candidate index out of range in batch")
+        self._charge(rho_each * count)
+        values = self.instance.as_array()[idx]
+        if self.noiseless:
+            answers = values
+        else:
+            sigma = math.sqrt(1.0 / (2.0 * rho_each))
+            answers = values + self._generator().normal(0.0, sigma, size=count)
+        start = self.rounds_used
+        self.rounds_used += count
+        if self.record_log:
+            self.log.extend(
+                QueryRecord(start + i, rho_each, 1.0, a)
+                for i, a in enumerate(answers.tolist()))
+        return answers
 
     def log_csv(self) -> str:
         """Query log as CSV; floats use shortest round-trip decimals."""
@@ -256,10 +263,14 @@ class EqualBudgetAdapter(BudgetOracle):
         self.m_bound = m_bound
         self.inner_rounds_used = 0
         self.plans: list[EqualBudgetPlan] = []
+        self._last_plan: tuple[float, EqualBudgetPlan | None] = (math.nan, None)
 
     def _answer(self, value: float, rho_i: float) -> float:
         """Average m_i equal-budget rounds, then top up to variance 1/(2*rho_i)."""
-        plan = plan_equal_budget(rho_i, self.m_bound, self.total_budget)
+        last_rho, plan = self._last_plan
+        if rho_i != last_rho:  # a batch's queries share one rho_i and so one plan
+            plan = plan_equal_budget(rho_i, self.m_bound, self.total_budget)
+            self._last_plan = (rho_i, plan)
         repeats = plan.per_query_repeats
         if self.inner_rounds_used + repeats > plan.m_rounds_total:
             raise RoundsExceededError(

@@ -36,10 +36,13 @@ one build_tilde_loss-shaped tree per subset gives (MinOver / GapOver over
 the level below, the universe being all of it), evaluated level by level in
 numpy instead of node by node.  Minima and gaps take, among equal values,
 the first in position order, as the tree nodes' Python min does; that only
-decides the sign of a zero.  (Over more than 64 base candidates the trees
-reduce with numpy, whose choice between 0.0 and -0.0 is unspecified, so on
-losses that mix the two a level-0 entry may differ from its tree in the
-sign of a zero.)
+decides the sign of a zero.  The nodes over base indices (MinOver, MaxOver,
+Gap, MinCompare) follow the same rule at every size: up to 64 indices they
+reduce in Python, above it with numpy, and a zero numpy result is replaced
+by the first equal value in index order.
+
+A BaseBatch is not a node: it is the sequence of Base(i) for the i of one
+int64 index array, which the oracle answers as one vectorised batch.
 
 Sensitivity calculus (upper bound on the change of the value between loss
 vectors differing by at most 1 per coordinate):
@@ -76,7 +79,7 @@ from __future__ import annotations
 
 import math
 import operator
-import threading
+from collections.abc import Sequence
 from dataclasses import dataclass
 from typing import Iterable, Union
 
@@ -88,7 +91,7 @@ __all__ = [
     "Base", "Const", "MinOver", "MaxOver", "Gap", "GapOver", "Sub", "Scale",
     "AddConst", "Level", "LevelMin", "MinCompare", "LossExpr", "eval_expr",
     "sensitivity_bound", "build_bintree_query", "build_tilde_loss", "format_expr",
-    "parse_expr", "ParseError", "base_nodes",
+    "parse_expr", "ParseError", "BaseBatch",
 ]
 
 # Below this size, plain Python beats numpy gather on index-set nodes.
@@ -321,20 +324,30 @@ LossExpr = Union[Base, Const, MinOver, MaxOver, Gap, GapOver, Sub, Scale, AddCon
                  MinCompare]
 
 
-_BASE_NODES: list[Base] = []
-_BASE_NODES_LOCK = threading.Lock()
+class BaseBatch(Sequence):
+    """The queries Base(i) for the i of one index array, as a read-only sequence.
 
-
-def base_nodes(n: int) -> list[Base]:
-    """Shared Base nodes for indices 0..n-1 (interned across calls).
-
-    Locked so concurrent trials can share the cache.
+    ``len()`` is the array size, and iterating or indexing yields Base nodes
+    built on demand, so the batch holds one int64 array and no nodes.  The
+    oracle reads ``indices`` directly and answers the batch with one gather
+    and one noise draw.
     """
-    if len(_BASE_NODES) < n:
-        with _BASE_NODES_LOCK:
-            while len(_BASE_NODES) < n:
-                _BASE_NODES.append(Base(len(_BASE_NODES)))
-    return _BASE_NODES[:n]
+
+    __slots__ = ("indices",)
+
+    def __init__(self, indices):
+        arr = _index_array(indices).view()
+        arr.flags.writeable = False
+        self.indices = arr
+
+    def __len__(self) -> int:
+        return self.indices.size
+
+    def __getitem__(self, i: int) -> Base:
+        return Base(int(self.indices[i]))
+
+    def __iter__(self):
+        return map(Base, self.indices.tolist())
 
 
 def _check_bounds(arr: np.ndarray, n: int) -> None:
@@ -355,14 +368,20 @@ def _two_smallest(values) -> tuple[float, float]:
     return s1, s2
 
 
-def _min_over_indices(idx: np.ndarray, losses, arr: np.ndarray, n: int) -> float:
+def _reduce_indices(idx: np.ndarray, losses, arr: np.ndarray, n: int, pick) -> float:
+    """``pick`` (min or max) of the losses at idx; among equal values the
+    first in index order, which only decides the sign of a zero."""
     if idx.size <= _SMALL:
         lst = idx.tolist()
         if min(lst) < 0:
             raise IndexError(f"negative candidate index in {lst}")
-        return min(losses[i] for i in lst)
+        return pick([losses[i] for i in lst])
     _check_bounds(idx, n)
-    return float(arr[idx].min())
+    sub = arr[idx]
+    v = sub.min() if pick is min else sub.max()
+    if v == 0:  # numpy may return either zero; take the first one
+        v = sub[np.flatnonzero(sub == 0)[0]]
+    return float(v)
 
 
 def _first_min(values: np.ndarray) -> int:
@@ -440,8 +459,8 @@ def _compare_value(node: MinCompare, instance: LossInstance, memo: dict | None) 
         vals = [losses[i] for i in lst]
         return 0.5 * (min(vals[:split]) - min(vals[split:]))
     arr, n = instance.as_array(), len(losses)
-    return 0.5 * (_min_over_indices(idx[:split], losses, arr, n)
-                  - _min_over_indices(idx[split:], losses, arr, n))
+    return 0.5 * (_reduce_indices(idx[:split], losses, arr, n, min)
+                  - _reduce_indices(idx[split:], losses, arr, n, min))
 
 
 def _compare_bound(node: MinCompare, memo: dict | None) -> float:
@@ -483,16 +502,7 @@ def eval_expr(expr: LossExpr, instance: LossInstance, memo: dict | None = None) 
         elif t is MinOver or t is MaxOver:
             idx = node.base_indices
             if idx is not None:
-                if idx.size <= _SMALL:
-                    lst = idx.tolist()
-                    if min(lst) < 0:
-                        raise IndexError(f"negative candidate index in {lst}")
-                    vals = [losses[i] for i in lst]
-                    v = min(vals) if t is MinOver else max(vals)
-                else:
-                    _check_bounds(idx, n)
-                    sub = arr[idx]
-                    v = float(sub.min() if t is MinOver else sub.max())
+                v = _reduce_indices(idx, losses, arr, n, min if t is MinOver else max)
             else:
                 vals = [ev(c) for c in node.children]
                 v = min(vals) if t is MinOver else max(vals)
@@ -511,8 +521,11 @@ def eval_expr(expr: LossExpr, instance: LossInstance, memo: dict | None = None) 
                 v = s2 - s1
             else:
                 _check_bounds(idx, n)
-                two = np.partition(arr[idx], 1)[:2]
-                v = float(two[1] - two[0])
+                sub = arr[idx]
+                s1, s2 = np.partition(sub, 1)[:2]
+                if s1 == 0 and s2 == 0:  # only then do the signs of the two matter
+                    s1, s2 = sub[np.flatnonzero(sub == 0)[:2]]
+                v = float(s2 - s1)
         elif t is GapOver:
             if len(node.children) == 1:
                 ev(node.children[0])  # still validated

@@ -14,8 +14,8 @@ from privsel.oracle import (
     RoundsExceededError, SensitivityViolationError, equal_budget_simulate,
     plan_equal_budget, LOG_CSV_HEADER,
 )
-from privsel.queries import Base, Const, Gap, Level, LevelMin, Scale, Sub
-from privsel.mechanisms import binary_tree_select, combined_select
+from privsel.queries import Base, BaseBatch, Const, Gap, Level, LevelMin, Scale, Sub
+from privsel.mechanisms import binary_tree_select, combined_select, query_all_baseline
 
 
 INST = LossInstance((2.0, 5.0, 1.0, 7.0))
@@ -148,6 +148,83 @@ class TestNoisyQuery:
         a = BudgetOracle(INST, 1.0, seed=9).spawn_rng().normal(size=3)
         b = BudgetOracle(INST, 1.0, seed=9).spawn_rng().normal(size=3)
         assert a.tolist() == b.tolist()
+
+
+class TestBaseBatch:
+    """The vectorised batch path against the scalar queries it stands for."""
+
+    INST = generate_instance("uniform", 50, 3.0, 0)
+
+    @pytest.mark.parametrize("noiseless", [False, True])
+    def test_batch_list_and_scalar_queries_agree(self, noiseless):
+        idx = np.random.default_rng(1).integers(0, 50, 200)
+        runs = []
+        for submit in (lambda o: o.noisy_query_batch(BaseBatch(idx), 0.01),
+                       lambda o: o.noisy_query_batch([Base(i) for i in idx.tolist()], 0.01),
+                       lambda o: np.array([o.noisy_query(Base(i), 0.01)
+                                           for i in idx.tolist()])):
+            oracle = BudgetOracle(self.INST, 2.0, seed=5, noiseless=noiseless)
+            answers = submit(oracle)
+            runs.append((answers.tobytes(), oracle.log_csv(), oracle.spent,
+                         oracle.rounds_used))
+        assert runs[0] == runs[1]
+        # one normal(size=K) draw gives the values of K scalar draws; the
+        # scalar calls sum K charges where the batch charges K * rho once
+        assert runs[2][:2] == runs[0][:2] and runs[2][3] == runs[0][3] == 200
+        assert runs[2][2] == pytest.approx(runs[0][2])
+
+    def test_empty_batch_charges_nothing(self):
+        oracle = BudgetOracle(self.INST, 1.0, seed=0)
+        for empty in (BaseBatch(np.empty(0, dtype=np.int64)), []):
+            answers = oracle.noisy_query_batch(empty, 0.5)
+            assert answers.shape == (0,)
+        assert (oracle.spent, oracle.rounds_used, oracle.log) == (0.0, 0, [])
+
+    def _first_answer_after(self, failing_call):
+        oracle = BudgetOracle(self.INST, 1.0, seed=3)
+        failing_call(oracle)
+        assert (oracle.spent, oracle.rounds_used, oracle.log) == (0.0, 0, [])
+        return oracle.noisy_query(Base(0), 0.5)
+
+    def test_rejected_batches_draw_nothing(self):
+        fresh = BudgetOracle(self.INST, 1.0, seed=3).noisy_query(Base(0), 0.5)
+        for bad in ([0, 50], [-1, 0]):
+            def out_of_range(oracle, bad=bad):
+                with pytest.raises(IndexError):
+                    oracle.noisy_query_batch(BaseBatch(bad), 0.1)
+            assert self._first_answer_after(out_of_range) == fresh
+
+        def over_budget(oracle):
+            with pytest.raises(BudgetExceededError):
+                oracle.noisy_query_batch(BaseBatch(np.arange(11)), 0.1)
+        assert self._first_answer_after(over_budget) == fresh
+
+    def test_adapter_answers_a_batch_one_query_at_a_time(self):
+        idx = np.arange(0, 50, 3)
+        runs = []
+        for submit in (lambda o: o.noisy_query_batch(BaseBatch(idx), 0.05),
+                       lambda o: np.array([o.noisy_query(Base(i), 0.05)
+                                           for i in idx.tolist()])):
+            adapter = EqualBudgetAdapter(self.INST, m_bound=idx.size, rho=1.0, seed=4)
+            answers = submit(adapter)
+            runs.append((answers.tobytes(), adapter.log_csv(), adapter.spent,
+                         adapter.inner_rounds_used, adapter.plans))
+        assert runs[0] == runs[1]
+        assert len(runs[0][4]) == idx.size
+
+    def test_query_all_leaves_no_base_nodes(self):
+        # the batch holds an index array, so no node outlives the trial
+        def live_base_nodes():
+            return sum(type(o) is Base for o in gc.get_objects())
+
+        gc.collect()
+        before = live_base_nodes()
+        n = 1 << 16
+        oracle = BudgetOracle(LossInstance(np.zeros(n)), 1.0, seed=0, record_log=False)
+        assert query_all_baseline(oracle, 1.0).rounds_used == n
+        del oracle
+        gc.collect()
+        assert live_base_nodes() == before
 
 
 class TestEqualBudgetPlan:

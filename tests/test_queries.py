@@ -9,9 +9,9 @@ from hypothesis import given, settings, strategies as st
 
 from privsel.core import LossInstance
 from privsel.queries import (
-    AddConst, Base, Const, Gap, GapOver, Level, LevelMin, MaxOver, MinCompare,
-    MinOver, ParseError, Scale, Sub, build_bintree_query, build_tilde_loss, eval_expr,
-    format_expr, parse_expr, sensitivity_bound,
+    AddConst, Base, BaseBatch, Const, Gap, GapOver, Level, LevelMin, MaxOver,
+    MinCompare, MinOver, ParseError, Scale, Sub, build_bintree_query, build_tilde_loss,
+    eval_expr, format_expr, parse_expr, sensitivity_bound,
 )
 
 
@@ -261,6 +261,9 @@ class TestLevel:
         n = int(rng.integers(1, 160))
         # few distinct integer losses: ties everywhere, zero gaps, -0.0 derived values
         losses = rng.integers(0, int(rng.integers(1, 6)), n).astype(float)
+        # and zeros of both signs among the losses themselves
+        zeros = losses == 0
+        losses[zeros] = np.random.default_rng([seed, 1]).choice([0.0, -0.0], zeros.sum())
         inst = LossInstance(losses)
         candidates = np.sort(rng.choice(n, size=int(rng.integers(1, n + 1)), replace=False))
         members, level = candidates, candidates
@@ -444,6 +447,53 @@ class TestMinCompare:
         above = Level(level, [0, 1, 2], [0, 1], 1.0)
         assert sensitivity_bound(MinCompare([0, 1], 1, above)) == 1.0
         assert sensitivity_bound(Sub(MinCompare([0, 1], 1, level), Base(0))) == 2.0
+
+
+def python_gap(values):
+    """Gap as the 64-or-fewer path computes it, via _two_smallest's order."""
+    s1 = s2 = math.inf
+    for v in values:
+        if v < s1:
+            s1, s2 = v, s1
+        elif v < s2:
+            s2 = v
+    return s2 - s1
+
+
+@pytest.mark.parametrize("seed", range(20))
+def test_index_nodes_above_64_reduce_as_python_does(seed):
+    # above 64 indices the nodes reduce with numpy; a zero result must carry
+    # the sign Python's first-of-equals rule gives at 64 or fewer
+    rng = np.random.default_rng(seed)
+    n = int(rng.integers(65, 201))
+    extra = rng.choice([0.0, 1.0, -1.0])  # lets min, max or neither be zero
+    losses = rng.choice([-0.0, 0.0, -0.0, 0.0, extra], n).tolist()
+    inst = LossInstance(losses)
+    for _ in range(10):
+        idx = rng.choice(n, size=int(rng.integers(65, n + 1)), replace=False)
+        vals = [losses[i] for i in idx.tolist()]
+        assert bits(eval_expr(MinOver(base_indices=idx), inst)) == bits(min(vals))
+        assert bits(eval_expr(MaxOver(base_indices=idx), inst)) == bits(max(vals))
+        ordered = [losses[i] for i in sorted(idx.tolist())]
+        assert bits(eval_expr(Gap(idx), inst)) == bits(python_gap(ordered))
+        split = int(rng.integers(1, idx.size))
+        expected = 0.5 * (min(vals[:split]) - min(vals[split:]))
+        assert bits(eval_expr(MinCompare(idx, split), inst)) == bits(expected)
+
+
+class TestBaseBatch:
+    def test_is_a_read_only_sequence_of_base_nodes(self):
+        batch = BaseBatch(np.array([3, 0, 2]))
+        assert len(batch) == 3
+        assert list(batch) == [Base(3), Base(0), Base(2)]
+        assert batch[1] == Base(0) and batch[-1] == Base(2)
+        assert type(batch[1].index) is int
+        assert batch.indices.dtype == np.int64
+        with pytest.raises(ValueError):
+            batch.indices[0] = 1
+        assert len(BaseBatch([])) == 0
+        with pytest.raises(ValueError):
+            BaseBatch([[0, 1]])
 
 
 class TestSerialization:
