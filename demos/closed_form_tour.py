@@ -10,8 +10,8 @@ Run:  python demos/closed_form_tour.py
 import numpy as np
 
 from privsel import (
-    MechanismConstants, appendix_grid, check_scale_dominance, error_scale,
-    gap_threshold, generate_instance, loss_scale,
+    MechanismConstants, appendix_grid, error_scale, gap_threshold,
+    generate_instance, loss_scale, scale_dominance_result,
 )
 
 
@@ -46,8 +46,9 @@ def main():
     print("  loss_scale(K) must exceed 36x its value at (3*sqrt(K), 4rho/5,")
     print("  4beta/5) for the recursion's error bound to telescope:")
     for k in (1000, 10**4, 10**6):
-        ok, ratio = check_scale_dominance(k, 1.0, 1e-3)
-        print(f"  K={k:8d}  ratio={ratio:7.2f}  holds={ok}")
+        res = scale_dominance_result(k, 1.0, 1e-3)
+        ratio = float(res.note.removeprefix("ratio="))
+        print(f"  K={k:8d}  ratio={ratio:7.2f}  holds={res.passed}")
 
     print("\n== Certification grid (slice) ==")
     results = appendix_grid(ks=(1000, 10**6), betas=(1e-3, 1e-6), rhos=(0.01, 100.0))

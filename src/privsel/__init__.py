@@ -28,8 +28,8 @@ from .mechanisms import (
     query_all_baseline, recursive_gap_select,
 )
 from .verify import (
-    CheckResult, FuzzReport, Verdict, appendix_grid, check_error_recursion,
-    check_gap_margin, check_good_subset_rate, check_scale_dominance,
+    CheckResult, FuzzReport, Verdict, appendix_grid, check_good_subset_rate,
+    error_recursion_result, gap_margin_result, scale_dominance_result,
     sensitivity_fuzz, subset_event_mc, subset_event_probability,
     subset_event_probability_dp, subset_event_probability_enum,
 )

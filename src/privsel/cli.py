@@ -30,7 +30,7 @@ from .oracle import equal_budget_simulate
 from .verify import (
     CheckResult, Verdict, appendix_grid, check_good_subset_rate, sensitivity_fuzz,
     subset_event_mc, subset_event_probability, subset_event_probability_dp,
-    subset_event_probability_enum, GRID_KS,
+    subset_event_probability_enum, ENUM_MAX_SUBSETS, GRID_KS,
 )
 
 REPORT_CSV_HEADER = "claim,params,verdict,margin,note"
@@ -97,32 +97,25 @@ def _cmd_verify(args) -> int:
     else:
         results.extend(appendix_grid(consts, ks=ks))
 
-    # closed-form subset probability vs the sequential-draw DP, all small cases
-    for k in range(1, 7):
-        for k_star in range(1, k + 1):
-            for i_star in range(0, k_star):
-                closed = subset_event_probability(k, i_star, k_star)
-                dp = subset_event_probability_dp(k, i_star, k_star)
-                ok = closed == dp
-                results.append(CheckResult(
-                    "subset_event_dp_match", f"K={k};i*={i_star};k*={k_star}",
-                    Verdict.PASS if ok else Verdict.FAIL,
-                    0.0 if ok else float(abs(closed - dp))))
-    # literal enumeration where the subset count is small enough
-    from math import comb
-    for k in range(1, 7):
-        for k_star in range(1, k + 1):
-            size = 1 << (k - k_star)
-            if comb(1 << k, size) > 2_000_000:
-                continue
-            for i_star in range(0, k_star):
-                closed = subset_event_probability(k, i_star, k_star)
-                enum = subset_event_probability_enum(k, i_star, k_star)
-                ok = closed == enum
-                results.append(CheckResult(
-                    "subset_event_enum_match", f"K={k};i*={i_star};k*={k_star}",
-                    Verdict.PASS if ok else Verdict.FAIL,
-                    0.0 if ok else float(abs(closed - enum))))
+    # closed-form subset probability vs two exact oracles on all small cases:
+    # the sequential-draw DP, then literal enumeration where it is tractable
+    exact_oracles = (
+        ("subset_event_dp_match", subset_event_probability_dp, math.inf),
+        ("subset_event_enum_match", subset_event_probability_enum, ENUM_MAX_SUBSETS),
+    )
+    for claim, exact, cap in exact_oracles:
+        for k in range(1, 7):
+            for k_star in range(1, k + 1):
+                if math.comb(1 << k, 1 << (k - k_star)) > cap:
+                    continue
+                for i_star in range(0, k_star):
+                    closed = subset_event_probability(k, i_star, k_star)
+                    value = exact(k, i_star, k_star)
+                    ok = closed == value
+                    results.append(CheckResult(
+                        claim, f"K={k};i*={i_star};k*={k_star}",
+                        Verdict.PASS if ok else Verdict.FAIL,
+                        0.0 if ok else float(abs(closed - value))))
 
     # Monte Carlo subset sampling vs the closed form
     k, i_star, k_star = 16, 2, 6

@@ -82,7 +82,6 @@ class BudgetOracle:
     """
 
     def __init__(self, instance: LossInstance, total_budget: float, seed=None, *,
-                 rng: np.random.Generator | None = None,
                  noiseless: bool = False, record_log: bool = True):
         if not isinstance(instance, LossInstance):
             raise TypeError("instance must be a LossInstance")
@@ -95,8 +94,8 @@ class BudgetOracle:
         self.spent = 0.0
         self.rounds_used = 0
         self.log: list[QueryRecord] = []
-        self._seed_seq = None if rng is not None else _as_seed_seq(seed)
-        self._rng = rng
+        self._seed_seq = _as_seed_seq(seed)
+        self._rng: np.random.Generator | None = None  # created on the first draw
         self._eval_memo: dict = {}
         self._bound_memo: dict = {}
 
@@ -111,9 +110,7 @@ class BudgetOracle:
 
     def spawn_rng(self) -> np.random.Generator:
         """Independent child stream (deterministic given the oracle seed)."""
-        if self._seed_seq is not None:
-            return np.random.default_rng(self._seed_seq.spawn(1)[0])
-        return self._rng.spawn(1)[0]
+        return np.random.default_rng(self._seed_seq.spawn(1)[0])
 
     def _admit(self, expr: LossExpr) -> tuple[float, float]:
         bound = sensitivity_bound(expr, self._bound_memo)
@@ -165,8 +162,7 @@ class BudgetOracle:
             exprs = list(exprs)
             if not all(type(e) is Base for e in exprs):
                 return np.asarray([self.noisy_query(e, rho_each) for e in exprs])
-            exprs = BaseBatch(np.fromiter((e.index for e in exprs), dtype=np.int64,
-                                          count=len(exprs)))
+            exprs = BaseBatch([e.index for e in exprs])
         idx = exprs.indices
         count = idx.size
         if count == 0:
@@ -254,12 +250,10 @@ class EqualBudgetAdapter(BudgetOracle):
     """
 
     def __init__(self, instance: LossInstance, m_bound: int, rho: float,
-                 seed=None, *, rng: np.random.Generator | None = None,
-                 noiseless: bool = False, record_log: bool = True):
+                 seed=None, *, noiseless: bool = False, record_log: bool = True):
         if not (isinstance(m_bound, int) and m_bound >= 1):
             raise ValueError(f"m_bound must be a positive integer, got {m_bound}")
-        super().__init__(instance, rho, seed, rng=rng, noiseless=noiseless,
-                         record_log=record_log)
+        super().__init__(instance, rho, seed, noiseless=noiseless, record_log=record_log)
         self.m_bound = m_bound
         self.inner_rounds_used = 0
         self.plans: list[EqualBudgetPlan] = []

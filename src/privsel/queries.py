@@ -101,11 +101,12 @@ _INT64 = np.dtype(np.int64)
 
 
 def _index_array(indices) -> np.ndarray:
-    arr = np.asarray(list(indices) if isinstance(indices, (set, frozenset)) else indices,
-                     dtype=np.int64)
+    arr = np.asarray(list(indices) if isinstance(indices, (set, frozenset)) else indices)
+    if arr.size and arr.dtype.kind not in "iu":
+        raise TypeError(f"indices must be integers, got dtype {arr.dtype}")
     if arr.ndim != 1:
         raise ValueError("index set must be one-dimensional")
-    return arr
+    return arr.astype(np.int64, copy=False)
 
 
 @dataclass(frozen=True)
@@ -135,9 +136,6 @@ class MinOver:
     def __post_init__(self):
         _init_over(self)
 
-    def resolved_children(self) -> tuple["LossExpr", ...]:
-        return _resolved_children(self)
-
 
 @dataclass(frozen=True, eq=False)
 class MaxOver:
@@ -148,9 +146,6 @@ class MaxOver:
 
     def __post_init__(self):
         _init_over(self)
-
-    def resolved_children(self) -> tuple["LossExpr", ...]:
-        return _resolved_children(self)
 
 
 def _init_over(node) -> None:
@@ -168,12 +163,6 @@ def _init_over(node) -> None:
             object.__setattr__(node, "base_indices", arr)
         if arr.size == 0:
             raise ValueError("need at least one index")
-
-
-def _resolved_children(node) -> tuple["LossExpr", ...]:
-    if node.children is not None:
-        return node.children
-    return tuple(Base(int(i)) for i in node.base_indices)
 
 
 @dataclass(frozen=True, eq=False)
@@ -266,6 +255,18 @@ class Level:
         return self.indptr.size - 1
 
 
+def _check_level_positions(level, pos: np.ndarray, owner: str) -> None:
+    """``pos`` must be non-empty, strictly increasing positions in ``level``."""
+    if type(level) is not Level:
+        raise TypeError(f"{owner} needs a Level, got {type(level).__name__}")
+    if pos.size == 0:
+        raise ValueError("need at least one position")
+    if not _increasing(pos):
+        raise ValueError("positions must be strictly increasing")
+    if pos[0] < 0 or pos[-1] >= len(level):
+        raise IndexError(f"position out of range for {len(level)} entries")
+
+
 @dataclass(frozen=True, eq=False)
 class LevelMin:
     """Minimum of a Level's derived losses at strictly increasing positions."""
@@ -274,15 +275,8 @@ class LevelMin:
     positions: np.ndarray
 
     def __post_init__(self):
-        if type(self.level) is not Level:
-            raise TypeError(f"LevelMin needs a Level, got {type(self.level).__name__}")
         pos = _index_array(self.positions)
-        if pos.size == 0:
-            raise ValueError("need at least one position")
-        if not _increasing(pos):
-            raise ValueError("positions must be strictly increasing")
-        if pos[0] < 0 or pos[-1] >= len(self.level):
-            raise IndexError(f"position out of range for {len(self.level)} entries")
+        _check_level_positions(self.level, pos, "LevelMin")
         object.__setattr__(self, "positions", pos)
 
 
@@ -310,14 +304,8 @@ class MinCompare:
             object.__setattr__(self, "split", split)
         if not 0 < split < idx.size:
             raise ValueError(f"split {split} leaves a side of {idx.size} indices empty")
-        level = self.level
-        if level is not None:
-            if type(level) is not Level:
-                raise TypeError(f"MinCompare needs a Level, got {type(level).__name__}")
-            if not _increasing(idx):
-                raise ValueError("positions must be strictly increasing")
-            if idx[0] < 0 or idx[-1] >= len(level):
-                raise IndexError(f"position out of range for {len(level)} entries")
+        if self.level is not None:
+            _check_level_positions(self.level, idx, "MinCompare")
 
 
 LossExpr = Union[Base, Const, MinOver, MaxOver, Gap, GapOver, Sub, Scale, AddConst, LevelMin,

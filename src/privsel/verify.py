@@ -42,11 +42,10 @@ __all__ = [
     "Verdict", "CheckResult", "INCONCLUSIVE_REL",
     "gap_threshold_hp", "loss_scale_hp", "error_scale_from_log_hp",
     "derived_rounds_ceil_log",
-    "check_scale_dominance", "check_error_recursion", "check_gap_margin",
     "scale_dominance_result", "error_recursion_result", "gap_margin_result",
     "GRID_KS", "GRID_BETAS", "GRID_RHOS", "appendix_grid",
     "subset_event_probability", "subset_event_probability_dp",
-    "subset_event_probability_enum", "subset_event_mc",
+    "subset_event_probability_enum", "ENUM_MAX_SUBSETS", "subset_event_mc",
     "check_good_subset_rate", "FuzzReport", "sensitivity_fuzz",
 ]
 
@@ -151,37 +150,23 @@ def _check_domain(k, rho, beta, *, integer_k: bool) -> None:
         raise ValueError(f"domain requires beta in (0, 0.001], got {beta}")
 
 
-def _scale_dominance_sides(k, rho, beta, consts: MechanismConstants):
-    """(loss_scale(k, rho, beta), loss_scale(3*sqrt(k), 4rho/5, 4beta/5)) at _DPS digits."""
-    _check_domain(k, rho, beta, integer_k=False)
-    with mpmath.workdps(_DPS):
-        lhs = loss_scale_hp(k, rho, beta, consts)
-        rhs = loss_scale_hp(3 * mpmath.sqrt(mpmath.mpf(k)),
-                            mpmath.mpf(rho) * 4 / 5, mpmath.mpf(beta) * 4 / 5, consts)
-    return lhs, rhs
-
-
 def scale_dominance_result(k, rho, beta,
                            consts: MechanismConstants = DEFAULT_CONSTANTS) -> CheckResult:
     """Check loss_scale(k, rho, beta) >= 36 * loss_scale(3*sqrt(k), 4rho/5, 4beta/5).
 
     This one-step dominance of the scale function is what lets the error
-    recursion telescope; k may be any real >= 1000.
+    recursion telescope; k may be any real >= 1000.  The note carries the
+    ratio of the two scale values.
     """
-    lhs, rhs = _scale_dominance_sides(k, rho, beta, consts)
+    _check_domain(k, rho, beta, integer_k=False)
     with mpmath.workdps(_DPS):
+        lhs = loss_scale_hp(k, rho, beta, consts)
+        rhs = loss_scale_hp(3 * mpmath.sqrt(mpmath.mpf(k)),
+                            mpmath.mpf(rho) * 4 / 5, mpmath.mpf(beta) * 4 / 5, consts)
         verdict, margin = _verdict(lhs, 36 * rhs)
         ratio = float(lhs / rhs)
     return CheckResult("scale_dominance", f"K={k};rho={rho};beta={beta}",
                        verdict, margin, note=f"ratio={ratio!r}")
-
-
-def check_scale_dominance(k, rho, beta,
-                          consts: MechanismConstants = DEFAULT_CONSTANTS) -> tuple[bool, float]:
-    """(inequality holds, lhs/rhs ratio of the two scale values)."""
-    lhs, rhs = _scale_dominance_sides(k, rho, beta, consts)
-    with mpmath.workdps(_DPS):
-        return bool(lhs >= 36 * rhs), float(lhs / rhs)
 
 
 def error_recursion_result(k: int, rho, beta,
@@ -203,11 +188,6 @@ def error_recursion_result(k: int, rho, beta,
                        note="t-exponent-integer" if flagged else "")
 
 
-def check_error_recursion(k: int, rho, beta,
-                          consts: MechanismConstants = DEFAULT_CONSTANTS) -> bool:
-    return error_recursion_result(k, rho, beta, consts).verdict is Verdict.PASS
-
-
 def gap_margin_result(k: int, rho, beta,
                       consts: MechanismConstants = DEFAULT_CONSTANTS) -> CheckResult:
     """Check sqrt(K)*xi - 2*gamma(T-level) >= gap_threshold(2**K, rho/5, beta/10).
@@ -226,11 +206,6 @@ def gap_margin_result(k: int, rho, beta,
     return CheckResult("gap_margin", f"K={k};rho={rho};beta={beta}",
                        verdict, margin,
                        note="t-exponent-integer" if flagged else "")
-
-
-def check_gap_margin(k: int, rho, beta,
-                     consts: MechanismConstants = DEFAULT_CONSTANTS) -> bool:
-    return gap_margin_result(k, rho, beta, consts).verdict is Verdict.PASS
 
 
 GRID_KS = (1000, 2000, 5000, 10**4, 10**5, 10**6)
@@ -318,17 +293,20 @@ def subset_event_probability_dp(k: int, i_star: int, k_star: int) -> Fraction:
     return p_one
 
 
-def subset_event_probability_enum(k: int, i_star: int, k_star: int,
-                                  max_subsets: int = 2_000_000) -> Fraction:
+# Enumeration refuses cases with more subsets than this.
+ENUM_MAX_SUBSETS = 2_000_000
+
+
+def subset_event_probability_enum(k: int, i_star: int, k_star: int) -> Fraction:
     """Same probability by literal enumeration of every subset.
 
-    Only feasible when C(2**k, size) <= max_subsets.
+    Only feasible when C(2**k, size) <= ENUM_MAX_SUBSETS.
     """
     _validate_subset_args(k, i_star, k_star)
     n, size, top, mid = _blocks(k, i_star, k_star)
     total = comb(n, size)
-    if total > max_subsets:
-        raise ValueError(f"C({n}, {size}) = {total} subsets exceed cap {max_subsets}")
+    if total > ENUM_MAX_SUBSETS:
+        raise ValueError(f"C({n}, {size}) = {total} subsets exceed cap {ENUM_MAX_SUBSETS}")
     blocked_lo, blocked_hi = top, top + mid
     hits = 0
     for subset in itertools.combinations(range(n), size):
@@ -487,8 +465,11 @@ def _random_family_expr(rng: np.random.Generator, family: str, n: int):
     return _random_tree(rng, n, depth=4)
 
 
-def sensitivity_fuzz(trials: int, seed=0,
-                     families: tuple[str, ...] = ("bintree", "tilde", "random")) -> FuzzReport:
+# Expression shapes the fuzzer draws from, in draw-index order.
+_FUZZ_FAMILIES = ("bintree", "tilde", "random")
+
+
+def sensitivity_fuzz(trials: int, seed=0) -> FuzzReport:
     """Fuzz the sensitivity calculus.
 
     Each trial draws an expression (tournament-comparison shape, derived-loss
@@ -505,7 +486,7 @@ def sensitivity_fuzz(trials: int, seed=0,
     violations = 0
     evaluated = 0
     for _ in range(trials):
-        family = families[int(rng.integers(len(families)))]
+        family = _FUZZ_FAMILIES[int(rng.integers(len(_FUZZ_FAMILIES)))]
         n = int(rng.integers(2, 13))
         expr = _random_family_expr(rng, family, n)
         losses = rng.uniform(-10, 10, n)

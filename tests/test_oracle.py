@@ -199,6 +199,14 @@ class TestBaseBatch:
                 oracle.noisy_query_batch(BaseBatch(np.arange(11)), 0.1)
         assert self._first_answer_after(over_budget) == fresh
 
+        # as on the scalar path, Base(1.5) is not truncated to candidate 1
+        def float_index(oracle):
+            with pytest.raises(TypeError):
+                oracle.noisy_query_batch([Base(0), Base(1.5)], 0.1)
+            with pytest.raises(TypeError):
+                oracle.noisy_query(Base(1.5), 0.1)
+        assert self._first_answer_after(float_index) == fresh
+
     def test_adapter_answers_a_batch_one_query_at_a_time(self):
         idx = np.arange(0, 50, 3)
         runs = []

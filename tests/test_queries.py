@@ -207,11 +207,26 @@ class TestNodeValidation:
         g = Gap([3, 1, 3, 2])
         assert g.indices.tolist() == [1, 2, 3]
 
-    def test_resolved_children(self):
-        node = MinOver(base_indices=[2, 0])
-        assert node.resolved_children() == (Base(2), Base(0))
-        direct = MaxOver((Base(1), Const(0.0)))
-        assert direct.resolved_children() == (Base(1), Const(0.0))
+    def test_float_indices_rejected(self):
+        # a float index would otherwise be truncated to the candidate below it
+        level = Level(np.arange(4), [0, 1, 2, 4], [0, 1, 2, 3], 1.0)
+        for make in (lambda: BaseBatch([1.5]),
+                     lambda: BaseBatch(np.array([0.0, 1.0])),
+                     lambda: Gap([0, 1.5]),
+                     lambda: MinOver(base_indices=[0.0, 1.0]),
+                     lambda: MaxOver(base_indices=np.array([2.5])),
+                     lambda: Level(np.array([0.0, 1.0]), [0, 2], [0, 1], 1.0),
+                     lambda: Level(np.arange(4), [0.0, 2.0], [0, 1], 1.0),
+                     lambda: Level(np.arange(4), [0, 2], [0.5, 1], 1.0),
+                     lambda: LevelMin(level, [0.0, 1.0]),
+                     lambda: MinCompare([0.5, 1, 2], 1),
+                     lambda: MinCompare(np.array([0.0, 1.0]), 1, level),
+                     lambda: build_bintree_query([0.5], [1]),
+                     lambda: build_bintree_query([0], [1.0, 2.0])):
+            with pytest.raises(TypeError, match="integers"):
+                make()
+        # any integer dtype is accepted and stored as int64
+        assert Gap(np.array([2, 0], dtype=np.uint8)).indices.dtype == np.int64
 
 
 def bits(x: float) -> bytes:

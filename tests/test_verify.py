@@ -11,9 +11,9 @@ import pytest
 from privsel.core import LossInstance, MechanismConstants, generate_instance, loss_scale
 from privsel.queries import eval_expr
 from privsel.verify import (
-    Verdict, appendix_grid, check_error_recursion, check_gap_margin,
-    check_good_subset_rate, check_scale_dominance, derived_rounds_ceil_log,
-    gap_margin_result, sensitivity_fuzz, subset_event_mc, subset_event_probability,
+    Verdict, appendix_grid, check_good_subset_rate, derived_rounds_ceil_log,
+    error_recursion_result, gap_margin_result, scale_dominance_result,
+    sensitivity_fuzz, subset_event_mc, subset_event_probability,
     subset_event_probability_dp, subset_event_probability_enum,
     _random_family_expr,
 )
@@ -21,42 +21,50 @@ from privsel.verify import (
 SCALED = MechanismConstants(c_xi=1.0, p_xi=1, base_threshold_log=6)
 
 
+def dominance_ratio(result) -> float:
+    """The lhs/rhs ratio of the two scale values, read from the result's note."""
+    key, _, value = result.note.partition("=")
+    assert key == "ratio"
+    return float(value)
+
+
 class TestScaleDominance:
     def test_holds_at_corner(self):
-        ok, ratio = check_scale_dominance(1000, 1.0, 0.001)
-        assert ok
-        assert 36 < ratio < 45
+        res = scale_dominance_result(1000, 1.0, 0.001)
+        assert res.verdict is Verdict.PASS
+        assert 36 < dominance_ratio(res) < 45
+        # margin = 1 - 36 / ratio, so the same window reads (0, 0.2)
+        assert 0 < res.margin < 0.2
 
     def test_holds_far_inside(self):
-        ok, _ = check_scale_dominance(10**6, 0.01, 1e-9)
-        assert ok
+        assert scale_dominance_result(10**6, 0.01, 1e-9).verdict is Verdict.PASS
 
     def test_ratio_independent_of_rho(self):
-        ratios = [check_scale_dominance(1000, rho, 5e-4)[1] for rho in (0.01, 1.0, 100.0)]
+        ratios = [dominance_ratio(scale_dominance_result(1000, rho, 5e-4))
+                  for rho in (0.01, 1.0, 100.0)]
         assert ratios[0] == pytest.approx(ratios[1], rel=1e-12)
         assert ratios[1] == pytest.approx(ratios[2], rel=1e-12)
 
     def test_domain_errors(self):
         with pytest.raises(ValueError):
-            check_scale_dominance(999, 1.0, 0.001)
+            scale_dominance_result(999, 1.0, 0.001)
         with pytest.raises(ValueError):
-            check_scale_dominance(1000, 1.0, 0.002)
+            scale_dominance_result(1000, 1.0, 0.002)
         with pytest.raises(ValueError):
-            check_scale_dominance(1000, 1.0, 0.0)
+            scale_dominance_result(1000, 1.0, 0.0)
 
     def test_real_first_argument_accepted(self):
-        ok, _ = check_scale_dominance(1234.5, 1.0, 1e-4)
-        assert ok
+        assert scale_dominance_result(1234.5, 1.0, 1e-4).verdict is Verdict.PASS
 
 
 class TestRecursionInequalities:
     def test_error_recursion_points(self):
-        assert check_error_recursion(1000, 1.0, 0.0005)
-        assert check_error_recursion(4096, 1.0, 1e-6)
+        assert error_recursion_result(1000, 1.0, 0.0005).verdict is Verdict.PASS
+        assert error_recursion_result(4096, 1.0, 1e-6).verdict is Verdict.PASS
 
     def test_gap_margin_points(self):
-        assert check_gap_margin(1000, 1.0, 0.0005)
-        assert check_gap_margin(10**5, 10.0, 1e-4)
+        assert gap_margin_result(1000, 1.0, 0.0005).verdict is Verdict.PASS
+        assert gap_margin_result(10**5, 10.0, 1e-4).verdict is Verdict.PASS
 
     def test_gap_margin_left_side_positive(self):
         # implied by the 36x dominance slack
@@ -66,7 +74,7 @@ class TestRecursionInequalities:
 
     def test_integer_k_required(self):
         with pytest.raises(ValueError):
-            check_error_recursion(1000.5, 1.0, 0.0005)
+            error_recursion_result(1000.5, 1.0, 0.0005)
 
     def test_log_space_matches_exact_t_materialization(self):
         # materialize T = ceil(2**(3*sqrt(K)-1)) exactly and take its ceil-log
