@@ -190,7 +190,7 @@ def _cmd_simulate_equal_budget(args) -> int:
         for trial in range(config.trials):
             seed = np.random.SeedSequence([config.master_seed, trial, 7000 + mi])
             result, adapter = equal_budget_simulate(
-                instance, mech, m_bound, config.rho, seed)
+                instance, mech, m_bound, config.rho, seed, record_log=False)
             errors.append(instance.losses[result.winner] - best)
             rounds.append(adapter.inner_rounds_used)
             repeats.extend(p.per_query_repeats for p in adapter.plans)

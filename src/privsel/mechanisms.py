@@ -1,8 +1,9 @@
 """Selection mechanisms over a budgeted Gaussian query oracle.
 
 Every mechanism here (except the exponential mechanism, which is a baseline
-outside the query model) touches the data exclusively through the oracle's
-``noisy_query``: control flow depends only on noisy answers and the
+outside the query model) touches the data exclusively through the oracle,
+submitting MinCompare queries to ``noisy_query`` and BaseBatch batches to
+``noisy_query_batch``: control flow depends only on noisy answers and the
 mechanism's own seeded randomness.
 """
 
@@ -15,7 +16,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .core import LossInstance, MechanismConstants, DEFAULT_CONSTANTS, ceil_log2, loss_scale
-from .queries import Base, BaseBatch, Level, MinCompare, Scale, Sub
+from .queries import BaseBatch, Level, MinCompare
 
 __all__ = [
     "SelectionResult", "InfeasibleConfigError", "DEFAULT_WORK_CAP",
@@ -238,8 +239,7 @@ def combined_select(oracle, rho: float,
     spent0, rounds0 = oracle.spent, oracle.rounds_used
     first = recursive_gap_select(oracle, rho / 3.0, beta, consts, rng)
     second = binary_tree_select(oracle, rho / 3.0)
-    compare = Scale(0.5, Sub(Base(first.winner), Base(second.winner)))
-    answer = oracle.noisy_query(compare, rho / 3.0)
+    answer = oracle.noisy_query(MinCompare([first.winner, second.winner], 1), rho / 3.0)
     winner = second.winner if answer > 0 else first.winner
     return SelectionResult(
         winner=winner,

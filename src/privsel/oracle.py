@@ -7,8 +7,13 @@ declared per-query budgets never sum past the total.
 
 Randomness contract (frozen for golden tests): all noise comes from a numpy
 ``Generator`` over the PCG64 bit generator, built from a ``SeedSequence``;
-draws consume the stream in query order via ``Generator.normal``.  Child
-streams for mechanism-internal randomness come from ``SeedSequence.spawn``.
+draws consume the stream in query order via ``Generator.normal``.  A batch
+of K queries is one ``normal(size=K)`` draw, the values of K scalar draws.
+The equal-budget adapter draws, per query, its m_i round noises and then
+the top-up noise when the top-up variance is positive; a batch of K queries
+sharing m_i is one ``normal`` draw of shape (K, m_i + top-up), the same
+values in the same order.  Child streams for mechanism-internal randomness
+come from ``SeedSequence.spawn``.
 """
 
 from __future__ import annotations
@@ -128,11 +133,22 @@ class BudgetOracle:
                 f"spent {self.spent} + {amount} exceeds budget {self.total_budget}")
         self.spent += amount
 
+    def _charge_batch(self, rho_each: float, count: int) -> None:
+        """Charge a batch of count queries of budget rho_each, or nothing."""
+        self._charge(rho_each * count)
+
     def _answer(self, value: float, rho_i: float) -> float:
         """The noisy answer to an admitted, charged query of budget rho_i."""
         if self.noiseless:
             return value
         return value + self._generator().normal(0.0, math.sqrt(1.0 / (2.0 * rho_i)))
+
+    def _answer_batch(self, values: np.ndarray, rho_each: float) -> np.ndarray:
+        """The noisy answers to a charged batch: one normal(size=len) draw."""
+        if self.noiseless:
+            return values
+        sigma = math.sqrt(1.0 / (2.0 * rho_each))
+        return values + self._generator().normal(0.0, sigma, size=values.size)
 
     def noisy_query(self, expr: LossExpr, rho_i: float) -> float:
         """Answer expr(instance) + N(0, 1/(2*rho_i)), charging rho_i."""
@@ -150,11 +166,12 @@ class BudgetOracle:
         """Answer many expressions, each with budget rho_each.
 
         Equivalent to one noisy_query per expression, in order.  A BaseBatch
-        is answered as one vectorised batch: range check, one charge of
-        rho_each * len, one gather, one ``Generator.normal(size=len)`` draw
-        (the same values as that many scalar draws), then the log.  A list of
-        Base nodes only is turned into a BaseBatch first; any other sequence
-        is answered one noisy_query at a time.
+        is answered as one vectorised batch: range check, ``_charge_batch``,
+        one gather, ``_answer_batch`` (the values of that many scalar
+        answers), then the log.  The batch is admitted whole or not at all:
+        a rejected batch charges, draws and logs nothing.  A list of Base
+        nodes only is turned into a BaseBatch first; any other sequence is
+        answered one noisy_query at a time.
         """
         if not rho_each > 0:
             raise ValueError(f"rho_each must be positive, got {rho_each}")
@@ -169,13 +186,8 @@ class BudgetOracle:
             return np.empty(0)
         if idx.min() < 0 or idx.max() >= self.n_candidates:
             raise IndexError("candidate index out of range in batch")
-        self._charge(rho_each * count)
-        values = self.instance.as_array()[idx]
-        if self.noiseless:
-            answers = values
-        else:
-            sigma = math.sqrt(1.0 / (2.0 * rho_each))
-            answers = values + self._generator().normal(0.0, sigma, size=count)
+        self._charge_batch(rho_each, count)
+        answers = self._answer_batch(self.instance.as_array()[idx], rho_each)
         start = self.rounds_used
         self.rounds_used += count
         if self.record_log:
@@ -242,11 +254,12 @@ def plan_equal_budget(rho_i: float, m_bound: int, rho: float) -> EqualBudgetPlan
 class EqualBudgetAdapter(BudgetOracle):
     """A BudgetOracle whose answers are built from equal-budget rounds.
 
-    Admission, budget accounting, logging and ``spawn_rng`` are the
-    oracle's own, so any mechanism runs unchanged.  The declared contract (at
-    most ``m_bound`` variable-budget rounds, total budget at most ``rho``) is
-    enforced; the induced equal-budget round count ``inner_rounds_used`` then
-    never exceeds 2 * m_bound by construction.
+    Admission, the batch sequence, logging and ``spawn_rng`` are the
+    oracle's own, so any mechanism runs unchanged; the adapter supplies the
+    charge and answer hooks.  The declared contract (at most ``m_bound``
+    variable-budget rounds, total budget at most ``rho``) is enforced; the
+    induced equal-budget round count ``inner_rounds_used`` then never
+    exceeds 2 * m_bound by construction.
     """
 
     def __init__(self, instance: LossInstance, m_bound: int, rho: float,
@@ -262,7 +275,7 @@ class EqualBudgetAdapter(BudgetOracle):
     def _answer(self, value: float, rho_i: float) -> float:
         """Average m_i equal-budget rounds, then top up to variance 1/(2*rho_i)."""
         last_rho, plan = self._last_plan
-        if rho_i != last_rho:  # a batch's queries share one rho_i and so one plan
+        if rho_i != last_rho:  # a tournament's rounds share one rho_i and so one plan
             plan = plan_equal_budget(rho_i, self.m_bound, self.total_budget)
             self._last_plan = (rho_i, plan)
         repeats = plan.per_query_repeats
@@ -280,28 +293,70 @@ class EqualBudgetAdapter(BudgetOracle):
             answer += rng.normal(0.0, math.sqrt(plan.topup_variance))
         return answer
 
+    def _charge_batch(self, rho_each: float, count: int) -> None:
+        """Check the whole batch, then charge it as count queries in order.
+
+        The round bound, the equal-budget round bound and the budget are all
+        checked before anything is charged.  The charges are added one by one
+        (``np.add.accumulate`` adds in order), so ``spent`` is the float the
+        per-query loop would reach.
+        """
+        if self.rounds_used + count > self.m_bound:
+            raise RoundsExceededError(
+                f"mechanism exceeded its declared bound of {self.m_bound} rounds")
+        last_rho, plan = self._last_plan
+        if rho_each != last_rho:
+            plan = plan_equal_budget(rho_each, self.m_bound, self.total_budget)
+            self._last_plan = (rho_each, plan)
+        rounds = count * plan.per_query_repeats
+        if self.inner_rounds_used + rounds > plan.m_rounds_total:
+            raise RoundsExceededError(
+                f"{self.inner_rounds_used} + {rounds} rounds exceeds {plan.m_rounds_total}")
+        spent = np.full(count + 1, rho_each)
+        spent[0] = self.spent
+        total = float(np.add.accumulate(spent, out=spent)[-1])
+        if total > self.total_budget * (1.0 + RELATIVE_BUDGET_SLACK):
+            raise BudgetExceededError(
+                f"spent {self.spent} + {count} * {rho_each} exceeds budget {self.total_budget}")
+        self.spent = total
+        self.inner_rounds_used += rounds
+        self.plans.extend([plan] * count)
+
+    def _answer_batch(self, values: np.ndarray, rho_each: float) -> np.ndarray:
+        """Each query's answer as _answer builds it, from one normal draw."""
+        plan = self.plans[-1]  # the batch's, appended by _charge_batch
+        repeats = plan.per_query_repeats
+        if self.noiseless:
+            return np.repeat(values[:, None], repeats, axis=1).mean(axis=1)
+        sigma = math.sqrt(1.0 / (2.0 * plan.per_round_budget))
+        scale = [sigma] * repeats
+        if plan.topup_variance > 0:
+            scale.append(math.sqrt(plan.topup_variance))
+        noise = self._generator().normal(0.0, scale, size=(values.size, len(scale)))
+        answers = (values[:, None] + noise[:, :repeats]).mean(axis=1)
+        if plan.topup_variance > 0:
+            answers += noise[:, repeats]
+        return answers
+
     def noisy_query(self, expr: LossExpr, rho_i: float) -> float:
         if self.rounds_used + 1 > self.m_bound:
             raise RoundsExceededError(
                 f"mechanism exceeded its declared bound of {self.m_bound} rounds")
         return super().noisy_query(expr, rho_i)
 
-    def noisy_query_batch(self, exprs, rho_each: float) -> np.ndarray:
-        # one query at a time: each query's rounds and top-up are drawn
-        # before the next query's, which a vectorised batch would reorder
-        return np.asarray([self.noisy_query(e, rho_each) for e in exprs])
-
 
 def equal_budget_simulate(instance: LossInstance,
                           mechanism: Callable[[EqualBudgetAdapter], object],
                           m_bound: int, rho: float, seed=None, *,
-                          noiseless: bool = False):
+                          noiseless: bool = False, record_log: bool = True):
     """Run a mechanism against the equal-budget adapter.
 
     ``mechanism`` is called with the adapter as its oracle and must use at
     most ``m_bound`` rounds and total budget ``rho``.  Returns the mechanism
     output together with the adapter (for round/variance accounting).
+    ``record_log`` is the adapter's, as for BudgetOracle.
     """
-    adapter = EqualBudgetAdapter(instance, m_bound, rho, seed, noiseless=noiseless)
+    adapter = EqualBudgetAdapter(instance, m_bound, rho, seed, noiseless=noiseless,
+                                 record_log=record_log)
     result = mechanism(adapter)
     return result, adapter

@@ -465,7 +465,8 @@ def eval_expr(expr: LossExpr, instance: LossInstance, memo: dict | None = None) 
     across calls for the same instance; values are cached per node identity
     and nodes are pinned by the cache.
 
-    Raises IndexError for out-of-range candidate indices.
+    Raises IndexError for out-of-range candidate indices, and TypeError for
+    a Base index that is a bool or not an integer (numpy integers pass).
     """
     if type(expr) is MinCompare:
         return _compare_value(expr, instance, memo)
@@ -482,9 +483,12 @@ def eval_expr(expr: LossExpr, instance: LossInstance, memo: dict | None = None) 
             return hit[1]
         t = type(node)
         if t is Base:
-            if not 0 <= node.index < n:
-                raise IndexError(f"candidate index out of range: {node.index} vs n={n}")
-            v = losses[node.index]
+            i = node.index
+            if type(i) is not int and (type(i) is bool or not isinstance(i, (int, np.integer))):
+                raise TypeError(f"candidate index must be an integer, got {i!r}")
+            if not 0 <= i < n:
+                raise IndexError(f"candidate index out of range: {i} vs n={n}")
+            v = losses[i]
         elif t is Const:
             v = float(node.value)
         elif t is MinOver or t is MaxOver:

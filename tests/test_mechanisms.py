@@ -141,6 +141,8 @@ class TestCombined:
         oracle = _oracle([0.0, 10.0], 1.0, noiseless=True)
         result = combined_select(oracle, 1.0)
         assert result.winner == 0  # both stages find 0; tie comparison goes left
+        last = oracle.log[-1]  # MinCompare([0, 0], 1)
+        assert (last.sensitivity_bound, last.answer) == (1.0, 0.0)
 
     def test_three_equal_budget_stages(self):
         n = 64

@@ -207,6 +207,23 @@ class TestBaseBatch:
                 oracle.noisy_query(Base(1.5), 0.1)
         assert self._first_answer_after(float_index) == fresh
 
+        # as on the batch path, Base(True) is not candidate 1
+        def bool_index(oracle):
+            for bad in (True, np.True_):
+                with pytest.raises(TypeError):
+                    oracle.noisy_query_batch([Base(bad)], 0.1)
+                with pytest.raises(TypeError):
+                    oracle.noisy_query(Base(bad), 0.1)
+        assert self._first_answer_after(bool_index) == fresh
+
+    def test_numpy_integer_indices_are_candidates(self):
+        runs = []
+        for i in (2, np.int64(2), np.int32(2), np.uint8(2)):
+            oracle = BudgetOracle(self.INST, 1.0, seed=3)
+            runs.append((oracle.noisy_query(Base(i), 0.1),
+                         oracle.noisy_query_batch([Base(i)], 0.1).tolist()))
+        assert runs == [runs[0]] * 4
+
     def test_adapter_answers_a_batch_one_query_at_a_time(self):
         idx = np.arange(0, 50, 3)
         runs = []
@@ -219,6 +236,61 @@ class TestBaseBatch:
                          adapter.inner_rounds_used, adapter.plans))
         assert runs[0] == runs[1]
         assert len(runs[0][4]) == idx.size
+
+    @pytest.mark.parametrize("noiseless", [False, True])
+    @pytest.mark.parametrize("topup", [False, True])
+    def test_adapter_batch_is_its_query_loop_bit_for_bit(self, topup, noiseless):
+        rng = np.random.default_rng(8)
+        inst = LossInstance(rng.choice([-0.0, 0.0, 1 / 3, -2.5, 7.1e-5], 30))
+        # with m_bound a power of two, rho_each = m_i / m_bound plans exactly
+        # m_i rounds and no top-up; half a round less adds a top-up
+        m_bound = 256
+        for repeats in range(1, 21):
+            idx = rng.integers(0, 30, 11)  # 12 queries of m_i <= 20 fit the bounds
+            rho_each = (repeats - 0.5 * topup) / m_bound
+            runs = []
+            for submit in (lambda o: o.noisy_query_batch(BaseBatch(idx), rho_each),
+                           lambda o: np.array([o.noisy_query(Base(i), rho_each)
+                                               for i in idx.tolist()])):
+                adapter = EqualBudgetAdapter(inst, m_bound, 1.0, seed=repeats,
+                                             noiseless=noiseless)
+                answers = submit(adapter)
+                following = adapter.noisy_query(Base(0), rho_each)
+                runs.append((answers.tobytes(), adapter.log_csv(), adapter.spent,
+                             adapter.inner_rounds_used, adapter.plans, following))
+            assert runs[0] == runs[1]
+            plan = runs[0][4][0]
+            assert (plan.per_query_repeats, plan.topup_variance > 0) == (repeats, topup)
+
+    def _adapter_answer_after(self, failing_call, inner_rounds_used=0):
+        adapter = EqualBudgetAdapter(self.INST, m_bound=4, rho=1.0, seed=3)
+        adapter.inner_rounds_used = inner_rounds_used
+        failing_call(adapter)
+        assert (adapter.spent, adapter.rounds_used, adapter.log, adapter.plans,
+                adapter.inner_rounds_used) == (0.0, 0, [], [], inner_rounds_used)
+        return adapter.noisy_query(Base(0), 0.25)
+
+    def test_adapter_batch_fails_whole(self):
+        fresh = EqualBudgetAdapter(self.INST, m_bound=4, rho=1.0, seed=3).noisy_query(
+            Base(0), 0.25)
+
+        def over_round_bound(adapter):  # 5 queries against m_bound = 4
+            with pytest.raises(RoundsExceededError):
+                adapter.noisy_query_batch(BaseBatch(np.arange(5)), 0.01)
+        assert self._adapter_answer_after(over_round_bound) == fresh
+
+        def over_budget(adapter):  # the third charge of 0.4 passes rho = 1
+            with pytest.raises(BudgetExceededError):
+                adapter.noisy_query_batch(BaseBatch(np.arange(3)), 0.4)
+        assert self._adapter_answer_after(over_budget) == fresh
+
+        # within the round bound and the budget, M' = 8 cannot be passed from
+        # a fresh adapter, so 6 of its rounds are taken up front; the batch
+        # needs 2 queries of 2 rounds each
+        def over_equal_rounds(adapter):
+            with pytest.raises(RoundsExceededError):
+                adapter.noisy_query_batch(BaseBatch([0, 1]), 0.5)
+        assert self._adapter_answer_after(over_equal_rounds, inner_rounds_used=6) == fresh
 
     def test_query_all_leaves_no_base_nodes(self):
         # the batch holds an index array, so no node outlives the trial

@@ -416,6 +416,16 @@ class TestMinCompare:
             assert sensitivity_bound(node) == sensitivity_bound(tree) == 1.0
             assert format_expr(node) == format_expr(tree)
 
+    def test_pair_is_the_difference_tree(self):
+        # combined_select's final query, a == b included
+        inst = LossInstance([-0.0, 0.0, 1 / 3, -2.5])
+        for a in range(4):
+            for b in range(4):
+                node = MinCompare([a, b], 1)
+                tree = Scale(0.5, Sub(Base(a), Base(b)))
+                assert bits(eval_expr(node, inst)) == bits(eval_expr(tree, inst))
+                assert sensitivity_bound(node) == sensitivity_bound(tree) == 1.0
+
     def test_bintree_query_is_a_min_compare(self):
         node = build_bintree_query([3, 1], [0, 2])
         assert type(node) is MinCompare
