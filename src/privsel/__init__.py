@@ -14,8 +14,8 @@ from .core import (
 )
 from .queries import (
     AddConst, Base, BaseBatch, Const, Gap, GapOver, Level, LevelMin, LossExpr,
-    MaxOver, MinCompare, MinOver, ParseError, Scale, Sub, build_bintree_query,
-    build_tilde_loss, eval_expr, format_expr, parse_expr, sensitivity_bound,
+    MaxOver, MinCompare, MinOver, Scale, Sub, build_bintree_query,
+    build_tilde_loss, eval_expr, format_expr, sensitivity_bound,
 )
 from .oracle import (
     BudgetExceededError, BudgetOracle, EqualBudgetAdapter, EqualBudgetPlan,

@@ -3,7 +3,9 @@
 The oracle owns the instance and is the sole gatekeeper: it verifies each
 submitted expression has sensitivity bound at most 1 and a finite value,
 answers with Gaussian noise of variance 1/(2*rho_i), and enforces that
-declared per-query budgets never sum past the total.
+declared per-query budgets never sum past the total.  ``noisy_query`` takes
+one expression; ``noisy_query_batch`` takes one BaseBatch, the only batch
+form.
 
 Randomness contract (frozen for golden tests): all noise comes from a numpy
 ``Generator`` over the PCG64 bit generator, built from a ``SeedSequence``;
@@ -20,12 +22,12 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Callable, Sequence
+from typing import Callable
 
 import numpy as np
 
 from .core import LossInstance
-from .queries import Base, BaseBatch, LossExpr, eval_expr, sensitivity_bound
+from .queries import BaseBatch, LossExpr, eval_expr, sensitivity_bound
 
 __all__ = [
     "OracleError", "BudgetExceededError", "SensitivityViolationError",
@@ -102,7 +104,6 @@ class BudgetOracle:
         self._seed_seq = _as_seed_seq(seed)
         self._rng: np.random.Generator | None = None  # created on the first draw
         self._eval_memo: dict = {}
-        self._bound_memo: dict = {}
 
     @property
     def n_candidates(self) -> int:
@@ -118,7 +119,7 @@ class BudgetOracle:
         return np.random.default_rng(self._seed_seq.spawn(1)[0])
 
     def _admit(self, expr: LossExpr) -> tuple[float, float]:
-        bound = sensitivity_bound(expr, self._bound_memo)
+        bound = sensitivity_bound(expr)
         if bound > 1.0 + _SENSITIVITY_TOL:
             raise SensitivityViolationError(
                 f"sensitivity bound {bound} exceeds 1")
@@ -162,25 +163,21 @@ class BudgetOracle:
             self.log.append(QueryRecord(self.rounds_used - 1, rho_i, bound, answer))
         return answer
 
-    def noisy_query_batch(self, exprs: Sequence[LossExpr], rho_each: float) -> np.ndarray:
-        """Answer many expressions, each with budget rho_each.
+    def noisy_query_batch(self, batch: BaseBatch, rho_each: float) -> np.ndarray:
+        """Answer the queries Base(i) of a BaseBatch, each with budget rho_each.
 
-        Equivalent to one noisy_query per expression, in order.  A BaseBatch
-        is answered as one vectorised batch: range check, ``_charge_batch``,
-        one gather, ``_answer_batch`` (the values of that many scalar
-        answers), then the log.  The batch is admitted whole or not at all:
-        a rejected batch charges, draws and logs nothing.  A list of Base
-        nodes only is turned into a BaseBatch first; any other sequence is
-        answered one noisy_query at a time.
+        Equivalent to one noisy_query per query, in order, answered as one
+        vectorised batch: range check, ``_charge_batch``, one gather,
+        ``_answer_batch`` (the values of that many scalar answers), then the
+        log.  The batch is admitted whole or not at all: a rejected batch
+        charges, draws and logs nothing.  Any input other than a BaseBatch
+        raises TypeError.
         """
+        if type(batch) is not BaseBatch:
+            raise TypeError(f"a batch must be a BaseBatch, got {type(batch).__name__}")
         if not rho_each > 0:
             raise ValueError(f"rho_each must be positive, got {rho_each}")
-        if type(exprs) is not BaseBatch:
-            exprs = list(exprs)
-            if not all(type(e) is Base for e in exprs):
-                return np.asarray([self.noisy_query(e, rho_each) for e in exprs])
-            exprs = BaseBatch([e.index for e in exprs])
-        idx = exprs.indices
+        idx = batch.indices
         count = idx.size
         if count == 0:
             return np.empty(0)
@@ -272,12 +269,17 @@ class EqualBudgetAdapter(BudgetOracle):
         self.plans: list[EqualBudgetPlan] = []
         self._last_plan: tuple[float, EqualBudgetPlan | None] = (math.nan, None)
 
-    def _answer(self, value: float, rho_i: float) -> float:
-        """Average m_i equal-budget rounds, then top up to variance 1/(2*rho_i)."""
+    def _plan(self, rho_i: float) -> EqualBudgetPlan:
+        """The plan of a query of budget rho_i, cached for the last rho_i."""
         last_rho, plan = self._last_plan
         if rho_i != last_rho:  # a tournament's rounds share one rho_i and so one plan
             plan = plan_equal_budget(rho_i, self.m_bound, self.total_budget)
             self._last_plan = (rho_i, plan)
+        return plan
+
+    def _answer(self, value: float, rho_i: float) -> float:
+        """Average m_i equal-budget rounds, then top up to variance 1/(2*rho_i)."""
+        plan = self._plan(rho_i)
         repeats = plan.per_query_repeats
         if self.inner_rounds_used + repeats > plan.m_rounds_total:
             raise RoundsExceededError(
@@ -304,10 +306,7 @@ class EqualBudgetAdapter(BudgetOracle):
         if self.rounds_used + count > self.m_bound:
             raise RoundsExceededError(
                 f"mechanism exceeded its declared bound of {self.m_bound} rounds")
-        last_rho, plan = self._last_plan
-        if rho_each != last_rho:
-            plan = plan_equal_budget(rho_each, self.m_bound, self.total_budget)
-            self._last_plan = (rho_each, plan)
+        plan = self._plan(rho_each)
         rounds = count * plan.per_query_repeats
         if self.inner_rounds_used + rounds > plan.m_rounds_total:
             raise RoundsExceededError(

@@ -4,6 +4,12 @@ Mechanisms never see losses directly; they submit expressions from this
 closed language and the oracle audits each one with the structural
 sensitivity bound below before answering.
 
+The mechanisms submit two shapes at run time: MinCompare (over base
+candidates or over a Level) and BaseBatch.  The other nodes,
+build_tilde_loss and the tree branches of eval_expr and sensitivity_bound
+are reference semantics, used by the sensitivity fuzzer, the tests and the
+demos.
+
 Node semantics on a loss vector l (extended-real valued):
 
     Base(i)            l[i]
@@ -51,25 +57,28 @@ vectors differing by at most 1 per coordinate):
     Sub -> sum of child bounds;  Scale(c, e) -> |c| * bound(e);
     AddConst -> unchanged;  Gap -> 2 (0 for a singleton);
     GapOver -> 2 * max child bound (0 for a single child);
-    Level -> bound of the level below (1 for an index array), per entry;
-    LevelMin(L, Q) -> bound(L);  MinCompare -> 1, or bound(L) with a level.
+    Level -> 1 per entry;  LevelMin -> 1;  MinCompare -> 1.
 
-MinCompare is Scale(1/2, Sub(MinOver, MinOver)) (or the same over two
-LevelMin) as one node, so the rule is the tree rule: (b + b) / 2 = b.
-The Level rule is the tree rule folded once: with b the bound below, the
+Every Level entry has bound 1, by induction on the chain.  The Level rule
+is the tree rule folded once: with b the bound of the level below, the
 subset minimum minus the offset universe minimum has bound 2b, the negated
 gap 2b (0 for a singleton), their max 2b, and the halving gives b again.
+A Level's ``prev`` is either the candidate index array, whose entries are
+losses (b = 1), or another Level, so b = 1 at every level.  LevelMin takes
+a minimum of such entries, so its bound is 1.  MinCompare is
+Scale(1/2, Sub(MinOver, MinOver)) (or the same over two LevelMin) as one
+node, so its bound is (1 + 1) / 2 = 1.  None of the three needs a walk.
 
-Canonical text serialization (prefix notation, whitespace separated):
+Canonical text form (prefix notation, whitespace separated), output only:
 
     expr := (base N) | (const NUM) | (min expr+) | (max expr+)
           | (gap N+) | (gapx expr+) | (sub expr expr)
           | (scale NUM expr) | (addc NUM expr)
 
-N is a nonnegative integer; NUM is a Python float repr, with inf/-inf
-accepted.  ``gap`` carries base candidate indices, ``gapx`` the general
+N is a nonnegative integer; NUM is a Python float repr (inf and -inf
+included).  ``gap`` carries base candidate indices, ``gapx`` the general
 expression form.  A MinCompare over base candidates is written as its tree,
-``(scale 0.5 (sub (min ...) (min ...)))``, which parses back to that tree.
+``(scale 0.5 (sub (min ...) (min ...)))``.
 Level, LevelMin and a MinCompare over a level have no text form: a chain of
 d levels expands into trees whose size grows exponentially with d, so
 format_expr raises TypeError on them.
@@ -91,7 +100,7 @@ __all__ = [
     "Base", "Const", "MinOver", "MaxOver", "Gap", "GapOver", "Sub", "Scale",
     "AddConst", "Level", "LevelMin", "MinCompare", "LossExpr", "eval_expr",
     "sensitivity_bound", "build_bintree_query", "build_tilde_loss", "format_expr",
-    "parse_expr", "ParseError", "BaseBatch",
+    "BaseBatch",
 ]
 
 # Below this size, plain Python beats numpy gather on index-set nodes.
@@ -400,20 +409,13 @@ def _derive(values: np.ndarray, level: Level) -> np.ndarray:
     return 0.5 * np.where(neg_gap > score, neg_gap, score)
 
 
-def _unevaluated(level: Level, memo: dict) -> tuple[list[Level], object]:
-    """The levels of a chain not in ``memo``, top first, and what lies below
-    the lowest of them: a memoised Level or the level-0 index array."""
-    levels = []
-    node = level
-    while type(node) is Level and id(node) not in memo:
-        levels.append(node)
-        node = node.prev
-    return levels, node
-
-
 def _level_values(level: Level, instance: LossInstance, memo: dict) -> np.ndarray:
     """Derived losses of a level, evaluated bottom-up and memoised per level."""
-    levels, below = _unevaluated(level, memo)
+    levels = []  # the chain's levels not in memo, top first
+    below = level
+    while type(below) is Level and id(below) not in memo:
+        levels.append(below)
+        below = below.prev
     if type(below) is Level:
         values = memo[id(below)][1]
     else:
@@ -423,14 +425,6 @@ def _level_values(level: Level, instance: LossInstance, memo: dict) -> np.ndarra
         values = _derive(values, node)
         memo[id(node)] = (node, values)
     return values
-
-
-def _level_bound(level: Level, memo: dict) -> float:
-    levels, below = _unevaluated(level, memo)
-    bound = memo[id(below)][1] if type(below) is Level else 1.0
-    for node in levels:
-        memo[id(node)] = (node, bound)
-    return bound
 
 
 def _compare_value(node: MinCompare, instance: LossInstance, memo: dict | None) -> float:
@@ -449,12 +443,6 @@ def _compare_value(node: MinCompare, instance: LossInstance, memo: dict | None) 
     arr, n = instance.as_array(), len(losses)
     return 0.5 * (_reduce_indices(idx[:split], losses, arr, n, min)
                   - _reduce_indices(idx[split:], losses, arr, n, min))
-
-
-def _compare_bound(node: MinCompare, memo: dict | None) -> float:
-    if node.level is None:
-        return 1.0
-    return _level_bound(node.level, {} if memo is None else memo)
 
 
 def eval_expr(expr: LossExpr, instance: LossInstance, memo: dict | None = None) -> float:
@@ -547,7 +535,7 @@ def eval_expr(expr: LossExpr, instance: LossInstance, memo: dict | None = None) 
         del ev  # ev refers to itself; a live cycle would keep memo alive
 
 
-def sensitivity_bound(expr: LossExpr, memo: dict | None = None) -> float:
+def sensitivity_bound(expr: LossExpr) -> float:
     """Structural upper bound on the value change between neighboring losses.
 
     Neighboring means coordinate-wise difference at most 1.  The bound is
@@ -555,9 +543,8 @@ def sensitivity_bound(expr: LossExpr, memo: dict | None = None) -> float:
     the per-node rules.
     """
     if type(expr) is MinCompare:
-        return _compare_bound(expr, memo)
-    if memo is None:
-        memo = {}
+        return 1.0
+    memo = {}  # per node identity, so a shared subtree is bounded once
 
     def bd(node) -> float:
         key = id(node)
@@ -587,10 +574,8 @@ def sensitivity_bound(expr: LossExpr, memo: dict | None = None) -> float:
             b = abs(node.factor) * bd(node.child)
         elif t is AddConst:
             b = bd(node.child)
-        elif t is LevelMin:
-            b = _level_bound(node.level, memo)
-        elif t is MinCompare:
-            b = _compare_bound(node, memo)
+        elif t is LevelMin or t is MinCompare:
+            b = 1.0
         else:
             raise TypeError(f"not a loss expression: {node!r}")
         memo[key] = (node, b)
@@ -648,7 +633,7 @@ def build_tilde_loss(subset: Iterable[int], k: int, xi_value: float,
 
 
 # ---------------------------------------------------------------------------
-# Canonical text serialization.
+# Canonical text form.
 
 
 def _fmt_num(x: float) -> str:
@@ -688,87 +673,3 @@ def format_expr(expr: LossExpr) -> str:
         raise TypeError(f"{t.__name__} has no text form: its tree expansion grows "
                         "exponentially with the number of levels")
     raise TypeError(f"not a loss expression: {expr!r}")
-
-
-class ParseError(ValueError):
-    pass
-
-
-def _tokenize(text: str) -> list[str]:
-    return text.replace("(", " ( ").replace(")", " ) ").split()
-
-
-def parse_expr(text: str) -> LossExpr:
-    """Parse the canonical prefix notation back into an expression."""
-    tokens = _tokenize(text)
-    pos = 0
-
-    def expect(tok: str) -> None:
-        nonlocal pos
-        if pos >= len(tokens) or tokens[pos] != tok:
-            raise ParseError(f"expected {tok!r} at token {pos}")
-        pos += 1
-
-    def number() -> float:
-        nonlocal pos
-        if pos >= len(tokens):
-            raise ParseError("unexpected end of input")
-        tok = tokens[pos]
-        pos += 1
-        try:
-            return float(tok)
-        except ValueError as exc:
-            raise ParseError(f"expected a number, got {tok!r}") from exc
-
-    def integer() -> int:
-        nonlocal pos
-        if pos >= len(tokens):
-            raise ParseError("unexpected end of input")
-        tok = tokens[pos]
-        pos += 1
-        if not tok.lstrip("-").isdigit():
-            raise ParseError(f"expected an integer, got {tok!r}")
-        return int(tok)
-
-    def expr() -> LossExpr:
-        nonlocal pos
-        expect("(")
-        if pos >= len(tokens):
-            raise ParseError("unexpected end of input")
-        head = tokens[pos]
-        pos += 1
-        if head == "base":
-            node: LossExpr = Base(integer())
-        elif head == "const":
-            node = Const(number())
-        elif head in ("min", "max"):
-            children = [expr()]
-            while pos < len(tokens) and tokens[pos] == "(":
-                children.append(expr())
-            cls = MinOver if head == "min" else MaxOver
-            node = cls(tuple(children))
-        elif head == "gap":
-            idx = [integer()]
-            while pos < len(tokens) and tokens[pos] != ")":
-                idx.append(integer())
-            node = Gap(np.asarray(idx, dtype=np.int64))
-        elif head == "gapx":
-            children = [expr()]
-            while pos < len(tokens) and tokens[pos] == "(":
-                children.append(expr())
-            node = GapOver(tuple(children))
-        elif head == "sub":
-            node = Sub(expr(), expr())
-        elif head == "scale":
-            node = Scale(number(), expr())
-        elif head == "addc":
-            node = AddConst(number(), expr())
-        else:
-            raise ParseError(f"unknown operator {head!r}")
-        expect(")")
-        return node
-
-    node = expr()
-    if pos != len(tokens):
-        raise ParseError(f"trailing tokens after expression: {tokens[pos:]}")
-    return node

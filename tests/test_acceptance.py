@@ -21,7 +21,7 @@ from privsel.mechanisms import (
     recursive_gap_select,
 )
 from privsel.oracle import BudgetOracle, EqualBudgetAdapter, plan_equal_budget
-from privsel.queries import Base, build_tilde_loss, sensitivity_bound
+from privsel.queries import Base, BaseBatch, build_tilde_loss, sensitivity_bound
 from privsel.verify import (
     Verdict, appendix_grid, error_scale_from_log_hp, gap_threshold_hp,
     loss_scale_hp, sensitivity_fuzz, subset_event_mc, subset_event_probability,
@@ -84,7 +84,7 @@ def test_noise_calibration_and_equal_budget_adapter():
     inst = LossInstance((2.5, 7.0))
 
     oracle = BudgetOracle(inst, total_budget=0.5 * n * 1.01, seed=42, record_log=False)
-    direct = oracle.noisy_query_batch([Base(0)] * n, 0.5)
+    direct = oracle.noisy_query_batch(BaseBatch(np.zeros(n, dtype=np.int64)), 0.5)
     se_var = math.sqrt(2.0 / (n - 1))
     assert direct.var(ddof=1) == pytest.approx(1.0, abs=3 * se_var)
 

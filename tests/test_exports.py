@@ -1,0 +1,31 @@
+"""Package exports: each module's ``__all__`` and the package's re-exports agree."""
+
+import ast
+import importlib
+import pkgutil
+from pathlib import Path
+
+import pytest
+
+import privsel
+
+MODULES = sorted(info.name for info in pkgutil.iter_modules(privsel.__path__))
+
+
+@pytest.mark.parametrize("name", MODULES)
+def test_every_listed_name_exists(name):
+    module = importlib.import_module(f"privsel.{name}")
+    missing = [n for n in getattr(module, "__all__", ()) if not hasattr(module, n)]
+    assert missing == []
+
+
+def test_package_imports_only_listed_names():
+    tree = ast.parse(Path(privsel.__file__).read_text())
+    unlisted = []
+    for node in tree.body:
+        if isinstance(node, ast.ImportFrom) and node.level == 1 and node.module:
+            module = importlib.import_module(f"privsel.{node.module}")
+            if hasattr(module, "__all__"):
+                unlisted += [f"{node.module}.{alias.name}" for alias in node.names
+                             if alias.name not in module.__all__]
+    assert unlisted == []

@@ -12,7 +12,7 @@ from privsel.mechanisms import (
     recursive_gap_round_bound, recursive_gap_select,
 )
 from privsel.oracle import BudgetOracle
-from privsel.queries import Base, MinCompare
+from privsel.queries import BaseBatch, MinCompare
 
 SCALED = MechanismConstants(c_xi=1.0, p_xi=1, base_threshold_log=6)
 
@@ -234,7 +234,7 @@ class TestQueryAllBaseline:
         inst = LossInstance(np.zeros(n))
         for seed in range(300):
             oracle = BudgetOracle(inst, rho, seed=seed, record_log=False)
-            answers = oracle.noisy_query_batch([Base(i) for i in range(n)], rho / n)
+            answers = oracle.noisy_query_batch(BaseBatch(np.arange(n)), rho / n)
             variances.append(answers.var(ddof=1))
         expected = n / (2 * rho)  # std sqrt(n / (2 rho)) per query
         assert np.mean(variances) == pytest.approx(expected, rel=0.05)

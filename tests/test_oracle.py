@@ -25,7 +25,7 @@ class TestNoisyQuery:
     def test_noise_std_is_one_at_half_budget(self):
         # 1/(2 * 0.5) = 1; 20k samples, fixed stream
         oracle = BudgetOracle(INST, total_budget=2e4, seed=0, record_log=False)
-        answers = oracle.noisy_query_batch([Base(0)] * 20000, 0.5)
+        answers = oracle.noisy_query_batch(BaseBatch(np.zeros(20000, dtype=np.int64)), 0.5)
         assert answers.mean() == pytest.approx(2.0, abs=3 * 1.0 / math.sqrt(20000))
         assert answers.var(ddof=1) == pytest.approx(1.0, abs=3 * math.sqrt(2 / 19999))
 
@@ -137,12 +137,12 @@ class TestNoisyQuery:
 
     def test_batch_matches_values_and_budget(self):
         oracle = BudgetOracle(INST, 10.0, noiseless=True)
-        answers = oracle.noisy_query_batch([Base(i) for i in range(4)], 0.25)
+        answers = oracle.noisy_query_batch(BaseBatch(np.arange(4)), 0.25)
         assert answers.tolist() == [2.0, 5.0, 1.0, 7.0]
         assert oracle.spent == 1.0
         assert oracle.rounds_used == 4
         with pytest.raises(IndexError):
-            oracle.noisy_query_batch([Base(4)], 0.25)
+            oracle.noisy_query_batch(BaseBatch([4]), 0.25)
 
     def test_spawned_streams_deterministic(self):
         a = BudgetOracle(INST, 1.0, seed=9).spawn_rng().normal(size=3)
@@ -160,24 +160,21 @@ class TestBaseBatch:
         idx = np.random.default_rng(1).integers(0, 50, 200)
         runs = []
         for submit in (lambda o: o.noisy_query_batch(BaseBatch(idx), 0.01),
-                       lambda o: o.noisy_query_batch([Base(i) for i in idx.tolist()], 0.01),
                        lambda o: np.array([o.noisy_query(Base(i), 0.01)
                                            for i in idx.tolist()])):
             oracle = BudgetOracle(self.INST, 2.0, seed=5, noiseless=noiseless)
             answers = submit(oracle)
             runs.append((answers.tobytes(), oracle.log_csv(), oracle.spent,
                          oracle.rounds_used))
-        assert runs[0] == runs[1]
         # one normal(size=K) draw gives the values of K scalar draws; the
         # scalar calls sum K charges where the batch charges K * rho once
-        assert runs[2][:2] == runs[0][:2] and runs[2][3] == runs[0][3] == 200
-        assert runs[2][2] == pytest.approx(runs[0][2])
+        assert runs[1][:2] == runs[0][:2] and runs[1][3] == runs[0][3] == 200
+        assert runs[1][2] == pytest.approx(runs[0][2])
 
     def test_empty_batch_charges_nothing(self):
         oracle = BudgetOracle(self.INST, 1.0, seed=0)
-        for empty in (BaseBatch(np.empty(0, dtype=np.int64)), []):
-            answers = oracle.noisy_query_batch(empty, 0.5)
-            assert answers.shape == (0,)
+        answers = oracle.noisy_query_batch(BaseBatch(np.empty(0, dtype=np.int64)), 0.5)
+        assert answers.shape == (0,)
         assert (oracle.spent, oracle.rounds_used, oracle.log) == (0.0, 0, [])
 
     def _first_answer_after(self, failing_call):
@@ -202,7 +199,7 @@ class TestBaseBatch:
         # as on the scalar path, Base(1.5) is not truncated to candidate 1
         def float_index(oracle):
             with pytest.raises(TypeError):
-                oracle.noisy_query_batch([Base(0), Base(1.5)], 0.1)
+                oracle.noisy_query_batch(BaseBatch([0, 1.5]), 0.1)
             with pytest.raises(TypeError):
                 oracle.noisy_query(Base(1.5), 0.1)
         assert self._first_answer_after(float_index) == fresh
@@ -211,17 +208,27 @@ class TestBaseBatch:
         def bool_index(oracle):
             for bad in (True, np.True_):
                 with pytest.raises(TypeError):
-                    oracle.noisy_query_batch([Base(bad)], 0.1)
+                    oracle.noisy_query_batch(BaseBatch([bad]), 0.1)
                 with pytest.raises(TypeError):
                     oracle.noisy_query(Base(bad), 0.1)
         assert self._first_answer_after(bool_index) == fresh
+
+    def test_only_a_base_batch_is_a_batch(self):
+        # any other input is refused whole, before a charge, draw or log row
+        fresh = BudgetOracle(self.INST, 1.0, seed=3).noisy_query(Base(0), 0.5)
+        for make in (lambda: [Base(0), Base(1)], lambda: (Base(0), Base(1)),
+                     lambda: (Base(i) for i in range(2)), lambda: []):
+            def not_a_batch(oracle, make=make):
+                with pytest.raises(TypeError, match="BaseBatch"):
+                    oracle.noisy_query_batch(make(), 0.1)
+            assert self._first_answer_after(not_a_batch) == fresh
 
     def test_numpy_integer_indices_are_candidates(self):
         runs = []
         for i in (2, np.int64(2), np.int32(2), np.uint8(2)):
             oracle = BudgetOracle(self.INST, 1.0, seed=3)
             runs.append((oracle.noisy_query(Base(i), 0.1),
-                         oracle.noisy_query_batch([Base(i)], 0.1).tolist()))
+                         oracle.noisy_query_batch(BaseBatch([i]), 0.1).tolist()))
         assert runs == [runs[0]] * 4
 
     def test_adapter_answers_a_batch_one_query_at_a_time(self):

@@ -1,4 +1,4 @@
-"""Expression IR: evaluation, sensitivity calculus, builders, serialization."""
+"""Expression IR: evaluation, sensitivity calculus, builders, text form."""
 
 import itertools
 import math
@@ -10,8 +10,8 @@ from hypothesis import given, settings, strategies as st
 from privsel.core import LossInstance
 from privsel.queries import (
     AddConst, Base, BaseBatch, Const, Gap, GapOver, Level, LevelMin, MaxOver,
-    MinCompare, MinOver, ParseError, Scale, Sub, build_bintree_query, build_tilde_loss,
-    eval_expr, format_expr, parse_expr, sensitivity_bound,
+    MinCompare, MinOver, Scale, Sub, build_bintree_query, build_tilde_loss,
+    eval_expr, format_expr, sensitivity_bound,
 )
 
 
@@ -435,10 +435,6 @@ class TestMinCompare:
         node = MinCompare([4, 2, 7], 1)
         text = "(scale 0.5 (sub (min (base 4)) (min (base 2) (base 7))))"
         assert format_expr(node) == text
-        clone = parse_expr(text)
-        inst = LossInstance(np.arange(8.0))
-        assert eval_expr(clone, inst) == eval_expr(node, inst) == 1.0
-        assert sensitivity_bound(clone) == sensitivity_bound(node)
         level = Level(np.arange(2), [0, 1, 2], [0, 1], 1.0)
         with pytest.raises(TypeError, match="no text form"):
             format_expr(MinCompare([0, 1], 1, level))
@@ -472,6 +468,33 @@ class TestMinCompare:
         above = Level(level, [0, 1, 2], [0, 1], 1.0)
         assert sensitivity_bound(MinCompare([0, 1], 1, above)) == 1.0
         assert sensitivity_bound(Sub(MinCompare([0, 1], 1, level), Base(0))) == 2.0
+
+    @pytest.mark.parametrize("seed", range(30))
+    def test_level_form_changes_by_at_most_one(self, seed):
+        # the node the recursion submits, and one the verify fuzzer never
+        # draws: its bound of 1 rests on the Level induction alone
+        rng = np.random.default_rng([seed, 3])
+        n = int(rng.integers(2, 120))
+        level = np.sort(rng.choice(n, size=int(rng.integers(2, n + 1)), replace=False))
+        nodes = []
+        for _ in range(int(rng.integers(1, 5))):
+            k, xi_value = int(rng.integers(1, 9)), float(rng.choice([0.5, 1.0, 2.5]))
+            subsets = random_subsets(rng, len(level), int(rng.integers(2, 12)))
+            level = Level(level, *csr(subsets), (k + math.sqrt(k)) * xi_value)
+            size = int(rng.integers(2, len(level) + 1))
+            pos = np.sort(rng.choice(len(level), size=size, replace=False))
+            nodes.append(MinCompare(pos, int(rng.integers(1, size)), level))
+        for trial in range(20):
+            # integer losses for ties and zero gaps, and perturbations at the cube's corners
+            losses = (rng.integers(-2, 3, n).astype(float) if trial % 2
+                      else rng.uniform(-3.0, 3.0, n))
+            delta = rng.uniform(-1.0, 1.0, n) if trial % 3 else rng.choice([-1.0, 1.0], n)
+            near, far = LossInstance(losses), LossInstance(losses + delta)
+            for node in nodes:
+                a, b = eval_expr(node, near), eval_expr(node, far)
+                if math.isfinite(a) and math.isfinite(b):
+                    assert abs(a - b) <= 1.0 + 1e-9
+        assert all(sensitivity_bound(node) == 1.0 for node in nodes)
 
 
 def python_gap(values):
@@ -522,24 +545,6 @@ class TestBaseBatch:
 
 
 class TestSerialization:
-    CASES = [
-        Base(7),
-        Const(-math.inf),
-        Const(2.5),
-        Scale(0.5, Sub(MinOver((Base(0), Base(1))), MinOver((Base(2),)))),
-        Gap([0, 5, 7]),
-        GapOver((Base(1), AddConst(-1.25, Base(0)))),
-        MaxOver((Const(-math.inf), Scale(-1.0, Gap([0, 1])))),
-        build_tilde_loss([1, 3], 2, 2.0, range(5)),
-        MinOver(base_indices=[4, 9]),
-    ]
-
-    @pytest.mark.parametrize("expr", CASES, ids=range(len(CASES)))
-    def test_round_trip(self, expr):
-        text = format_expr(expr)
-        again = format_expr(parse_expr(text))
-        assert again == text
-
     def test_canonical_examples(self):
         assert format_expr(Base(3)) == "(base 3)"
         assert format_expr(Gap([2, 0])) == "(gap 0 2)"
@@ -547,18 +552,7 @@ class TestSerialization:
         assert format_expr(Scale(0.5, Sub(Base(0), Base(1)))) == \
             "(scale 0.5 (sub (base 0) (base 1)))"
         assert format_expr(MinOver(base_indices=[1, 2])) == "(min (base 1) (base 2))"
-
-    def test_round_trip_preserves_value_and_bound(self):
-        rng = np.random.default_rng(9)
-        inst = LossInstance(rng.uniform(-4, 4, 12))
-        for expr in self.CASES:
-            clone = parse_expr(format_expr(expr))
-            assert sensitivity_bound(clone) == sensitivity_bound(expr)
-            a, b = eval_expr(expr, inst), eval_expr(clone, inst)
-            assert a == b or (math.isinf(a) and math.isinf(b) and a == b)
-
-    def test_parse_errors(self):
-        for bad in ("", "(base)", "(base 1.5)", "(bogus 1)", "(min)", "(base 1) extra",
-                    "(sub (base 0))", "(scale x (base 0))"):
-            with pytest.raises(ParseError):
-                parse_expr(bad)
+        assert format_expr(GapOver((Base(1), AddConst(-1.25, Base(0))))) == \
+            "(gapx (base 1) (addc -1.25 (base 0)))"
+        assert format_expr(MaxOver((Const(-math.inf), Scale(-1.0, Gap([0, 1]))))) == \
+            "(max (const -inf) (scale -1.0 (gap 0 1)))"
