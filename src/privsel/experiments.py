@@ -140,6 +140,9 @@ class ExperimentConfig:
             raise ConfigError("trials must be >= 1")
         if not (isinstance(self.master_seed, int) and self.master_seed >= 0):
             raise ConfigError("master_seed must be a nonnegative integer")
+        if type(self.fresh_instance_per_trial) is not bool:
+            raise ConfigError("fresh_instance_per_trial must be true or false, got "
+                              f"{self.fresh_instance_per_trial!r}")
 
     def to_json(self) -> dict:
         doc = {
@@ -184,6 +187,9 @@ class ExperimentConfig:
         for m in mech_docs:
             if not isinstance(m, dict) or "name" not in m:
                 raise ConfigError(f"malformed mechanism entry: {m!r}")
+            extra = set(m) - {"name", "constants"}
+            if extra:
+                raise ConfigError(f"unknown fields for mechanism {m['name']!r}: {sorted(extra)}")
             consts = m.get("constants")
             if consts is not None:
                 try:
@@ -207,7 +213,7 @@ class ExperimentConfig:
                 trials=int(doc.get("trials", 1000)),
                 master_seed=int(doc.get("master_seed", 0)),
                 failure_threshold=float(doc.get("failure_threshold", 0.0)),
-                fresh_instance_per_trial=bool(doc.get("fresh_instance_per_trial", False)),
+                fresh_instance_per_trial=doc.get("fresh_instance_per_trial", False),
             )
         except (TypeError, ValueError) as exc:
             if isinstance(exc, ConfigError):

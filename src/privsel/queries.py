@@ -42,10 +42,11 @@ one build_tilde_loss-shaped tree per subset gives (MinOver / GapOver over
 the level below, the universe being all of it), evaluated level by level in
 numpy instead of node by node.  Minima and gaps take, among equal values,
 the first in position order, as the tree nodes' Python min does; that only
-decides the sign of a zero.  The nodes over base indices (MinOver, MaxOver,
-Gap, MinCompare) follow the same rule at every size: up to 64 indices they
-reduce in Python, above it with numpy, and a zero numpy result is replaced
-by the first equal value in index order.
+decides the sign of a zero.  MinCompare follows the same rule at every size:
+up to 64 indices it reduces in Python, above it with numpy, and a zero numpy
+result is replaced by the first equal value in index order.  The tree nodes
+reduce in plain Python at every size and share no numpy code with Level and
+MinCompare, so comparing the two is an independent check.
 
 A BaseBatch is not a node: it is the sequence of Base(i) for the i of one
 int64 index array, which the oracle answers as one vectorised batch.
@@ -103,7 +104,7 @@ __all__ = [
     "BaseBatch",
 ]
 
-# Below this size, plain Python beats numpy gather on index-set nodes.
+# Below this size, plain Python beats numpy gather on a MinCompare's indices.
 _SMALL = 64
 
 _INT64 = np.dtype(np.int64)
@@ -132,15 +133,9 @@ class Const:
 
 @dataclass(frozen=True, eq=False)
 class MinOver:
-    """Minimum over child expressions.
+    """Minimum over child expressions."""
 
-    For the common case of a minimum over many base candidates, pass
-    ``base_indices`` instead of materializing one Base child per index;
-    evaluation then runs as a single vectorized gather.
-    """
-
-    children: tuple["LossExpr", ...] | None = None
-    base_indices: np.ndarray | None = None
+    children: tuple["LossExpr", ...]
 
     def __post_init__(self):
         _init_over(self)
@@ -148,30 +143,19 @@ class MinOver:
 
 @dataclass(frozen=True, eq=False)
 class MaxOver:
-    """Maximum over child expressions; see MinOver for the two forms."""
+    """Maximum over child expressions."""
 
-    children: tuple["LossExpr", ...] | None = None
-    base_indices: np.ndarray | None = None
+    children: tuple["LossExpr", ...]
 
     def __post_init__(self):
         _init_over(self)
 
 
 def _init_over(node) -> None:
-    if (node.children is None) == (node.base_indices is None):
-        raise ValueError("exactly one of children / base_indices is required")
-    if node.children is not None:
-        children = tuple(node.children)
-        if not children:
-            raise ValueError("need at least one child")
-        object.__setattr__(node, "children", children)
-    else:
-        arr = node.base_indices
-        if not (isinstance(arr, np.ndarray) and arr.dtype == np.int64 and arr.ndim == 1):
-            arr = _index_array(arr)
-            object.__setattr__(node, "base_indices", arr)
-        if arr.size == 0:
-            raise ValueError("need at least one index")
+    children = tuple(node.children)
+    if not children:
+        raise ValueError("need at least one child")
+    object.__setattr__(node, "children", children)
 
 
 @dataclass(frozen=True, eq=False)
@@ -194,10 +178,7 @@ class GapOver:
     children: tuple["LossExpr", ...]
 
     def __post_init__(self):
-        children = tuple(self.children)
-        if not children:
-            raise ValueError("gap needs at least one child")
-        object.__setattr__(self, "children", children)
+        _init_over(self)
 
 
 @dataclass(frozen=True)
@@ -325,9 +306,9 @@ class BaseBatch(Sequence):
     """The queries Base(i) for the i of one index array, as a read-only sequence.
 
     ``len()`` is the array size, and iterating or indexing yields Base nodes
-    built on demand, so the batch holds one int64 array and no nodes.  The
-    oracle reads ``indices`` directly and answers the batch with one gather
-    and one noise draw.
+    built on demand, so the batch holds one int64 array and no nodes; a slice
+    is the BaseBatch of the sliced array.  The oracle reads ``indices``
+    directly and answers the batch with one gather and one noise draw.
     """
 
     __slots__ = ("indices",)
@@ -340,7 +321,9 @@ class BaseBatch(Sequence):
     def __len__(self) -> int:
         return self.indices.size
 
-    def __getitem__(self, i: int) -> Base:
+    def __getitem__(self, i):
+        if isinstance(i, slice):
+            return BaseBatch(self.indices[i])
         return Base(int(self.indices[i]))
 
     def __iter__(self):
@@ -365,17 +348,12 @@ def _two_smallest(values) -> tuple[float, float]:
     return s1, s2
 
 
-def _reduce_indices(idx: np.ndarray, losses, arr: np.ndarray, n: int, pick) -> float:
-    """``pick`` (min or max) of the losses at idx; among equal values the
-    first in index order, which only decides the sign of a zero."""
-    if idx.size <= _SMALL:
-        lst = idx.tolist()
-        if min(lst) < 0:
-            raise IndexError(f"negative candidate index in {lst}")
-        return pick([losses[i] for i in lst])
-    _check_bounds(idx, n)
+def _min_at(idx: np.ndarray, arr: np.ndarray) -> float:
+    """Minimum of arr at idx; among equal values the first in index order,
+    which only decides the sign of a zero."""
+    _check_bounds(idx, arr.size)
     sub = arr[idx]
-    v = sub.min() if pick is min else sub.max()
+    v = sub.min()
     if v == 0:  # numpy may return either zero; take the first one
         v = sub[np.flatnonzero(sub == 0)[0]]
     return float(v)
@@ -440,9 +418,8 @@ def _compare_value(node: MinCompare, instance: LossInstance, memo: dict | None) 
             raise IndexError(f"negative candidate index in {lst}")
         vals = [losses[i] for i in lst]
         return 0.5 * (min(vals[:split]) - min(vals[split:]))
-    arr, n = instance.as_array(), len(losses)
-    return 0.5 * (_reduce_indices(idx[:split], losses, arr, n, min)
-                  - _reduce_indices(idx[split:], losses, arr, n, min))
+    arr = instance.as_array()
+    return 0.5 * (_min_at(idx[:split], arr) - _min_at(idx[split:], arr))
 
 
 def eval_expr(expr: LossExpr, instance: LossInstance, memo: dict | None = None) -> float:
@@ -459,7 +436,6 @@ def eval_expr(expr: LossExpr, instance: LossInstance, memo: dict | None = None) 
     if type(expr) is MinCompare:
         return _compare_value(expr, instance, memo)
     losses = instance.losses
-    arr = instance.as_array()
     n = len(losses)
     if memo is None:
         memo = {}
@@ -480,32 +456,14 @@ def eval_expr(expr: LossExpr, instance: LossInstance, memo: dict | None = None) 
         elif t is Const:
             v = float(node.value)
         elif t is MinOver or t is MaxOver:
-            idx = node.base_indices
-            if idx is not None:
-                v = _reduce_indices(idx, losses, arr, n, min if t is MinOver else max)
-            else:
-                vals = [ev(c) for c in node.children]
-                v = min(vals) if t is MinOver else max(vals)
+            vals = [ev(c) for c in node.children]
+            v = min(vals) if t is MinOver else max(vals)
         elif t is Gap:
-            idx = node.indices
-            if idx.size == 1:
-                i = int(idx[0])
-                if not 0 <= i < n:
-                    raise IndexError(f"candidate index out of range: {i} vs n={n}")
-                v = math.inf
-            elif idx.size <= _SMALL:
-                lst = idx.tolist()
-                if min(lst) < 0:
-                    raise IndexError(f"negative candidate index in {lst}")
-                s1, s2 = _two_smallest(losses[i] for i in lst)
-                v = s2 - s1
-            else:
-                _check_bounds(idx, n)
-                sub = arr[idx]
-                s1, s2 = np.partition(sub, 1)[:2]
-                if s1 == 0 and s2 == 0:  # only then do the signs of the two matter
-                    s1, s2 = sub[np.flatnonzero(sub == 0)[:2]]
-                v = float(s2 - s1)
+            lst = node.indices.tolist()
+            if min(lst) < 0:
+                raise IndexError(f"negative candidate index in {lst}")
+            s1, s2 = _two_smallest(losses[i] for i in lst)
+            v = s2 - s1
         elif t is GapOver:
             if len(node.children) == 1:
                 ev(node.children[0])  # still validated
@@ -557,10 +515,7 @@ def sensitivity_bound(expr: LossExpr) -> float:
         elif t is Const:
             b = 0.0
         elif t is MinOver or t is MaxOver:
-            if node.base_indices is not None:
-                b = 1.0
-            else:
-                b = max(bd(c) for c in node.children)
+            b = max(bd(c) for c in node.children)
         elif t is Gap:
             b = 0.0 if node.indices.size == 1 else 2.0
         elif t is GapOver:
@@ -627,7 +582,8 @@ def build_tilde_loss(subset: Iterable[int], k: int, xi_value: float,
         raise ValueError("subset must be contained in the universe")
     offset = (k + math.sqrt(k)) * xi_value
     return Scale(0.5, MaxOver((
-        Sub(MinOver(base_indices=sub), AddConst(offset, MinOver(base_indices=uni))),
+        Sub(MinOver(tuple(map(Base, sub.tolist()))),
+            AddConst(offset, MinOver(tuple(map(Base, uni.tolist()))))),
         Scale(-1.0, Gap(sub)),
     )))
 
@@ -649,11 +605,7 @@ def format_expr(expr: LossExpr) -> str:
         return f"(const {_fmt_num(expr.value)})"
     if t is MinOver or t is MaxOver:
         tag = "min" if t is MinOver else "max"
-        if expr.base_indices is not None:
-            inner = " ".join(f"(base {int(i)})" for i in expr.base_indices)
-        else:
-            inner = " ".join(format_expr(c) for c in expr.children)
-        return f"({tag} {inner})"
+        return f"({tag} " + " ".join(format_expr(c) for c in expr.children) + ")"
     if t is Gap:
         return "(gap " + " ".join(str(int(i)) for i in expr.indices) + ")"
     if t is GapOver:

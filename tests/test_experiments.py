@@ -1,11 +1,14 @@
 """Experiment harness: configs, summaries, determinism, CLI surface."""
 
+import argparse
 import json
+import re
+from pathlib import Path
 
 import numpy as np
 import pytest
 
-from privsel.cli import main
+from privsel.cli import build_parser, main
 from privsel.core import MechanismConstants
 from privsel.experiments import (
     ConfigError, EmptyRecordsError, ExperimentConfig, InstanceSpec,
@@ -56,6 +59,12 @@ class TestConfig:
         lambda d: d.update(mechanisms=[]),
         lambda d: d.update(mechanisms=[{"name": "binary_tree",
                                         "constants": {"c_xi": -1}}]),
+        # misread before: a misspelt key silently ran the default constants,
+        # and bool("false") is True
+        lambda d: d.update(mechanisms=[{"name": "recursive_gap",
+                                        "constant": {"c_xi": 1.0}}]),
+        lambda d: d.update(fresh_instance_per_trial="false"),
+        lambda d: d.update(fresh_instance_per_trial=0),
     ])
     def test_invalid_configs_rejected(self, mutate):
         doc = {"instance": {"family": "constant", "size": 4},
@@ -63,6 +72,10 @@ class TestConfig:
         mutate(doc)
         with pytest.raises(ConfigError):
             ExperimentConfig.from_json(doc)
+
+    def test_fresh_instance_flag_must_be_a_bool(self):
+        with pytest.raises(ConfigError, match="fresh_instance_per_trial"):
+            make_config(fresh_instance_per_trial="false")
 
 
 class TestSummarize:
@@ -237,6 +250,36 @@ class TestCli:
         notjson = tmp_path / "x.json"
         notjson.write_text("{nope")
         assert main(["run", str(notjson)]) == 2
+
+    def test_misread_fields_exit_2_naming_them(self, tmp_path, capsys):
+        for bad, field in ((dict(CONFIG_DOC, mechanisms=[{"name": "recursive_gap",
+                                                          "constant": {"c_xi": 1.0}}]),
+                            "constant"),
+                           (dict(CONFIG_DOC, fresh_instance_per_trial="false"),
+                            "fresh_instance_per_trial")):
+            assert main(["run", self._write_config(tmp_path, bad)]) == 2
+            assert field in capsys.readouterr().err
+
+    def test_readme_synopsis_matches_parser(self):
+        # each synopsis line under README's "## CLI" against the parser
+        readme = (Path(__file__).resolve().parent.parent / "README.md").read_text()
+        synopsis = readme.split("\n## CLI\n", 1)[1].split("```")[1].strip().splitlines()
+        documented = {}
+        for line in synopsis:
+            prog, command = line.split()[:2]
+            assert prog == "privsel"
+            # <config.json> documents the positional "config" by its file type
+            documented[command] = (sorted(re.findall(r"--[\w-]+", line)),
+                                   [p.split(".")[0] for p in re.findall(r"<([\w.]+)>", line)])
+        commands = next(a for a in build_parser()._actions
+                        if isinstance(a, argparse._SubParsersAction)).choices
+        parsed = {
+            name: (sorted(flag for a in sub._actions if not isinstance(a, argparse._HelpAction)
+                          for flag in a.option_strings),
+                   [a.dest for a in sub._actions if not a.option_strings])
+            for name, sub in commands.items()
+        }
+        assert documented == parsed
 
     def test_gen_csv(self, tmp_path):
         out = tmp_path / "inst.csv"

@@ -171,6 +171,16 @@ class TestBaseBatch:
         assert runs[1][:2] == runs[0][:2] and runs[1][3] == runs[0][3] == 200
         assert runs[1][2] == pytest.approx(runs[0][2])
 
+    def test_sliced_batch_is_answered_as_a_fresh_one(self):
+        idx = np.random.default_rng(2).integers(0, 50, 30)
+        runs = []
+        for batch in (BaseBatch(np.append(idx, 7))[:-1], BaseBatch(idx[::-1])[::-1],
+                      BaseBatch(idx)):
+            oracle = BudgetOracle(self.INST, 1.0, seed=4)
+            answers = oracle.noisy_query_batch(batch, 0.01)
+            runs.append((answers.tobytes(), oracle.log_csv(), oracle.spent))
+        assert runs == [runs[2]] * 3
+
     def test_empty_batch_charges_nothing(self):
         oracle = BudgetOracle(self.INST, 1.0, seed=0)
         answers = oracle.noisy_query_batch(BaseBatch(np.empty(0, dtype=np.int64)), 0.5)
