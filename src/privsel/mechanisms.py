@@ -16,7 +16,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .core import LossInstance, MechanismConstants, DEFAULT_CONSTANTS, ceil_log2, loss_scale
-from .queries import BaseBatch, Level, MinCompare
+from .queries import BaseBatch, Level, MinCompare, _index_array
 
 __all__ = [
     "SelectionResult", "InfeasibleConfigError", "DEFAULT_WORK_CAP",
@@ -56,19 +56,21 @@ class SelectionResult:
 
 
 def _candidate_array(oracle, candidates) -> np.ndarray:
+    """The candidate set as a sorted, duplicate-free int64 array.
+
+    Indices follow ``queries._index_array``'s rules: a float or bool dtype
+    raises TypeError and input that is not one-dimensional ValueError.
+    """
     if candidates is None:
         return np.arange(oracle.n_candidates, dtype=np.int64)
-    if isinstance(candidates, np.ndarray) and candidates.dtype == np.int64:
-        arr = candidates
-        if arr.size <= 64:
-            lst = arr.tolist()
-            increasing = all(map(operator.lt, lst, lst[1:]))
-        else:
-            increasing = bool((arr[1:] > arr[:-1]).all())
-        if not increasing:
-            arr = np.unique(arr)
+    arr = _index_array(candidates)
+    if arr.size <= 64:
+        lst = arr.tolist()
+        increasing = all(map(operator.lt, lst, lst[1:]))
     else:
-        arr = np.unique(np.asarray(list(candidates), dtype=np.int64))
+        increasing = bool((arr[1:] > arr[:-1]).all())
+    if not increasing:
+        arr = np.unique(arr)
     if arr.size == 0:
         raise ValueError("candidate set must be non-empty")
     if arr[0] < 0 or arr[-1] >= oracle.n_candidates:
@@ -76,11 +78,23 @@ def _candidate_array(oracle, candidates) -> np.ndarray:
     return arr
 
 
+def _candidate_span(oracle, candidates) -> np.ndarray | range:
+    """The candidate set as a range when it is contiguous, else as an array."""
+    if candidates is None:
+        return range(oracle.n_candidates)
+    arr = _candidate_array(oracle, candidates)
+    if arr[-1] - arr[0] == arr.size - 1:
+        return range(int(arr[0]), int(arr[-1]) + 1)
+    return arr
+
+
 def _tournament(oracle, members, rho: float, level: Level | None = None) -> int:
     """Halving tournament; returns the position of the survivor in members.
 
-    members are base candidate indices, or, when ``level`` is given,
-    strictly increasing positions in that level's derived losses.  Each
+    members are base candidate indices, an int64 array or a step-1 range,
+    or, when ``level`` is given, strictly increasing positions in that
+    level's derived losses.  A range's spans stay ranges, so each round over
+    contiguous candidates is admitted in O(1) and reduced as two slices.  Each
     round queries half the difference of the two halves' minima (one
     MinCompare) with budget rho/K, K fixed from the initial size, and keeps
     the right half iff the noisy answer is strictly positive.  The survivors
@@ -113,7 +127,7 @@ def binary_tree_select(oracle, rho: float, candidates=None) -> SelectionResult:
     """
     if not rho > 0:
         raise ValueError(f"rho must be positive, got {rho}")
-    idx = _candidate_array(oracle, candidates)
+    idx = _candidate_span(oracle, candidates)
     spent0, rounds0 = oracle.spent, oracle.rounds_used
     pos = _tournament(oracle, idx, rho)
     return SelectionResult(
@@ -205,9 +219,9 @@ def recursive_gap_select(oracle, rho: float, beta: float,
         raise ValueError(f"rho must be positive, got {rho}")
     if not 0 < beta <= 1:
         raise ValueError(f"beta must lie in (0, 1], got {beta}")
+    idx = _candidate_array(oracle, candidates)
     if rng is None:
         rng = oracle.spawn_rng()
-    idx = _candidate_array(oracle, candidates)
     spent0, rounds0 = oracle.spent, oracle.rounds_used
     pos, depth = _recursive_gap(oracle, idx, rho, beta, consts, rng, work_cap)
     return SelectionResult(

@@ -30,7 +30,8 @@ Node semantics on a loss vector l (extended-real valued):
                        else P's own values; a singleton's gap is +inf
     LevelMin(L, Q)     min of the level vector L at the positions Q
     MinCompare(Q, s)   (min of l at Q[:s] - min of l at Q[s:]) / 2, the
-                       halving tournament's query; both parts non-empty
+                       halving tournament's query; both parts non-empty;
+                       Q is an int64 array or a step-1 range of indices
     MinCompare(Q, s, L)
                        the same over the level vector L at the strictly
                        increasing positions Q
@@ -44,7 +45,9 @@ numpy instead of node by node.  Minima and gaps take, among equal values,
 the first in position order, as the tree nodes' Python min does; that only
 decides the sign of a zero.  MinCompare follows the same rule at every size:
 up to 64 indices it reduces in Python, above it with numpy, and a zero numpy
-result is replaced by the first equal value in index order.  The tree nodes
+result is replaced by the first equal value in index order.  A range Q is
+admitted by an O(1) check of its ends and each side is reduced as a slice of
+the losses, with no bounds scan, gather or index copy.  The tree nodes
 reduce in plain Python at every size and share no numpy code with Level and
 MinCompare, so comparing the two is an independent check.
 
@@ -277,23 +280,29 @@ class MinCompare:
     (min v[indices[:split]] - min v[indices[split:]]) / 2, where v is the
     base losses, or ``level``'s derived losses when it is given; positions in
     a level must be strictly increasing.  Both sides must be non-empty.
+
+    Over base losses, a step-1 ``range`` of candidates is kept as given: it
+    is bounds-checked in O(1) at evaluation and each side is reduced as a
+    slice of the losses.  Every other input, and every level-form input, is
+    stored as an int64 array.
     """
 
-    indices: np.ndarray
+    indices: np.ndarray | range
     split: int
     level: Level | None = None
 
     def __post_init__(self):
         idx = self.indices
-        if not (type(idx) is np.ndarray and idx.dtype is _INT64 and idx.ndim == 1):
+        if not ((type(idx) is range and idx.step == 1 and self.level is None)
+                or (type(idx) is np.ndarray and idx.dtype is _INT64 and idx.ndim == 1)):
             idx = _index_array(idx)
             object.__setattr__(self, "indices", idx)
         split = self.split
         if type(split) is not int:
             split = operator.index(split)
             object.__setattr__(self, "split", split)
-        if not 0 < split < idx.size:
-            raise ValueError(f"split {split} leaves a side of {idx.size} indices empty")
+        if not 0 < split < len(idx):
+            raise ValueError(f"split {split} leaves a side of {len(idx)} indices empty")
         if self.level is not None:
             _check_level_positions(self.level, idx, "MinCompare")
 
@@ -348,11 +357,9 @@ def _two_smallest(values) -> tuple[float, float]:
     return s1, s2
 
 
-def _min_at(idx: np.ndarray, arr: np.ndarray) -> float:
-    """Minimum of arr at idx; among equal values the first in index order,
-    which only decides the sign of a zero."""
-    _check_bounds(idx, arr.size)
-    sub = arr[idx]
+def _min_of(sub: np.ndarray) -> float:
+    """Minimum of sub; among equal values the first in order, which only
+    decides the sign of a zero."""
     v = sub.min()
     if v == 0:  # numpy may return either zero; take the first one
         v = sub[np.flatnonzero(sub == 0)[0]]
@@ -412,6 +419,15 @@ def _compare_value(node: MinCompare, instance: LossInstance, memo: dict | None) 
         left, right = vals[idx[:split]], vals[idx[split:]]
         return 0.5 * (float(left[_first_min(left)]) - float(right[_first_min(right)]))
     losses = instance.losses
+    if type(idx) is range:
+        lo, hi = idx.start, idx.stop
+        if lo < 0 or hi > len(losses):
+            raise IndexError(f"candidate index out of range: [{lo}, {hi - 1}] vs n={len(losses)}")
+        mid = lo + split
+        if hi - lo <= _SMALL:
+            return 0.5 * (min(losses[lo:mid]) - min(losses[mid:hi]))
+        arr = instance.as_array()
+        return 0.5 * (_min_of(arr[lo:mid]) - _min_of(arr[mid:hi]))
     if idx.size <= _SMALL:
         lst = idx.tolist()
         if min(lst) < 0:
@@ -419,7 +435,8 @@ def _compare_value(node: MinCompare, instance: LossInstance, memo: dict | None) 
         vals = [losses[i] for i in lst]
         return 0.5 * (min(vals[:split]) - min(vals[split:]))
     arr = instance.as_array()
-    return 0.5 * (_min_at(idx[:split], arr) - _min_at(idx[split:], arr))
+    _check_bounds(idx, arr.size)
+    return 0.5 * (_min_of(arr[idx[:split]]) - _min_of(arr[idx[split:]]))
 
 
 def eval_expr(expr: LossExpr, instance: LossInstance, memo: dict | None = None) -> float:
@@ -618,7 +635,7 @@ def format_expr(expr: LossExpr) -> str:
         return f"(addc {_fmt_num(expr.offset)} {format_expr(expr.child)})"
     if t is MinCompare and expr.level is None:
         sides = (expr.indices[:expr.split], expr.indices[expr.split:])
-        left, right = ("(min " + " ".join(f"(base {i})" for i in side.tolist()) + ")"
+        left, right = ("(min " + " ".join(f"(base {i})" for i in map(int, side)) + ")"
                        for side in sides)
         return f"(scale {_fmt_num(0.5)} (sub {left} {right}))"
     if t is Level or t is LevelMin or t is MinCompare:

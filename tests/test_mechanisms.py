@@ -71,10 +71,67 @@ class TestBinaryTree:
         oracle = Recording(LossInstance(losses), 1.0, noiseless=True)
         assert binary_tree_select(oracle, 1.0, candidates=[1, 2, 3, 4, 5, 6]).winner == 4
         # survivors 1..6 -> right half 4..6 -> left half 4..5 -> left half 4
-        assert [(type(q), q.indices.tolist(), q.split, q.level) for q in submitted] == [
+        assert [(type(q), list(q.indices), q.split, q.level) for q in submitted] == [
             (MinCompare, [1, 2, 3, 4, 5, 6], 3, None),
             (MinCompare, [4, 5, 6], 2, None),
             (MinCompare, [4, 5], 1, None)]
+
+
+    def test_contiguous_candidates_submit_ranges(self):
+        submitted = []
+
+        class Recording(BudgetOracle):
+            def noisy_query(self, expr, rho_i):
+                submitted.append(type(expr.indices))
+                return super().noisy_query(expr, rho_i)
+
+        inst = LossInstance(np.arange(10.0))
+        for candidates, kind in ((None, range), (np.arange(10)[2:7], range),
+                                 ([5, 3, 4, 6], range), ([0, 2, 3, 5], np.ndarray)):
+            submitted.clear()
+            binary_tree_select(Recording(inst, 1.0, seed=0), 1.0, candidates=candidates)
+            assert submitted and all(t is kind for t in submitted)
+
+    def test_range_rounds_answer_as_array_rounds(self):
+        class AsArrays(BudgetOracle):
+            def noisy_query(self, expr, rho_i):
+                return super().noisy_query(MinCompare(np.asarray(expr.indices), expr.split), rho_i)
+
+        n = 1000
+        zeros = LossInstance(np.random.default_rng(0).choice([-0.0, 0.0, 1.0], n))
+        # noiseless, the log shows the sign of a zero answer
+        for inst, noiseless in ((generate_instance("uniform", n, 5.0, seed=4), False),
+                                (zeros, True)):
+            runs = []
+            for make, candidates in ((BudgetOracle, None), (BudgetOracle, np.arange(n)),
+                                     (AsArrays, None)):
+                oracle = make(inst, 1.0, seed=11, noiseless=noiseless)
+                runs.append((binary_tree_select(oracle, 1.0, candidates=candidates),
+                             oracle.log_csv()))
+            assert runs[0] == runs[1] == runs[2]
+
+
+class TestCandidateValidation:
+    """Candidate sets follow the query language's index rules."""
+
+    @pytest.mark.parametrize("select", [
+        lambda oracle, c: binary_tree_select(oracle, 1.0, candidates=c),
+        lambda oracle, c: recursive_gap_select(oracle, 1.0, 0.05, SCALED, candidates=c),
+    ], ids=["binary_tree", "recursive_gap"])
+    def test_bad_candidates_rejected_before_any_charge_or_draw(self, select):
+        inst = generate_instance("layered", 256, 2.0, seed=1)
+        fresh = BudgetOracle(inst, 1.0, seed=3)
+        expected = (select(fresh, None), fresh.log_csv())
+        # none is truncated, cast or flattened into a candidate set
+        for bad, error, match in (([0.5, 3.7], TypeError, "integers"),
+                                  (np.array([1.9, 2.2]), TypeError, "integers"),
+                                  ([True, False], TypeError, "integers"),
+                                  (np.array([[0, 1], [2, 3]]), ValueError, "one-dimensional")):
+            oracle = BudgetOracle(inst, 1.0, seed=3)
+            with pytest.raises(error, match=match):
+                select(oracle, bad)
+            assert (oracle.spent, oracle.rounds_used, oracle.log) == (0.0, 0, [])
+            assert (select(oracle, None), oracle.log_csv()) == expected
 
 
 class TestRecursiveGap:

@@ -14,7 +14,7 @@ from privsel.oracle import (
     RoundsExceededError, SensitivityViolationError, equal_budget_simulate,
     plan_equal_budget, LOG_CSV_HEADER,
 )
-from privsel.queries import Base, BaseBatch, Const, Gap, Level, LevelMin, Scale, Sub
+from privsel.queries import Base, BaseBatch, Const, Gap, Level, LevelMin, MinCompare, Scale, Sub
 from privsel.mechanisms import binary_tree_select, combined_select, query_all_baseline
 
 
@@ -69,6 +69,16 @@ class TestNoisyQuery:
             assert submitted and all(ref() is None for ref in submitted)
         finally:
             gc.enable()
+
+    def test_out_of_range_candidate_range_draws_nothing(self):
+        # a range is admitted by its ends alone; one past either end is refused
+        fresh = BudgetOracle(INST, 1.0, seed=3).noisy_query(Base(0), 0.5)
+        for bad in (range(-1, 3), range(0, len(INST) + 1)):
+            oracle = BudgetOracle(INST, 1.0, seed=3)
+            with pytest.raises(IndexError):
+                oracle.noisy_query(MinCompare(bad, 1), 0.1)
+            assert (oracle.spent, oracle.rounds_used, oracle.log) == (0.0, 0, [])
+            assert oracle.noisy_query(Base(0), 0.5) == fresh
 
     def test_nonfinite_query_rejected(self):
         oracle = BudgetOracle(INST, 1.0, seed=0)

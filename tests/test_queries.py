@@ -461,6 +461,46 @@ class TestMinCompare:
             with pytest.raises(IndexError):
                 eval_expr(MinCompare(idx, 1), inst)
 
+    @pytest.mark.parametrize("seed", range(20))
+    def test_range_form_matches_array_form_and_tree_bitwise(self, seed):
+        rng = np.random.default_rng([seed, 5])
+        n = int(rng.integers(2, 200))
+        inst = LossInstance(rng.choice([-0.0, 0.0, 1.0, 2.0], n))
+        # spans of 64 and 65 indices sit on both sides of the threshold
+        sizes = [int(rng.integers(2, n + 1)) for _ in range(8)] + [s for s in (64, 65) if s <= n]
+        for size in sizes:
+            lo = int(rng.integers(0, n - size + 1))
+            split = int(rng.integers(1, size))
+            node = MinCompare(range(lo, lo + size), split)
+            assert type(node.indices) is range
+            idx = np.arange(lo, lo + size)
+            array = MinCompare(idx, split)
+            tree = Scale(0.5, Sub(MinOver(bases(idx[:split])), MinOver(bases(idx[split:]))))
+            assert bits(eval_expr(node, inst)) == bits(eval_expr(array, inst))
+            assert bits(eval_expr(node, inst)) == bits(eval_expr(tree, inst))
+            assert sensitivity_bound(node) == 1.0
+            assert format_expr(node) == format_expr(array) == format_expr(tree)
+
+    def test_range_form_construction(self):
+        for split in (0, 5):
+            with pytest.raises(ValueError):
+                MinCompare(range(3, 8), split)
+        # only a step-1 range over base losses stays a range
+        level = Level(np.arange(4), [0, 1, 2, 3, 4], [0, 1, 2, 3], 1.0)
+        for indices, lvl, stored in ((range(0, 10, 2), None, [0, 2, 4, 6, 8]),
+                                     (range(3, 0, -1), None, [3, 2, 1]),
+                                     (range(1, 4), level, [1, 2, 3])):
+            node = MinCompare(indices, 1, lvl)
+            assert type(node.indices) is np.ndarray and node.indices.dtype == np.int64
+            assert node.indices.tolist() == stored
+
+    @pytest.mark.parametrize("size", [3, 100])
+    def test_range_checked_at_evaluation(self, size):
+        inst = LossInstance(np.arange(float(size)))
+        for bad in (range(-1, 3), range(0, size + 1)):
+            with pytest.raises(IndexError):
+                eval_expr(MinCompare(bad, 1), inst)
+
     def test_bound_follows_the_level(self):
         level = Level(np.arange(4), [0, 1, 4], [0, 1, 2, 3], 1.0)
         above = Level(level, [0, 1, 2], [0, 1], 1.0)
