@@ -37,6 +37,11 @@ class LossInstance:
 
     This is the ground truth that mechanisms may only observe through noisy
     queries.  Ties for the minimum are broken by the lowest index.
+
+    ``block_minima()`` is a table of the minima of the aligned blocks of
+    losses, built on its first call and kept for the instance's lifetime.
+    Among equal values a block's minimum is the first in index order, as
+    Python's ``min`` gives it; that only decides the sign of a zero.
     """
 
     losses: tuple[float, ...]
@@ -58,6 +63,30 @@ class LossInstance:
     def as_array(self) -> np.ndarray:
         """Read-only float64 view of the losses."""
         return self._array  # type: ignore[attr-defined]
+
+    def block_minima(self) -> np.ndarray:
+        """Minima of the aligned blocks of 2**j losses, j >= 1, as one heap.
+
+        With P the losses' count rounded up to a power of two and the losses
+        padded with +inf to P, the table has P entries and the minimum of
+        the block [lo, lo + 2**j), lo a multiple of 2**j, is entry
+        (P + lo) >> j; entry 0 is unused.  It is built bottom-up on the
+        first call, in about P extra floats, and cached.
+        """
+        table = self.__dict__.get("_block_minima")
+        if table is None:
+            arr = self._array  # type: ignore[attr-defined]
+            size = 1 << ceil_log2(arr.size)
+            table = np.full(size, math.inf)
+            level = np.full(size, math.inf)
+            level[:arr.size] = arr
+            while level.size > 1:
+                left, right = level[0::2], level[1::2]
+                level = np.where(right < left, right, left)  # ties keep the left value
+                table[level.size:2 * level.size] = level
+            table.setflags(write=False)
+            object.__setattr__(self, "_block_minima", table)
+        return table
 
     def min_index(self) -> int:
         """Smallest position attaining the minimum loss."""

@@ -58,26 +58,36 @@ __all__ = [
     "run_trials", "summarize", "run_experiment",
 ]
 
-# name -> (run(oracle, rho, beta, consts, rng), round_bound(n, beta, consts)).
+
+def _rng(seed) -> np.random.Generator | None:
+    """The Generator of a mechanism's seed entropy; None stays None."""
+    return None if seed is None else np.random.default_rng(seed)
+
+
+# name -> (run(oracle, rho, beta, consts, seed), round_bound(n, beta, consts)).
 # A round bound of None marks a mechanism outside the query model; its run
-# takes the instance in place of an oracle.  With rng=None a mechanism spawns
-# its stream from the oracle.  The entries call the mechanisms through this
-# module's names so that wrapping a name here reaches every caller.
+# takes the instance in place of an oracle.  seed is the entropy of the
+# mechanism's own stream, turned into a Generator only by the runs that draw
+# from it; with seed=None a mechanism spawns its stream from the oracle.  The
+# entries call the mechanisms through this module's names so that wrapping a
+# name here reaches every caller.
 MECHANISM_TABLE = {
     "binary_tree": (
-        lambda o, rho, beta, consts, rng: binary_tree_select(o, rho),
+        lambda o, rho, beta, consts, seed: binary_tree_select(o, rho),
         lambda n, beta, consts: binary_tree_round_bound(n)),
     "recursive_gap": (
-        lambda o, rho, beta, consts, rng: recursive_gap_select(o, rho, beta, consts, rng),
+        lambda o, rho, beta, consts, seed: recursive_gap_select(
+            o, rho, beta, consts, _rng(seed)),
         recursive_gap_round_bound),
     "combined": (
-        lambda o, rho, beta, consts, rng: combined_select(o, rho, consts, rng),
+        lambda o, rho, beta, consts, seed: combined_select(o, rho, consts, _rng(seed)),
         lambda n, beta, consts: combined_round_bound(n, consts)),
     "exponential": (
-        lambda instance, rho, beta, consts, rng: exponential_mechanism(instance, rho, rng),
+        lambda instance, rho, beta, consts, seed: exponential_mechanism(
+            instance, rho, _rng(seed)),
         None),
     "query_all": (
-        lambda o, rho, beta, consts, rng: query_all_baseline(o, rho),
+        lambda o, rho, beta, consts, seed: query_all_baseline(o, rho),
         lambda n, beta, consts: query_all_round_bound(n)),
 }
 
@@ -300,23 +310,23 @@ def run_trials(config: ExperimentConfig) -> list[TrialRecord]:
     if not config.fresh_instance_per_trial:
         instance = generate_instance(config.instance.family, config.instance.size,
                                      config.instance.scale, instance_seed)
+        best = instance.min_loss()
     records = []
     for trial in range(config.trials):
         if config.fresh_instance_per_trial:
             instance = generate_instance(
                 config.instance.family, config.instance.size, config.instance.scale,
                 _derived_seed(instance_seed, trial))
-        best = instance.min_loss()
+            best = instance.min_loss()
         for mi, spec in enumerate(config.mechanisms):
             run, round_bound = MECHANISM_TABLE[spec.name]
-            mech_rng = np.random.default_rng(
-                np.random.SeedSequence([config.master_seed, trial, 1 + mi]))
+            mech_seed = [config.master_seed, trial, 1 + mi]
             target = instance
             if round_bound is not None:
                 oracle_seed = np.random.SeedSequence([config.master_seed, trial])
                 target = BudgetOracle(instance, config.rho, oracle_seed, record_log=False)
             result = run(target, config.rho, config.beta,
-                         spec.constants or DEFAULT_CONSTANTS, mech_rng)
+                         spec.constants or DEFAULT_CONSTANTS, mech_seed)
             records.append(TrialRecord(
                 mechanism=spec.name,
                 trial=trial,

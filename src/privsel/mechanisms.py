@@ -1,9 +1,11 @@
 """Selection mechanisms over a budgeted Gaussian query oracle.
 
 Every mechanism here (except the exponential mechanism, which is a baseline
-outside the query model) touches the data exclusively through the oracle,
-submitting MinCompare queries to ``noisy_query`` and BaseBatch batches to
-``noisy_query_batch``: control flow depends only on noisy answers and the
+outside the query model) touches the data exclusively through the oracle:
+each halving tournament is one ``noisy_tournament`` call, combined_select's
+final comparison one MinCompare through ``noisy_query``, and query_all one
+BaseBatch through ``noisy_query_batch``.  Control flow, the tournament's
+inside the oracle included, depends only on noisy answers and the
 mechanism's own seeded randomness.
 """
 
@@ -55,14 +57,16 @@ class SelectionResult:
         }
 
 
-def _candidate_array(oracle, candidates) -> np.ndarray:
-    """The candidate set as a sorted, duplicate-free int64 array.
+def _candidate_span(oracle, candidates) -> np.ndarray | range:
+    """The candidate set, sorted and duplicate-free: a range when it is
+    contiguous (the default set of all candidates included), else an int64
+    array.
 
     Indices follow ``queries._index_array``'s rules: a float or bool dtype
     raises TypeError and input that is not one-dimensional ValueError.
     """
     if candidates is None:
-        return np.arange(oracle.n_candidates, dtype=np.int64)
+        return range(oracle.n_candidates)
     arr = _index_array(candidates)
     if arr.size <= 64:
         lst = arr.tolist()
@@ -75,46 +79,9 @@ def _candidate_array(oracle, candidates) -> np.ndarray:
         raise ValueError("candidate set must be non-empty")
     if arr[0] < 0 or arr[-1] >= oracle.n_candidates:
         raise IndexError("candidate index out of range")
-    return arr
-
-
-def _candidate_span(oracle, candidates) -> np.ndarray | range:
-    """The candidate set as a range when it is contiguous, else as an array."""
-    if candidates is None:
-        return range(oracle.n_candidates)
-    arr = _candidate_array(oracle, candidates)
     if arr[-1] - arr[0] == arr.size - 1:
         return range(int(arr[0]), int(arr[-1]) + 1)
     return arr
-
-
-def _tournament(oracle, members, rho: float, level: Level | None = None) -> int:
-    """Halving tournament; returns the position of the survivor in members.
-
-    members are base candidate indices, an int64 array or a step-1 range,
-    or, when ``level`` is given, strictly increasing positions in that
-    level's derived losses.  A range's spans stay ranges, so each round over
-    contiguous candidates is admitted in O(1) and reduced as two slices.  Each
-    round queries half the difference of the two halves' minima (one
-    MinCompare) with budget rho/K, K fixed from the initial size, and keeps
-    the right half iff the noisy answer is strictly positive.  The survivors
-    always form a contiguous span, so only (lo, hi) is tracked.
-    """
-    n = len(members)
-    if n == 1:
-        return 0
-    k = ceil_log2(n)
-    rho_round = rho / k
-    noisy_query = oracle.noisy_query
-    lo, hi = 0, n
-    while hi - lo > 1:
-        mid = lo + (hi - lo + 1) // 2
-        answer = noisy_query(MinCompare(members[lo:hi], mid - lo, level), rho_round)
-        if answer > 0:
-            lo = mid
-        else:
-            hi = mid
-    return lo
 
 
 def binary_tree_select(oracle, rho: float, candidates=None) -> SelectionResult:
@@ -122,14 +89,16 @@ def binary_tree_select(oracle, rho: float, candidates=None) -> SelectionResult:
 
     Splits the candidates in index order into the first ceil(n/2) and the
     rest, queries which half holds the smaller minimum, descends, and repeats;
-    exactly ceil(log2(n)) queries of budget rho/ceil(log2(n)) each.  A
-    singleton returns immediately with no budget spent.
+    at most ceil(log2(n)) queries (exactly that many when n is a power of
+    two) of budget rho/ceil(log2(n)) each, run by ``oracle.noisy_tournament``.
+    A contiguous candidate set is passed as a range.  A singleton returns
+    immediately with no budget spent.
     """
     if not rho > 0:
         raise ValueError(f"rho must be positive, got {rho}")
     idx = _candidate_span(oracle, candidates)
     spent0, rounds0 = oracle.spent, oracle.rounds_used
-    pos = _tournament(oracle, idx, rho)
+    pos = oracle.noisy_tournament(idx, rho)
     return SelectionResult(
         winner=int(idx[pos]),
         rounds_used=oracle.rounds_used - rounds0,
@@ -162,17 +131,16 @@ def _draw_subsets(rng, n: int, k: int, t_rounds: int) -> tuple[np.ndarray, np.nd
 def _recursive_gap(oracle, members, rho, beta, consts, rng, work_cap):
     """Returns (position of winner in members, recursion depth used).
 
-    members are base candidate indices, or a Level whose derived losses are
-    the candidates.
+    members are base candidate indices (a step-1 range or an int64 array),
+    or a Level whose derived losses are the candidates.
     """
     n = len(members)
     if n == 1:
         return 0, 0
     level = members if type(members) is Level else None
-    positions = members if level is None else np.arange(n)
     k = ceil_log2(n)
     if k <= consts.base_threshold_log or beta <= 2.0 ** (-k):
-        return _tournament(oracle, positions, rho, level), 0
+        return oracle.noisy_tournament(members if level is None else range(n), rho, level), 0
 
     log2_t = consts.t_coeff * math.sqrt(k) - 1.0
     # feasibility in log space: T * 2**(k-1) must stay under the work cap
@@ -183,6 +151,8 @@ def _recursive_gap(oracle, members, rho, beta, consts, rng, work_cap):
     xi_value = loss_scale(k, rho, beta, consts)
 
     indptr, indices = _draw_subsets(rng, n, k, t_rounds)
+    if type(members) is range:  # Level and the subset gather below need an array
+        members = np.arange(members.start, members.stop, dtype=np.int64)
     derived = Level(members, indptr, indices, (k + math.sqrt(k)) * xi_value)
 
     t_out, depth = _recursive_gap(
@@ -192,8 +162,8 @@ def _recursive_gap(oracle, members, rho, beta, consts, rng, work_cap):
         consts, rng, work_cap)
 
     sel = indices[indptr[t_out]:indptr[t_out + 1]]
-    pos = _tournament(oracle, positions[sel],
-                      (1.0 - consts.budget_split_recursive) * rho, level)
+    pos = oracle.noisy_tournament(sel if level is not None else members[sel],
+                                  (1.0 - consts.budget_split_recursive) * rho, level)
     return int(sel[pos]), depth + 1
 
 
@@ -219,7 +189,7 @@ def recursive_gap_select(oracle, rho: float, beta: float,
         raise ValueError(f"rho must be positive, got {rho}")
     if not 0 < beta <= 1:
         raise ValueError(f"beta must lie in (0, 1], got {beta}")
-    idx = _candidate_array(oracle, candidates)
+    idx = _candidate_span(oracle, candidates)
     if rng is None:
         rng = oracle.spawn_rng()
     spent0, rounds0 = oracle.spent, oracle.rounds_used

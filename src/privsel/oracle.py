@@ -5,12 +5,15 @@ submitted expression has sensitivity bound at most 1 and a finite value,
 answers with Gaussian noise of variance 1/(2*rho_i), and enforces that
 declared per-query budgets never sum past the total.  ``noisy_query`` takes
 one expression; ``noisy_query_batch`` takes one BaseBatch, the only batch
-form.
+form; ``noisy_tournament`` runs a whole halving tournament of MinCompare
+rounds, admitting its root query once and then checking finiteness,
+charging, drawing and logging each round as ``noisy_query`` would.
 
 Randomness contract (frozen for golden tests): all noise comes from a numpy
 ``Generator`` over the PCG64 bit generator, built from a ``SeedSequence``;
 draws consume the stream in query order via ``Generator.normal``.  A batch
-of K queries is one ``normal(size=K)`` draw, the values of K scalar draws.
+of K queries is one ``normal(size=K)`` draw, the values of K scalar draws; a
+tournament draws one scalar per round, in round order.
 The equal-budget adapter draws, per query, its m_i round noises and then
 the top-up noise when the top-up variance is positive; a batch of K queries
 sharing m_i is one ``normal`` draw of shape (K, m_i + top-up), the same
@@ -26,8 +29,11 @@ from typing import Callable
 
 import numpy as np
 
-from .core import LossInstance
-from .queries import BaseBatch, LossExpr, eval_expr, sensitivity_bound
+from .core import LossInstance, ceil_log2
+from .queries import (
+    BaseBatch, Level, LossExpr, MinCompare, _check_members, _span_value, eval_expr,
+    sensitivity_bound,
+)
 
 __all__ = [
     "OracleError", "BudgetExceededError", "SensitivityViolationError",
@@ -118,11 +124,15 @@ class BudgetOracle:
         """Independent child stream (deterministic given the oracle seed)."""
         return np.random.default_rng(self._seed_seq.spawn(1)[0])
 
-    def _admit(self, expr: LossExpr) -> tuple[float, float]:
+    def _bound(self, expr: LossExpr) -> float:
         bound = sensitivity_bound(expr)
         if bound > 1.0 + _SENSITIVITY_TOL:
             raise SensitivityViolationError(
                 f"sensitivity bound {bound} exceeds 1")
+        return bound
+
+    def _admit(self, expr: LossExpr) -> tuple[float, float]:
+        bound = self._bound(expr)
         value = eval_expr(expr, self.instance, self._eval_memo)
         if not math.isfinite(value):
             raise NonFiniteQueryError(f"query value is {value}")
@@ -162,6 +172,53 @@ class BudgetOracle:
         if self.record_log:
             self.log.append(QueryRecord(self.rounds_used - 1, rho_i, bound, answer))
         return answer
+
+    def noisy_tournament(self, members, rho: float, level: Level | None = None) -> int:
+        """Run a noisy halving tournament; return the survivor's position in members.
+
+        members are base candidate indices (a step-1 range or an index
+        array) or, with ``level``, strictly increasing positions in that
+        level's derived losses.  With K = ceil(log2(len(members))), each
+        round, at most K of them, answers MinCompare(members[lo:hi],
+        mid - lo, level), mid = lo + ceil((hi - lo) / 2), with budget rho / K,
+        and keeps the right half iff the noisy answer is > 0.  A singleton
+        returns 0 and charges, draws and logs nothing.
+
+        The root MinCompare(members, ceil(len / 2), level) is built and
+        admitted once: its sensitivity bound and its members are checked
+        before the first round, and a rejection charges, draws and logs
+        nothing.  Each round then does what one ``noisy_query`` of its span
+        would: evaluate, check finiteness, ``_charge``, ``_answer`` (one
+        draw, in round order), count and log the round, so a failure at
+        round j leaves exactly the rounds before j charged, drawn and logged.
+        """
+        n = len(members)
+        if n == 1:
+            return 0
+        rho_round = rho / ceil_log2(n)
+        if not rho_round > 0:
+            raise ValueError(f"rho must be positive, got {rho}")
+        root = MinCompare(members, (n + 1) // 2, level)
+        bound = self._bound(root)
+        instance = self.instance
+        _check_members(root, len(instance))
+        memo, charge, answer_of = self._eval_memo, self._charge, self._answer
+        lo, hi = 0, n
+        while hi - lo > 1:
+            mid = lo + (hi - lo + 1) // 2
+            value = _span_value(root, lo, mid, hi, instance, memo)
+            if not math.isfinite(value):
+                raise NonFiniteQueryError(f"query value is {value}")
+            charge(rho_round)
+            answer = answer_of(value, rho_round)
+            self.rounds_used += 1
+            if self.record_log:
+                self.log.append(QueryRecord(self.rounds_used - 1, rho_round, bound, answer))
+            if answer > 0:
+                lo = mid
+            else:
+                hi = mid
+        return lo
 
     def noisy_query_batch(self, batch: BaseBatch, rho_each: float) -> np.ndarray:
         """Answer the queries Base(i) of a BaseBatch, each with budget rho_each.
@@ -251,12 +308,14 @@ def plan_equal_budget(rho_i: float, m_bound: int, rho: float) -> EqualBudgetPlan
 class EqualBudgetAdapter(BudgetOracle):
     """A BudgetOracle whose answers are built from equal-budget rounds.
 
-    Admission, the batch sequence, logging and ``spawn_rng`` are the
-    oracle's own, so any mechanism runs unchanged; the adapter supplies the
-    charge and answer hooks.  The declared contract (at most ``m_bound``
-    variable-budget rounds, total budget at most ``rho``) is enforced; the
-    induced equal-budget round count ``inner_rounds_used`` then never
-    exceeds 2 * m_bound by construction.
+    Admission, the query, batch and tournament sequences, logging and
+    ``spawn_rng`` are the oracle's own, so any mechanism runs unchanged; the
+    adapter supplies the charge and answer hooks.  The declared contract (at
+    most ``m_bound`` variable-budget rounds, total budget at most ``rho``)
+    is enforced in the charge hooks, so every entry point checks it: a
+    query's round check comes after its sensitivity and finiteness checks
+    and before its budget check.  The induced equal-budget round count
+    ``inner_rounds_used`` then never exceeds 2 * m_bound by construction.
     """
 
     def __init__(self, instance: LossInstance, m_bound: int, rho: float,
@@ -276,6 +335,13 @@ class EqualBudgetAdapter(BudgetOracle):
             plan = plan_equal_budget(rho_i, self.m_bound, self.total_budget)
             self._last_plan = (rho_i, plan)
         return plan
+
+    def _charge(self, amount: float) -> None:
+        """Check the declared round bound, then charge one query."""
+        if self.rounds_used + 1 > self.m_bound:
+            raise RoundsExceededError(
+                f"mechanism exceeded its declared bound of {self.m_bound} rounds")
+        super()._charge(amount)
 
     def _answer(self, value: float, rho_i: float) -> float:
         """Average m_i equal-budget rounds, then top up to variance 1/(2*rho_i)."""
@@ -337,11 +403,6 @@ class EqualBudgetAdapter(BudgetOracle):
             answers += noise[:, repeats]
         return answers
 
-    def noisy_query(self, expr: LossExpr, rho_i: float) -> float:
-        if self.rounds_used + 1 > self.m_bound:
-            raise RoundsExceededError(
-                f"mechanism exceeded its declared bound of {self.m_bound} rounds")
-        return super().noisy_query(expr, rho_i)
 
 
 def equal_budget_simulate(instance: LossInstance,

@@ -43,11 +43,20 @@ one build_tilde_loss-shaped tree per subset gives (MinOver / GapOver over
 the level below, the universe being all of it), evaluated level by level in
 numpy instead of node by node.  Minima and gaps take, among equal values,
 the first in position order, as the tree nodes' Python min does; that only
-decides the sign of a zero.  MinCompare follows the same rule at every size:
-up to 64 indices it reduces in Python, above it with numpy, and a zero numpy
-result is replaced by the first equal value in index order.  A range Q is
-admitted by an O(1) check of its ends and each side is reduced as a slice of
-the losses, with no bounds scan, gather or index copy.  The tree nodes
+decides the sign of a zero.  Each side of a MinCompare follows the same rule
+at every size: up to 64 indices it reduces in Python, above it with numpy,
+and a zero numpy result is replaced by the first equal value in index order.
+A range Q is admitted by an O(1) check of its ends and each side is reduced
+as a slice of the losses, with no bounds scan, gather or index copy; a side
+that is an aligned block of more than 64 candidates (2**j of them, starting
+at a multiple of 2**j) reads one entry of the instance's cached
+``block_minima`` table, built by the same rule.
+
+The halving tournament (``BudgetOracle.noisy_tournament``) admits its root
+MinCompare(Q, s, L) once and evaluates each round, MinCompare(Q[lo:hi],
+mid - lo, L), from (root, lo, mid, hi) with ``_span_value``: no node is
+built or checked per round.  ``eval_expr`` on a MinCompare is the same
+evaluator over the full span, after the admission check.  The tree nodes
 reduce in plain Python at every size and share no numpy code with Level and
 MinCompare, so comparing the two is an independent check.
 
@@ -412,31 +421,63 @@ def _level_values(level: Level, instance: LossInstance, memo: dict) -> np.ndarra
     return values
 
 
-def _compare_value(node: MinCompare, instance: LossInstance, memo: dict | None) -> float:
-    idx, split = node.indices, node.split
+def _check_members(node: MinCompare, n: int) -> None:
+    """A base-form MinCompare's candidates must lie in range(n).
+
+    A range is checked by its ends in O(1); a level form's positions were
+    checked against its level when the node was built.
+    """
     if node.level is not None:
-        vals = _level_values(node.level, instance, {} if memo is None else memo)
-        left, right = vals[idx[:split]], vals[idx[split:]]
-        return 0.5 * (float(left[_first_min(left)]) - float(right[_first_min(right)]))
-    losses = instance.losses
-    if type(idx) is range:
-        lo, hi = idx.start, idx.stop
-        if lo < 0 or hi > len(losses):
-            raise IndexError(f"candidate index out of range: [{lo}, {hi - 1}] vs n={len(losses)}")
-        mid = lo + split
-        if hi - lo <= _SMALL:
-            return 0.5 * (min(losses[lo:mid]) - min(losses[mid:hi]))
-        arr = instance.as_array()
-        return 0.5 * (_min_of(arr[lo:mid]) - _min_of(arr[mid:hi]))
+        return
+    idx = node.indices
+    if type(idx) is not range:
+        _check_bounds(idx, n)
+    elif idx.start < 0 or idx.stop > n:
+        raise IndexError(f"candidate index out of range: [{idx.start}, {idx.stop - 1}] vs n={n}")
+
+
+def _range_min(instance: LossInstance, lo: int, hi: int) -> float:
+    """Minimum of the losses in [lo, hi), by the tie rule of _min_of."""
+    size = hi - lo
+    if size <= _SMALL:
+        return min(instance.losses[lo:hi])
+    if size & (size - 1) == 0 and lo % size == 0:  # an aligned block: one table entry
+        table = instance.block_minima()
+        return float(table[(table.size + lo) // size])
+    return _min_of(instance.as_array()[lo:hi])
+
+
+def _array_min(instance: LossInstance, idx: np.ndarray) -> float:
+    """Minimum of the losses at the in-range indices idx, by the same rule."""
     if idx.size <= _SMALL:
-        lst = idx.tolist()
-        if min(lst) < 0:
-            raise IndexError(f"negative candidate index in {lst}")
-        vals = [losses[i] for i in lst]
-        return 0.5 * (min(vals[:split]) - min(vals[split:]))
-    arr = instance.as_array()
-    _check_bounds(idx, arr.size)
-    return 0.5 * (_min_of(arr[idx[:split]]) - _min_of(arr[idx[split:]]))
+        losses = instance.losses
+        return min([losses[i] for i in idx.tolist()])
+    return _min_of(instance.as_array()[idx])
+
+
+def _span_value(node: MinCompare, lo: int, mid: int, hi: int, instance: LossInstance,
+                memo: dict) -> float:
+    """Value of MinCompare(node.indices[lo:hi], mid - lo, node.level).
+
+    ``node`` must have been admitted (``_check_members``): no span node is
+    built and nothing is checked again.
+    """
+    idx = node.indices
+    if node.level is not None:
+        vals = _level_values(node.level, instance, memo)
+        left, right = vals[idx[lo:mid]], vals[idx[mid:hi]]
+        return 0.5 * (float(left[_first_min(left)]) - float(right[_first_min(right)]))
+    if type(idx) is range:
+        start = idx.start
+        return 0.5 * (_range_min(instance, start + lo, start + mid)
+                      - _range_min(instance, start + mid, start + hi))
+    return 0.5 * (_array_min(instance, idx[lo:mid]) - _array_min(instance, idx[mid:hi]))
+
+
+def _compare_value(node: MinCompare, instance: LossInstance, memo: dict | None) -> float:
+    _check_members(node, len(instance))
+    return _span_value(node, 0, node.split, len(node.indices), instance,
+                       {} if memo is None else memo)
 
 
 def eval_expr(expr: LossExpr, instance: LossInstance, memo: dict | None = None) -> float:

@@ -11,6 +11,7 @@ from privsel.mechanisms import (
     combined_round_bound, exponential_mechanism, query_all_baseline,
     recursive_gap_round_bound, recursive_gap_select,
 )
+from privsel import oracle as oracle_module
 from privsel.oracle import BudgetOracle
 from privsel.queries import BaseBatch, MinCompare
 
@@ -59,38 +60,50 @@ class TestBinaryTree:
         oracle = _oracle([2.0, 2.0, 2.0, 2.0], 1.0, noiseless=True)
         assert binary_tree_select(oracle, 1.0).winner == 0
 
-    def test_each_round_is_one_comparison_of_adjacent_halves(self):
-        submitted = []
+    @staticmethod
+    def _recording(monkeypatch):
+        """An oracle class recording, per tournament, (members type, level, rounds).
+
+        A round is its span query as (indices, split), read from the span
+        evaluator the oracle calls once per round.
+        """
+        tournaments = []
+        span_value = oracle_module._span_value
+
+        def recording_span(root, lo, mid, hi, instance, memo):
+            tournaments[-1][2].append((list(root.indices[lo:hi]), mid - lo))
+            return span_value(root, lo, mid, hi, instance, memo)
+
+        monkeypatch.setattr(oracle_module, "_span_value", recording_span)
 
         class Recording(BudgetOracle):
-            def noisy_query(self, expr, rho_i):
-                submitted.append(expr)
-                return super().noisy_query(expr, rho_i)
+            def noisy_tournament(self, members, rho, level=None):
+                tournaments.append((type(members), level, []))
+                return super().noisy_tournament(members, rho, level)
 
+        return Recording, tournaments
+
+    def test_each_round_is_one_comparison_of_adjacent_halves(self, monkeypatch):
+        Recording, tournaments = self._recording(monkeypatch)
         losses = [5.0, 4.0, 3.0, 9.0, 0.0, 7.0, 8.0]
         oracle = Recording(LossInstance(losses), 1.0, noiseless=True)
         assert binary_tree_select(oracle, 1.0, candidates=[1, 2, 3, 4, 5, 6]).winner == 4
         # survivors 1..6 -> right half 4..6 -> left half 4..5 -> left half 4
-        assert [(type(q), list(q.indices), q.split, q.level) for q in submitted] == [
-            (MinCompare, [1, 2, 3, 4, 5, 6], 3, None),
-            (MinCompare, [4, 5, 6], 2, None),
-            (MinCompare, [4, 5], 1, None)]
+        assert tournaments == [(range, None, [
+            ([1, 2, 3, 4, 5, 6], 3),
+            ([4, 5, 6], 2),
+            ([4, 5], 1)])]
+        assert oracle.rounds_used == 3
 
-
-    def test_contiguous_candidates_submit_ranges(self):
-        submitted = []
-
-        class Recording(BudgetOracle):
-            def noisy_query(self, expr, rho_i):
-                submitted.append(type(expr.indices))
-                return super().noisy_query(expr, rho_i)
-
+    def test_contiguous_candidates_submit_ranges(self, monkeypatch):
+        Recording, tournaments = self._recording(monkeypatch)
         inst = LossInstance(np.arange(10.0))
         for candidates, kind in ((None, range), (np.arange(10)[2:7], range),
                                  ([5, 3, 4, 6], range), ([0, 2, 3, 5], np.ndarray)):
-            submitted.clear()
+            tournaments.clear()
             binary_tree_select(Recording(inst, 1.0, seed=0), 1.0, candidates=candidates)
-            assert submitted and all(t is kind for t in submitted)
+            assert [(t, level) for t, level, _ in tournaments] == [(kind, None)]
+            assert tournaments[0][2]
 
     def test_range_rounds_answer_as_array_rounds(self):
         class AsArrays(BudgetOracle):
