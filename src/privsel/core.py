@@ -42,6 +42,8 @@ class LossInstance:
     losses, built on its first call and kept for the instance's lifetime.
     Among equal values a block's minimum is the first in index order, as
     Python's ``min`` gives it; that only decides the sign of a zero.
+    ``block_min`` reads it, building it only once the instance has been
+    asked for enough blocks to pay for it.
     """
 
     losses: tuple[float, ...]
@@ -71,22 +73,47 @@ class LossInstance:
         padded with +inf to P, the table has P entries and the minimum of
         the block [lo, lo + 2**j), lo a multiple of 2**j, is entry
         (P + lo) >> j; entry 0 is unused.  It is built bottom-up on the
-        first call, in about P extra floats, and cached.
+        first call, in P extra floats, and cached.
         """
         table = self.__dict__.get("_block_minima")
         if table is None:
-            arr = self._array  # type: ignore[attr-defined]
-            size = 1 << ceil_log2(arr.size)
-            table = np.full(size, math.inf)
-            level = np.full(size, math.inf)
-            level[:arr.size] = arr
+            level = self._array  # type: ignore[attr-defined]
+            size = 1 << ceil_log2(level.size)
+            if level.size < size:
+                level = np.concatenate([level, np.full(size - level.size, math.inf)])
+            has_zero = not level.all()
+            table = np.empty(size)
+            table[0] = math.inf
             while level.size > 1:
                 left, right = level[0::2], level[1::2]
-                level = np.where(right < left, right, left)  # ties keep the left value
-                table[level.size:2 * level.size] = level
+                level = table[left.size:2 * left.size]
+                np.minimum(left, right, out=level)
+                if has_zero:  # np.minimum may pick either of two equal zeros; keep the left one
+                    zeros = np.flatnonzero(level == 0)
+                    level[zeros] = np.where(left[zeros] == 0, left[zeros], right[zeros])
             table.setflags(write=False)
             object.__setattr__(self, "_block_minima", table)
         return table
+
+    def block_min(self, lo: int, size: int) -> float | None:
+        """Minimum of the aligned block [lo, lo + size) from the table, or None.
+
+        size is a power of two and lo a multiple of it.  Building the table
+        costs about as much as reducing 2 * P losses, so it is built only
+        once the blocks asked for hold more than 2 * P losses in all; until
+        then this returns None and the caller reduces the block.  One halving
+        tournament asks for fewer, so an instance that serves a single
+        tournament never builds the table.  Callers on other threads can at
+        worst lose a count or build the same table twice.
+        """
+        table = self.__dict__.get("_block_minima")
+        if table is None:
+            asked = self.__dict__.get("_block_losses_asked", 0) + size
+            object.__setattr__(self, "_block_losses_asked", asked)
+            if asked <= 2 << ceil_log2(len(self)):
+                return None
+            table = self.block_minima()
+        return float(table[(table.size + lo) // size])
 
     def min_index(self) -> int:
         """Smallest position attaining the minimum loss."""

@@ -131,13 +131,6 @@ class BudgetOracle:
                 f"sensitivity bound {bound} exceeds 1")
         return bound
 
-    def _admit(self, expr: LossExpr) -> tuple[float, float]:
-        bound = self._bound(expr)
-        value = eval_expr(expr, self.instance, self._eval_memo)
-        if not math.isfinite(value):
-            raise NonFiniteQueryError(f"query value is {value}")
-        return bound, value
-
     def _charge(self, amount: float) -> None:
         if self.spent + amount > self.total_budget * (1.0 + RELATIVE_BUDGET_SLACK):
             raise BudgetExceededError(
@@ -154,6 +147,17 @@ class BudgetOracle:
             return value
         return value + self._generator().normal(0.0, math.sqrt(1.0 / (2.0 * rho_i)))
 
+    def _respond(self, value: float, rho_i: float, bound: float) -> float:
+        """Check, charge, answer and log one admitted query whose value is value."""
+        if not math.isfinite(value):
+            raise NonFiniteQueryError(f"query value is {value}")
+        self._charge(rho_i)
+        answer = self._answer(value, rho_i)
+        self.rounds_used += 1
+        if self.record_log:
+            self.log.append(QueryRecord(self.rounds_used - 1, rho_i, bound, answer))
+        return answer
+
     def _answer_batch(self, values: np.ndarray, rho_each: float) -> np.ndarray:
         """The noisy answers to a charged batch: one normal(size=len) draw."""
         if self.noiseless:
@@ -165,13 +169,8 @@ class BudgetOracle:
         """Answer expr(instance) + N(0, 1/(2*rho_i)), charging rho_i."""
         if not rho_i > 0:
             raise ValueError(f"rho_i must be positive, got {rho_i}")
-        bound, value = self._admit(expr)
-        self._charge(rho_i)
-        answer = self._answer(value, rho_i)
-        self.rounds_used += 1
-        if self.record_log:
-            self.log.append(QueryRecord(self.rounds_used - 1, rho_i, bound, answer))
-        return answer
+        bound = self._bound(expr)
+        return self._respond(eval_expr(expr, self.instance, self._eval_memo), rho_i, bound)
 
     def noisy_tournament(self, members, rho: float, level: Level | None = None) -> int:
         """Run a noisy halving tournament; return the survivor's position in members.
@@ -188,9 +187,10 @@ class BudgetOracle:
         admitted once: its sensitivity bound and its members are checked
         before the first round, and a rejection charges, draws and logs
         nothing.  Each round then does what one ``noisy_query`` of its span
-        would: evaluate, check finiteness, ``_charge``, ``_answer`` (one
-        draw, in round order), count and log the round, so a failure at
-        round j leaves exactly the rounds before j charged, drawn and logged.
+        would: evaluate, then ``_respond`` (check finiteness, ``_charge``,
+        ``_answer`` with one draw in round order, count and log the round),
+        so a failure at round j leaves exactly the rounds before j charged,
+        drawn and logged.
         """
         n = len(members)
         if n == 1:
@@ -202,19 +202,11 @@ class BudgetOracle:
         bound = self._bound(root)
         instance = self.instance
         _check_members(root, len(instance))
-        memo, charge, answer_of = self._eval_memo, self._charge, self._answer
+        memo, respond = self._eval_memo, self._respond
         lo, hi = 0, n
         while hi - lo > 1:
             mid = lo + (hi - lo + 1) // 2
-            value = _span_value(root, lo, mid, hi, instance, memo)
-            if not math.isfinite(value):
-                raise NonFiniteQueryError(f"query value is {value}")
-            charge(rho_round)
-            answer = answer_of(value, rho_round)
-            self.rounds_used += 1
-            if self.record_log:
-                self.log.append(QueryRecord(self.rounds_used - 1, rho_round, bound, answer))
-            if answer > 0:
+            if respond(_span_value(root, lo, mid, hi, instance, memo), rho_round, bound) > 0:
                 lo = mid
             else:
                 hi = mid

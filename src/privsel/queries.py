@@ -50,7 +50,8 @@ A range Q is admitted by an O(1) check of its ends and each side is reduced
 as a slice of the losses, with no bounds scan, gather or index copy; a side
 that is an aligned block of more than 64 candidates (2**j of them, starting
 at a multiple of 2**j) reads one entry of the instance's cached
-``block_minima`` table, built by the same rule.
+``block_minima`` table, built by the same rule, once the instance has been
+asked for enough such blocks to pay for building it (``block_min``).
 
 The halving tournament (``BudgetOracle.noisy_tournament``) admits its root
 MinCompare(Q, s, L) once and evaluates each round, MinCompare(Q[lo:hi],
@@ -442,8 +443,9 @@ def _range_min(instance: LossInstance, lo: int, hi: int) -> float:
     if size <= _SMALL:
         return min(instance.losses[lo:hi])
     if size & (size - 1) == 0 and lo % size == 0:  # an aligned block: one table entry
-        table = instance.block_minima()
-        return float(table[(table.size + lo) // size])
+        value = instance.block_min(lo, size)
+        if value is not None:
+            return value
     return _min_of(instance.as_array()[lo:hi])
 
 

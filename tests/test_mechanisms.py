@@ -13,7 +13,7 @@ from privsel.mechanisms import (
 )
 from privsel import oracle as oracle_module
 from privsel.oracle import BudgetOracle
-from privsel.queries import BaseBatch, MinCompare
+from privsel.queries import BaseBatch
 
 SCALED = MechanismConstants(c_xi=1.0, p_xi=1, base_threshold_log=6)
 
@@ -107,8 +107,9 @@ class TestBinaryTree:
 
     def test_range_rounds_answer_as_array_rounds(self):
         class AsArrays(BudgetOracle):
-            def noisy_query(self, expr, rho_i):
-                return super().noisy_query(MinCompare(np.asarray(expr.indices), expr.split), rho_i)
+            def noisy_tournament(self, members, rho, level=None):
+                assert type(members) is range and level is None
+                return super().noisy_tournament(np.asarray(members), rho, level)
 
         n = 1000
         zeros = LossInstance(np.random.default_rng(0).choice([-0.0, 0.0, 1.0], n))

@@ -50,13 +50,20 @@ class TestNoisyQuery:
     def test_trial_leaves_no_reference_cycle(self):
         # with the collector off, only reference counting frees the oracle's
         # memo and the query nodes it pins; a cycle through it would keep
-        # them alive after the trial
-        submitted = []
+        # them alive after the trial.  Every admitted node passes through
+        # _bound: each noisy_query's expression and each tournament's root.
+        admitted, levels, tournaments = [], [], []
 
         class Recording(BudgetOracle):
-            def noisy_query(self, expr, rho_i):
-                submitted.append(weakref.ref(expr))
-                return super().noisy_query(expr, rho_i)
+            def _bound(self, expr):
+                admitted.append((type(expr), weakref.ref(expr)))
+                return super()._bound(expr)
+
+            def noisy_tournament(self, members, rho, level=None):
+                tournaments.append(len(members))
+                if level is not None:
+                    levels.append(weakref.ref(level))
+                return super().noisy_tournament(members, rho, level)
 
         scaled = MechanismConstants(c_xi=1.0, p_xi=1, base_threshold_log=6)
         gc.collect()
@@ -65,8 +72,12 @@ class TestNoisyQuery:
             oracle = Recording(generate_instance("layered", 256, 1.0, 0), 1.0, seed=3)
             assert combined_select(oracle, 1.0, scaled).recursion_depth > 0
             assert len(oracle._eval_memo) > 0
+            # one root per tournament of two or more, plus the final comparison
+            compares = sum(kind is MinCompare for kind, _ in admitted)
+            assert compares == 1 + sum(size > 1 for size in tournaments) > 1 and levels
             del oracle
-            assert submitted and all(ref() is None for ref in submitted)
+            assert all(ref() is None for _, ref in admitted)
+            assert all(ref() is None for ref in levels)
         finally:
             gc.enable()
 

@@ -92,19 +92,25 @@ def test_tournament_equals_per_query_loop(form, kind):
             continue  # the level form's cost is the derivation, not the rounds
         instance, members, level = members_of(form, n, rng)
         rounds = ceil_log2(n)
-        for noiseless in (False, True):
-            fast, slow, gathered = (make_oracle(kind, instance, rounds, noiseless)
-                                    for _ in range(3))
-            survivor = fast.noisy_tournament(members, 1.0, level)
-            assert survivor == reference_tournament(slow, members, 1.0, level), n
-            assert survivor == reference_tournament(gathered, members, 1.0, level, True), n
-            assert 0 < fast.rounds_used <= rounds or n == 1
-            assert state(fast) == state(slow) == state(gathered), n
+        # range spans read the table only once enough blocks were asked for;
+        # run them again with it built, so that aligned sides read it
+        for table in ((False, True) if form == "range" else (False,)):
+            if table:
+                instance.block_minima()
+            for noiseless in (False, True):
+                fast, slow, gathered = (make_oracle(kind, instance, rounds, noiseless)
+                                        for _ in range(3))
+                survivor = fast.noisy_tournament(members, 1.0, level)
+                assert survivor == reference_tournament(slow, members, 1.0, level), n
+                assert survivor == reference_tournament(gathered, members, 1.0, level, True), n
+                assert 0 < fast.rounds_used <= rounds or n == 1
+                assert state(fast) == state(slow) == state(gathered), n
 
 
+@pytest.mark.parametrize("values", [ZEROS, [1.0, 2.0, 3.0]], ids=["zeros", "nonzero"])
 @pytest.mark.parametrize("n", [1, 2, 3, 5, 64, 100, 128, 129, 1000, 1024])
-def test_block_minima_are_python_min_of_every_aligned_block(n):
-    instance = LossInstance(np.random.default_rng(n).choice(ZEROS, n))
+def test_block_minima_are_python_min_of_every_aligned_block(n, values):
+    instance = LossInstance(np.random.default_rng(n).choice(values, n))
     table = instance.block_minima()
     size = table.size
     assert size == 1 << ceil_log2(n)
@@ -130,6 +136,9 @@ def test_budget_failure_leaves_earlier_rounds(failing_round):
         reference_tournament(slow, range(256), 1.0)
     assert fast.rounds_used == len(fast.log) == failing_round
     assert state(fast) == state(slow)
+    # the failing round drew nothing: the next draw is the stream's next value
+    draws = np.random.default_rng(2).normal(size=failing_round + 2)
+    assert fast._generator().normal() == draws[-1]
 
 
 @pytest.mark.parametrize("failing_round", range(1, 8))
@@ -178,10 +187,17 @@ def test_out_of_range_members_charge_and_draw_nothing(kind):
         assert (oracle.spent, oracle.rounds_used, oracle.log, oracle._rng) == (0.0, 0, [], None)
 
 
-def test_only_aligned_spans_build_the_table():
+def test_table_is_built_once_the_blocks_asked_for_pay_for_it():
     instance = LossInstance(np.random.default_rng(3).uniform(0, 1, 1 << 10))
     query_all_baseline(BudgetOracle(instance, 1.0, seed=0), 1.0)
     exponential_mechanism(instance, 1.0, np.random.default_rng(0))
     assert "_block_minima" not in vars(instance)
-    binary_tree_select(BudgetOracle(instance, 1.0, seed=0), 1.0)
+    # one tournament asks for blocks of 2 * (512 + 256 + 128) < 2 * 1024 losses
+    first = BudgetOracle(instance, 1.0, seed=0)
+    binary_tree_select(first, 1.0)
+    assert "_block_minima" not in vars(instance)
+    # the second one's first round passes 2 * 1024 and builds it
+    second = BudgetOracle(instance, 1.0, seed=0)
+    binary_tree_select(second, 1.0)
     assert "_block_minima" in vars(instance)
+    assert second.log_csv() == first.log_csv()
