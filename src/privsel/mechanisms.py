@@ -3,10 +3,10 @@
 Every mechanism here (except the exponential mechanism, which is a baseline
 outside the query model) touches the data exclusively through the oracle:
 each halving tournament is one ``noisy_tournament`` call, combined_select's
-final comparison one MinCompare through ``noisy_query``, and query_all one
-BaseBatch through ``noisy_query_batch``.  Control flow, the tournament's
-inside the oracle included, depends only on noisy answers and the
-mechanism's own seeded randomness.
+final comparison a two-member one, and query_all one ``BaseBatch(range(n))``
+through ``noisy_query_batch``, answered in one noise buffer.  Control flow,
+the tournament's inside the oracle included, depends only on noisy answers
+and the mechanism's own seeded randomness.
 """
 
 from __future__ import annotations
@@ -18,7 +18,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .core import LossInstance, MechanismConstants, DEFAULT_CONSTANTS, ceil_log2, loss_scale
-from .queries import BaseBatch, Level, MinCompare, _index_array
+from .queries import BaseBatch, Level, _index_array
 
 __all__ = [
     "SelectionResult", "InfeasibleConfigError", "DEFAULT_WORK_CAP",
@@ -208,8 +208,8 @@ def combined_select(oracle, rho: float,
     """Best of the recursive mechanism and the tournament, by one comparison.
 
     Runs recursive_gap_select with (rho/3, beta=1/K) and binary_tree_select
-    with rho/3, then spends the last rho/3 comparing the two winners' losses;
-    returns the second winner iff the noisy comparison is strictly positive.
+    with rho/3, then spends the last rho/3 on a two-member tournament of
+    the two winners: the second wins iff that comparison is strictly positive.
     """
     if not rho > 0:
         raise ValueError(f"rho must be positive, got {rho}")
@@ -223,8 +223,8 @@ def combined_select(oracle, rho: float,
     spent0, rounds0 = oracle.spent, oracle.rounds_used
     first = recursive_gap_select(oracle, rho / 3.0, beta, consts, rng)
     second = binary_tree_select(oracle, rho / 3.0)
-    answer = oracle.noisy_query(MinCompare([first.winner, second.winner], 1), rho / 3.0)
-    winner = second.winner if answer > 0 else first.winner
+    pos = oracle.noisy_tournament([first.winner, second.winner], rho / 3.0)
+    winner = second.winner if pos == 1 else first.winner
     return SelectionResult(
         winner=winner,
         rounds_used=oracle.rounds_used - rounds0,
@@ -238,15 +238,18 @@ def exponential_mechanism(instance: LossInstance, rho: float,
     """Classical baseline outside the query model.
 
     Samples a candidate with probability proportional to exp(-eps*loss/2)
-    where eps = sqrt(2*rho), via a max-shifted stable softmax.
+    where eps = sqrt(2*rho), via a max-shifted stable softmax built in place
+    in one n-float buffer.  That eps is the conservative pure-DP to zCDP
+    conversion (eps-DP implies eps**2/2-zCDP); the bounded-range sqrt(8*rho)
+    is deliberately not used.
     """
     if not rho > 0:
         raise ValueError(f"rho must be positive, got {rho}")
     eps = math.sqrt(2.0 * rho)
-    logits = -0.5 * eps * instance.as_array()
-    logits = logits - logits.max()
-    weights = np.exp(logits)
-    probs = weights / weights.sum()
+    probs = -0.5 * eps * instance.as_array()
+    probs -= probs.max()
+    np.exp(probs, out=probs)
+    probs /= probs.sum()
     winner = int(rng.choice(len(probs), p=probs))
     return SelectionResult(winner=winner, rounds_used=0, budget_spent=rho)
 
@@ -260,7 +263,7 @@ def query_all_baseline(oracle, rho: float) -> SelectionResult:
         raise ValueError(f"rho must be positive, got {rho}")
     n = oracle.n_candidates
     spent0, rounds0 = oracle.spent, oracle.rounds_used
-    answers = oracle.noisy_query_batch(BaseBatch(np.arange(n, dtype=np.int64)), rho / n)
+    answers = oracle.noisy_query_batch(BaseBatch(range(n)), rho / n)
     return SelectionResult(
         winner=int(np.argmin(answers)),
         rounds_used=oracle.rounds_used - rounds0,

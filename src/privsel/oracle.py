@@ -31,7 +31,7 @@ import numpy as np
 
 from .core import LossInstance, ceil_log2
 from .queries import (
-    BaseBatch, Level, LossExpr, MinCompare, _check_members, _span_value, eval_expr,
+    BaseBatch, Level, LossExpr, MinCompare, _check_indices, _span_value, eval_expr,
     sensitivity_bound,
 )
 
@@ -159,11 +159,14 @@ class BudgetOracle:
         return answer
 
     def _answer_batch(self, values: np.ndarray, rho_each: float) -> np.ndarray:
-        """The noisy answers to a charged batch: one normal(size=len) draw."""
+        """The noisy answers to a charged batch, always a fresh array: one
+        normal(size=len) draw with values (maybe a view of the losses) added in."""
         if self.noiseless:
-            return values
+            return values.copy()
         sigma = math.sqrt(1.0 / (2.0 * rho_each))
-        return values + self._generator().normal(0.0, sigma, size=values.size)
+        answers = self._generator().normal(0.0, sigma, size=values.size)
+        answers += values  # noise + value: IEEE addition is commutative
+        return answers
 
     def noisy_query(self, expr: LossExpr, rho_i: float) -> float:
         """Answer expr(instance) + N(0, 1/(2*rho_i)), charging rho_i."""
@@ -201,7 +204,8 @@ class BudgetOracle:
         root = MinCompare(members, (n + 1) // 2, level)
         bound = self._bound(root)
         instance = self.instance
-        _check_members(root, len(instance))
+        if level is None:
+            _check_indices(root.indices, len(instance))
         memo, respond = self._eval_memo, self._respond
         lo, hi = 0, n
         while hi - lo > 1:
@@ -216,8 +220,9 @@ class BudgetOracle:
         """Answer the queries Base(i) of a BaseBatch, each with budget rho_each.
 
         Equivalent to one noisy_query per query, in order, answered as one
-        vectorised batch: range check, ``_charge_batch``, one gather,
-        ``_answer_batch`` (the values of that many scalar answers), then the
+        vectorised batch: range check (a range's two ends), ``_charge_batch``,
+        ``_answer_batch`` over a range's slice view or an array's gather (the
+        values of that many scalar answers, in one noise buffer), then the
         log.  The batch is admitted whole or not at all: a rejected batch
         charges, draws and logs nothing.  Any input other than a BaseBatch
         raises TypeError.
@@ -227,13 +232,14 @@ class BudgetOracle:
         if not rho_each > 0:
             raise ValueError(f"rho_each must be positive, got {rho_each}")
         idx = batch.indices
-        count = idx.size
+        count = len(idx)
         if count == 0:
             return np.empty(0)
-        if idx.min() < 0 or idx.max() >= self.n_candidates:
-            raise IndexError("candidate index out of range in batch")
+        _check_indices(idx, self.n_candidates)
         self._charge_batch(rho_each, count)
-        answers = self._answer_batch(self.instance.as_array()[idx], rho_each)
+        losses = self.instance.as_array()
+        values = losses[idx.start:idx.stop] if type(idx) is range else losses[idx]
+        answers = self._answer_batch(values, rho_each)
         start = self.rounds_used
         self.rounds_used += count
         if self.record_log:

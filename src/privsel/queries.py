@@ -61,8 +61,10 @@ evaluator over the full span, after the admission check.  The tree nodes
 reduce in plain Python at every size and share no numpy code with Level and
 MinCompare, so comparing the two is an independent check.
 
-A BaseBatch is not a node: it is the sequence of Base(i) for the i of one
-int64 index array, which the oracle answers as one vectorised batch.
+A BaseBatch is not a node: it is the sequence of Base(i) for the i of a
+step-1 range, kept as given, or of an int64 index array, which the oracle
+answers as one vectorised batch in one noise buffer; a range is admitted by
+its ends and read as a slice of the losses, with no gather.
 
 Sensitivity calculus (upper bound on the change of the value between loss
 vectors differing by at most 1 per coordinate):
@@ -322,23 +324,25 @@ LossExpr = Union[Base, Const, MinOver, MaxOver, Gap, GapOver, Sub, Scale, AddCon
 
 
 class BaseBatch(Sequence):
-    """The queries Base(i) for the i of one index array, as a read-only sequence.
+    """The queries Base(i) for the i of some indices, as a read-only sequence.
 
-    ``len()`` is the array size, and iterating or indexing yields Base nodes
-    built on demand, so the batch holds one int64 array and no nodes; a slice
-    is the BaseBatch of the sliced array.  The oracle reads ``indices``
-    directly and answers the batch with one gather and one noise draw.
+    ``indices`` is a step-1 ``range`` kept as given, as in MinCompare, or
+    else a read-only int64 array.  ``len()`` is their count, and iterating
+    or indexing yields Base nodes with ``int`` indices built on demand, so
+    the batch holds no nodes; a slice is the BaseBatch of the sliced
+    indices.  The oracle answers the batch in one noise buffer.
     """
 
     __slots__ = ("indices",)
 
     def __init__(self, indices):
-        arr = _index_array(indices).view()
-        arr.flags.writeable = False
-        self.indices = arr
+        if type(indices) is not range or indices.step != 1:
+            indices = _index_array(indices).view()
+            indices.flags.writeable = False
+        self.indices = indices
 
     def __len__(self) -> int:
-        return self.indices.size
+        return len(self.indices)
 
     def __getitem__(self, i):
         if isinstance(i, slice):
@@ -346,7 +350,8 @@ class BaseBatch(Sequence):
         return Base(int(self.indices[i]))
 
     def __iter__(self):
-        return map(Base, self.indices.tolist())
+        idx = self.indices
+        return map(Base, idx if type(idx) is range else idx.tolist())
 
 
 def _check_bounds(arr: np.ndarray, n: int) -> None:
@@ -422,15 +427,9 @@ def _level_values(level: Level, instance: LossInstance, memo: dict) -> np.ndarra
     return values
 
 
-def _check_members(node: MinCompare, n: int) -> None:
-    """A base-form MinCompare's candidates must lie in range(n).
-
-    A range is checked by its ends in O(1); a level form's positions were
-    checked against its level when the node was built.
-    """
-    if node.level is not None:
-        return
-    idx = node.indices
+def _check_indices(idx: np.ndarray | range, n: int) -> None:
+    """Non-empty candidate indices (a MinCompare's or a BaseBatch's) must lie
+    in range(n); a step-1 range is checked by its ends in O(1)."""
     if type(idx) is not range:
         _check_bounds(idx, n)
     elif idx.start < 0 or idx.stop > n:
@@ -461,8 +460,8 @@ def _span_value(node: MinCompare, lo: int, mid: int, hi: int, instance: LossInst
                 memo: dict) -> float:
     """Value of MinCompare(node.indices[lo:hi], mid - lo, node.level).
 
-    ``node`` must have been admitted (``_check_members``): no span node is
-    built and nothing is checked again.
+    ``node`` must have been admitted (a base form's indices checked by
+    ``_check_indices``): no span node is built and nothing is checked again.
     """
     idx = node.indices
     if node.level is not None:
@@ -477,7 +476,8 @@ def _span_value(node: MinCompare, lo: int, mid: int, hi: int, instance: LossInst
 
 
 def _compare_value(node: MinCompare, instance: LossInstance, memo: dict | None) -> float:
-    _check_members(node, len(instance))
+    if node.level is None:
+        _check_indices(node.indices, len(instance))
     return _span_value(node, 0, node.split, len(node.indices), instance,
                        {} if memo is None else memo)
 

@@ -1,11 +1,14 @@
 """Selection mechanisms: structure, budget safety, recovery behavior."""
 
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
 
-from privsel.core import LossInstance, MechanismConstants, ceil_log2, generate_instance
+from privsel.core import (
+    INSTANCE_FAMILIES, LossInstance, MechanismConstants, ceil_log2, generate_instance,
+)
 from privsel.mechanisms import (
     InfeasibleConfigError, binary_tree_select, combined_select,
     combined_round_bound, exponential_mechanism, query_all_baseline,
@@ -288,6 +291,37 @@ class TestExponentialMechanism:
         assert all(exponential_mechanism(inst, 1.0, rng).winner == 0
                    for _ in range(2000))
 
+    @staticmethod
+    def _out_of_place_probs(instance, rho):
+        """The reference formula: every step into a new array."""
+        eps = math.sqrt(2.0 * rho)
+        logits = -0.5 * eps * instance.as_array()
+        logits = logits - logits.max()
+        weights = np.exp(logits)
+        return weights / weights.sum()
+
+    @pytest.mark.parametrize("rho", [0.01, 1.0, 100.0])
+    @pytest.mark.parametrize("family", INSTANCE_FAMILIES)
+    def test_probabilities_are_the_out_of_place_formula_bit_for_bit(self, family, rho):
+        class Recording:  # stands in for the Generator and keeps the probabilities
+            def choice(self, a, p):
+                seen.append(p.copy())
+                return 0
+
+        # an odd size reaches the vector loops' tails; at scale 1e5 every
+        # family but the constant one has weights that underflow to 0
+        for scale in (1.0, 1e5):
+            inst = generate_instance(family, 4099, scale, 7)
+            expected = self._out_of_place_probs(inst, rho)
+            seen = []
+            exponential_mechanism(inst, rho, Recording())
+            assert seen[0].tobytes() == expected.tobytes()
+            assert (scale == 1e5 and family != "constant") == (expected == 0).any()
+            for seed in range(10):
+                reference = int(np.random.default_rng(seed).choice(expected.size, p=expected))
+                result = exponential_mechanism(inst, rho, np.random.default_rng(seed))
+                assert result.winner == reference
+
     def test_result_fields(self):
         rng = np.random.default_rng(3)
         result = exponential_mechanism(LossInstance((0.0, 1.0)), 1.0, rng)
@@ -356,3 +390,24 @@ def test_combined_round_bound_holds():
     for seed in range(5):
         oracle = BudgetOracle(inst, 1.0, seed=seed, record_log=False)
         assert combined_select(oracle, 1.0).rounds_used <= bound
+
+
+@pytest.mark.parametrize("trial, ceiling", [
+    (lambda inst, t: exponential_mechanism(inst, 1.0, np.random.default_rng(t)), 2.1),
+    (lambda inst, t: query_all_baseline(
+        BudgetOracle(inst, 1.0, seed=t, record_log=False), 1.0), 1.1),
+], ids=["exponential", "query_all"])
+def test_full_vector_trial_allocation_ceiling(trial, ceiling):
+    # traced peak of one warmed trial, in n-float buffers: the exponential
+    # mechanism keeps its weights and Generator.choice's cdf, query_all one
+    # noise buffer that becomes its answers
+    n = 1 << 16
+    inst = generate_instance("uniform", n, 1.0, 0)
+    trial(inst, 0)
+    tracemalloc.start()
+    try:
+        trial(inst, 1)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak <= ceiling * 8 * n

@@ -72,9 +72,11 @@ class TestNoisyQuery:
             oracle = Recording(generate_instance("layered", 256, 1.0, 0), 1.0, seed=3)
             assert combined_select(oracle, 1.0, scaled).recursion_depth > 0
             assert len(oracle._eval_memo) > 0
-            # one root per tournament of two or more, plus the final comparison
+            # one root per tournament of two or more; the final comparison is
+            # the last of them, a tournament of the two winners
             compares = sum(kind is MinCompare for kind, _ in admitted)
-            assert compares == 1 + sum(size > 1 for size in tournaments) > 1 and levels
+            assert compares == sum(size > 1 for size in tournaments) > 2 and levels
+            assert tournaments[-1] == 2 and admitted[-1][0] is MinCompare
             del oracle
             assert all(ref() is None for _, ref in admitted)
             assert all(ref() is None for ref in levels)
@@ -203,10 +205,37 @@ class TestBaseBatch:
         assert runs == [runs[2]] * 3
 
     def test_empty_batch_charges_nothing(self):
-        oracle = BudgetOracle(self.INST, 1.0, seed=0)
-        answers = oracle.noisy_query_batch(BaseBatch(np.empty(0, dtype=np.int64)), 0.5)
-        assert answers.shape == (0,)
-        assert (oracle.spent, oracle.rounds_used, oracle.log) == (0.0, 0, [])
+        for empty in (np.empty(0, dtype=np.int64), range(0), range(9, 9)):
+            oracle = BudgetOracle(self.INST, 1.0, seed=0)
+            answers = oracle.noisy_query_batch(BaseBatch(empty), 0.5)
+            assert type(answers) is np.ndarray and answers.shape == (0,)
+            assert (oracle.spent, oracle.rounds_used, oracle.log) == (0.0, 0, [])
+
+    @pytest.mark.parametrize("noiseless", [False, True])
+    @pytest.mark.parametrize("adapter", [False, True])
+    def test_range_batch_is_its_index_array_bit_for_bit(self, adapter, noiseless):
+        # a step-1 range is read as a slice, any other range as an array
+        for seed, (a, b, step) in enumerate(((0, 50, 1), (7, 31, 1), (49, 50, 1),
+                                             (1, 50, 3), (40, 2, -5))):
+            runs = []
+            for idx in (range(a, b, step), np.arange(a, b, step)):
+                if adapter:
+                    oracle = EqualBudgetAdapter(self.INST, 64, 1.0, seed=seed,
+                                                noiseless=noiseless)
+                else:
+                    oracle = BudgetOracle(self.INST, 1.0, seed=seed, noiseless=noiseless)
+                answers = oracle.noisy_query_batch(BaseBatch(idx), 0.01)
+                following = oracle.noisy_query(Base(0), 0.01)
+                runs.append((answers.tobytes(), oracle.spent, oracle.rounds_used,
+                             oracle.log_csv(), following))
+            assert runs[0] == runs[1]
+
+    def test_noiseless_answers_are_a_fresh_array(self):
+        for idx in (range(50), range(3, 9), np.arange(50)):
+            answers = BudgetOracle(self.INST, 1.0, noiseless=True).noisy_query_batch(
+                BaseBatch(idx), 0.01)
+            assert answers.flags.writeable
+            assert not np.shares_memory(answers, self.INST.as_array())
 
     def _first_answer_after(self, failing_call):
         oracle = BudgetOracle(self.INST, 1.0, seed=3)
@@ -216,7 +245,7 @@ class TestBaseBatch:
 
     def test_rejected_batches_draw_nothing(self):
         fresh = BudgetOracle(self.INST, 1.0, seed=3).noisy_query(Base(0), 0.5)
-        for bad in ([0, 50], [-1, 0]):
+        for bad in ([0, 50], [-1, 0], range(-1, 3), range(48, 51)):
             def out_of_range(oracle, bad=bad):
                 with pytest.raises(IndexError):
                     oracle.noisy_query_batch(BaseBatch(bad), 0.1)

@@ -594,6 +594,28 @@ class TestBaseBatch:
         assert batch[-2] == Base(2)
         assert batch.index(Base(2)) == 2 and Base(5) in batch
 
+    def test_step_one_range_is_kept_and_any_other_becomes_an_array(self):
+        assert BaseBatch(range(3, 9)).indices == range(3, 9)
+        assert BaseBatch(range(0)).indices == range(0)
+        for r in (range(0, 10, 3), range(9, 2, -1)):
+            indices = BaseBatch(r).indices
+            assert type(indices) is np.ndarray and indices.dtype == np.int64
+            assert indices.tolist() == list(r) and not indices.flags.writeable
+
+    def test_range_batch_slices_and_iterates_as_its_array(self):
+        batch = BaseBatch(range(3, 9))
+        assert len(batch) == 6
+        items = list(batch)
+        assert items == [Base(i) for i in range(3, 9)]
+        assert all(type(b.index) is int for b in items)
+        assert batch[0] == Base(3) and batch[-1] == Base(8)
+        assert type(batch[2].index) is int
+        for s in (slice(1, 4), slice(None, None, 2), slice(None, None, -1), slice(4, 1)):
+            part = batch[s]
+            assert type(part) is BaseBatch
+            assert list(part) == [Base(i) for i in list(range(3, 9))[s]]
+            assert all(type(b.index) is int for b in part)
+
 
 class TestSerialization:
     def test_canonical_examples(self):
