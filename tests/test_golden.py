@@ -22,6 +22,7 @@ from privsel.mechanisms import (
     recursive_gap_select,
 )
 from privsel.oracle import BudgetOracle, equal_budget_simulate
+from privsel.verify import appendix_grid
 
 SCALED = MechanismConstants(c_xi=1.0, p_xi=1, base_threshold_log=6)
 SCALED_DOC = {"c_xi": 1.0, "p_xi": 1, "base_threshold_log": 6}
@@ -145,6 +146,10 @@ SIMULATE_DIGEST = "d432bebc035a9bec62ab6dd2af2e29cc3635d4e3707740bb9172639297b37
 
 VERIFY_QUICK_DIGEST = "4a288600c16e34cc7701a3bc1377738e89d403761361d6720283e37e32d910a0"
 
+# The full default grid (6 K x 31 beta x 3 rho points, three checks each) as
+# report CSV rows: pins every verdict, margin and note the full report prints.
+APPENDIX_GRID_DIGEST = "476e1b0ec587f9930f3e047a340ca3ebb092735a61b74313c977a45f64b35dc9"
+
 
 def oracle_log(name: str) -> str:
     instance, mechanism, _ = ORACLE_LOGS[name]
@@ -210,3 +215,10 @@ def test_verify_quick_report(tmp_path):
     (csv,) = cli_outputs(tmp_path, ["verify", "--grid", "quick", "--fuzz-trials", "300",
                                     "--subset-draws", "20000", "--rate-trials", "3000"])
     assert sha256(csv) == VERIFY_QUICK_DIGEST
+
+
+def test_appendix_grid_full_rows():
+    rows = "".join(f"{r.claim},{r.params},{r.verdict.value},{r.margin!r},{r.note}\n"
+                   for r in appendix_grid())
+    assert rows.count("\n") == 3 * 6 * 31 * 3
+    assert sha256(rows) == APPENDIX_GRID_DIGEST

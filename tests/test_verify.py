@@ -1,5 +1,6 @@
 """Certification module: inequalities, combinatorics, fuzzing."""
 
+import itertools
 import math
 from fractions import Fraction
 from math import comb
@@ -106,6 +107,47 @@ class TestAppendixGrid:
         b = appendix_grid(ks=(2000,), betas=(1e-4,), rhos=(0.01, 100.0))
         assert a == b
 
+    @pytest.mark.parametrize("consts", [MechanismConstants(), SCALED,
+                                        MechanismConstants(t_coeff=2.0, p_xi=3)])
+    def test_matches_per_point_checks(self, consts):
+        # 1024 = 32**2 makes the round-count exponent an exact integer
+        ks, betas, rhos = (1000, 1024, 10**5), (1e-3, 3.2768e-4, 1e-9), (1e-2, 1.0, 1e2)
+        expected = []
+        for k in ks:
+            for beta in betas:
+                for rho in rhos:
+                    expected.extend(check(k, rho, beta, consts) for check in (
+                        scale_dominance_result, error_recursion_result,
+                        gap_margin_result))
+        got = appendix_grid(consts, ks=ks, betas=betas, rhos=rhos)
+        assert len(got) == len(expected) == 81
+        for g, e in zip(got, expected):
+            assert (g.claim, g.params, g.verdict, g.note) == \
+                (e.claim, e.params, e.verdict, e.note)
+            assert g.margin == e.margin
+
+
+def enum_per_element(k, i_star, k_star):
+    """Reference enumeration: classify every subset element by element."""
+    n, size = 1 << k, 1 << (k - k_star)
+    top, blocked_hi = 1 << i_star, 1 << k_star
+    hits = 0
+    for subset in itertools.combinations(range(n), size):
+        top_hits = 0
+        ok = True
+        for y in subset:
+            if y < top:
+                top_hits += 1
+                if top_hits > 1:
+                    ok = False
+                    break
+            elif y < blocked_hi:
+                ok = False
+                break
+        if ok and top_hits == 1:
+            hits += 1
+    return Fraction(hits, comb(n, size))
+
 
 class TestSubsetEventProbability:
     def test_worked_value(self):
@@ -127,6 +169,14 @@ class TestSubsetEventProbability:
     def test_enumeration_matches(self):
         assert subset_event_probability_enum(6, 2, 4) == subset_event_probability(6, 2, 4)
         assert subset_event_probability_enum(4, 1, 3) == Fraction(16, 120)
+
+    def test_enumeration_matches_per_element_reference(self):
+        cases = [(k, i_star, k_star) for k in range(1, 17) for k_star in range(1, k + 1)
+                 if comb(1 << k, 1 << (k - k_star)) <= 10**5
+                 for i_star in range(k_star)]
+        assert (16, 0, 16) in cases and (1, 0, 1) in cases and (8, 3, 7) in cases
+        for case in cases:
+            assert subset_event_probability_enum(*case) == enum_per_element(*case), case
 
     def test_enumeration_cap(self):
         with pytest.raises(ValueError):
