@@ -19,6 +19,7 @@ import dataclasses
 import json
 import math
 import sys
+from operator import attrgetter
 
 import numpy as np
 
@@ -30,7 +31,7 @@ from .oracle import equal_budget_simulate
 from .verify import (
     CheckResult, Verdict, appendix_grid, check_good_subset_rate, sensitivity_fuzz,
     subset_event_mc, subset_event_probability, subset_event_probability_dp,
-    subset_event_probability_enum, ENUM_MAX_SUBSETS, GRID_KS,
+    subset_event_probability_enum, ENUM_MAX_SUBSETS, GRID_BETAS,
 )
 
 REPORT_CSV_HEADER = "claim,params,verdict,margin,note"
@@ -90,12 +91,10 @@ def _cmd_verify(args) -> int:
     results = []
     consts = _load_constants(args.constants) or MechanismConstants()
 
-    ks = GRID_KS if args.grid == "full" else (1000, 10**4, 10**6)
     if args.grid == "quick":
-        betas = tuple(1e-3 * 0.8**d for d in range(0, 31, 6))
-        results.extend(appendix_grid(consts, ks=ks, betas=betas))
+        results.extend(appendix_grid(consts, ks=(1000, 10**4, 10**6), betas=GRID_BETAS[::6]))
     else:
-        results.extend(appendix_grid(consts, ks=ks))
+        results.extend(appendix_grid(consts))
 
     # closed-form subset probability vs two exact oracles on all small cases:
     # the sequential-draw DP, then literal enumeration where it is tractable
@@ -193,8 +192,10 @@ def _cmd_simulate_equal_budget(args) -> int:
                 instance, mech, m_bound, config.rho, seed, record_log=False)
             errors.append(instance.losses[result.winner] - best)
             rounds.append(adapter.inner_rounds_used)
-            repeats.extend(p.per_query_repeats for p in adapter.plans)
-            topups.extend(p.topup_variance for p in adapter.plans)
+            repeats.append(np.fromiter(map(attrgetter("per_query_repeats"), adapter.plans), int))
+            topups.append(np.fromiter(map(attrgetter("topup_variance"), adapter.plans), float))
+        # np.mean sums pairwise: it needs all trials' values in query order
+        repeats, topups = np.concatenate(repeats), np.concatenate(topups)
         lines.append(
             f"{spec.name},{config.trials},{m_bound},{2 * m_bound},"
             f"{float(np.mean(errors))!r},{float(np.mean(rounds))!r},"

@@ -611,7 +611,7 @@ def build_bintree_query(c1: Iterable[int], c2: Iterable[int]) -> LossExpr:
     a2 = np.unique(_index_array(c2))
     if a1.size == 0 or a2.size == 0:
         raise ValueError("both candidate sets must be non-empty")
-    if np.intersect1d(a1, a2).size:
+    if np.intersect1d(a1, a2, assume_unique=True).size:
         raise ValueError("candidate sets must be disjoint")
     return MinCompare(np.concatenate((a1, a2)), a1.size)
 
@@ -638,7 +638,8 @@ def build_tilde_loss(subset: Iterable[int], k: int, xi_value: float,
     uni = np.unique(_index_array(universe))
     if sub.size == 0:
         raise ValueError("subset must be non-empty")
-    if np.setdiff1d(sub, uni).size:
+    pos = np.searchsorted(uni, sub)  # both sorted: contained iff every sub hits itself
+    if pos[-1] == uni.size or np.any(uni[pos] != sub):
         raise ValueError("subset must be contained in the universe")
     offset = (k + math.sqrt(k)) * xi_value
     return Scale(0.5, MaxOver((

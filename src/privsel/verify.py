@@ -78,19 +78,23 @@ class CheckResult:
 # here (the float-path functions in core restrict them to integers).
 
 
+def _loss_scale_mp(k, rho, beta, consts: MechanismConstants):
+    """loss_scale_hp on an mpf k, inside an active workdps(_DPS)."""
+    if not k > 0:
+        raise ValueError(f"k must be positive, got {k}")
+    c = mpmath.mpf(consts.c_xi)
+    arg = c * (k + 1) / mpmath.mpf(beta)
+    if not arg > 1:
+        raise ValueError(f"log argument must exceed 1, got {arg}")
+    return (c / mpmath.sqrt(rho)) \
+        * (1 + mpmath.log(k, 2)) ** consts.p_xi \
+        * mpmath.log(arg, 2)
+
+
 def loss_scale_hp(k, rho, beta, consts: MechanismConstants = DEFAULT_CONSTANTS):
     """mpmath twin of core.loss_scale, accepting real k > 0."""
     with mpmath.workdps(_DPS):
-        k = mpmath.mpf(k)
-        if not k > 0:
-            raise ValueError(f"k must be positive, got {k}")
-        c = mpmath.mpf(consts.c_xi)
-        arg = c * (k + 1) / mpmath.mpf(beta)
-        if not arg > 1:
-            raise ValueError(f"log argument must exceed 1, got {arg}")
-        return (c / mpmath.sqrt(rho)) \
-            * (1 + mpmath.log(k, 2)) ** consts.p_xi \
-            * mpmath.log(arg, 2)
+        return _loss_scale_mp(mpmath.mpf(k), rho, beta, consts)
 
 
 def gap_threshold_hp(ceil_log_m, rho, beta):
@@ -110,7 +114,7 @@ def error_scale_from_log_hp(ceil_log_m, rho, beta,
     """mpmath twin of core.error_scale_from_log, accepting real arguments."""
     with mpmath.workdps(_DPS):
         k = mpmath.mpf(ceil_log_m)
-        return 2 * k * loss_scale_hp(k, rho, beta, consts)
+        return 2 * k * _loss_scale_mp(k, rho, beta, consts)
 
 
 def derived_rounds_ceil_log(k, consts: MechanismConstants = DEFAULT_CONSTANTS):
@@ -130,24 +134,50 @@ def derived_rounds_ceil_log(k, consts: MechanismConstants = DEFAULT_CONSTANTS):
 
 
 def _verdict(favored, other) -> tuple[Verdict, float]:
-    """PASS iff favored >= other, with a relative dead zone around equality."""
-    with mpmath.workdps(_DPS):
-        denom = max(abs(favored), abs(other))
-        margin = float((favored - other) / denom) if denom > 0 else 0.0
+    """PASS iff favored >= other, with a relative dead zone; inside workdps(_DPS)."""
+    denom = max(abs(favored), abs(other))
+    margin = float((favored - other) / denom) if denom > 0 else 0.0
     if abs(margin) < INCONCLUSIVE_REL:
         return Verdict.INCONCLUSIVE, margin
     return (Verdict.PASS if margin > 0 else Verdict.FAIL), margin
 
 
 def _check_domain(k, rho, beta, *, integer_k: bool) -> None:
-    if integer_k and not isinstance(k, int):
-        raise ValueError(f"k must be an integer, got {k!r}")
     if not k >= 1000:
         raise ValueError(f"domain requires k >= 1000, got {k}")
     if not rho > 0:
         raise ValueError(f"rho must be positive, got {rho}")
     if not 0 < beta <= 0.001:
         raise ValueError(f"domain requires beta in (0, 0.001], got {beta}")
+    if integer_k and not isinstance(k, int):
+        raise ValueError(f"k must be an integer, got {k!r}")
+
+
+def _point_checks(k, rho, beta, consts: MechanismConstants,
+                  rounds: tuple[int, bool] | None = None) -> tuple[CheckResult, ...]:
+    """scale_dominance, error_recursion and gap_margin at one point (K, rho, beta).
+
+    The three checks share three scale values: xi = loss_scale(K, rho, beta),
+    and, with rho4, beta4 = 4rho/5, 4beta/5, loss_scale(3*sqrt(K), rho4,
+    beta4) and the error scale at ceil(log2(T)), rho4, beta4.  ``rounds`` is
+    derived_rounds_ceil_log(K, consts) when the caller already has it.
+    """
+    t_log, flagged = rounds if rounds is not None else derived_rounds_ceil_log(k, consts)
+    params, note = f"K={k};rho={rho};beta={beta}", "t-exponent-integer" if flagged else ""
+    with mpmath.workdps(_DPS):
+        rho4, beta4 = mpmath.mpf(rho) * 4 / 5, mpmath.mpf(beta) * 4 / 5
+        xi = loss_scale_hp(k, rho, beta, consts)
+        xi_sqrt = loss_scale_hp(3 * mpmath.sqrt(mpmath.mpf(k)), rho4, beta4, consts)
+        gamma_t = error_scale_from_log_hp(t_log, rho4, beta4, consts)
+        dominance = _verdict(xi, 36 * xi_sqrt)
+        # PASS iff K*xi + 2*gamma_t <= 2*K*xi, the error scale at K, rho, beta
+        recursion = _verdict(2 * k * xi, k * xi + 2 * gamma_t)
+        gap = _verdict(mpmath.sqrt(k) * xi - 2 * gamma_t,
+                       gap_threshold_hp(k, mpmath.mpf(rho) / 5, mpmath.mpf(beta) / 10))
+        ratio = float(xi / xi_sqrt)
+    return (CheckResult("scale_dominance", params, *dominance, note=f"ratio={ratio!r}"),
+            CheckResult("error_recursion", params, *recursion, note=note),
+            CheckResult("gap_margin", params, *gap, note=note))
 
 
 def scale_dominance_result(k, rho, beta,
@@ -159,14 +189,7 @@ def scale_dominance_result(k, rho, beta,
     ratio of the two scale values.
     """
     _check_domain(k, rho, beta, integer_k=False)
-    with mpmath.workdps(_DPS):
-        lhs = loss_scale_hp(k, rho, beta, consts)
-        rhs = loss_scale_hp(3 * mpmath.sqrt(mpmath.mpf(k)),
-                            mpmath.mpf(rho) * 4 / 5, mpmath.mpf(beta) * 4 / 5, consts)
-        verdict, margin = _verdict(lhs, 36 * rhs)
-        ratio = float(lhs / rhs)
-    return CheckResult("scale_dominance", f"K={k};rho={rho};beta={beta}",
-                       verdict, margin, note=f"ratio={ratio!r}")
+    return _point_checks(k, rho, beta, consts)[0]
 
 
 def error_recursion_result(k: int, rho, beta,
@@ -176,16 +199,7 @@ def error_recursion_result(k: int, rho, beta,
     The derived-level error scale is evaluated through ceil(log2(T)).
     """
     _check_domain(k, rho, beta, integer_k=True)
-    t_log, flagged = derived_rounds_ceil_log(k, consts)
-    with mpmath.workdps(_DPS):
-        rho4, beta4 = mpmath.mpf(rho) * 4 / 5, mpmath.mpf(beta) * 4 / 5
-        lhs = k * loss_scale_hp(k, rho, beta, consts) \
-            + 2 * error_scale_from_log_hp(t_log, rho4, beta4, consts)
-        rhs = error_scale_from_log_hp(k, rho, beta, consts)
-        verdict, margin = _verdict(rhs, lhs)  # PASS iff lhs <= rhs
-    return CheckResult("error_recursion", f"K={k};rho={rho};beta={beta}",
-                       verdict, margin,
-                       note="t-exponent-integer" if flagged else "")
+    return _point_checks(k, rho, beta, consts)[1]
 
 
 def gap_margin_result(k: int, rho, beta,
@@ -196,16 +210,7 @@ def gap_margin_result(k: int, rho, beta,
     threshold.
     """
     _check_domain(k, rho, beta, integer_k=True)
-    t_log, flagged = derived_rounds_ceil_log(k, consts)
-    with mpmath.workdps(_DPS):
-        rho4, beta4 = mpmath.mpf(rho) * 4 / 5, mpmath.mpf(beta) * 4 / 5
-        lhs = mpmath.sqrt(k) * loss_scale_hp(k, rho, beta, consts) \
-            - 2 * error_scale_from_log_hp(t_log, rho4, beta4, consts)
-        rhs = gap_threshold_hp(k, mpmath.mpf(rho) / 5, mpmath.mpf(beta) / 10)
-        verdict, margin = _verdict(lhs, rhs)
-    return CheckResult("gap_margin", f"K={k};rho={rho};beta={beta}",
-                       verdict, margin,
-                       note="t-exponent-integer" if flagged else "")
+    return _point_checks(k, rho, beta, consts)[2]
 
 
 GRID_KS = (1000, 2000, 5000, 10**4, 10**5, 10**6)
@@ -215,14 +220,21 @@ GRID_RHOS = (1e-2, 1.0, 1e2)
 
 def appendix_grid(consts: MechanismConstants = DEFAULT_CONSTANTS,
                   ks=GRID_KS, betas=GRID_BETAS, rhos=GRID_RHOS) -> list[CheckResult]:
-    """All three inequality checks at every grid point."""
+    """All three inequality checks at every grid point.
+
+    Equal to scale_dominance_result, error_recursion_result and
+    gap_margin_result at each point, but each point's three scale values
+    and each K's round count are computed once and shared by the checks
+    that use them.  The sharing lives within this one call: nothing is
+    cached across calls.
+    """
     results = []
-    for k in ks:
-        for beta in betas:
-            for rho in rhos:
-                results.append(scale_dominance_result(k, rho, beta, consts))
-                results.append(error_recursion_result(k, rho, beta, consts))
-                results.append(gap_margin_result(k, rho, beta, consts))
+    rounds = {}  # K -> derived_rounds_ceil_log(K, consts)
+    for k, beta, rho in itertools.product(ks, betas, rhos):
+        _check_domain(k, rho, beta, integer_k=True)
+        if k not in rounds:
+            rounds[k] = derived_rounds_ceil_log(k, consts)
+        results.extend(_point_checks(k, rho, beta, consts, rounds[k]))
     return results
 
 
@@ -300,6 +312,10 @@ ENUM_MAX_SUBSETS = 2_000_000
 def subset_event_probability_enum(k: int, i_star: int, k_star: int) -> Fraction:
     """Same probability by literal enumeration of every subset.
 
+    itertools.combinations yields each subset as an increasing tuple, so the
+    top block [0, 2**i_star) is hit exactly once and the middle block
+    [2**i_star, 2**k_star) not at all iff s[0] < 2**i_star and, unless the
+    subset is a singleton, s[1] >= 2**k_star: one test per subset.
     Only feasible when C(2**k, size) <= ENUM_MAX_SUBSETS.
     """
     _validate_subset_args(k, i_star, k_star)
@@ -307,22 +323,12 @@ def subset_event_probability_enum(k: int, i_star: int, k_star: int) -> Fraction:
     total = comb(n, size)
     if total > ENUM_MAX_SUBSETS:
         raise ValueError(f"C({n}, {size}) = {total} subsets exceed cap {ENUM_MAX_SUBSETS}")
-    blocked_lo, blocked_hi = top, top + mid
-    hits = 0
-    for subset in itertools.combinations(range(n), size):
-        top_hits = 0
-        ok = True
-        for y in subset:
-            if y < top:
-                top_hits += 1
-                if top_hits > 1:
-                    ok = False
-                    break
-            elif y < blocked_hi:
-                ok = False
-                break
-        if ok and top_hits == 1:
-            hits += 1
+    subsets = itertools.combinations(range(n), size)
+    if size == 1:
+        hits = sum(1 for s in subsets if s[0] < top)
+    else:
+        blocked_hi = top + mid
+        hits = sum(1 for s in subsets if s[0] < top and s[1] >= blocked_hi)
     return Fraction(hits, total)
 
 
@@ -431,19 +437,13 @@ def _random_tree(rng: np.random.Generator, n: int, depth: int):
         if rng.random() < 0.8:
             return Base(int(rng.integers(n)))
         return Const(float(rng.uniform(-5, 5)))
-    kind = rng.integers(7)
-    if kind == 0:
-        return MinOver(tuple(_random_tree(rng, n, depth - 1)
-                             for _ in range(rng.integers(1, 4))))
-    if kind == 1:
-        return MaxOver(tuple(_random_tree(rng, n, depth - 1)
-                             for _ in range(rng.integers(1, 4))))
+    kind = int(rng.integers(7))
+    if kind in (0, 1, 3):
+        over = (MinOver, MaxOver, None, GapOver)[kind]
+        return over(tuple(_random_tree(rng, n, depth - 1) for _ in range(rng.integers(1, 4))))
     if kind == 2:
         m = int(rng.integers(1, n + 1))
         return Gap(rng.choice(n, size=m, replace=False))
-    if kind == 3:
-        return GapOver(tuple(_random_tree(rng, n, depth - 1)
-                             for _ in range(rng.integers(1, 4))))
     if kind == 4:
         return Sub(_random_tree(rng, n, depth - 1), _random_tree(rng, n, depth - 1))
     if kind == 5:
@@ -491,17 +491,14 @@ def sensitivity_fuzz(trials: int, seed=0) -> FuzzReport:
         expr = _random_family_expr(rng, family, n)
         losses = rng.uniform(-10, 10, n)
         delta = rng.uniform(-1, 1, n)
-        v1 = eval_expr(expr, LossInstance(tuple(losses)))
-        v2 = eval_expr(expr, LossInstance(tuple(losses + delta)))
+        v1 = eval_expr(expr, LossInstance(losses))
+        v2 = eval_expr(expr, LossInstance(losses + delta))
         if not (math.isfinite(v1) and math.isfinite(v2)):
             continue
         evaluated += 1
         diff = abs(v1 - v2)
         bound = sensitivity_bound(expr)
-        if bound > 0:
-            ratio = diff / bound
-        else:
-            ratio = 0.0 if diff <= 1e-9 else math.inf
+        ratio = diff / bound if bound > 0 else (0.0 if diff <= 1e-9 else math.inf)
         if ratio > max_ratio:
             max_ratio = ratio
             worst = format_expr(expr)
