@@ -88,13 +88,11 @@ def _report_csv(results) -> str:
 
 
 def _cmd_verify(args) -> int:
-    results = []
     consts = _load_constants(args.constants) or MechanismConstants()
-
     if args.grid == "quick":
-        results.extend(appendix_grid(consts, ks=(1000, 10**4, 10**6), betas=GRID_BETAS[::6]))
+        results = appendix_grid(consts, ks=(1000, 10**4, 10**6), betas=GRID_BETAS[::6])
     else:
-        results.extend(appendix_grid(consts))
+        results = appendix_grid(consts)
 
     # closed-form subset probability vs two exact oracles on all small cases:
     # the sequential-draw DP, then literal enumeration where it is tractable

@@ -153,31 +153,34 @@ def _check_domain(k, rho, beta, *, integer_k: bool) -> None:
         raise ValueError(f"k must be an integer, got {k!r}")
 
 
-def _point_checks(k, rho, beta, consts: MechanismConstants,
-                  rounds: tuple[int, bool] | None = None) -> tuple[CheckResult, ...]:
+def _dominance(params: str, xi, xi_sqrt) -> CheckResult:
+    """scale_dominance from xi and xi_sqrt as _point_checks names them; inside workdps."""
+    return CheckResult("scale_dominance", params, *_verdict(xi, 36 * xi_sqrt),
+                       note=f"ratio={float(xi / xi_sqrt)!r}")
+
+
+def _point_checks(k: int, rho, beta, consts: MechanismConstants,
+                  rounds: tuple[int, bool]) -> tuple[CheckResult, ...]:
     """scale_dominance, error_recursion and gap_margin at one point (K, rho, beta).
 
-    The three checks share three scale values: xi = loss_scale(K, rho, beta),
-    and, with rho4, beta4 = 4rho/5, 4beta/5, loss_scale(3*sqrt(K), rho4,
-    beta4) and the error scale at ceil(log2(T)), rho4, beta4.  ``rounds`` is
-    derived_rounds_ceil_log(K, consts) when the caller already has it.
+    The three checks share three scale values: xi = loss_scale(K, rho, beta)
+    and, at the 4/5 splits, loss_scale(3*sqrt(K)) and the error scale at
+    ceil(log2(T)), where rounds = derived_rounds_ceil_log(K, consts).
     """
-    t_log, flagged = rounds if rounds is not None else derived_rounds_ceil_log(k, consts)
+    t_log, flagged = rounds
     params, note = f"K={k};rho={rho};beta={beta}", "t-exponent-integer" if flagged else ""
     with mpmath.workdps(_DPS):
         rho4, beta4 = mpmath.mpf(rho) * 4 / 5, mpmath.mpf(beta) * 4 / 5
         xi = loss_scale_hp(k, rho, beta, consts)
         xi_sqrt = loss_scale_hp(3 * mpmath.sqrt(mpmath.mpf(k)), rho4, beta4, consts)
         gamma_t = error_scale_from_log_hp(t_log, rho4, beta4, consts)
-        dominance = _verdict(xi, 36 * xi_sqrt)
         # PASS iff K*xi + 2*gamma_t <= 2*K*xi, the error scale at K, rho, beta
         recursion = _verdict(2 * k * xi, k * xi + 2 * gamma_t)
         gap = _verdict(mpmath.sqrt(k) * xi - 2 * gamma_t,
                        gap_threshold_hp(k, mpmath.mpf(rho) / 5, mpmath.mpf(beta) / 10))
-        ratio = float(xi / xi_sqrt)
-    return (CheckResult("scale_dominance", params, *dominance, note=f"ratio={ratio!r}"),
-            CheckResult("error_recursion", params, *recursion, note=note),
-            CheckResult("gap_margin", params, *gap, note=note))
+        return (_dominance(params, xi, xi_sqrt),
+                CheckResult("error_recursion", params, *recursion, note=note),
+                CheckResult("gap_margin", params, *gap, note=note))
 
 
 def scale_dominance_result(k, rho, beta,
@@ -189,7 +192,11 @@ def scale_dominance_result(k, rho, beta,
     ratio of the two scale values.
     """
     _check_domain(k, rho, beta, integer_k=False)
-    return _point_checks(k, rho, beta, consts)[0]
+    with mpmath.workdps(_DPS):
+        xi_sqrt = loss_scale_hp(3 * mpmath.sqrt(mpmath.mpf(k)),
+                                mpmath.mpf(rho) * 4 / 5, mpmath.mpf(beta) * 4 / 5, consts)
+        return _dominance(f"K={k};rho={rho};beta={beta}",
+                          loss_scale_hp(k, rho, beta, consts), xi_sqrt)
 
 
 def error_recursion_result(k: int, rho, beta,
@@ -199,7 +206,7 @@ def error_recursion_result(k: int, rho, beta,
     The derived-level error scale is evaluated through ceil(log2(T)).
     """
     _check_domain(k, rho, beta, integer_k=True)
-    return _point_checks(k, rho, beta, consts)[1]
+    return _point_checks(k, rho, beta, consts, derived_rounds_ceil_log(k, consts))[1]
 
 
 def gap_margin_result(k: int, rho, beta,
@@ -210,7 +217,7 @@ def gap_margin_result(k: int, rho, beta,
     threshold.
     """
     _check_domain(k, rho, beta, integer_k=True)
-    return _point_checks(k, rho, beta, consts)[2]
+    return _point_checks(k, rho, beta, consts, derived_rounds_ceil_log(k, consts))[2]
 
 
 GRID_KS = (1000, 2000, 5000, 10**4, 10**5, 10**6)
@@ -242,16 +249,14 @@ def appendix_grid(consts: MechanismConstants = DEFAULT_CONSTANTS,
 # Subset combinatorics.
 
 
-def _validate_subset_args(k: int, i_star: int, k_star: int) -> None:
+def _blocks(k: int, i_star: int, k_star: int) -> tuple[int, int, int, int]:
+    """Validate (k, i_star, k_star); return n, subset size, top and middle block sizes."""
     if not (isinstance(k, int) and k >= 1):
         raise ValueError(f"k must be a positive integer, got {k}")
     if not (isinstance(i_star, int) and isinstance(k_star, int)):
         raise ValueError("i_star and k_star must be integers")
     if not 0 <= i_star < k_star <= k:
         raise ValueError(f"need 0 <= i_star < k_star <= k, got ({i_star}, {k_star}, {k})")
-
-
-def _blocks(k: int, i_star: int, k_star: int) -> tuple[int, int, int, int]:
     n = 1 << k
     size = 1 << (k - k_star)
     top = 1 << i_star
@@ -266,7 +271,6 @@ def subset_event_probability(k: int, i_star: int, k_star: int):
     Closed form: 2**i_star * C(2**k - 2**k_star, size - 1) / C(2**k, size).
     Exact Fraction for k <= 20, log-space float beyond.
     """
-    _validate_subset_args(k, i_star, k_star)
     n, size, top, mid = _blocks(k, i_star, k_star)
     rest = n - top - mid
     if k <= 20:
@@ -290,7 +294,6 @@ def subset_event_probability_dp(k: int, i_star: int, k_star: int) -> Fraction:
     top-block hits (0 or 1; a second hit or any middle-block hit is
     absorbing failure).  Independent of any binomial identity.
     """
-    _validate_subset_args(k, i_star, k_star)
     n, size, top, mid = _blocks(k, i_star, k_star)
     p_zero, p_one = Fraction(1), Fraction(0)
     for t in range(size):
@@ -318,7 +321,6 @@ def subset_event_probability_enum(k: int, i_star: int, k_star: int) -> Fraction:
     subset is a singleton, s[1] >= 2**k_star: one test per subset.
     Only feasible when C(2**k, size) <= ENUM_MAX_SUBSETS.
     """
-    _validate_subset_args(k, i_star, k_star)
     n, size, top, mid = _blocks(k, i_star, k_star)
     total = comb(n, size)
     if total > ENUM_MAX_SUBSETS:
@@ -338,7 +340,6 @@ def subset_event_mc(k: int, i_star: int, k_star: int, draws: int, seed=0) -> flo
     Samples only the sufficient statistic (hits per block) via the
     multivariate hypergeometric distribution.
     """
-    _validate_subset_args(k, i_star, k_star)
     n, size, top, mid = _blocks(k, i_star, k_star)
     rng = np.random.default_rng(seed)
     counts = rng.multivariate_hypergeometric([top, mid, n - top - mid], size, size=draws)
