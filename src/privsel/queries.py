@@ -638,7 +638,8 @@ def build_tilde_loss(subset: Iterable[int], k: int, xi_value: float,
     uni = np.unique(_index_array(universe))
     if sub.size == 0:
         raise ValueError("subset must be non-empty")
-    pos = np.searchsorted(uni, sub)  # both sorted: contained iff every sub hits itself
+    # uni is sorted and unique: sub is contained iff each entry sits at its insertion point
+    pos = np.searchsorted(uni, sub)
     if pos[-1] == uni.size or np.any(uni[pos] != sub):
         raise ValueError("subset must be contained in the universe")
     offset = (k + math.sqrt(k)) * xi_value

@@ -439,8 +439,8 @@ def _random_tree(rng: np.random.Generator, n: int, depth: int):
             return Base(int(rng.integers(n)))
         return Const(float(rng.uniform(-5, 5)))
     kind = int(rng.integers(7))
-    if kind in (0, 1, 3):
-        over = (MinOver, MaxOver, None, GapOver)[kind]
+    over = {0: MinOver, 1: MaxOver, 3: GapOver}.get(kind)
+    if over is not None:
         return over(tuple(_random_tree(rng, n, depth - 1) for _ in range(rng.integers(1, 4))))
     if kind == 2:
         m = int(rng.integers(1, n + 1))

@@ -152,6 +152,9 @@ class TestBuilders:
             build_bintree_query([], [1])
         with pytest.raises(ValueError):
             build_bintree_query([0, 1], [1, 2])
+        with pytest.raises(ValueError):
+            build_bintree_query([3, 1, 3], [1, 1])
+        build_bintree_query([3, 3], [1, 1])  # duplicates within one side are fine
 
     def test_tilde_loss_singleton_subset(self):
         # gap branch is -inf, so the value is (l_j - min - offset) / 2
@@ -187,6 +190,10 @@ class TestBuilders:
             build_tilde_loss([], 2, 1.0, range(4))
         with pytest.raises(ValueError):
             build_tilde_loss([5], 2, 1.0, range(4))  # outside universe
+        for subset in ([3], [1, 4], [0, 2], [2, 2, 6, 5]):  # 3, 1, 0, 5 not in {2, 4, 6}
+            with pytest.raises(ValueError):
+                build_tilde_loss(subset, 2, 1.0, [6, 2, 4, 2])
+        build_tilde_loss([4, 2, 4], 2, 1.0, [6, 2, 4, 2])  # duplicates on both sides
         with pytest.raises(ValueError):
             build_tilde_loss([0], 0, 1.0, range(4))
         with pytest.raises(ValueError):
