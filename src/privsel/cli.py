@@ -19,7 +19,6 @@ import dataclasses
 import json
 import math
 import sys
-from operator import attrgetter
 
 import numpy as np
 
@@ -167,6 +166,9 @@ def _cmd_gen(args) -> int:
 
 def _cmd_simulate_equal_budget(args) -> int:
     config = _load_config(args)
+    if config.fresh_instance_per_trial:
+        raise ConfigError("simulate-equal-budget runs every trial on one instance: "
+                          "fresh_instance_per_trial must be false")
     seed_of = config.instance.seed if config.instance.seed is not None else config.master_seed
     instance = generate_instance(config.instance.family, config.instance.size,
                                  config.instance.scale, seed_of)
@@ -183,17 +185,18 @@ def _cmd_simulate_equal_budget(args) -> int:
         consts = spec.constants or DEFAULT_CONSTANTS
         m_bound = round_bound(n, config.beta, consts)
         mech = lambda o: run(o, config.rho, config.beta, consts, None)
-        errors, rounds, repeats, topups = [], [], [], []
+        errors, rounds, runs = [], [], []
         for trial in range(config.trials):
             seed = np.random.SeedSequence([config.master_seed, trial, 7000 + mi])
             result, adapter = equal_budget_simulate(
                 instance, mech, m_bound, config.rho, seed, record_log=False)
             errors.append(instance.losses[result.winner] - best)
             rounds.append(adapter.inner_rounds_used)
-            repeats.append(np.fromiter(map(attrgetter("per_query_repeats"), adapter.plans), int))
-            topups.append(np.fromiter(map(attrgetter("topup_variance"), adapter.plans), float))
+            runs.extend(adapter.plan_runs)
         # np.mean sums pairwise: it needs all trials' values in query order
-        repeats, topups = np.concatenate(repeats), np.concatenate(topups)
+        counts = [count for _, count in runs]
+        repeats = np.repeat(np.array([p.per_query_repeats for p, _ in runs], int), counts)
+        topups = np.repeat(np.array([p.topup_variance for p, _ in runs], float), counts)
         lines.append(
             f"{spec.name},{config.trials},{m_bound},{2 * m_bound},"
             f"{float(np.mean(errors))!r},{float(np.mean(rounds))!r},"

@@ -11,14 +11,14 @@ charging, drawing and logging each round as ``noisy_query`` would.
 
 Randomness contract (frozen for golden tests): all noise comes from a numpy
 ``Generator`` over the PCG64 bit generator, built from a ``SeedSequence``;
-draws consume the stream in query order via ``Generator.normal``.  A batch
-of K queries is one ``normal(size=K)`` draw, the values of K scalar draws; a
-tournament draws one scalar per round, in round order.
-The equal-budget adapter draws, per query, its m_i round noises and then
-the top-up noise when the top-up variance is positive; a batch of K queries
-sharing m_i is one ``normal`` draw of shape (K, m_i + top-up), the same
-values in the same order.  Child streams for mechanism-internal randomness
-come from ``SeedSequence.spawn``.
+draws consume the stream in query order via ``Generator.normal``, one noise
+row per query: one value, or on the equal-budget adapter the query's m_i
+round noises and then its top-up noise when the top-up variance is positive.
+``_noise`` draws the rows of K queries sharing a budget (a batch, or the
+first floor(log2 n) rounds of a tournament of n members) in one ``normal``
+call of shape K or (K, m_i + top-up), the values of K per-query draws.
+Child streams for mechanism-internal randomness come from
+``SeedSequence.spawn``.
 """
 
 from __future__ import annotations
@@ -45,6 +45,9 @@ __all__ = [
 # Relative float slack: splits like 4*rho/5 + rho/5 must recombine.
 RELATIVE_BUDGET_SLACK = 1e-9
 _SENSITIVITY_TOL = 1e-12
+# Smallest tournament whose first rounds' noise is drawn at once: below it,
+# saving the generator state for a failed round costs more than the draws save.
+_WINDOW_MIN_MEMBERS = 32
 
 
 class OracleError(Exception):
@@ -141,18 +144,35 @@ class BudgetOracle:
         """Charge a batch of count queries of budget rho_each, or nothing."""
         self._charge(rho_each * count)
 
-    def _answer(self, value: float, rho_i: float) -> float:
-        """The noisy answer to an admitted, charged query of budget rho_i."""
-        if self.noiseless:
-            return value
-        return value + self._generator().normal(0.0, math.sqrt(1.0 / (2.0 * rho_i)))
+    def _noise(self, count: int | None, rho_i: float) -> np.ndarray | float:
+        """The noise rows of count queries of budget rho_i from one normal draw;
+        with count None, one query's row alone (a float here)."""
+        rng = self._rng or self._generator()
+        return rng.normal(0.0, math.sqrt(1.0 / (2.0 * rho_i)), size=count)
 
-    def _respond(self, value: float, rho_i: float, bound: float) -> float:
-        """Check, charge, answer and log one admitted query whose value is value."""
+    def _rows(self, ahead: int, rho_i: float):
+        """One call's noise rows in query order, each drawn once it is asked
+        for: the first ahead in one _noise draw, then one at a time."""
+        yield from self._noise(ahead, rho_i).tolist()
+        while True:
+            yield self._noise(None, rho_i)
+
+    def _answer(self, value: float, noise: float | None) -> float:
+        """The answer to an admitted, charged query from its noise row (None
+        if noiseless)."""
+        return value if noise is None else value + noise
+
+    def _respond(self, value: float, rho_i: float, bound: float, rows=None) -> float:
+        """Check, charge, answer, count and log one admitted query whose value
+        is value.  Its noise is the next of rows, else drawn once it is charged."""
         if not math.isfinite(value):
             raise NonFiniteQueryError(f"query value is {value}")
         self._charge(rho_i)
-        answer = self._answer(value, rho_i)
+        if self.noiseless:
+            noise = None
+        else:
+            noise = self._noise(None, rho_i) if rows is None else next(rows)
+        answer = self._answer(value, noise)
         self.rounds_used += 1
         if self.record_log:
             self.log.append(QueryRecord(self.rounds_used - 1, rho_i, bound, answer))
@@ -160,11 +180,10 @@ class BudgetOracle:
 
     def _answer_batch(self, values: np.ndarray, rho_each: float) -> np.ndarray:
         """The noisy answers to a charged batch, always a fresh array: one
-        normal(size=len) draw with values (maybe a view of the losses) added in."""
+        _noise draw with values (maybe a view of the losses) added in."""
         if self.noiseless:
             return values.copy()
-        sigma = math.sqrt(1.0 / (2.0 * rho_each))
-        answers = self._generator().normal(0.0, sigma, size=values.size)
+        answers = self._noise(values.size, rho_each)
         answers += values  # noise + value: IEEE addition is commutative
         return answers
 
@@ -191,9 +210,13 @@ class BudgetOracle:
         before the first round, and a rejection charges, draws and logs
         nothing.  Each round then does what one ``noisy_query`` of its span
         would: evaluate, then ``_respond`` (check finiteness, ``_charge``,
-        ``_answer`` with one draw in round order, count and log the round),
-        so a failure at round j leaves exactly the rounds before j charged,
-        drawn and logged.
+        ``_answer`` from the round's noise row, count and log the round).
+        Every path takes at least w = floor(log2(n)) rounds; from
+        _WINDOW_MIN_MEMBERS members on, their rows are one ``_noise`` draw
+        made once the first round is charged, and a failure at round j < w
+        restores the generator state saved before it and redraws j rows.  So
+        a failure at round j leaves exactly the rounds before j charged,
+        drawn and logged, as the per-round loop would.
         """
         n = len(members)
         if n == 1:
@@ -206,14 +229,25 @@ class BudgetOracle:
         instance = self.instance
         if level is None:
             _check_indices(root.indices, len(instance))
+        rows = None
+        if n >= _WINDOW_MIN_MEMBERS and not self.noiseless:
+            ahead, start = n.bit_length() - 1, self.rounds_used
+            saved, rows = self._generator().bit_generator.state, self._rows(ahead, rho_round)
         memo, respond = self._eval_memo, self._respond
         lo, hi = 0, n
-        while hi - lo > 1:
-            mid = lo + (hi - lo + 1) // 2
-            if respond(_span_value(root, lo, mid, hi, instance, memo), rho_round, bound) > 0:
-                lo = mid
-            else:
-                hi = mid
+        try:
+            while hi - lo > 1:
+                mid = lo + (hi - lo + 1) // 2
+                value = _span_value(root, lo, mid, hi, instance, memo)
+                if respond(value, rho_round, bound, rows) > 0:
+                    lo = mid
+                else:
+                    hi = mid
+        except OracleError:
+            if rows is not None and 0 < self.rounds_used - start < ahead:
+                self._rng.bit_generator.state = saved  # as if drawn round by round
+                self._noise(self.rounds_used - start, rho_round)
+            raise
         return lo
 
     def noisy_query_batch(self, batch: BaseBatch, rho_each: float) -> np.ndarray:
@@ -323,8 +357,13 @@ class EqualBudgetAdapter(BudgetOracle):
         super().__init__(instance, rho, seed, noiseless=noiseless, record_log=record_log)
         self.m_bound = m_bound
         self.inner_rounds_used = 0
-        self.plans: list[EqualBudgetPlan] = []
+        self.plan_runs: list[list] = []  # [plan, count] per run of queries sharing a plan
         self._last_plan: tuple[float, EqualBudgetPlan | None] = (math.nan, None)
+
+    @property
+    def plans(self) -> list[EqualBudgetPlan]:
+        """The plan of every answered query, in query order."""
+        return [plan for plan, count in self.plan_runs for _ in range(count)]
 
     def _plan(self, rho_i: float) -> EqualBudgetPlan:
         """The plan of a query of budget rho_i, cached for the last rho_i."""
@@ -334,73 +373,89 @@ class EqualBudgetAdapter(BudgetOracle):
             self._last_plan = (rho_i, plan)
         return plan
 
-    def _charge(self, amount: float) -> None:
-        """Check the declared round bound, then charge one query."""
-        if self.rounds_used + 1 > self.m_bound:
-            raise RoundsExceededError(
-                f"mechanism exceeded its declared bound of {self.m_bound} rounds")
-        super()._charge(amount)
-
-    def _answer(self, value: float, rho_i: float) -> float:
-        """Average m_i equal-budget rounds, then top up to variance 1/(2*rho_i)."""
-        plan = self._plan(rho_i)
-        repeats = plan.per_query_repeats
-        if self.inner_rounds_used + repeats > plan.m_rounds_total:
-            raise RoundsExceededError(
-                f"{self.inner_rounds_used} + {repeats} rounds exceeds {plan.m_rounds_total}")
-        self.inner_rounds_used += repeats
-        self.plans.append(plan)
-        if self.noiseless:
-            return float(np.full(repeats, value).mean())
-        rng = self._generator()
-        sigma = math.sqrt(1.0 / (2.0 * plan.per_round_budget))
-        answer = float((value + rng.normal(0.0, sigma, size=repeats)).mean())
-        if plan.topup_variance > 0:
-            answer += rng.normal(0.0, math.sqrt(plan.topup_variance))
-        return answer
-
-    def _charge_batch(self, rho_each: float, count: int) -> None:
-        """Check the whole batch, then charge it as count queries in order.
-
-        The round bound, the equal-budget round bound and the budget are all
-        checked before anything is charged.  The charges are added one by one
-        (``np.add.accumulate`` adds in order), so ``spent`` is the float the
-        per-query loop would reach.
-        """
-        if self.rounds_used + count > self.m_bound:
-            raise RoundsExceededError(
-                f"mechanism exceeded its declared bound of {self.m_bound} rounds")
-        plan = self._plan(rho_each)
+    def _take_rounds(self, plan: EqualBudgetPlan, count: int) -> None:
+        """Take the equal-budget rounds of count queries of this plan, if M' allows."""
         rounds = count * plan.per_query_repeats
         if self.inner_rounds_used + rounds > plan.m_rounds_total:
             raise RoundsExceededError(
                 f"{self.inner_rounds_used} + {rounds} rounds exceeds {plan.m_rounds_total}")
+        self.inner_rounds_used += rounds
+        if self.plan_runs and self.plan_runs[-1][0] is plan:
+            self.plan_runs[-1][1] += count
+        else:
+            self.plan_runs.append([plan, count])
+
+    def _charge(self, amount: float) -> None:
+        """Check the declared round bound, charge one query, then take its
+        equal-budget rounds."""
+        if self.rounds_used + 1 > self.m_bound:
+            raise RoundsExceededError(
+                f"mechanism exceeded its declared bound of {self.m_bound} rounds")
+        super()._charge(amount)
+        self._take_rounds(self._plan(amount), 1)
+
+    def _noise(self, count: int | None, rho_i: float) -> np.ndarray:
+        """Per query of budget rho_i, its m_i round noises and then its top-up
+        noise when the top-up variance is positive: one normal draw (with
+        count None, one query's row alone)."""
+        plan = self._plan(rho_i)
+        repeats, topup = plan.per_query_repeats, plan.topup_variance > 0
+        size = repeats + topup if count is None else (count, repeats + topup)
+        sigma = math.sqrt(1.0 / (2.0 * plan.per_round_budget))
+        if not topup:
+            return self._generator().normal(0.0, sigma, size=size)
+        # normal(0.0, s) computes 0.0 + s * z, the float that s times normal(0.0,
+        # 1.0)'s 0.0 + z gives for every z; a scale per column makes numpy broadcast
+        noise = self._generator().normal(0.0, 1.0, size=size)
+        noise *= [sigma] * repeats + [math.sqrt(plan.topup_variance)]
+        return noise
+
+    def _answer(self, value: float, noise) -> float:
+        """Average m_i equal-budget rounds, then top up to variance 1/(2*rho_i),
+        from the query's noise row (None if noiseless)."""
+        plan = self._last_plan[1]  # the query's, planned by _charge
+        repeats = plan.per_query_repeats
+        if noise is None:
+            return float(np.full(repeats, value).mean())
+        if repeats == 1:  # np.mean of one value: 0.0 plus it, over 1
+            answer = 0.0 + (value + noise[0])
+        else:
+            answer = (value + np.asarray(noise[:repeats])).mean()
+        if plan.topup_variance > 0:
+            answer += noise[repeats]
+        return float(answer)
+
+    def _charge_batch(self, rho_each: float, count: int) -> None:
+        """Check the whole batch, then charge it as count queries in order.
+
+        The round bound, the budget and the equal-budget round bound are all
+        checked, in the order a query loop checks them, before anything is
+        charged.  The charges are added one by one (``np.add.accumulate`` adds
+        in order), so ``spent`` is the float the per-query loop would reach.
+        """
+        if self.rounds_used + count > self.m_bound:
+            raise RoundsExceededError(
+                f"mechanism exceeded its declared bound of {self.m_bound} rounds")
         spent = np.full(count + 1, rho_each)
         spent[0] = self.spent
         total = float(np.add.accumulate(spent, out=spent)[-1])
         if total > self.total_budget * (1.0 + RELATIVE_BUDGET_SLACK):
             raise BudgetExceededError(
                 f"spent {self.spent} + {count} * {rho_each} exceeds budget {self.total_budget}")
+        self._take_rounds(self._plan(rho_each), count)
         self.spent = total
-        self.inner_rounds_used += rounds
-        self.plans.extend([plan] * count)
 
     def _answer_batch(self, values: np.ndarray, rho_each: float) -> np.ndarray:
-        """Each query's answer as _answer builds it, from one normal draw."""
-        plan = self.plans[-1]  # the batch's, appended by _charge_batch
+        """Each query's answer as _answer builds it, from one _noise draw."""
+        plan = self._plan(rho_each)
         repeats = plan.per_query_repeats
         if self.noiseless:
             return np.repeat(values[:, None], repeats, axis=1).mean(axis=1)
-        sigma = math.sqrt(1.0 / (2.0 * plan.per_round_budget))
-        scale = [sigma] * repeats
-        if plan.topup_variance > 0:
-            scale.append(math.sqrt(plan.topup_variance))
-        noise = self._generator().normal(0.0, scale, size=(values.size, len(scale)))
+        noise = self._noise(values.size, rho_each)
         answers = (values[:, None] + noise[:, :repeats]).mean(axis=1)
         if plan.topup_variance > 0:
             answers += noise[:, repeats]
         return answers
-
 
 
 def equal_budget_simulate(instance: LossInstance,

@@ -312,3 +312,9 @@ class TestCli:
         fields = lines[1].split(",")
         assert fields[0] == "binary_tree" and int(fields[2]) == 5
         assert float(fields[-1]) >= 0.0  # min top-up variance
+
+    def test_simulate_equal_budget_rejects_fresh_instances(self, tmp_path, capsys):
+        # every trial runs on the one instance built from the config
+        cfg = self._write_config(tmp_path, dict(CONFIG_DOC, fresh_instance_per_trial=True))
+        assert main(["simulate-equal-budget", cfg]) == 2
+        assert "fresh_instance_per_trial" in capsys.readouterr().err

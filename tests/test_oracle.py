@@ -329,6 +329,22 @@ class TestBaseBatch:
             plan = runs[0][4][0]
             assert (plan.per_query_repeats, plan.topup_variance > 0) == (repeats, topup)
 
+    @pytest.mark.parametrize("topup", [False, True])
+    def test_adapter_noise_rows_are_normal_draws_of_each_column_scale(self, topup):
+        # the randomness contract: per query, m_i round noises of the round
+        # variance, then the top-up noise, as normal draws in row order
+        m_bound = 256
+        for repeats in (1, 2, 5):
+            rho_i = (repeats - 0.5 * topup) / m_bound
+            adapter = EqualBudgetAdapter(self.INST, m_bound, 1.0, seed=repeats)
+            plan = adapter._plan(rho_i)
+            assert (plan.per_query_repeats, plan.topup_variance > 0) == (repeats, topup)
+            scale = [math.sqrt(1.0 / (2.0 * plan.per_round_budget))] * repeats
+            scale += [math.sqrt(plan.topup_variance)] * topup
+            want = np.random.default_rng(repeats).normal(0.0, scale, size=(2001, len(scale)))
+            got = np.vstack([adapter._noise(2000, rho_i), adapter._noise(None, rho_i)])
+            assert got.tobytes() == want.tobytes()
+
     def _adapter_answer_after(self, failing_call, inner_rounds_used=0):
         adapter = EqualBudgetAdapter(self.INST, m_bound=4, rho=1.0, seed=3)
         adapter.inner_rounds_used = inner_rounds_used

@@ -16,8 +16,8 @@ from privsel.mechanisms import (
     binary_tree_select, exponential_mechanism, query_all_baseline,
 )
 from privsel.oracle import (
-    BudgetExceededError, BudgetOracle, EqualBudgetAdapter, RoundsExceededError,
-    SensitivityViolationError,
+    BudgetExceededError, BudgetOracle, EqualBudgetAdapter, NonFiniteQueryError,
+    RoundsExceededError, SensitivityViolationError,
 )
 from privsel.queries import Base, Level, MinCompare, Sub
 
@@ -105,6 +105,116 @@ def test_tournament_equals_per_query_loop(form, kind):
                 assert survivor == reference_tournament(gathered, members, 1.0, level, True), n
                 assert 0 < fast.rounds_used <= rounds or n == 1
                 assert state(fast) == state(slow) == state(gathered), n
+
+
+@pytest.mark.parametrize("topup", [False, True], ids=["exact", "topup"])
+@pytest.mark.parametrize("repeats", [1, 2, 3])
+def test_adapter_tournament_with_repeats_equals_per_query_loop(repeats, topup):
+    # each round's noise row has m_i round noises, then a top-up noise if any
+    rng = np.random.default_rng([repeats, topup])
+    for n in (2, 3, 5, 31, 32, 33, 64, 100, 1024):
+        for form in ("range", "array"):
+            instance, members, _ = members_of(form, n, rng)
+            k = ceil_log2(n)
+            # with m_bound = 4K and total budget 1, a round of rho / K plans
+            # 4 * rho rounds: exactly m_i, or m_i with a top-up
+            rho = (repeats - 0.5 * topup) / 4
+            for noiseless in (False, True):
+                runs = []
+                for run in (lambda o: o.noisy_tournament(members, rho),
+                            lambda o: reference_tournament(o, members, rho)):
+                    adapter = EqualBudgetAdapter(instance, 4 * k, 1.0, seed=n,
+                                                 noiseless=noiseless)
+                    runs.append((run(adapter), state(adapter)))
+                assert runs[0] == runs[1], (n, form, noiseless)
+                plans = runs[0][1][4]
+                assert len(plans) == runs[0][1][2] >= math.floor(math.log2(n))
+                assert (plans[0].per_query_repeats, plans[0].topup_variance > 0) == (
+                    repeats, topup)
+
+
+def left_path_spans(n):
+    """(mid, hi) of each round of a tournament of n members that keeps left halves."""
+    spans, hi = [], n
+    while hi > 1:
+        spans.append(((hi + 1) // 2, hi))
+        hi = (hi + 1) // 2
+    return spans
+
+
+@pytest.mark.parametrize("kind", [BudgetOracle, EqualBudgetAdapter],
+                         ids=["oracle", "adapter"])
+@pytest.mark.parametrize("n", [64, 33, 5])
+def test_non_finite_round_leaves_earlier_rounds(n, kind):
+    # round j's span [0, hi) has left minimum -1.7e308 and right minimum
+    # 1.7e308, so its value overflows; every earlier round has a right side
+    # of zeros, a finite value near -8.5e307, and keeps its left half.  With
+    # n = 64 every j lies in the first floor(log2 n) rounds, whose noise is
+    # drawn at once; with n = 33 the last one lies past them; n = 5 is too
+    # small for a joint draw.
+    for j, (mid, hi) in enumerate(left_path_spans(n)):
+        losses = np.zeros(n)
+        losses[:mid], losses[mid:hi] = -1.7e308, 1.7e308
+        instance = LossInstance(losses)
+        rounds = ceil_log2(n)
+        fast, slow = (make_oracle(kind, instance, rounds, False, seed=6) for _ in range(2))
+        with pytest.raises(NonFiniteQueryError):
+            fast.noisy_tournament(range(n), 1.0)
+        with pytest.raises(NonFiniteQueryError):
+            reference_tournament(slow, range(n), 1.0)
+        assert fast.rounds_used == len(fast.log) == j
+        # each round drew one noise: the next draw is a fresh stream's (j+1)-th
+        assert fast._generator().normal() == np.random.default_rng(6).normal(size=j + 1)[-1]
+        slow._generator().normal()
+        assert state(fast) == state(slow)
+
+
+class CountingGenerator:
+    """A Generator that counts its ``normal`` calls."""
+
+    def __init__(self, seed):
+        self.rng, self.normal_calls = np.random.default_rng(seed), 0
+
+    def normal(self, *args, **kwargs):
+        self.normal_calls += 1
+        return self.rng.normal(*args, **kwargs)
+
+    def __getattr__(self, name):
+        return getattr(self.rng, name)
+
+
+@pytest.mark.parametrize("kind", [BudgetOracle, EqualBudgetAdapter],
+                         ids=["oracle", "adapter"])
+@pytest.mark.parametrize("n", [32, 1024])
+def test_power_of_two_tournament_draws_once(n, kind):
+    instance = LossInstance(np.random.default_rng(n).uniform(0, 4, n))
+    for noiseless, rho, calls in ((False, 1.0, 1), (False, 0.9, 1), (True, 1.0, 0)):
+        oracle = make_oracle(kind, instance, ceil_log2(n), noiseless, rho=1.0)
+        oracle._rng = CountingGenerator(5)
+        oracle.noisy_tournament(range(n), rho)  # rho 0.9 plans a top-up on the adapter
+        assert oracle.rounds_used == ceil_log2(n)
+        assert oracle._rng.normal_calls == calls
+    rejected = make_oracle(kind, instance, ceil_log2(n), False)
+    with pytest.raises(IndexError):
+        rejected.noisy_tournament(range(1, n + 1), 1.0)
+    assert rejected._rng is None
+
+
+def test_adapter_first_round_budget_failure_comes_before_its_plan():
+    # the round's budget 10 / 6 exceeds the total, which plan_equal_budget
+    # also rejects (ValueError); the charge fails first, before any draw
+    adapter = EqualBudgetAdapter(LossInstance(np.arange(64.0)), 8, 0.1, seed=0)
+    with pytest.raises(BudgetExceededError):
+        adapter.noisy_tournament(range(64), 10.0)
+    assert (adapter.spent, adapter.rounds_used, adapter.log, adapter.plan_runs) == (
+        0.0, 0, [], [])
+
+
+def test_query_all_trial_leaves_one_plan_run():
+    adapter = EqualBudgetAdapter(LossInstance(np.arange(1024.0)), 1024, 1.0, seed=0)
+    query_all_baseline(adapter, 1.0)
+    assert len(adapter.plan_runs) == 1 and adapter.plan_runs[0][1] == 1024
+    assert adapter.plans == [adapter.plan_runs[0][0]] * 1024
 
 
 @pytest.mark.parametrize("values", [ZEROS, [1.0, 2.0, 3.0]], ids=["zeros", "nonzero"])
