@@ -12,7 +12,7 @@ Run:  python demos/query_language.py
 import numpy as np
 
 from privsel import (
-    Base, BudgetOracle, Gap, Level, LevelMin, LossInstance, MinCompare, Scale,
+    Base, BudgetOracle, Gap, Level, LossInstance, MinCompare, Scale,
     SensitivityViolationError, Sub, build_bintree_query, build_tilde_loss,
     eval_expr, format_expr, sensitivity_bound,
 )
@@ -38,11 +38,13 @@ def main():
     # subsets {1, 2} and {0, 3} in CSR form, with the offset of the tree above
     level = Level(np.arange(4), indptr=[0, 2, 4], indices=[1, 2, 0, 3],
                   offset=(2 + 2 ** 0.5) * 1.5)
-    for t in range(len(level)):
-        print(f"  derived loss {t}: {eval_expr(LevelMin(level, [t]), inst):.4f}")
+    trees = [build_tilde_loss(subset, k=2, xi_value=1.5, universe=range(4))
+             for subset in ([1, 2], [0, 3])]
+    for t, derived in enumerate(trees):
+        print(f"  derived loss {t}: {eval_expr(derived, inst):.4f}")
     print("  (derived loss 0 is the tree above, evaluated level-wise in numpy)")
     compare = MinCompare([0, 1], 1, level)  # the tournament's query on a level
-    tree = Scale(0.5, Sub(LevelMin(level, [0]), LevelMin(level, [1])))
+    tree = Scale(0.5, Sub(trees[0], trees[1]))
     assert eval_expr(compare, inst) == eval_expr(tree, inst)
     print(f"  comparison value: {eval_expr(compare, inst):.4f},"
           f" sensitivity bound: {sensitivity_bound(compare)}")

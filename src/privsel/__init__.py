@@ -13,9 +13,9 @@ from .core import (
     error_scale_from_log, gap_threshold, generate_instance, loss_scale,
 )
 from .queries import (
-    AddConst, Base, BaseBatch, Const, Gap, GapOver, Level, LevelMin, LossExpr,
-    MaxOver, MinCompare, MinOver, Scale, Sub, build_bintree_query,
-    build_tilde_loss, eval_expr, format_expr, sensitivity_bound,
+    AddConst, Base, BaseBatch, Const, Gap, GapOver, Level, LossExpr, MaxOver,
+    MinCompare, MinOver, Scale, Sub, build_bintree_query, build_tilde_loss,
+    eval_expr, format_expr, sensitivity_bound,
 )
 from .oracle import (
     BudgetExceededError, BudgetOracle, EqualBudgetAdapter, EqualBudgetPlan,

@@ -134,15 +134,13 @@ class BudgetOracle:
                 f"sensitivity bound {bound} exceeds 1")
         return bound
 
-    def _charge(self, amount: float) -> None:
+    def _charge(self, rho_i: float, count: int) -> None:
+        """Charge count queries of budget rho_i as one sum, or nothing."""
+        amount = rho_i * count
         if self.spent + amount > self.total_budget * (1.0 + RELATIVE_BUDGET_SLACK):
             raise BudgetExceededError(
                 f"spent {self.spent} + {amount} exceeds budget {self.total_budget}")
         self.spent += amount
-
-    def _charge_batch(self, rho_each: float, count: int) -> None:
-        """Charge a batch of count queries of budget rho_each, or nothing."""
-        self._charge(rho_each * count)
 
     def _noise(self, count: int | None, rho_i: float) -> np.ndarray | float:
         """The noise rows of count queries of budget rho_i from one normal draw;
@@ -167,7 +165,7 @@ class BudgetOracle:
         is value.  Its noise is the next of rows, else drawn once it is charged."""
         if not math.isfinite(value):
             raise NonFiniteQueryError(f"query value is {value}")
-        self._charge(rho_i)
+        self._charge(rho_i, 1)
         if self.noiseless:
             noise = None
         else:
@@ -254,12 +252,13 @@ class BudgetOracle:
         """Answer the queries Base(i) of a BaseBatch, each with budget rho_each.
 
         Equivalent to one noisy_query per query, in order, answered as one
-        vectorised batch: range check (a range's two ends), ``_charge_batch``,
-        ``_answer_batch`` over a range's slice view or an array's gather (the
-        values of that many scalar answers, in one noise buffer), then the
-        log.  The batch is admitted whole or not at all: a rejected batch
-        charges, draws and logs nothing.  Any input other than a BaseBatch
-        raises TypeError.
+        vectorised batch: range check (a range's two ends), one ``_charge``
+        of count queries (the hook each scalar query charges through, with
+        count 1), ``_answer_batch`` over a range's slice view or an array's
+        gather (the values of that many scalar answers, in one noise buffer),
+        then the log.  The batch is admitted whole or not at all: a rejected
+        batch charges, draws and logs nothing.  Any input other than a
+        BaseBatch raises TypeError.
         """
         if type(batch) is not BaseBatch:
             raise TypeError(f"a batch must be a BaseBatch, got {type(batch).__name__}")
@@ -270,7 +269,7 @@ class BudgetOracle:
         if count == 0:
             return np.empty(0)
         _check_indices(idx, self.n_candidates)
-        self._charge_batch(rho_each, count)
+        self._charge(rho_each, count)
         losses = self.instance.as_array()
         values = losses[idx.start:idx.stop] if type(idx) is range else losses[idx]
         answers = self._answer_batch(values, rho_each)
@@ -344,9 +343,10 @@ class EqualBudgetAdapter(BudgetOracle):
     ``spawn_rng`` are the oracle's own, so any mechanism runs unchanged; the
     adapter supplies the charge and answer hooks.  The declared contract (at
     most ``m_bound`` variable-budget rounds, total budget at most ``rho``)
-    is enforced in the charge hooks, so every entry point checks it: a
-    query's round check comes after its sensitivity and finiteness checks
-    and before its budget check.  The induced equal-budget round count
+    is enforced in the charge hook, so every entry point checks it.  After
+    a query's sensitivity and finiteness checks, ``_charge`` checks the
+    round bound, then the budget, then the equal-budget round bound M', and
+    charges only once all three pass.  The induced equal-budget round count
     ``inner_rounds_used`` then never exceeds 2 * m_bound by construction.
     """
 
@@ -385,14 +385,28 @@ class EqualBudgetAdapter(BudgetOracle):
         else:
             self.plan_runs.append([plan, count])
 
-    def _charge(self, amount: float) -> None:
-        """Check the declared round bound, charge one query, then take its
-        equal-budget rounds."""
-        if self.rounds_used + 1 > self.m_bound:
+    def _charge(self, rho_i: float, count: int) -> None:
+        """Check count queries of budget rho_i against the round bound, the
+        budget and M', in that order, then charge them; a failed check
+        charges nothing.
+
+        The charges are added one by one (``np.add.accumulate`` adds in
+        order), so ``spent`` is the float the per-query loop would reach.
+        """
+        if self.rounds_used + count > self.m_bound:
             raise RoundsExceededError(
                 f"mechanism exceeded its declared bound of {self.m_bound} rounds")
-        super()._charge(amount)
-        self._take_rounds(self._plan(amount), 1)
+        if count == 1:
+            total = self.spent + rho_i
+        else:
+            spent = np.full(count + 1, rho_i)
+            spent[0] = self.spent
+            total = float(np.add.accumulate(spent, out=spent)[-1])
+        if total > self.total_budget * (1.0 + RELATIVE_BUDGET_SLACK):
+            raise BudgetExceededError(
+                f"spent {self.spent} + {count} * {rho_i} exceeds budget {self.total_budget}")
+        self._take_rounds(self._plan(rho_i), count)
+        self.spent = total
 
     def _noise(self, count: int | None, rho_i: float) -> np.ndarray:
         """Per query of budget rho_i, its m_i round noises and then its top-up
@@ -424,26 +438,6 @@ class EqualBudgetAdapter(BudgetOracle):
         if plan.topup_variance > 0:
             answer += noise[repeats]
         return float(answer)
-
-    def _charge_batch(self, rho_each: float, count: int) -> None:
-        """Check the whole batch, then charge it as count queries in order.
-
-        The round bound, the budget and the equal-budget round bound are all
-        checked, in the order a query loop checks them, before anything is
-        charged.  The charges are added one by one (``np.add.accumulate`` adds
-        in order), so ``spent`` is the float the per-query loop would reach.
-        """
-        if self.rounds_used + count > self.m_bound:
-            raise RoundsExceededError(
-                f"mechanism exceeded its declared bound of {self.m_bound} rounds")
-        spent = np.full(count + 1, rho_each)
-        spent[0] = self.spent
-        total = float(np.add.accumulate(spent, out=spent)[-1])
-        if total > self.total_budget * (1.0 + RELATIVE_BUDGET_SLACK):
-            raise BudgetExceededError(
-                f"spent {self.spent} + {count} * {rho_each} exceeds budget {self.total_budget}")
-        self._take_rounds(self._plan(rho_each), count)
-        self.spent = total
 
     def _answer_batch(self, values: np.ndarray, rho_each: float) -> np.ndarray:
         """Each query's answer as _answer builds it, from one _noise draw."""

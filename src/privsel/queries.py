@@ -18,8 +18,8 @@ Node semantics on a loss vector l (extended-real valued):
     MaxOver(es)        max of child values
     Gap(S)             second order statistic minus minimum of l restricted
                        to the index set S; +inf when |S| = 1
-    GapOver(es)        same, over child expression values (used when derived
-                       losses are themselves re-selected recursively)
+    GapOver(es)        same, over child expression values (the tree form of
+                       a derived level's gap; Level computes it in numpy)
     Sub(a, b)          a - b
     Scale(c, e)        c * e
     AddConst(c, e)     e + c
@@ -28,7 +28,6 @@ Node semantics on a loss vector l (extended-real valued):
                        where v is P's vector: the losses l[i] of its
                        candidate indices when P is an index array (level 0),
                        else P's own values; a singleton's gap is +inf
-    LevelMin(L, Q)     min of the level vector L at the positions Q
     MinCompare(Q, s)   (min of l at Q[:s] - min of l at Q[s:]) / 2, the
                        halving tournament's query; both parts non-empty;
                        Q is an int64 array or a step-1 range of indices
@@ -38,14 +37,15 @@ Node semantics on a loss vector l (extended-real valued):
 
 A Level is one derived level of the recursive mechanism, the vector of its
 T derived losses; it holds the subsets in CSR form and has no scalar value
-of its own, so it is queried only through LevelMin.  Its entries are what
+of its own, so it is queried only through MinCompare.  Its entries are what
 one build_tilde_loss-shaped tree per subset gives (MinOver / GapOver over
 the level below, the universe being all of it), evaluated level by level in
 numpy instead of node by node.  Minima and gaps take, among equal values,
 the first in position order, as the tree nodes' Python min does; that only
-decides the sign of a zero.  Each side of a MinCompare follows the same rule
-at every size: up to 64 indices it reduces in Python, above it with numpy,
-and a zero numpy result is replaced by the first equal value in index order.
+decides the sign of a zero.  Each side of a MinCompare, over losses or a
+level, follows the same rule at every size (``_min_of``): up to 64 values it
+reduces in Python, above it with numpy, and a zero numpy result is replaced
+by the first equal value in index order.
 A range Q is admitted by an O(1) check of its ends and each side is reduced
 as a slice of the losses, with no bounds scan, gather or index copy; a side
 that is an aligned block of more than 64 candidates (2**j of them, starting
@@ -73,17 +73,16 @@ vectors differing by at most 1 per coordinate):
     Sub -> sum of child bounds;  Scale(c, e) -> |c| * bound(e);
     AddConst -> unchanged;  Gap -> 2 (0 for a singleton);
     GapOver -> 2 * max child bound (0 for a single child);
-    Level -> 1 per entry;  LevelMin -> 1;  MinCompare -> 1.
+    Level -> 1 per entry;  MinCompare -> 1.
 
 Every Level entry has bound 1, by induction on the chain.  The Level rule
 is the tree rule folded once: with b the bound of the level below, the
 subset minimum minus the offset universe minimum has bound 2b, the negated
 gap 2b (0 for a singleton), their max 2b, and the halving gives b again.
 A Level's ``prev`` is either the candidate index array, whose entries are
-losses (b = 1), or another Level, so b = 1 at every level.  LevelMin takes
-a minimum of such entries, so its bound is 1.  MinCompare is
-Scale(1/2, Sub(MinOver, MinOver)) (or the same over two LevelMin) as one
-node, so its bound is (1 + 1) / 2 = 1.  None of the three needs a walk.
+losses (b = 1), or another Level, so b = 1 at every level.  MinCompare is
+Scale(1/2, Sub(MinOver, MinOver)) as one node, over losses or over such
+entries, so its bound is (1 + 1) / 2 = 1.  Neither needs a walk.
 
 Canonical text form (prefix notation, whitespace separated), output only:
 
@@ -95,7 +94,7 @@ N is a nonnegative integer; NUM is a Python float repr (inf and -inf
 included).  ``gap`` carries base candidate indices, ``gapx`` the general
 expression form.  A MinCompare over base candidates is written as its tree,
 ``(scale 0.5 (sub (min ...) (min ...)))``.
-Level, LevelMin and a MinCompare over a level have no text form: a chain of
+Level and a MinCompare over a level have no text form: a chain of
 d levels expands into trees whose size grows exponentially with d, so
 format_expr raises TypeError on them.
 """
@@ -114,12 +113,12 @@ from .core import LossInstance
 
 __all__ = [
     "Base", "Const", "MinOver", "MaxOver", "Gap", "GapOver", "Sub", "Scale",
-    "AddConst", "Level", "LevelMin", "MinCompare", "LossExpr", "eval_expr",
+    "AddConst", "Level", "MinCompare", "LossExpr", "eval_expr",
     "sensitivity_bound", "build_bintree_query", "build_tilde_loss", "format_expr",
     "BaseBatch",
 ]
 
-# Below this size, plain Python beats numpy gather on a MinCompare's indices.
+# Up to this size, plain Python beats numpy on the minimum of a MinCompare side.
 _SMALL = 64
 
 _INT64 = np.dtype(np.int64)
@@ -260,31 +259,6 @@ class Level:
         return self.indptr.size - 1
 
 
-def _check_level_positions(level, pos: np.ndarray, owner: str) -> None:
-    """``pos`` must be non-empty, strictly increasing positions in ``level``."""
-    if type(level) is not Level:
-        raise TypeError(f"{owner} needs a Level, got {type(level).__name__}")
-    if pos.size == 0:
-        raise ValueError("need at least one position")
-    if not _increasing(pos):
-        raise ValueError("positions must be strictly increasing")
-    if pos[0] < 0 or pos[-1] >= len(level):
-        raise IndexError(f"position out of range for {len(level)} entries")
-
-
-@dataclass(frozen=True, eq=False)
-class LevelMin:
-    """Minimum of a Level's derived losses at strictly increasing positions."""
-
-    level: Level
-    positions: np.ndarray
-
-    def __post_init__(self):
-        pos = _index_array(self.positions)
-        _check_level_positions(self.level, pos, "LevelMin")
-        object.__setattr__(self, "positions", pos)
-
-
 @dataclass(frozen=True, eq=False)
 class MinCompare:
     """Half the difference of two minima: the halving tournament's query.
@@ -315,12 +289,17 @@ class MinCompare:
             object.__setattr__(self, "split", split)
         if not 0 < split < len(idx):
             raise ValueError(f"split {split} leaves a side of {len(idx)} indices empty")
-        if self.level is not None:
-            _check_level_positions(self.level, idx, "MinCompare")
+        level = self.level
+        if level is not None:
+            if type(level) is not Level:
+                raise TypeError(f"MinCompare needs a Level, got {type(level).__name__}")
+            if not _increasing(idx):
+                raise ValueError("positions must be strictly increasing")
+            if idx[0] < 0 or idx[-1] >= len(level):
+                raise IndexError(f"position out of range for {len(level)} entries")
 
 
-LossExpr = Union[Base, Const, MinOver, MaxOver, Gap, GapOver, Sub, Scale, AddConst, LevelMin,
-                 MinCompare]
+LossExpr = Union[Base, Const, MinOver, MaxOver, Gap, GapOver, Sub, Scale, AddConst, MinCompare]
 
 
 class BaseBatch(Sequence):
@@ -354,13 +333,6 @@ class BaseBatch(Sequence):
         return map(Base, idx if type(idx) is range else idx.tolist())
 
 
-def _check_bounds(arr: np.ndarray, n: int) -> None:
-    lo = int(arr.min())
-    hi = int(arr.max())
-    if lo < 0 or hi >= n:
-        raise IndexError(f"candidate index out of range: [{lo}, {hi}] vs n={n}")
-
-
 def _two_smallest(values) -> tuple[float, float]:
     s1 = math.inf
     s2 = math.inf
@@ -374,16 +346,13 @@ def _two_smallest(values) -> tuple[float, float]:
 
 def _min_of(sub: np.ndarray) -> float:
     """Minimum of sub; among equal values the first in order, which only
-    decides the sign of a zero."""
+    decides the sign of a zero.  Up to _SMALL values it reduces in Python."""
+    if sub.size <= _SMALL:
+        return min(sub.tolist())
     v = sub.min()
     if v == 0:  # numpy may return either zero; take the first one
         v = sub[np.flatnonzero(sub == 0)[0]]
     return float(v)
-
-
-def _first_min(values: np.ndarray) -> int:
-    """Position of the first minimal entry (so -0.0 and 0.0 tie)."""
-    return int(np.flatnonzero(values == values.min())[0])
 
 
 def _segment_first_min(values: np.ndarray, starts: np.ndarray,
@@ -403,7 +372,7 @@ def _derive(values: np.ndarray, level: Level) -> np.ndarray:
     smallest = members[first]
     members[first] = math.inf  # the second smallest is the minimum of the rest
     second = members[_segment_first_min(members, starts, segment)]
-    offset_min = values[_first_min(values)] + level.offset
+    offset_min = _min_of(values) + level.offset
     score = smallest - offset_min
     neg_gap = -(second - smallest)  # -inf for a singleton
     return 0.5 * np.where(neg_gap > score, neg_gap, score)
@@ -419,7 +388,7 @@ def _level_values(level: Level, instance: LossInstance, memo: dict) -> np.ndarra
     if type(below) is Level:
         values = memo[id(below)][1]
     else:
-        _check_bounds(below, len(instance))
+        _check_indices(below, len(instance))
         values = instance.as_array()[below]
     for node in reversed(levels):
         values = _derive(values, node)
@@ -428,12 +397,14 @@ def _level_values(level: Level, instance: LossInstance, memo: dict) -> np.ndarra
 
 
 def _check_indices(idx: np.ndarray | range, n: int) -> None:
-    """Non-empty candidate indices (a MinCompare's or a BaseBatch's) must lie
-    in range(n); a step-1 range is checked by its ends in O(1)."""
-    if type(idx) is not range:
-        _check_bounds(idx, n)
-    elif idx.start < 0 or idx.stop > n:
-        raise IndexError(f"candidate index out of range: [{idx.start}, {idx.stop - 1}] vs n={n}")
+    """Non-empty candidate indices (a MinCompare's, a BaseBatch's or a level-0
+    Level's) must lie in range(n); a step-1 range is checked by its ends in O(1)."""
+    if type(idx) is range:
+        lo, hi = idx.start, idx.stop - 1
+    else:
+        lo, hi = int(idx.min()), int(idx.max())
+    if lo < 0 or hi >= n:
+        raise IndexError(f"candidate index out of range: [{lo}, {hi}] vs n={n}")
 
 
 def _range_min(instance: LossInstance, lo: int, hi: int) -> float:
@@ -448,14 +419,6 @@ def _range_min(instance: LossInstance, lo: int, hi: int) -> float:
     return _min_of(instance.as_array()[lo:hi])
 
 
-def _array_min(instance: LossInstance, idx: np.ndarray) -> float:
-    """Minimum of the losses at the in-range indices idx, by the same rule."""
-    if idx.size <= _SMALL:
-        losses = instance.losses
-        return min([losses[i] for i in idx.tolist()])
-    return _min_of(instance.as_array()[idx])
-
-
 def _span_value(node: MinCompare, lo: int, mid: int, hi: int, instance: LossInstance,
                 memo: dict) -> float:
     """Value of MinCompare(node.indices[lo:hi], mid - lo, node.level).
@@ -464,15 +427,13 @@ def _span_value(node: MinCompare, lo: int, mid: int, hi: int, instance: LossInst
     ``_check_indices``): no span node is built and nothing is checked again.
     """
     idx = node.indices
-    if node.level is not None:
-        vals = _level_values(node.level, instance, memo)
-        left, right = vals[idx[lo:mid]], vals[idx[mid:hi]]
-        return 0.5 * (float(left[_first_min(left)]) - float(right[_first_min(right)]))
     if type(idx) is range:
         start = idx.start
         return 0.5 * (_range_min(instance, start + lo, start + mid)
                       - _range_min(instance, start + mid, start + hi))
-    return 0.5 * (_array_min(instance, idx[lo:mid]) - _array_min(instance, idx[mid:hi]))
+    level = node.level
+    vals = instance.as_array() if level is None else _level_values(level, instance, memo)
+    return 0.5 * (_min_of(vals[idx[lo:mid]]) - _min_of(vals[idx[mid:hi]]))
 
 
 def _compare_value(node: MinCompare, instance: LossInstance, memo: dict | None) -> float:
@@ -537,9 +498,6 @@ def eval_expr(expr: LossExpr, instance: LossInstance, memo: dict | None = None) 
             v = node.factor * ev(node.child)
         elif t is AddConst:
             v = ev(node.child) + node.offset
-        elif t is LevelMin:
-            vals = _level_values(node.level, instance, memo)[node.positions]
-            v = float(vals[_first_min(vals)])
         elif t is MinCompare:
             v = _compare_value(node, instance, memo)
         else:
@@ -589,7 +547,7 @@ def sensitivity_bound(expr: LossExpr) -> float:
             b = abs(node.factor) * bd(node.child)
         elif t is AddConst:
             b = bd(node.child)
-        elif t is LevelMin or t is MinCompare:
+        elif t is MinCompare:
             b = 1.0
         else:
             raise TypeError(f"not a loss expression: {node!r}")
@@ -683,7 +641,7 @@ def format_expr(expr: LossExpr) -> str:
         left, right = ("(min " + " ".join(f"(base {i})" for i in map(int, side)) + ")"
                        for side in sides)
         return f"(scale {_fmt_num(0.5)} (sub {left} {right}))"
-    if t is Level or t is LevelMin or t is MinCompare:
+    if t is Level or t is MinCompare:
         raise TypeError(f"{t.__name__} has no text form: its tree expansion grows "
                         "exponentially with the number of levels")
     raise TypeError(f"not a loss expression: {expr!r}")

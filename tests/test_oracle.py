@@ -14,7 +14,7 @@ from privsel.oracle import (
     RoundsExceededError, SensitivityViolationError, equal_budget_simulate,
     plan_equal_budget, LOG_CSV_HEADER,
 )
-from privsel.queries import Base, BaseBatch, Const, Gap, Level, LevelMin, MinCompare, Scale, Sub
+from privsel.queries import Base, BaseBatch, Const, Gap, MinCompare, Scale, Sub
 from privsel.mechanisms import binary_tree_select, combined_select, query_all_baseline
 
 
@@ -33,18 +33,9 @@ class TestNoisyQuery:
         oracle = BudgetOracle(INST, 1.0, seed=0)
         with pytest.raises(SensitivityViolationError):
             oracle.noisy_query(Gap([0, 1]), 0.5)
+        assert (oracle.spent, oracle.log) == (0.0, [])
         # the halved version passes
         oracle.noisy_query(Scale(0.5, Gap([0, 1])), 0.5)
-
-    def test_unhalved_level_comparison_is_rejected(self):
-        # each LevelMin has bound 1, so their plain difference has bound 2
-        level = Level(np.arange(4), [0, 2, 4], [0, 1, 2, 3], 1.0)
-        first, second = LevelMin(level, [0]), LevelMin(level, [1])
-        oracle = BudgetOracle(INST, 1.0, seed=0)
-        with pytest.raises(SensitivityViolationError, match="bound 2.0"):
-            oracle.noisy_query(Sub(first, second), 0.5)
-        assert (oracle.spent, oracle.log) == (0.0, [])
-        oracle.noisy_query(Scale(0.5, Sub(first, second)), 0.5)
         assert oracle.log[0].sensitivity_bound == 1.0
 
     def test_trial_leaves_no_reference_cycle(self):
@@ -374,6 +365,15 @@ class TestBaseBatch:
             with pytest.raises(RoundsExceededError):
                 adapter.noisy_query_batch(BaseBatch([0, 1]), 0.5)
         assert self._adapter_answer_after(over_equal_rounds, inner_rounds_used=6) == fresh
+
+        # a single query fails whole too: with 7 of M' = 8 rounds taken, one
+        # of 2 rounds passes the round bound and the budget but not M' (the
+        # follow-up's 1 round still fits)
+        def query_over_equal_rounds(adapter):
+            with pytest.raises(RoundsExceededError):
+                adapter.noisy_query(Base(0), 0.5)
+            assert adapter.plan_runs == []
+        assert self._adapter_answer_after(query_over_equal_rounds, inner_rounds_used=7) == fresh
 
     def test_query_all_leaves_no_base_nodes(self):
         # the batch holds an index array, so no node outlives the trial

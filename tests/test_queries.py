@@ -9,8 +9,8 @@ from hypothesis import given, settings, strategies as st
 
 from privsel.core import LossInstance
 from privsel.queries import (
-    AddConst, Base, BaseBatch, Const, Gap, GapOver, Level, LevelMin, MaxOver,
-    MinCompare, MinOver, Scale, Sub, build_bintree_query, build_tilde_loss,
+    AddConst, Base, BaseBatch, Const, Gap, GapOver, Level, MaxOver, MinCompare,
+    MinOver, Scale, Sub, _level_values, build_bintree_query, build_tilde_loss,
     eval_expr, format_expr, sensitivity_bound,
 )
 
@@ -224,7 +224,6 @@ class TestNodeValidation:
                      lambda: Level(np.array([0.0, 1.0]), [0, 2], [0, 1], 1.0),
                      lambda: Level(np.arange(4), [0.0, 2.0], [0, 1], 1.0),
                      lambda: Level(np.arange(4), [0, 2], [0.5, 1], 1.0),
-                     lambda: LevelMin(level, [0.0, 1.0]),
                      lambda: MinCompare([0.5, 1, 2], 1),
                      lambda: MinCompare(np.array([0.0, 1.0]), 1, level),
                      lambda: build_bintree_query([0.5], [1]),
@@ -274,7 +273,7 @@ def csr(subsets):
 
 
 class TestLevel:
-    """Level and LevelMin against the tree nodes they replace (the reference)."""
+    """Level against the tree nodes it replaces (the reference)."""
 
     @pytest.mark.parametrize("seed", range(40))
     def test_matches_tilde_trees_bitwise(self, seed):
@@ -294,27 +293,52 @@ class TestLevel:
             subsets = random_subsets(rng, len(level), int(rng.integers(1, 12)))
             level = Level(level, *csr(subsets), (k + math.sqrt(k)) * xi_value)
             members = tilde_trees(members, subsets, k, xi_value)
+            values = _level_values(level, inst, memo)
+            assert values.shape == (len(level),)
             for t, tree in enumerate(members):
-                node = LevelMin(level, [t])
-                assert bits(eval_expr(node, inst, memo)) == bits(
-                    eval_expr(tree, inst, tree_memo))
-                assert sensitivity_bound(node) == sensitivity_bound(tree) == 1.0
+                assert bits(values[t]) == bits(eval_expr(tree, inst, tree_memo))
+                assert sensitivity_bound(tree) == 1.0
             for pos in random_subsets(rng, len(level), 4):
-                node = LevelMin(level, pos)
-                tree = MinOver(tuple(members[i] for i in pos))
-                assert bits(eval_expr(node, inst, memo)) == bits(
+                if pos.size < 2:
+                    continue
+                cut = int(rng.integers(1, pos.size))
+                compare = MinCompare(pos, cut, level)
+                tree = Scale(0.5, Sub(MinOver(tuple(members[i] for i in pos[:cut])),
+                                      MinOver(tuple(members[i] for i in pos[cut:]))))
+                assert bits(eval_expr(compare, inst, memo)) == bits(
                     eval_expr(tree, inst, tree_memo))
+                assert sensitivity_bound(compare) == sensitivity_bound(tree) == 1.0
             if len(level) > 1:
                 cut = int(rng.integers(1, len(level)))
                 pos = np.arange(len(level))
-                query = Scale(0.5, Sub(LevelMin(level, pos[:cut]), LevelMin(level, pos[cut:])))
                 tree = Scale(0.5, Sub(MinOver(tuple(members[:cut])),
                                       MinOver(tuple(members[cut:]))))
-                assert bits(eval_expr(query, inst)) == bits(eval_expr(tree, inst))
-                assert sensitivity_bound(query) == sensitivity_bound(tree) == 1.0
                 compare = MinCompare(pos, cut, level)
                 assert bits(eval_expr(compare, inst, memo)) == bits(eval_expr(tree, inst))
                 assert sensitivity_bound(compare) == 1.0
+
+    @pytest.mark.parametrize("seed", range(10))
+    def test_sides_of_64_and_65_signed_zeros_match_trees(self, seed):
+        # losses (0, 0, 1, 3), offset 1: subset {0, 1} scores -0.0, {2} +0.0
+        # and {3} 1.0, so a side's minimum is a zero whose sign only the
+        # first-of-equals rule decides, on both sides of the 64-value threshold
+        rng = np.random.default_rng([seed, 7])
+        inst = LossInstance((0.0, 0.0, 1.0, 3.0))
+        choices = ([0, 1], [2], [3])
+        # entry 0 reads -0.0 and entry 139 +0.0: against a single one of them
+        # a side's sign shows in the difference (-0.0 - x and x - 0.0 keep it)
+        subsets = [[0, 1]] + [choices[c] for c in rng.integers(0, 3, 138)] + [[2]]
+        level = Level(np.arange(4), *csr([np.array(sub) for sub in subsets]), 1.0)
+        trees = tilde_trees(np.arange(4), subsets, 1, 0.5)
+        memo, tree_memo = {}, {}
+        for size in (64, 65) * 6:
+            side = np.sort(rng.choice(np.arange(1, 139), size, replace=False))
+            for pos, cut in ((np.append(side, 139), size), (np.insert(side, 0, 0), 1),
+                             (np.arange(1, 130), size)):
+                tree = Scale(0.5, Sub(MinOver(tuple(trees[i] for i in pos[:cut])),
+                                      MinOver(tuple(trees[i] for i in pos[cut:]))))
+                assert bits(eval_expr(MinCompare(pos, cut, level), inst, memo)) == bits(
+                    eval_expr(tree, inst, tree_memo))
 
     def test_signed_zero_ties_follow_position_order(self):
         # losses (0, 0, 1), offset 1: subset {0, 1} scores -0.0 (a zero gap
@@ -322,30 +346,30 @@ class TestLevel:
         # reads (-0.0, +0.0, -0.0, +0.0); among equal values the first wins
         inst = LossInstance((0.0, 0.0, 1.0))
         level = Level(np.arange(3), [0, 2, 3, 5, 6], [0, 1, 2, 0, 1, 2], 1.0)
-        values = [eval_expr(LevelMin(level, [t]), inst) for t in range(4)]
+        values = _level_values(level, inst, {})
         assert [bits(v) for v in values] == [bits(-0.0), bits(0.0)] * 2
-        assert bits(eval_expr(LevelMin(level, [0, 1]), inst)) == bits(-0.0)
-        assert bits(eval_expr(LevelMin(level, [1, 2]), inst)) == bits(0.0)
+        # a side's minimum minus the +0.0 at position 3 keeps that minimum's sign
+        assert bits(eval_expr(MinCompare([0, 1, 3], 2, level), inst)) == bits(-0.0)
+        assert bits(eval_expr(MinCompare([1, 2, 3], 2, level), inst)) == bits(0.0)
         # a gap of (s2 = -0.0) - (s1 = +0.0) is -0.0, so subset {1, 2} scores +0.0
         above = Level(level, [0, 2, 4], [0, 1, 1, 2], 1.0)
-        assert [bits(eval_expr(LevelMin(above, [t]), inst)) for t in range(2)] == [
-            bits(-0.0), bits(0.0)]
+        assert [bits(v) for v in _level_values(above, inst, {})] == [bits(-0.0), bits(0.0)]
         trees = tilde_trees(tilde_trees(np.arange(3), [[0, 1], [2], [0, 1], [2]], 1, 0.5),
                             [[0, 1], [1, 2]], 1, 0.5)
         assert [bits(eval_expr(t, inst)) for t in trees] == [bits(-0.0), bits(0.0)]
 
     def test_min_of_one_level_is_shared(self):
         inst = LossInstance((3.0, 1.0, 2.0, 5.0))
-        level = Level(np.arange(4), [0, 2, 4], [0, 1, 2, 3], 2.0)
+        level = Level(np.arange(4), [0, 1, 2, 4], [0, 1, 2, 3], 2.0)
         memo = {}
-        for t in range(2):
-            eval_expr(LevelMin(level, [t]), inst, memo)
+        for pos in ([0, 1], [1, 2]):
+            eval_expr(MinCompare(pos, 1, level), inst, memo)
         assert sum(entry[0] is level for entry in memo.values()) == 1
 
     def test_level_zero_index_checked_at_evaluation(self):
-        level = Level(np.array([0, 7]), [0, 2], [0, 1], 1.0)
+        level = Level(np.array([0, 7]), [0, 1, 2], [0, 1], 1.0)
         with pytest.raises(IndexError):
-            eval_expr(LevelMin(level, [0]), LossInstance((1.0, 2.0)))
+            eval_expr(MinCompare([0, 1], 1, level), LossInstance((1.0, 2.0)))
 
     def test_construction_rejects_bad_subsets(self):
         base = np.arange(4)
@@ -368,25 +392,6 @@ class TestLevel:
         # a subset may start below where the previous one ended
         assert len(Level(base, [0, 2, 4], [2, 3, 0, 1], 1.0)) == 2
 
-    def test_level_min_rejects_bad_positions(self):
-        level = Level(np.arange(4), [0, 1, 2, 4], [0, 1, 2, 3], 1.0)
-        for bad in ([], [1, 0], [0, 0]):
-            with pytest.raises(ValueError):
-                LevelMin(level, bad)
-        for bad in ([3], [-1, 0]):
-            with pytest.raises(IndexError):
-                LevelMin(level, bad)
-        with pytest.raises(TypeError):
-            LevelMin(np.arange(4), [0])
-
-    def test_bound_follows_the_level_below(self):
-        level = Level(np.arange(4), [0, 1, 4], [0, 1, 2, 3], 1.0)
-        above = Level(level, [0, 2], [0, 1], 1.0)
-        assert sensitivity_bound(LevelMin(above, [0])) == 1.0
-        assert sensitivity_bound(Sub(LevelMin(level, [0]), LevelMin(above, [0]))) == 2.0
-        assert sensitivity_bound(Scale(0.5, Sub(LevelMin(level, [0]),
-                                                LevelMin(level, [1])))) == 1.0
-
     def test_bare_level_is_not_a_scalar_query(self):
         level = Level(np.arange(2), [0, 2], [0, 1], 1.0)
         with pytest.raises(TypeError):
@@ -396,8 +401,9 @@ class TestLevel:
 
     def test_format_expr_refuses_levels(self):
         # a chain of d levels expands into text exponential in d
-        level = Level(np.arange(2), [0, 2], [0, 1], 1.0)
-        for expr in (LevelMin(level, [0]), Scale(0.5, Sub(LevelMin(level, [0]), Base(1)))):
+        level = Level(np.arange(2), [0, 1, 2], [0, 1], 1.0)
+        compare = MinCompare([0, 1], 1, level)
+        for expr in (level, compare, Scale(0.5, Sub(compare, Base(1)))):
             with pytest.raises(TypeError, match="no text form"):
                 format_expr(expr)
 
