@@ -159,7 +159,7 @@ def _cmd_verify(args) -> int:
 def _cmd_gen(args) -> int:
     inst = generate_instance(args.family, args.size, args.scale, args.seed)
     lines = ["index,loss"]
-    lines.extend(f"{i},{x!r}" for i, x in enumerate(inst.losses))
+    lines.extend(f"{i},{x!r}" for i, x in enumerate(inst.as_array().tolist()))
     _write_text(args.out, "\n".join(lines) + "\n")
     return 0
 
@@ -190,7 +190,7 @@ def _cmd_simulate_equal_budget(args) -> int:
             seed = np.random.SeedSequence([config.master_seed, trial, 7000 + mi])
             result, adapter = equal_budget_simulate(
                 instance, mech, m_bound, config.rho, seed, record_log=False)
-            errors.append(instance.losses[result.winner] - best)
+            errors.append(instance.as_array().item(result.winner) - best)
             rounds.append(adapter.inner_rounds_used)
             runs.extend(adapter.plan_runs)
         # np.mean sums pairwise: it needs all trials' values in query order

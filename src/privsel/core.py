@@ -15,6 +15,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from functools import cached_property
 
 import numpy as np
 
@@ -31,12 +32,15 @@ def ceil_log2(m: int) -> int:
     return (m - 1).bit_length()
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, init=False, repr=False, eq=False)  # frozen: assignments raise
 class LossInstance:
     """A finite candidate set with one real-valued loss per candidate.
 
     This is the ground truth that mechanisms may only observe through noisy
-    queries.  Ties for the minimum are broken by the lowest index.
+    queries.  Ties for the minimum are broken by the lowest index.  The
+    losses are held once, as the read-only float64 array ``as_array()``;
+    ``losses`` is them as a tuple of Python floats, built on its first read
+    and cached, and the instance's repr, equality and hash are the tuple's.
 
     ``block_minima()`` is a table of the minima of the aligned blocks of
     losses, built on its first call and kept for the instance's lifetime.
@@ -46,25 +50,36 @@ class LossInstance:
     asked for enough blocks to pay for it.
     """
 
-    losses: tuple[float, ...]
-
-    def __post_init__(self):
-        arr = np.asarray(self.losses, dtype=np.float64)
+    def __init__(self, losses):
+        arr = np.array(losses, dtype=np.float64)
         if arr.ndim != 1 or arr.size == 0:
             raise ValueError("instance must be a non-empty vector of losses")
         if not np.all(np.isfinite(arr)):
             raise ValueError("all losses must be finite")
-        arr = arr.copy()
         arr.setflags(write=False)
-        object.__setattr__(self, "losses", tuple(arr.tolist()))
         object.__setattr__(self, "_array", arr)
 
+    @cached_property
+    def losses(self) -> tuple[float, ...]:
+        return tuple(self._array.tolist())
+
+    def __repr__(self) -> str:
+        return f"LossInstance(losses={self.losses!r})"
+
+    def __eq__(self, other):
+        if type(other) is not type(self):
+            return NotImplemented
+        return bool(np.array_equal(self._array, other._array))
+
+    def __hash__(self) -> int:
+        return hash((self.losses,))
+
     def __len__(self) -> int:
-        return len(self.losses)
+        return self._array.size
 
     def as_array(self) -> np.ndarray:
         """Read-only float64 view of the losses."""
-        return self._array  # type: ignore[attr-defined]
+        return self._array
 
     def block_minima(self) -> np.ndarray:
         """Minima of the aligned blocks of 2**j losses, j >= 1, as one heap.
@@ -77,7 +92,7 @@ class LossInstance:
         """
         table = self.__dict__.get("_block_minima")
         if table is None:
-            level = self._array  # type: ignore[attr-defined]
+            level = self._array
             size = 1 << ceil_log2(level.size)
             if level.size < size:
                 level = np.concatenate([level, np.full(size - level.size, math.inf)])
@@ -117,19 +132,19 @@ class LossInstance:
 
     def min_index(self) -> int:
         """Smallest position attaining the minimum loss."""
-        return int(np.argmin(self._array))  # type: ignore[attr-defined]
+        return int(np.argmin(self._array))
 
     def min_loss(self) -> float:
-        return float(self._array.min())  # type: ignore[attr-defined]
+        return float(self._array.min())
 
     def gap(self) -> ExtReal:
         """Second order statistic minus the minimum; +inf for a singleton.
 
         Duplicated minima give gap 0.
         """
-        if len(self.losses) == 1:
+        if self._array.size == 1:
             return math.inf
-        two = np.partition(self._array, 1)[:2]  # type: ignore[attr-defined]
+        two = np.partition(self._array, 1)[:2]
         return float(two[1] - two[0])
 
 

@@ -331,7 +331,7 @@ def run_trials(config: ExperimentConfig) -> list[TrialRecord]:
                 mechanism=spec.name,
                 trial=trial,
                 winner=result.winner,
-                error=instance.losses[result.winner] - best,
+                error=instance.as_array().item(result.winner) - best,
                 rounds_used=result.rounds_used,
                 budget_spent=result.budget_spent,
                 recursion_depth=result.recursion_depth,

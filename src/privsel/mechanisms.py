@@ -68,19 +68,19 @@ def _candidate_span(oracle, candidates) -> np.ndarray | range:
     if candidates is None:
         return range(oracle.n_candidates)
     arr = _index_array(candidates)
-    if arr.size <= 64:
-        lst = arr.tolist()
-        increasing = all(map(operator.lt, lst, lst[1:]))
-    else:
-        increasing = bool((arr[1:] > arr[:-1]).all())
+    # a small set is checked on one list: its order, both ends and contiguity
+    lst = arr.tolist() if arr.size <= 64 else None
+    increasing = (all(map(operator.lt, lst, lst[1:])) if lst is not None
+                  else (arr[1:] > arr[:-1]).all())
     if not increasing:
-        arr = np.unique(arr)
+        arr, lst = np.unique(arr), None
     if arr.size == 0:
         raise ValueError("candidate set must be non-empty")
-    if arr[0] < 0 or arr[-1] >= oracle.n_candidates:
+    first, last = (lst[0], lst[-1]) if lst is not None else (int(arr[0]), int(arr[-1]))
+    if first < 0 or last >= oracle.n_candidates:
         raise IndexError("candidate index out of range")
-    if arr[-1] - arr[0] == arr.size - 1:
-        return range(int(arr[0]), int(arr[-1]) + 1)
+    if last - first == arr.size - 1:
+        return range(first, last + 1)
     return arr
 
 

@@ -43,13 +43,15 @@ the level below, the universe being all of it), evaluated level by level in
 numpy instead of node by node.  Minima and gaps take, among equal values,
 the first in position order, as the tree nodes' Python min does; that only
 decides the sign of a zero.  Each side of a MinCompare, over losses or a
-level, follows the same rule at every size (``_min_of``): up to 64 values it
-reduces in Python, above it with numpy, and a zero numpy result is replaced
-by the first equal value in index order.
+level, follows the same rule at every size: a MinCompare of up to 64
+members reads their values once, as a list, and reduces each side in
+Python; above that a side goes through ``_min_of``, in Python up to 64
+values, else with numpy, a zero numpy result replaced by the first equal
+value in index order.
 A range Q is admitted by an O(1) check of its ends and each side is reduced
 as a slice of the losses, with no bounds scan, gather or index copy; a side
-that is an aligned block of more than 64 candidates (2**j of them, starting
-at a multiple of 2**j) reads one entry of the instance's cached
+that is an aligned block of 2 or more candidates (2**j of them, starting at
+a multiple of 2**j) reads one entry of the instance's cached
 ``block_minima`` table, built by the same rule, once the instance has been
 asked for enough such blocks to pay for building it (``block_min``).
 
@@ -410,37 +412,46 @@ def _check_indices(idx: np.ndarray | range, n: int) -> None:
 def _range_min(instance: LossInstance, lo: int, hi: int) -> float:
     """Minimum of the losses in [lo, hi), by the tie rule of _min_of."""
     size = hi - lo
-    if size <= _SMALL:
-        return min(instance.losses[lo:hi])
-    if size & (size - 1) == 0 and lo % size == 0:  # an aligned block: one table entry
+    if size > 1 and size & (size - 1) == 0 and lo % size == 0:  # an aligned block
         value = instance.block_min(lo, size)
         if value is not None:
             return value
     return _min_of(instance.as_array()[lo:hi])
 
 
-def _span_value(node: MinCompare, lo: int, mid: int, hi: int, instance: LossInstance,
-                memo: dict) -> float:
+def _span_source(node: MinCompare, instance: LossInstance, memo: dict):
+    """What ``_span_value`` reads node's spans from, once a base form's
+    indices are checked: up to _SMALL members' values as one list, else the
+    instance for a range, or the values an index array's positions read."""
+    idx = node.indices
+    level = node.level
+    if level is None:
+        _check_indices(idx, len(instance))
+    vals = instance.as_array() if level is None else _level_values(level, instance, memo)
+    if len(idx) <= _SMALL:
+        return (vals[idx.start:idx.stop] if type(idx) is range else vals[idx]).tolist()
+    return instance if type(idx) is range else vals
+
+
+def _span_value(node: MinCompare, lo: int, mid: int, hi: int, source) -> float:
     """Value of MinCompare(node.indices[lo:hi], mid - lo, node.level).
 
-    ``node`` must have been admitted (a base form's indices checked by
-    ``_check_indices``): no span node is built and nothing is checked again.
+    ``source`` is node's ``_span_source``: no span node is built and nothing
+    is checked again.
     """
+    if type(source) is list:
+        return 0.5 * (min(source[lo:mid]) - min(source[mid:hi]))
     idx = node.indices
     if type(idx) is range:
         start = idx.start
-        return 0.5 * (_range_min(instance, start + lo, start + mid)
-                      - _range_min(instance, start + mid, start + hi))
-    level = node.level
-    vals = instance.as_array() if level is None else _level_values(level, instance, memo)
-    return 0.5 * (_min_of(vals[idx[lo:mid]]) - _min_of(vals[idx[mid:hi]]))
+        return 0.5 * (_range_min(source, start + lo, start + mid)
+                      - _range_min(source, start + mid, start + hi))
+    return 0.5 * (_min_of(source[idx[lo:mid]]) - _min_of(source[idx[mid:hi]]))
 
 
 def _compare_value(node: MinCompare, instance: LossInstance, memo: dict | None) -> float:
-    if node.level is None:
-        _check_indices(node.indices, len(instance))
-    return _span_value(node, 0, node.split, len(node.indices), instance,
-                       {} if memo is None else memo)
+    source = _span_source(node, instance, {} if memo is None else memo)
+    return _span_value(node, 0, node.split, len(node.indices), source)
 
 
 def eval_expr(expr: LossExpr, instance: LossInstance, memo: dict | None = None) -> float:

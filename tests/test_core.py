@@ -1,6 +1,7 @@
 """Domain types and closed-form quantities."""
 
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -57,6 +58,46 @@ class TestLossInstance:
         inst = LossInstance((1.0, 2.0))
         with pytest.raises(ValueError):
             inst.as_array()[0] = 9.0
+
+    def test_losses_is_one_tuple_of_python_floats(self):
+        inst = LossInstance(np.array([1.5, -0.0, 2.0]))
+        losses = inst.losses
+        assert inst.losses is losses
+        assert losses == (1.5, -0.0, 2.0) and math.copysign(1.0, losses[1]) == -1.0
+        assert all(type(x) is float for x in losses)
+        assert repr(inst) == "LossInstance(losses=(1.5, -0.0, 2.0))"
+
+    def test_equality_and_hash_follow_the_losses(self):
+        inst = LossInstance((1.5, -0.0, 2.0))
+        assert inst == LossInstance(np.array([1.5, 0.0, 2.0]))
+        assert hash(inst) == hash(LossInstance([1.5, 0.0, 2.0]))
+        assert inst != LossInstance((1.5, -0.0))
+        assert inst != LossInstance((1.5, -0.0, 3.0))
+        assert inst != (1.5, -0.0, 2.0)
+
+    def test_instance_is_immutable(self):
+        inst = LossInstance((1.0, 2.0))
+        for name in ("losses", "other"):
+            with pytest.raises(AttributeError):
+                setattr(inst, name, (3.0,))
+        with pytest.raises(AttributeError):
+            del inst.losses
+        assert inst.losses == (1.0, 2.0)
+
+    def test_instance_holds_its_losses_once(self):
+        n = 1 << 16
+        generate_instance("uniform", n, 1000.0, 0)  # warm up numpy's and the generator's caches
+        tracemalloc.start()
+        try:
+            inst = generate_instance("uniform", n, 1000.0, 0)
+            held, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert len(inst) == n
+        assert held <= 1.1 * 8 * n  # the one float64 array
+        # building it takes the generator's draw, the instance's copy and a
+        # bool mask of n bytes, and no Python float per loss
+        assert peak <= 2.25 * 8 * n
 
 
 class TestPrivacyParams:

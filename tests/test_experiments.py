@@ -1,6 +1,7 @@
 """Experiment harness: configs, summaries, determinism, CLI surface."""
 
 import argparse
+import hashlib
 import json
 import re
 from pathlib import Path
@@ -8,8 +9,9 @@ from pathlib import Path
 import numpy as np
 import pytest
 
+from privsel import experiments
 from privsel.cli import build_parser, main
-from privsel.core import MechanismConstants
+from privsel.core import LossInstance, MechanismConstants
 from privsel.experiments import (
     ConfigError, EmptyRecordsError, ExperimentConfig, InstanceSpec,
     MechanismSpec, SUMMARY_CSV_HEADER, TrialRecord, nearest_rank_quantile,
@@ -146,6 +148,28 @@ class TestRunExperiment:
         assert len(records) == 10
         # distinct instances make the winner losses vary
         assert len({rec.error for rec in records}) > 1
+
+    @pytest.mark.parametrize("fresh", [False, True])
+    def test_query_model_trials_never_build_the_loss_tuple(self, monkeypatch, fresh):
+        built = []
+
+        class Spy(LossInstance):
+            @property
+            def losses(self):
+                built.append(self)
+                return super().losses
+
+        generate = experiments.generate_instance
+        monkeypatch.setattr(experiments, "generate_instance",
+                            lambda *args: Spy(generate(*args).as_array()))
+        config = make_config(
+            instance=InstanceSpec("uniform", 1 << 16, 1000.0, seed=2),
+            mechanisms=tuple(MechanismSpec(n) for n in
+                             ("binary_tree", "query_all", "exponential")),
+            fresh_instance_per_trial=fresh, trials=2)
+        records = run_trials(config)
+        assert len(records) == 6 and built == []
+        assert all(type(rec.error) is float and rec.error >= 0.0 for rec in records)
 
     def test_gap_instance_failure_rate_within_bound(self):
         from privsel.core import gap_threshold
@@ -286,6 +310,16 @@ class TestCli:
         assert main(["gen", "gapped", "4", "2.5", "0", "--out", str(out)]) == 0
         assert out.read_text() == "index,loss\n0,0.0\n1,2.5\n2,2.5\n3,2.5\n"
         assert main(["gen", "bogus", "4", "2.5", "0", "--out", str(out)]) == 2
+
+    @pytest.mark.parametrize("argv, sha256", [
+        (["uniform", "7", "1000.0", "3"],
+         "f5c4d70e69cb49fc5bc5da8c2409e6dc2a12b1e06235f1d68ffc7b973af63177"),
+        (["layered", "9", "1.0", "0"],
+         "10e41209b9a494eb55368a2cd63f147eaf5d7dbd4a6d802eeea25ce118ef648c"),
+    ])
+    def test_gen_stdout_is_pinned(self, capsys, argv, sha256):
+        assert main(["gen", *argv]) == 0
+        assert hashlib.sha256(capsys.readouterr().out.encode()).hexdigest() == sha256
 
     def test_verify_quick_report(self, tmp_path):
         out = tmp_path / "report.csv"

@@ -73,9 +73,9 @@ class TestBinaryTree:
         tournaments = []
         span_value = oracle_module._span_value
 
-        def recording_span(root, lo, mid, hi, instance, memo):
+        def recording_span(root, lo, mid, hi, source):
             tournaments[-1][2].append((list(root.indices[lo:hi]), mid - lo))
-            return span_value(root, lo, mid, hi, instance, memo)
+            return span_value(root, lo, mid, hi, source)
 
         monkeypatch.setattr(oracle_module, "_span_value", recording_span)
 

@@ -298,16 +298,18 @@ def test_out_of_range_members_charge_and_draw_nothing(kind):
 
 
 def test_table_is_built_once_the_blocks_asked_for_pay_for_it():
-    instance = LossInstance(np.random.default_rng(3).uniform(0, 1, 1 << 10))
-    query_all_baseline(BudgetOracle(instance, 1.0, seed=0), 1.0)
-    exponential_mechanism(instance, 1.0, np.random.default_rng(0))
-    assert "_block_minima" not in vars(instance)
-    # one tournament asks for blocks of 2 * (512 + 256 + 128) < 2 * 1024 losses
-    first = BudgetOracle(instance, 1.0, seed=0)
-    binary_tree_select(first, 1.0)
-    assert "_block_minima" not in vars(instance)
-    # the second one's first round passes 2 * 1024 and builds it
-    second = BudgetOracle(instance, 1.0, seed=0)
-    binary_tree_select(second, 1.0)
-    assert "_block_minima" in vars(instance)
-    assert second.log_csv() == first.log_csv()
+    for n in (1 << 10, 1 << 16):
+        instance = LossInstance(np.random.default_rng(3).uniform(0, 1, n))
+        query_all_baseline(BudgetOracle(instance, 1.0, seed=0, record_log=False), 1.0)
+        exponential_mechanism(instance, 1.0, np.random.default_rng(0))
+        assert "_block_minima" not in vars(instance)
+        # one tournament asks for aligned blocks of 2 * (n/2 + ... + 2) = 2n - 4
+        # losses, 2044 at n = 2**10 and 131,068 at 2**16, not above 2n
+        first = BudgetOracle(instance, 1.0, seed=0)
+        binary_tree_select(first, 1.0)
+        assert "_block_minima" not in vars(instance)
+        # the second one's first round passes 2n and builds it
+        second = BudgetOracle(instance, 1.0, seed=0)
+        binary_tree_select(second, 1.0)
+        assert "_block_minima" in vars(instance)
+        assert second.log_csv() == first.log_csv()
