@@ -307,6 +307,7 @@ def test_table_is_built_once_the_blocks_asked_for_pay_for_it():
         # losses, 2044 at n = 2**10 and 131,068 at 2**16, not above 2n
         first = BudgetOracle(instance, 1.0, seed=0)
         binary_tree_select(first, 1.0)
+        assert vars(instance)["_block_losses_asked"] == 2 * n - 4
         assert "_block_minima" not in vars(instance)
         # the second one's first round passes 2n and builds it
         second = BudgetOracle(instance, 1.0, seed=0)
