@@ -31,8 +31,8 @@ import numpy as np
 
 from .core import LossInstance, ceil_log2
 from .queries import (
-    BaseBatch, Level, LossExpr, MinCompare, _check_indices, _span_source, _span_value,
-    eval_expr, sensitivity_bound,
+    BaseBatch, Level, LossExpr, MinCompare, _check_indices, _span_source, eval_expr,
+    sensitivity_bound,
 )
 
 __all__ = [
@@ -205,11 +205,13 @@ class BudgetOracle:
 
         The root MinCompare(members, ceil(len / 2), level) is built and
         admitted once: its sensitivity bound and its members are checked, and
-        the values its rounds read fetched (``_span_source``), before the
-        first round; a rejection charges, draws and logs nothing.  Each round
-        then does what one ``noisy_query`` of its span would: evaluate, then
-        ``_respond`` (check finiteness, ``_charge``, ``_answer`` from the
-        round's noise row, count and log the round).
+        its one round evaluator picked (``_span_source``; a range of 2**K
+        members from a multiple of 2**K reads two sibling entries of a built
+        block table per round), before the first round; a rejection charges,
+        draws and logs nothing.  Each round then does what one
+        ``noisy_query`` of its span would: evaluate, then ``_respond`` (check
+        finiteness, ``_charge``, ``_answer`` from the round's noise row, count
+        and log the round).
         Every path takes at least w = floor(log2(n)) rounds; from
         _WINDOW_MIN_MEMBERS members on, their rows are one ``_noise`` draw
         made once the first round is charged, and a failure at round j < w
@@ -225,7 +227,7 @@ class BudgetOracle:
             raise ValueError(f"rho must be positive, got {rho}")
         root = MinCompare(members, (n + 1) // 2, level)
         bound = self._bound(root)
-        source = _span_source(root, self.instance, self._eval_memo)
+        value = _span_source(root, self.instance, self._eval_memo)
         rows = None
         if n >= _WINDOW_MIN_MEMBERS and not self.noiseless:
             ahead, start = n.bit_length() - 1, self.rounds_used
@@ -235,8 +237,7 @@ class BudgetOracle:
         try:
             while hi - lo > 1:
                 mid = lo + (hi - lo + 1) // 2
-                value = _span_value(root, lo, mid, hi, source)
-                if respond(value, rho_round, bound, rows) > 0:
+                if respond(value(lo, mid, hi), rho_round, bound, rows) > 0:
                     lo = mid
                 else:
                     hi = mid

@@ -56,12 +56,15 @@ a multiple of 2**j) reads one entry of the instance's cached
 asked for enough such blocks to pay for building it (``block_min``).
 
 The halving tournament (``BudgetOracle.noisy_tournament``) admits its root
-MinCompare(Q, s, L) once and evaluates each round, MinCompare(Q[lo:hi],
-mid - lo, L), from (root, lo, mid, hi) with ``_span_value``: no node is
-built or checked per round.  ``eval_expr`` on a MinCompare is the same
-evaluator over the full span, after the admission check.  The tree nodes
-reduce in plain Python at every size and share no numpy code with Level and
-MinCompare, so comparing the two is an independent check.
+MinCompare(Q, s, L) once; ``_span_source`` then picks one evaluator of its
+rounds MinCompare(Q[lo:hi], mid - lo, L), so no node is built, checked or
+dispatched on per round.  For a range of 2**K candidates from a multiple of
+2**K, split in halves, once the table is built, a round's halves are two
+sibling table entries (at the last round, two losses).  ``eval_expr`` on a
+MinCompare is the same evaluator over the full span, after the admission
+check.  The tree nodes reduce in plain Python at every size and share no
+numpy code with Level and MinCompare, so comparing the two is an
+independent check.
 
 A BaseBatch is not a node: it is the sequence of Base(i) for the i of a
 step-1 range, kept as given, or of an int64 index array, which the oracle
@@ -420,38 +423,43 @@ def _range_min(instance: LossInstance, lo: int, hi: int) -> float:
 
 
 def _span_source(node: MinCompare, instance: LossInstance, memo: dict):
-    """What ``_span_value`` reads node's spans from, once a base form's
-    indices are checked: up to _SMALL members' values as one list, else the
-    instance for a range, or the values an index array's positions read."""
-    idx = node.indices
-    level = node.level
+    """The evaluator value(lo, mid, hi) of MinCompare(node.indices[lo:hi],
+    mid - lo, node.level), picked once node's indices are checked: slices of
+    up to _SMALL members' values as a list, or of an index array's or a
+    level's gathered values; a range's sides by _range_min, or, for an
+    aligned range split in halves once the table is built, a halving span's
+    halves as the sibling table entries k and k + 1 (a span of two, its two
+    losses)."""
+    idx, level = node.indices, node.level
+    n = len(idx)
     if level is None:
         _check_indices(idx, len(instance))
     vals = instance.as_array() if level is None else _level_values(level, instance, memo)
-    if len(idx) <= _SMALL:
-        return (vals[idx.start:idx.stop] if type(idx) is range else vals[idx]).tolist()
-    return instance if type(idx) is range else vals
+    if n <= _SMALL:
+        vals = (vals[idx.start:idx.stop] if type(idx) is range else vals[idx]).tolist()
+        return lambda lo, mid, hi: 0.5 * (min(vals[lo:mid]) - min(vals[mid:hi]))
+    if type(idx) is not range:
+        vals = vals[idx]
+        return lambda lo, mid, hi: 0.5 * (_min_of(vals[lo:mid]) - _min_of(vals[mid:hi]))
+    start = idx.start
+    table = vars(instance).get("_block_minima")  # built by an earlier call, if any
+    if table is None or n & (n - 1) or start % n or 2 * node.split != n:
+        return lambda lo, mid, hi: 0.5 * (_range_min(instance, start + lo, start + mid)
+                                          - _range_min(instance, start + mid, start + hi))
+    offset = table.size + start
 
+    def sibling(lo: int, mid: int, hi: int) -> float:
+        if mid - lo == 1:
+            return 0.5 * (vals.item(start + lo) - vals.item(start + mid))
+        k = (offset + lo) // (mid - lo)
+        return 0.5 * (table.item(k) - table.item(k + 1))
 
-def _span_value(node: MinCompare, lo: int, mid: int, hi: int, source) -> float:
-    """Value of MinCompare(node.indices[lo:hi], mid - lo, node.level).
-
-    ``source`` is node's ``_span_source``: no span node is built and nothing
-    is checked again.
-    """
-    if type(source) is list:
-        return 0.5 * (min(source[lo:mid]) - min(source[mid:hi]))
-    idx = node.indices
-    if type(idx) is range:
-        start = idx.start
-        return 0.5 * (_range_min(source, start + lo, start + mid)
-                      - _range_min(source, start + mid, start + hi))
-    return 0.5 * (_min_of(source[idx[lo:mid]]) - _min_of(source[idx[mid:hi]]))
+    return sibling
 
 
 def _compare_value(node: MinCompare, instance: LossInstance, memo: dict | None) -> float:
-    source = _span_source(node, instance, {} if memo is None else memo)
-    return _span_value(node, 0, node.split, len(node.indices), source)
+    value = _span_source(node, instance, {} if memo is None else memo)
+    return value(0, node.split, len(node.indices))
 
 
 def eval_expr(expr: LossExpr, instance: LossInstance, memo: dict | None = None) -> float:
@@ -467,8 +475,8 @@ def eval_expr(expr: LossExpr, instance: LossInstance, memo: dict | None = None) 
     """
     if type(expr) is MinCompare:
         return _compare_value(expr, instance, memo)
-    losses = instance.losses
-    n = len(losses)
+    arr = instance.as_array()
+    n = arr.size
     if memo is None:
         memo = {}
 
@@ -484,7 +492,7 @@ def eval_expr(expr: LossExpr, instance: LossInstance, memo: dict | None = None) 
                 raise TypeError(f"candidate index must be an integer, got {i!r}")
             if not 0 <= i < n:
                 raise IndexError(f"candidate index out of range: {i} vs n={n}")
-            v = losses[i]
+            v = arr.item(i)
         elif t is Const:
             v = float(node.value)
         elif t is MinOver or t is MaxOver:
@@ -494,7 +502,7 @@ def eval_expr(expr: LossExpr, instance: LossInstance, memo: dict | None = None) 
             lst = node.indices.tolist()
             if min(lst) < 0:
                 raise IndexError(f"negative candidate index in {lst}")
-            s1, s2 = _two_smallest(losses[i] for i in lst)
+            s1, s2 = _two_smallest(map(arr.item, lst))
             v = s2 - s1
         elif t is GapOver:
             if len(node.children) == 1:

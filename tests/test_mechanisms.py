@@ -67,17 +67,22 @@ class TestBinaryTree:
     def _recording(monkeypatch):
         """An oracle class recording, per tournament, (members type, level, rounds).
 
-        A round is its span query as (indices, split), read from the span
-        evaluator the oracle calls once per round.
+        A round is its span query as (indices, split), read from the round
+        evaluator the oracle picks once per tournament and calls once per round.
         """
         tournaments = []
-        span_value = oracle_module._span_value
+        span_source = oracle_module._span_source
 
-        def recording_span(root, lo, mid, hi, source):
-            tournaments[-1][2].append((list(root.indices[lo:hi]), mid - lo))
-            return span_value(root, lo, mid, hi, source)
+        def recording_source(root, instance, memo):
+            value, rounds = span_source(root, instance, memo), tournaments[-1][2]
 
-        monkeypatch.setattr(oracle_module, "_span_value", recording_span)
+            def recording_value(lo, mid, hi):
+                rounds.append((list(root.indices[lo:hi]), mid - lo))
+                return value(lo, mid, hi)
+
+            return recording_value
+
+        monkeypatch.setattr(oracle_module, "_span_source", recording_source)
 
         class Recording(BudgetOracle):
             def noisy_tournament(self, members, rho, level=None):

@@ -14,7 +14,7 @@ from privsel.oracle import (
     RoundsExceededError, SensitivityViolationError, equal_budget_simulate,
     plan_equal_budget, LOG_CSV_HEADER,
 )
-from privsel.queries import Base, BaseBatch, Const, Gap, MinCompare, Scale, Sub
+from privsel.queries import Base, BaseBatch, Const, Gap, MinCompare, Scale, Sub, eval_expr
 from privsel.mechanisms import binary_tree_select, combined_select, query_all_baseline
 
 
@@ -83,6 +83,17 @@ class TestNoisyQuery:
                 oracle.noisy_query(MinCompare(bad, 1), 0.1)
             assert (oracle.spent, oracle.rounds_used, oracle.log) == (0.0, 0, [])
             assert oracle.noisy_query(Base(0), 0.5) == fresh
+
+    def test_scalar_query_reads_losses_without_building_the_tuple(self):
+        # the tree walker reads single losses from the array, so the 2**16
+        # floats' tuple stays unbuilt; the answer's bits are those it gave
+        # when it read the tuple
+        instance = generate_instance("uniform", 2**16, 1000.0, 0)
+        answer = BudgetOracle(instance, 1.0, seed=0).noisy_query(Base(5), 1.0)
+        assert answer.hex() == "0x1.c86c17fc34de8p+9"
+        two = np.sort(instance.as_array()[[3, 5, 9]])[:2]
+        assert eval_expr(Gap([9, 3, 5]), instance) == two[1] - two[0]
+        assert "losses" not in vars(instance)
 
     def test_nonfinite_query_rejected(self):
         oracle = BudgetOracle(INST, 1.0, seed=0)

@@ -19,6 +19,7 @@ from privsel.oracle import (
     BudgetExceededError, BudgetOracle, EqualBudgetAdapter, NonFiniteQueryError,
     RoundsExceededError, SensitivityViolationError,
 )
+from privsel import queries as queries_module
 from privsel.queries import Base, Level, MinCompare, Sub
 
 SIZES = list(range(1, 301)) + [(1 << k) + d for k in range(8, 12) for d in (-1, 0, 1)]
@@ -63,12 +64,14 @@ def members_of(form, n, rng):
     """(instance, members, level) with len(members) == n, losses in {-0.0, 0.0, 1, 2}.
 
     The four values' frequencies vary per instance, so that minima over
-    long spans are not all zeros.
+    long spans are not all zeros.  A range of a power-of-two count may also
+    start at n, an aligned start other than 0.
     """
     size = 2 * n + 3
     losses = rng.choice(ZEROS, size, p=rng.dirichlet(np.ones(4)))
     if form == "range":
-        start = int(rng.choice([0, rng.integers(0, size - n + 1)]))
+        starts = [0, rng.integers(0, size - n + 1)] + ([n] if n & (n - 1) == 0 else [])
+        start = int(rng.choice(starts))
         return LossInstance(losses), range(start, start + n), None
     if form == "array":
         members = np.sort(rng.choice(size, n, replace=False)).astype(np.int64)
@@ -314,3 +317,26 @@ def test_table_is_built_once_the_blocks_asked_for_pay_for_it():
         binary_tree_select(second, 1.0)
         assert "_block_minima" in vars(instance)
         assert second.log_csv() == first.log_csv()
+
+
+@pytest.mark.parametrize("k", [10, 16])
+def test_aligned_tournament_reads_sibling_pairs_of_a_built_table(k, monkeypatch):
+    # every round of a tournament over range(2**k) is an aligned span split in
+    # halves, so once the table is built it reads both halves as one sibling
+    # pair, neither reducing a side nor asking block_min for it
+    n = 1 << k
+    instance = LossInstance(np.random.default_rng(k).uniform(0, 1, n))
+    instance.block_minima()
+
+    def forbidden(*args):
+        raise AssertionError(f"a side was reduced or asked for: {args[1:]}")
+
+    with monkeypatch.context() as patched:
+        patched.setattr(queries_module, "_range_min", forbidden)
+        patched.setattr(LossInstance, "block_min", forbidden)
+        fast = BudgetOracle(instance, 1.0, seed=1)
+        survivor = binary_tree_select(fast, 1.0).winner
+    slow = BudgetOracle(instance, 1.0, seed=1)
+    assert survivor == reference_tournament(slow, range(n), 1.0, as_array=True)
+    assert fast.log_csv() == slow.log_csv()
+    assert fast.rounds_used == k
