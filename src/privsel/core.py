@@ -184,10 +184,10 @@ class MechanismConstants:
     def __post_init__(self):
         if not self.c_xi > 0:
             raise ValueError("c_xi must be positive")
-        if not (isinstance(self.p_xi, int) and self.p_xi > 0):
-            raise ValueError("p_xi must be a positive integer")
-        if not (isinstance(self.base_threshold_log, int) and self.base_threshold_log > 0):
-            raise ValueError("base_threshold_log must be a positive integer")
+        for name in ("p_xi", "base_threshold_log"):
+            v = getattr(self, name)  # a bool is an int, but not an integer setting
+            if isinstance(v, bool) or not (isinstance(v, int) and v > 0):
+                raise ValueError(f"{name} must be a positive integer, got {v!r}")
         if not self.t_coeff > 0:
             raise ValueError("t_coeff must be positive")
         for name in ("budget_split_recursive", "beta_split_recursive"):

@@ -101,6 +101,14 @@ class ConfigError(ValueError):
     """Invalid experiment configuration."""
 
 
+def _integer(doc: dict, key: str, default):
+    """doc[key] (else default) as an int; int() would truncate 2.7 and read true as 1."""
+    value = doc.get(key, default)
+    if type(value) is bool or (isinstance(value, float) and not value.is_integer()):
+        raise ConfigError(f"{key} must be an integer, got {value!r}")
+    return None if value is None else int(value)
+
+
 class EmptyRecordsError(ValueError):
     """summarize() needs at least one trial record."""
 
@@ -189,9 +197,9 @@ class ExperimentConfig:
             raise ConfigError(f"unknown instance fields: {sorted(extra)}")
         instance = InstanceSpec(
             family=str(inst_doc.get("family", "")),
-            size=int(inst_doc.get("size", 0)),
+            size=_integer(inst_doc, "size", 0),
             scale=float(inst_doc.get("scale", 1.0)),
-            seed=None if inst_doc.get("seed") is None else int(inst_doc["seed"]),
+            seed=_integer(inst_doc, "seed", None),
         )
         mechanisms = []
         for m in mech_docs:
@@ -220,8 +228,8 @@ class ExperimentConfig:
                 mechanisms=tuple(mechanisms),
                 rho=rho,
                 beta=float(doc.get("beta", 0.1)),
-                trials=int(doc.get("trials", 1000)),
-                master_seed=int(doc.get("master_seed", 0)),
+                trials=_integer(doc, "trials", 1000),
+                master_seed=_integer(doc, "master_seed", 0),
                 failure_threshold=float(doc.get("failure_threshold", 0.0)),
                 fresh_instance_per_trial=doc.get("fresh_instance_per_trial", False),
             )

@@ -6,8 +6,8 @@ answers with Gaussian noise of variance 1/(2*rho_i), and enforces that
 declared per-query budgets never sum past the total.  ``noisy_query`` takes
 one expression; ``noisy_query_batch`` takes one BaseBatch, the only batch
 form; ``noisy_tournament`` runs a whole halving tournament of MinCompare
-rounds, admitting its root query once and then checking finiteness,
-charging, drawing and logging each round as ``noisy_query`` would.
+rounds of bound 1, admitting its members once (no node is built) and then
+checking finiteness, charging, drawing and logging each as ``noisy_query`` would.
 
 Randomness contract (frozen for golden tests): all noise comes from a numpy
 ``Generator`` over the PCG64 bit generator, built from a ``SeedSequence``;
@@ -31,7 +31,7 @@ import numpy as np
 
 from .core import LossInstance, ceil_log2
 from .queries import (
-    BaseBatch, Level, LossExpr, MinCompare, _check_indices, _span_source, eval_expr,
+    BaseBatch, Level, LossExpr, _check_indices, _members, _span_source, eval_expr,
     sensitivity_bound,
 )
 
@@ -127,13 +127,6 @@ class BudgetOracle:
         """Independent child stream (deterministic given the oracle seed)."""
         return np.random.default_rng(self._seed_seq.spawn(1)[0])
 
-    def _bound(self, expr: LossExpr) -> float:
-        bound = sensitivity_bound(expr)
-        if bound > 1.0 + _SENSITIVITY_TOL:
-            raise SensitivityViolationError(
-                f"sensitivity bound {bound} exceeds 1")
-        return bound
-
     def _charge(self, rho_i: float, count: int) -> None:
         """Charge count queries of budget rho_i as one sum, or nothing."""
         amount = rho_i * count
@@ -189,7 +182,9 @@ class BudgetOracle:
         """Answer expr(instance) + N(0, 1/(2*rho_i)), charging rho_i."""
         if not rho_i > 0:
             raise ValueError(f"rho_i must be positive, got {rho_i}")
-        bound = self._bound(expr)
+        bound = sensitivity_bound(expr)
+        if bound > 1.0 + _SENSITIVITY_TOL:
+            raise SensitivityViolationError(f"sensitivity bound {bound} exceeds 1")
         return self._respond(eval_expr(expr, self.instance, self._eval_memo), rho_i, bound)
 
     def noisy_tournament(self, members, rho: float, level: Level | None = None) -> int:
@@ -203,15 +198,15 @@ class BudgetOracle:
         and keeps the right half iff the noisy answer is > 0.  A singleton
         returns 0 and charges, draws and logs nothing.
 
-        The root MinCompare(members, ceil(len / 2), level) is built and
-        admitted once: its sensitivity bound and its members are checked, and
-        its one round evaluator picked (``_span_source``; a range of 2**K
-        members from a multiple of 2**K reads two sibling entries of a built
-        block table per round), before the first round; a rejection charges,
-        draws and logs nothing.  Each round then does what one
-        ``noisy_query`` of its span would: evaluate, then ``_respond`` (check
-        finiteness, ``_charge``, ``_answer`` from the round's noise row, count
-        and log the round).
+        No node is built.  The members are admitted once by MinCompare's
+        rules (``_members``: not empty; over a level, increasing and in
+        range) and the one round evaluator picked (``_span_source``: base
+        members in range; a range of 2**K from a multiple of 2**K reads two
+        sibling entries of a built block table per round) before the first
+        round; a rejection charges, draws and logs nothing.  Each round, a
+        MinCompare of bound 1, then does what one ``noisy_query`` of its span
+        would: evaluate, then ``_respond`` (check finiteness, ``_charge``,
+        ``_answer`` from its noise row, count and log the round).
         Every path takes at least w = floor(log2(n)) rounds; from
         _WINDOW_MIN_MEMBERS members on, their rows are one ``_noise`` draw
         made once the first round is charged, and a failure at round j < w
@@ -222,12 +217,12 @@ class BudgetOracle:
         n = len(members)
         if n == 1:
             return 0
+        split = (n + 1) // 2
+        members = _members(members, split, level)
         rho_round = rho / ceil_log2(n)
         if not rho_round > 0:
             raise ValueError(f"rho must be positive, got {rho}")
-        root = MinCompare(members, (n + 1) // 2, level)
-        bound = self._bound(root)
-        value = _span_source(root, self.instance, self._eval_memo)
+        value = _span_source(members, split, level, self.instance, self._eval_memo)
         rows = None
         if n >= _WINDOW_MIN_MEMBERS and not self.noiseless:
             ahead, start = n.bit_length() - 1, self.rounds_used
@@ -237,7 +232,7 @@ class BudgetOracle:
         try:
             while hi - lo > 1:
                 mid = lo + (hi - lo + 1) // 2
-                if respond(value(lo, mid, hi), rho_round, bound, rows) > 0:
+                if respond(value(lo, mid, hi), rho_round, 1.0, rows) > 0:
                     lo = mid
                 else:
                     hi = mid

@@ -55,16 +55,16 @@ a multiple of 2**j) reads one entry of the instance's cached
 ``block_minima`` table, built by the same rule, once the instance has been
 asked for enough such blocks to pay for building it (``block_min``).
 
-The halving tournament (``BudgetOracle.noisy_tournament``) admits its root
-MinCompare(Q, s, L) once; ``_span_source`` then picks one evaluator of its
-rounds MinCompare(Q[lo:hi], mid - lo, L), so no node is built, checked or
-dispatched on per round.  For a range of 2**K candidates from a multiple of
-2**K, split in halves, once the table is built, a round's halves are two
-sibling table entries (at the last round, two losses).  ``eval_expr`` on a
-MinCompare is the same evaluator over the full span, after the admission
-check.  The tree nodes reduce in plain Python at every size and share no
-numpy code with Level and MinCompare, so comparing the two is an
-independent check.
+The halving tournament (``BudgetOracle.noisy_tournament``) builds no node:
+it admits its members Q once by MinCompare's rule (``_members``), then
+``_span_source`` picks one evaluator of its rounds MinCompare(Q[lo:hi],
+mid - lo, L), so nothing is built, checked or dispatched on per round.
+For a range of 2**K candidates from a multiple of 2**K, split in halves,
+once the table is built, a round's halves are two sibling table entries
+(at the last round, two losses).  ``eval_expr`` on a MinCompare is the
+same evaluator over the full span of its admitted members.  The tree
+nodes reduce in plain Python at every size and share no numpy code with
+Level and MinCompare, so comparing the two is an independent check.
 
 A BaseBatch is not a node: it is the sequence of Base(i) for the i of a
 step-1 range, kept as given, or of an int64 index array, which the oracle
@@ -125,8 +125,6 @@ __all__ = [
 
 # Up to this size, plain Python beats numpy on the minimum of a MinCompare side.
 _SMALL = 64
-
-_INT64 = np.dtype(np.int64)
 
 
 def _index_array(indices) -> np.ndarray:
@@ -283,25 +281,27 @@ class MinCompare:
     level: Level | None = None
 
     def __post_init__(self):
-        idx = self.indices
-        if not ((type(idx) is range and idx.step == 1 and self.level is None)
-                or (type(idx) is np.ndarray and idx.dtype is _INT64 and idx.ndim == 1)):
-            idx = _index_array(idx)
-            object.__setattr__(self, "indices", idx)
-        split = self.split
-        if type(split) is not int:
-            split = operator.index(split)
-            object.__setattr__(self, "split", split)
-        if not 0 < split < len(idx):
-            raise ValueError(f"split {split} leaves a side of {len(idx)} indices empty")
-        level = self.level
-        if level is not None:
-            if type(level) is not Level:
-                raise TypeError(f"MinCompare needs a Level, got {type(level).__name__}")
-            if not _increasing(idx):
-                raise ValueError("positions must be strictly increasing")
-            if idx[0] < 0 or idx[-1] >= len(level):
-                raise IndexError(f"position out of range for {len(level)} entries")
+        object.__setattr__(self, "split", operator.index(self.split))
+        object.__setattr__(self, "indices", _members(self.indices, self.split, self.level))
+
+
+def _members(idx, split: int, level: Level | None) -> np.ndarray | range:
+    """The members of MinCompare(idx, split, level) or of a tournament, as
+    MinCompare's rules admit them; _span_source checks base candidates' range."""
+    if type(idx) is not range or idx.step != 1 or level is not None:
+        idx = _index_array(idx)
+    if not len(idx):
+        raise ValueError("the member set is empty")
+    if not 0 < split < len(idx):
+        raise ValueError(f"split {split} leaves a side of {len(idx)} indices empty")
+    if level is not None:
+        if type(level) is not Level:
+            raise TypeError(f"MinCompare needs a Level, got {type(level).__name__}")
+        if not _increasing(idx):
+            raise ValueError("positions must be strictly increasing")
+        if idx[0] < 0 or idx[-1] >= len(level):
+            raise IndexError(f"position out of range for {len(level)} entries")
+    return idx
 
 
 LossExpr = Union[Base, Const, MinOver, MaxOver, Gap, GapOver, Sub, Scale, AddConst, MinCompare]
@@ -422,15 +422,14 @@ def _range_min(instance: LossInstance, lo: int, hi: int) -> float:
     return _min_of(instance.as_array()[lo:hi])
 
 
-def _span_source(node: MinCompare, instance: LossInstance, memo: dict):
-    """The evaluator value(lo, mid, hi) of MinCompare(node.indices[lo:hi],
-    mid - lo, node.level), picked once node's indices are checked: slices of
-    up to _SMALL members' values as a list, or of an index array's or a
-    level's gathered values; a range's sides by _range_min, or, for an
-    aligned range split in halves once the table is built, a halving span's
-    halves as the sibling table entries k and k + 1 (a span of two, its two
-    losses)."""
-    idx, level = node.indices, node.level
+def _span_source(idx, split: int, level, instance: LossInstance, memo: dict):
+    """The evaluator value(lo, mid, hi) of MinCompare(idx[lo:hi], mid - lo,
+    level), for members idx admitted by _members, picked once base members
+    are checked against the instance: slices of up to _SMALL members' values
+    as a list, or of an index array's or a level's gathered values; a range's
+    sides by _range_min, or, for an aligned range split in halves once the
+    table is built, a halving span's halves as the sibling table entries k
+    and k + 1 (a span of two, its two losses)."""
     n = len(idx)
     if level is None:
         _check_indices(idx, len(instance))
@@ -443,7 +442,7 @@ def _span_source(node: MinCompare, instance: LossInstance, memo: dict):
         return lambda lo, mid, hi: 0.5 * (_min_of(vals[lo:mid]) - _min_of(vals[mid:hi]))
     start = idx.start
     table = vars(instance).get("_block_minima")  # built by an earlier call, if any
-    if table is None or n & (n - 1) or start % n or 2 * node.split != n:
+    if table is None or n & (n - 1) or start % n or 2 * split != n:
         return lambda lo, mid, hi: 0.5 * (_range_min(instance, start + lo, start + mid)
                                           - _range_min(instance, start + mid, start + hi))
     offset = table.size + start
@@ -457,8 +456,8 @@ def _span_source(node: MinCompare, instance: LossInstance, memo: dict):
     return sibling
 
 
-def _compare_value(node: MinCompare, instance: LossInstance, memo: dict | None) -> float:
-    value = _span_source(node, instance, {} if memo is None else memo)
+def _compare_value(node: MinCompare, instance: LossInstance, memo: dict) -> float:
+    value = _span_source(node.indices, node.split, node.level, instance, memo)
     return value(0, node.split, len(node.indices))
 
 
@@ -473,12 +472,12 @@ def eval_expr(expr: LossExpr, instance: LossInstance, memo: dict | None = None) 
     Raises IndexError for out-of-range candidate indices, and TypeError for
     a Base index that is a bool or not an integer (numpy integers pass).
     """
+    if memo is None:
+        memo = {}
     if type(expr) is MinCompare:
         return _compare_value(expr, instance, memo)
     arr = instance.as_array()
     n = arr.size
-    if memo is None:
-        memo = {}
 
     def ev(node) -> float:
         key = id(node)
@@ -537,8 +536,6 @@ def sensitivity_bound(expr: LossExpr) -> float:
     sound wherever both evaluations are finite; see the module docstring for
     the per-node rules.
     """
-    if type(expr) is MinCompare:
-        return 1.0
     memo = {}  # per node identity, so a shared subtree is bounded once
 
     def bd(node) -> float:

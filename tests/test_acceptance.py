@@ -34,7 +34,8 @@ SCALED = MechanismConstants(c_xi=1.0, p_xi=1, base_threshold_log=6)
 def _finish(name: str, t0: float, limit: float) -> None:
     elapsed = time.perf_counter() - t0
     assert elapsed < limit, f"{name}: {elapsed:.2f}s exceeded the {limit}s limit"
-    print(f"ACCEPTANCE {name}: PASS ({elapsed:.2f}s / limit {limit:.0f}s)")
+    print(f"ACCEPTANCE {name}: PASS ({elapsed:.2f}s / limit {limit:.0f}s, "
+          f"headroom {limit / elapsed:.1f}x)")
 
 
 def test_closed_form_certification():

@@ -126,6 +126,10 @@ class TestMechanismConstants:
             MechanismConstants(c_xi=0.0)
         with pytest.raises(ValueError):
             MechanismConstants(p_xi=0)
+        # a bool is an int to isinstance, but not an integer setting
+        for field in ("p_xi", "base_threshold_log"):
+            with pytest.raises(ValueError, match=field):
+                MechanismConstants(**{field: True})
         with pytest.raises(ValueError):
             MechanismConstants(budget_split_recursive=1.0)
 

@@ -47,6 +47,7 @@ class TestConfig:
                "mechanisms": [{"name": "query_all"}], "rho": 2.0}
         config = ExperimentConfig.from_json(doc)
         assert config.beta == 0.1 and config.trials == 1000 and config.master_seed == 0
+        assert ExperimentConfig.from_json(doc | {"trials": 5.0}).trials == 5  # integral
 
     @pytest.mark.parametrize("mutate", [
         lambda d: d.pop("rho"),
@@ -74,6 +75,19 @@ class TestConfig:
         mutate(doc)
         with pytest.raises(ConfigError):
             ExperimentConfig.from_json(doc)
+
+    @pytest.mark.parametrize("place, field, value", [
+        (None, "trials", 2.7), (None, "trials", True), (None, "master_seed", 2.5),
+        (None, "master_seed", False), ("instance", "size", 16.8),
+        ("instance", "size", True), ("instance", "seed", 2.5), ("instance", "seed", True),
+    ])
+    def test_integer_fields_are_not_truncated(self, place, field, value):
+        # int() would run 2 trials for 2.7, 1 for true and 16 candidates for 16.8
+        doc = {"instance": {"family": "constant", "size": 4, "seed": 3},
+               "mechanisms": [{"name": "query_all"}], "rho": 2.0}
+        with pytest.raises(ConfigError, match=field):
+            ExperimentConfig.from_json(doc | {field: value} if place is None
+                                       else doc | {place: doc[place] | {field: value}})
 
     def test_fresh_instance_flag_must_be_a_bool(self):
         with pytest.raises(ConfigError, match="fresh_instance_per_trial"):

@@ -73,11 +73,12 @@ class TestBinaryTree:
         tournaments = []
         span_source = oracle_module._span_source
 
-        def recording_source(root, instance, memo):
-            value, rounds = span_source(root, instance, memo), tournaments[-1][2]
+        def recording_source(members, split, level, instance, memo):
+            value = span_source(members, split, level, instance, memo)
+            rounds = tournaments[-1][2]
 
             def recording_value(lo, mid, hi):
-                rounds.append((list(root.indices[lo:hi]), mid - lo))
+                rounds.append((list(members[lo:hi]), mid - lo))
                 return value(lo, mid, hi)
 
             return recording_value

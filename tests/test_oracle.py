@@ -14,7 +14,9 @@ from privsel.oracle import (
     RoundsExceededError, SensitivityViolationError, equal_budget_simulate,
     plan_equal_budget, LOG_CSV_HEADER,
 )
-from privsel.queries import Base, BaseBatch, Const, Gap, MinCompare, Scale, Sub, eval_expr
+from privsel.queries import (
+    Base, BaseBatch, Const, Gap, Level, MinCompare, Scale, Sub, eval_expr,
+)
 from privsel.mechanisms import binary_tree_select, combined_select, query_all_baseline
 
 
@@ -40,15 +42,16 @@ class TestNoisyQuery:
 
     def test_trial_leaves_no_reference_cycle(self):
         # with the collector off, only reference counting frees the oracle's
-        # memo and the query nodes it pins; a cycle through it would keep
-        # them alive after the trial.  Every admitted node passes through
-        # _bound: each noisy_query's expression and each tournament's root.
-        admitted, levels, tournaments = [], [], []
+        # memo and the query nodes and levels it pins; a cycle through it
+        # would keep them alive after the trial.  Tournaments build no nodes,
+        # so after the trial a tree query and a MinCompare over the trial's
+        # last level go through noisy_query too.
+        submitted, levels, tournaments = [], [], []
 
         class Recording(BudgetOracle):
-            def _bound(self, expr):
-                admitted.append((type(expr), weakref.ref(expr)))
-                return super()._bound(expr)
+            def noisy_query(self, expr, rho_i):
+                submitted.append(weakref.ref(expr))
+                return super().noisy_query(expr, rho_i)
 
             def noisy_tournament(self, members, rho, level=None):
                 tournaments.append(len(members))
@@ -60,17 +63,19 @@ class TestNoisyQuery:
         gc.collect()
         gc.disable()
         try:
-            oracle = Recording(generate_instance("layered", 256, 1.0, 0), 1.0, seed=3)
+            oracle = Recording(generate_instance("layered", 256, 1.0, 0), 2.0, seed=3)
             assert combined_select(oracle, 1.0, scaled).recursion_depth > 0
-            assert len(oracle._eval_memo) > 0
-            # one root per tournament of two or more; the final comparison is
-            # the last of them, a tournament of the two winners
-            compares = sum(kind is MinCompare for kind, _ in admitted)
-            assert compares == sum(size > 1 for size in tournaments) > 2 and levels
-            assert tournaments[-1] == 2 and admitted[-1][0] is MinCompare
+            # the final comparison is a tournament of the two winners
+            assert tournaments[-1] == 2 and levels and not submitted
+            oracle.noisy_query(MinCompare(range(2), 1, levels[-1]()), 0.5)
+            oracle.noisy_query(Scale(0.5, Sub(Base(0), Base(1))), 0.5)
+            pinned = [node for node, _ in oracle._eval_memo.values()]
+            assert {Level, Base, Sub, Scale} <= set(map(type, pinned))
+            pinned = [weakref.ref(node) for node in pinned]
+            owner = weakref.ref(oracle)
             del oracle
-            assert all(ref() is None for _, ref in admitted)
-            assert all(ref() is None for ref in levels)
+            assert owner() is None
+            assert all(ref() is None for ref in submitted + levels + pinned)
         finally:
             gc.enable()
 

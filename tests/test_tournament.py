@@ -11,10 +11,12 @@ import math
 import numpy as np
 import pytest
 
-from privsel.core import LossInstance, ceil_log2
+from privsel.core import LossInstance, MechanismConstants, ceil_log2, generate_instance
 from privsel.mechanisms import (
-    binary_tree_select, exponential_mechanism, query_all_baseline,
+    binary_tree_select, combined_select, exponential_mechanism, query_all_baseline,
+    recursive_gap_select,
 )
+from privsel import oracle as oracle_module
 from privsel.oracle import (
     BudgetExceededError, BudgetOracle, EqualBudgetAdapter, NonFiniteQueryError,
     RoundsExceededError, SensitivityViolationError,
@@ -290,14 +292,59 @@ def test_out_of_range_members_charge_and_draw_nothing(kind):
     n = 200
     instance = LossInstance(np.arange(float(n)))
     level = Level(np.arange(n), [0, 1, 3, 6], [0, 1, 2, 3, 4, 5], 1.0)
+    empty = "the member set is empty"
     bad = [(range(-1, 100), None, IndexError), (range(100, n + 1), None, IndexError),
            (np.array([0, 5, n]), None, IndexError), (np.arange(-1, 90), None, IndexError),
-           (np.array([0, 3]), level, IndexError), (np.array([1, 0]), level, ValueError)]
+           (np.array([0, 3]), level, IndexError), (np.array([1, 0]), level, ValueError),
+           ([], None, ValueError), (np.array([], dtype=np.int64), None, ValueError),
+           (range(0), None, ValueError)]
     for members, lvl, error in bad:
         oracle = make_oracle(kind, instance, 8, noiseless=False)
-        with pytest.raises(error):
+        with pytest.raises(error, match=empty if len(members) == 0 else None):
             oracle.noisy_tournament(members, 1.0, lvl)
         assert (oracle.spent, oracle.rounds_used, oracle.log, oracle._rng) == (0.0, 0, [], None)
+        # the tournament admits its members by MinCompare's own rule
+        if lvl is not None or len(members) == 0:
+            with pytest.raises(error, match=empty if len(members) == 0 else None):
+                MinCompare(members, (len(members) + 1) // 2, lvl)
+
+
+def test_mechanisms_build_no_node_and_walk_no_bound(monkeypatch):
+    # a tournament's rounds are MinCompares of bound 1 by their type, so a
+    # trial builds no MinCompare and makes no sensitivity_bound call
+    scaled = MechanismConstants(c_xi=1.0, p_xi=1, base_threshold_log=6)
+    instance = generate_instance("layered", 256, 1.0, 0)
+    trials = (lambda o: binary_tree_select(o, 1.0),
+              lambda o: recursive_gap_select(o, 1.0, 0.1, scaled),
+              lambda o: combined_select(o, 1.0, scaled))
+    expected = []
+    for trial in trials:
+        oracle = BudgetOracle(instance, 1.0, seed=9)
+        trial(oracle)
+        expected.append(oracle.log_csv())
+    calls = {"MinCompare": 0, "sensitivity_bound": 0}
+
+    def counted(name, fn):
+        def wrapper(*args, **kwargs):
+            calls[name] += 1
+            return fn(*args, **kwargs)
+        return wrapper
+
+    monkeypatch.setattr(MinCompare, "__post_init__",
+                        counted("MinCompare", MinCompare.__post_init__))
+    for module in (oracle_module, queries_module):
+        monkeypatch.setattr(module, "sensitivity_bound",
+                            counted("sensitivity_bound", queries_module.sensitivity_bound))
+    depths = []
+    for trial, log in zip(trials, expected):
+        oracle = BudgetOracle(instance, 1.0, seed=9)
+        depths.append(trial(oracle).recursion_depth)
+        assert oracle.log_csv() == log and oracle.rounds_used > 0
+    assert depths[0] == 0 and min(depths[1:]) > 0  # the last two query levels
+    assert calls == {"MinCompare": 0, "sensitivity_bound": 0}
+    # the counters see what they count
+    BudgetOracle(instance, 1.0).noisy_query(MinCompare(range(2), 1), 0.5)
+    assert calls == {"MinCompare": 1, "sensitivity_bound": 1}
 
 
 def test_table_is_built_once_the_blocks_asked_for_pay_for_it():
