@@ -169,9 +169,8 @@ def _cmd_simulate_equal_budget(args) -> int:
     if config.fresh_instance_per_trial:
         raise ConfigError("simulate-equal-budget runs every trial on one instance: "
                           "fresh_instance_per_trial must be false")
-    seed_of = config.instance.seed if config.instance.seed is not None else config.master_seed
     instance = generate_instance(config.instance.family, config.instance.size,
-                                 config.instance.scale, seed_of)
+                                 config.instance.scale, config.instance_seed)
     best = instance.min_loss()
     n = len(instance)
     lines = ["mechanism,trials,m_bound,equal_rounds_budget,mean_error,"

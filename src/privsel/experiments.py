@@ -35,6 +35,7 @@ from __future__ import annotations
 import dataclasses
 import json
 import math
+import numbers
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -101,12 +102,26 @@ class ConfigError(ValueError):
     """Invalid experiment configuration."""
 
 
-def _integer(doc: dict, key: str, default):
-    """doc[key] (else default) as an int; int() would truncate 2.7 and read true as 1."""
-    value = doc.get(key, default)
-    if type(value) is bool or (isinstance(value, float) and not value.is_integer()):
-        raise ConfigError(f"{key} must be an integer, got {value!r}")
-    return None if value is None else int(value)
+def _number(spec, name: str, integral: bool) -> None:
+    """Store spec.name as an int (integral) or a float.  A bool, a string or
+    any other non-number is a ConfigError, as is a fraction for an integer
+    field: int() would read 2.7 as 2 and true as 1.  5.0 reads as 5."""
+    value = getattr(spec, name)
+    if (type(value) is bool or not isinstance(value, numbers.Real) or integral
+            and not (isinstance(value, numbers.Integral) or float(value).is_integer())):
+        raise ConfigError(
+            f"{name} must be {'an integer' if integral else 'a number'}, got {value!r}")
+    object.__setattr__(spec, name, int(value) if integral else float(value))
+
+
+def _known_fields(doc, cls) -> dict:
+    """A copy of the JSON object doc, whose keys must be field names of cls."""
+    if not isinstance(doc, dict):
+        raise ConfigError(f"{cls.__name__} must be a JSON object, got {doc!r}")
+    extra = set(doc) - {f.name for f in dataclasses.fields(cls)}
+    if extra:
+        raise ConfigError(f"unknown {cls.__name__} fields: {sorted(extra)}")
+    return dict(doc)
 
 
 class EmptyRecordsError(ValueError):
@@ -120,6 +135,16 @@ class InstanceSpec:
     scale: float = 1.0
     seed: int | None = None
 
+    def __post_init__(self):
+        if self.family not in INSTANCE_FAMILIES:
+            raise ConfigError(f"unknown instance family {self.family!r}")
+        _number(self, "size", integral=True)
+        if self.size < 1:
+            raise ConfigError("instance size must be >= 1")
+        _number(self, "scale", integral=False)
+        if self.seed is not None:
+            _number(self, "seed", integral=True)
+
 
 @dataclass(frozen=True)
 class MechanismSpec:
@@ -129,6 +154,9 @@ class MechanismSpec:
 
 @dataclass(frozen=True)
 class ExperimentConfig:
+    """One experiment; __post_init__ checks and normalises every field, for
+    from_json and Python callers alike."""
+
     instance: InstanceSpec
     mechanisms: tuple[MechanismSpec, ...]
     rho: float
@@ -140,103 +168,56 @@ class ExperimentConfig:
 
     def __post_init__(self):
         object.__setattr__(self, "mechanisms", tuple(self.mechanisms))
-        if self.instance.family not in INSTANCE_FAMILIES:
-            raise ConfigError(f"unknown instance family {self.instance.family!r}")
-        if self.instance.size < 1:
-            raise ConfigError("instance size must be >= 1")
         if not self.mechanisms:
             raise ConfigError("at least one mechanism is required")
         for spec in self.mechanisms:
             if spec.name not in MECHANISM_NAMES:
                 raise ConfigError(
                     f"unknown mechanism {spec.name!r}; expected one of {MECHANISM_NAMES}")
+        for name in ("rho", "beta", "failure_threshold"):
+            _number(self, name, integral=False)
         try:
             PrivacyParams(self.rho, self.beta)
         except ValueError as exc:
             raise ConfigError(str(exc)) from exc
-        if self.trials < 1:
-            raise ConfigError("trials must be >= 1")
-        if not (isinstance(self.master_seed, int) and self.master_seed >= 0):
-            raise ConfigError("master_seed must be a nonnegative integer")
+        for name, least in (("trials", 1), ("master_seed", 0)):
+            _number(self, name, integral=True)
+            if getattr(self, name) < least:
+                raise ConfigError(f"{name} must be >= {least}")
         if type(self.fresh_instance_per_trial) is not bool:
             raise ConfigError("fresh_instance_per_trial must be true or false, got "
                               f"{self.fresh_instance_per_trial!r}")
 
+    @property
+    def instance_seed(self) -> int:
+        """The seed of the instance: instance.seed, else the master seed."""
+        return self.master_seed if self.instance.seed is None else self.instance.seed
+
     def to_json(self) -> dict:
-        doc = {
-            "instance": {k: v for k, v in dataclasses.asdict(self.instance).items()
-                         if v is not None},
-            "mechanisms": [
-                {"name": m.name} | (
-                    {"constants": dataclasses.asdict(m.constants)} if m.constants else {})
-                for m in self.mechanisms
-            ],
-            "rho": self.rho,
-            "beta": self.beta,
-            "trials": self.trials,
-            "master_seed": self.master_seed,
-            "failure_threshold": self.failure_threshold,
-            "fresh_instance_per_trial": self.fresh_instance_per_trial,
-        }
-        return doc
+        return dataclasses.asdict(
+            self, dict_factory=lambda items: {k: v for k, v in items if v is not None})
 
     @classmethod
     def from_json(cls, doc: dict, default_constants: MechanismConstants | None = None
                   ) -> "ExperimentConfig":
-        if not isinstance(doc, dict):
-            raise ConfigError("config must be a JSON object")
+        """The config of a JSON document keyed by the dataclasses' field names;
+        absent fields take their defaults, absent constants default_constants."""
         try:
-            inst_doc = dict(doc["instance"])
-            mech_docs = list(doc["mechanisms"])
-            rho = float(doc["rho"])
-        except (KeyError, TypeError, ValueError) as exc:
-            raise ConfigError(f"missing or malformed required field: {exc}") from exc
-        known_inst = {"family", "size", "scale", "seed"}
-        extra = set(inst_doc) - known_inst
-        if extra:
-            raise ConfigError(f"unknown instance fields: {sorted(extra)}")
-        instance = InstanceSpec(
-            family=str(inst_doc.get("family", "")),
-            size=_integer(inst_doc, "size", 0),
-            scale=float(inst_doc.get("scale", 1.0)),
-            seed=_integer(inst_doc, "seed", None),
-        )
-        mechanisms = []
-        for m in mech_docs:
-            if not isinstance(m, dict) or "name" not in m:
-                raise ConfigError(f"malformed mechanism entry: {m!r}")
-            extra = set(m) - {"name", "constants"}
-            if extra:
-                raise ConfigError(f"unknown fields for mechanism {m['name']!r}: {sorted(extra)}")
-            consts = m.get("constants")
-            if consts is not None:
-                try:
-                    consts = MechanismConstants(**consts)
-                except (TypeError, ValueError) as exc:
-                    raise ConfigError(f"bad constants for {m['name']}: {exc}") from exc
-            elif default_constants is not None:
-                consts = default_constants
-            mechanisms.append(MechanismSpec(str(m["name"]), consts))
-        known = {"instance", "mechanisms", "rho", "beta", "trials", "master_seed",
-                 "failure_threshold", "fresh_instance_per_trial"}
-        extra = set(doc) - known
-        if extra:
-            raise ConfigError(f"unknown config fields: {sorted(extra)}")
-        try:
-            return cls(
-                instance=instance,
-                mechanisms=tuple(mechanisms),
-                rho=rho,
-                beta=float(doc.get("beta", 0.1)),
-                trials=_integer(doc, "trials", 1000),
-                master_seed=_integer(doc, "master_seed", 0),
-                failure_threshold=float(doc.get("failure_threshold", 0.0)),
-                fresh_instance_per_trial=doc.get("fresh_instance_per_trial", False),
-            )
+            doc = _known_fields(doc, cls)
+            doc["instance"] = InstanceSpec(**_known_fields(doc.get("instance"), InstanceSpec))
+            mechanisms = []
+            for m in doc.get("mechanisms", ()):
+                m = _known_fields(m, MechanismSpec)
+                consts = m.get("constants")
+                m["constants"] = (default_constants if consts is None
+                                  else MechanismConstants(**consts))
+                mechanisms.append(MechanismSpec(**m))
+            doc["mechanisms"] = mechanisms
+            return cls(**doc)
         except (TypeError, ValueError) as exc:
             if isinstance(exc, ConfigError):
                 raise
-            raise ConfigError(str(exc)) from exc
+            raise ConfigError(f"malformed config: {exc}") from exc
 
     @classmethod
     def from_json_text(cls, text: str,
@@ -312,8 +293,7 @@ def _derived_seed(*parts: int) -> int:
 
 def run_trials(config: ExperimentConfig) -> list[TrialRecord]:
     """All trial records, in (trial, mechanism) order."""
-    instance_seed = (config.instance.seed if config.instance.seed is not None
-                     else config.master_seed)
+    instance_seed = config.instance_seed
     instance = None
     if not config.fresh_instance_per_trial:
         instance = generate_instance(config.instance.family, config.instance.size,

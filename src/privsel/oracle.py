@@ -195,8 +195,9 @@ class BudgetOracle:
         level's derived losses.  With K = ceil(log2(len(members))), each
         round, at most K of them, answers MinCompare(members[lo:hi],
         mid - lo, level), mid = lo + ceil((hi - lo) / 2), with budget rho / K,
-        and keeps the right half iff the noisy answer is > 0.  A singleton
-        returns 0 and charges, draws and logs nothing.
+        and keeps the right half iff the noisy answer is > 0.  A singleton is
+        admitted like any other member set, then returns 0 and charges, draws
+        and logs nothing.
 
         No node is built.  The members are admitted once by MinCompare's
         rules (``_members``: not empty; over a level, increasing and in
@@ -214,15 +215,16 @@ class BudgetOracle:
         a failure at round j leaves exactly the rounds before j charged,
         drawn and logged, as the per-round loop would.
         """
+        if not rho > 0:
+            raise ValueError(f"rho must be positive, got {rho}")
+        members = _members(members, level)
         n = len(members)
+        value = _span_source(members, (n + 1) // 2, level, self.instance, self._eval_memo)
         if n == 1:
             return 0
-        split = (n + 1) // 2
-        members = _members(members, split, level)
         rho_round = rho / ceil_log2(n)
-        if not rho_round > 0:
+        if not rho_round > 0:  # a subnormal rho can underflow
             raise ValueError(f"rho must be positive, got {rho}")
-        value = _span_source(members, split, level, self.instance, self._eval_memo)
         rows = None
         if n >= _WINDOW_MIN_MEMBERS and not self.noiseless:
             ahead, start = n.bit_length() - 1, self.rounds_used
@@ -310,8 +312,8 @@ class EqualBudgetPlan:
 
 def plan_equal_budget(rho_i: float, m_bound: int, rho: float) -> EqualBudgetPlan:
     """Repeat count and top-up variance for one variable-budget query."""
-    if not (isinstance(m_bound, int) and m_bound >= 1):
-        raise ValueError(f"m_bound must be a positive integer, got {m_bound}")
+    if type(m_bound) is bool or not (isinstance(m_bound, int) and m_bound >= 1):
+        raise ValueError(f"m_bound must be a positive integer, got {m_bound!r}")
     if not rho > 0:
         raise ValueError(f"rho must be positive, got {rho}")
     if not 0 < rho_i <= rho * (1.0 + RELATIVE_BUDGET_SLACK):
@@ -347,8 +349,8 @@ class EqualBudgetAdapter(BudgetOracle):
 
     def __init__(self, instance: LossInstance, m_bound: int, rho: float,
                  seed=None, *, noiseless: bool = False, record_log: bool = True):
-        if not (isinstance(m_bound, int) and m_bound >= 1):
-            raise ValueError(f"m_bound must be a positive integer, got {m_bound}")
+        if type(m_bound) is bool or not (isinstance(m_bound, int) and m_bound >= 1):
+            raise ValueError(f"m_bound must be a positive integer, got {m_bound!r}")
         super().__init__(instance, rho, seed, noiseless=noiseless, record_log=record_log)
         self.m_bound = m_bound
         self.inner_rounds_used = 0

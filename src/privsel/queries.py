@@ -4,11 +4,12 @@ Mechanisms never see losses directly; they submit expressions from this
 closed language and the oracle audits each one with the structural
 sensitivity bound below before answering.
 
-The mechanisms submit two shapes at run time: MinCompare (over base
-candidates or over a Level) and BaseBatch.  The other nodes,
-build_tilde_loss and the tree branches of eval_expr and sensitivity_bound
-are reference semantics, used by the sensitivity fuzzer, the tests and the
-demos.
+At run time the mechanisms build no node: a halving tournament hands its
+members (base candidates, or positions in a Level) to
+``BudgetOracle.noisy_tournament``, which answers MinCompare rounds without
+building one, and query_all submits a BaseBatch.  The nodes, build_tilde_loss
+and the tree branches of eval_expr and sensitivity_bound are reference
+semantics, used by the sensitivity fuzzer, the tests and the demos.
 
 Node semantics on a loss vector l (extended-real valued):
 
@@ -281,19 +282,20 @@ class MinCompare:
     level: Level | None = None
 
     def __post_init__(self):
+        object.__setattr__(self, "indices", _members(self.indices, self.level))
         object.__setattr__(self, "split", operator.index(self.split))
-        object.__setattr__(self, "indices", _members(self.indices, self.split, self.level))
+        if not 0 < self.split < len(self.indices):
+            raise ValueError(
+                f"split {self.split} leaves a side of {len(self.indices)} indices empty")
 
 
-def _members(idx, split: int, level: Level | None) -> np.ndarray | range:
-    """The members of MinCompare(idx, split, level) or of a tournament, as
-    MinCompare's rules admit them; _span_source checks base candidates' range."""
+def _members(idx, level: Level | None) -> np.ndarray | range:
+    """The members of a tournament or (split aside) of MinCompare(idx, split,
+    level), as admitted; _span_source checks base candidates' range."""
     if type(idx) is not range or idx.step != 1 or level is not None:
         idx = _index_array(idx)
     if not len(idx):
         raise ValueError("the member set is empty")
-    if not 0 < split < len(idx):
-        raise ValueError(f"split {split} leaves a side of {len(idx)} indices empty")
     if level is not None:
         if type(level) is not Level:
             raise TypeError(f"MinCompare needs a Level, got {type(level).__name__}")

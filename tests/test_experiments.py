@@ -74,6 +74,10 @@ class TestConfig:
         lambda d: d.update(master_seed=2.5), lambda d: d.update(master_seed=False),
         lambda d: d["instance"].update(size=16.8), lambda d: d["instance"].update(size=True),
         lambda d: d["instance"].update(seed=2.5), lambda d: d["instance"].update(seed=True),
+        # misread before: float() read true as 1.0 and "2" as 2.0
+        lambda d: d.update(rho=True), lambda d: d.update(failure_threshold=True),
+        lambda d: d.update(beta="0.1"),
+        lambda d: d["instance"].update(scale=True), lambda d: d["instance"].update(scale="2"),
     ])
     def test_invalid_configs_rejected(self, mutate):
         doc = {"instance": {"family": "constant", "size": 4},
@@ -81,6 +85,41 @@ class TestConfig:
         mutate(doc)
         with pytest.raises(ConfigError):
             ExperimentConfig.from_json(doc)
+
+    @pytest.mark.parametrize("field, value", [
+        ("rho", -1.0), ("rho", True), ("beta", 1.5), ("beta", "0.1"),
+        ("failure_threshold", True), ("trials", 0), ("trials", 2.7), ("trials", True),
+        ("master_seed", -3), ("master_seed", 2.5), ("master_seed", False),
+        ("master_seed", True), ("mechanisms", (MechanismSpec("bogus"),)), ("mechanisms", ()),
+        ("fresh_instance_per_trial", "false"), ("fresh_instance_per_trial", 0),
+        ("instance.family", "bogus"), ("instance.size", 16.8), ("instance.size", 8.5),
+        ("instance.size", True), ("instance.seed", 2.5), ("instance.seed", True),
+        ("instance.scale", True), ("instance.scale", "2"),
+    ])
+    def test_invalid_fields_rejected_in_python(self, field, value):
+        # the rules of from_json hold for configs built in Python
+        instance = {"family": "constant", "size": 4}
+        config = {"mechanisms": (MechanismSpec("query_all"),), "rho": 2.0}
+        if field.startswith("instance."):
+            instance[field.removeprefix("instance.")] = value
+        else:
+            config[field] = value
+        with pytest.raises(ConfigError):
+            ExperimentConfig(instance=InstanceSpec(**instance), **config)
+
+    def test_json_and_python_configs_agree(self):
+        doc = {"instance": {"family": "uniform", "size": 32, "scale": 10, "seed": 3},
+               "mechanisms": [{"name": "binary_tree"}, {"name": "query_all"}],
+               "rho": 1, "trials": 20.0, "failure_threshold": 2}
+        built = ExperimentConfig(
+            InstanceSpec("uniform", 32, 10, 3),
+            (MechanismSpec("binary_tree"), MechanismSpec("query_all")),
+            rho=1, trials=20, failure_threshold=2)
+        parsed = ExperimentConfig.from_json(doc)
+        assert parsed == built
+        assert (type(built.rho), type(built.trials), type(built.instance.scale)) == \
+            (float, int, float)
+        assert run_experiment(parsed).to_csv() == run_experiment(built).to_csv()
 
     def test_fresh_instance_flag_must_be_a_bool(self):
         with pytest.raises(ConfigError, match="fresh_instance_per_trial"):

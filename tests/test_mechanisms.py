@@ -14,6 +14,7 @@ from privsel.mechanisms import (
     combined_round_bound, exponential_mechanism, query_all_baseline,
     recursive_gap_round_bound, recursive_gap_select,
 )
+from privsel import mechanisms as mechanisms_module
 from privsel import oracle as oracle_module
 from privsel.oracle import BudgetOracle
 from privsel.queries import BaseBatch
@@ -114,6 +115,17 @@ class TestBinaryTree:
             assert [(t, level) for t, level, _ in tournaments] == [(kind, None)]
             assert tournaments[0][2]
 
+        def no_array(indices):
+            raise AssertionError(f"{indices!r} was converted to an index array")
+
+        # a step-1 range goes to the tournament as it is, with no array round trip
+        monkeypatch.setattr(mechanisms_module, "_index_array", no_array)
+        for candidates in (range(2, 7), range(10)):
+            tournaments.clear()
+            binary_tree_select(Recording(inst, 1.0, seed=0), 1.0, candidates=candidates)
+            assert [(t, level) for t, level, _ in tournaments] == [(range, None)]
+            assert tournaments[0][2][0][0] == list(candidates)
+
     def test_range_rounds_answer_as_array_rounds(self):
         class AsArrays(BudgetOracle):
             def noisy_tournament(self, members, rho, level=None):
@@ -149,7 +161,10 @@ class TestCandidateValidation:
         for bad, error, match in (([0.5, 3.7], TypeError, "integers"),
                                   (np.array([1.9, 2.2]), TypeError, "integers"),
                                   ([True, False], TypeError, "integers"),
-                                  (np.array([[0, 1], [2, 3]]), ValueError, "one-dimensional")):
+                                  (np.array([[0, 1], [2, 3]]), ValueError, "one-dimensional"),
+                                  (range(0), ValueError, "non-empty"),
+                                  (range(-1, 5), IndexError, "out of range"),
+                                  (range(250, 257), IndexError, "out of range")):
             oracle = BudgetOracle(inst, 1.0, seed=3)
             with pytest.raises(error, match=match):
                 select(oracle, bad)

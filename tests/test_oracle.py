@@ -449,6 +449,11 @@ class TestEqualBudgetPlan:
             plan_equal_budget(2.0, 5, 1.0)  # rho_i above rho
         with pytest.raises(ValueError):
             plan_equal_budget(0.5, 0, 1.0)
+        # a bool is an int, but not a round bound
+        with pytest.raises(ValueError, match="m_bound"):
+            plan_equal_budget(0.5, True, 1.0)
+        with pytest.raises(ValueError, match="m_bound"):
+            EqualBudgetAdapter(LossInstance((1.0, 2.0)), True, 1.0)
 
 
 class TestEqualBudgetAdapter:

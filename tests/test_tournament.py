@@ -298,10 +298,15 @@ def test_out_of_range_members_charge_and_draw_nothing(kind):
            (np.array([0, 3]), level, IndexError), (np.array([1, 0]), level, ValueError),
            ([], None, ValueError), (np.array([], dtype=np.int64), None, ValueError),
            (range(0), None, ValueError)]
-    for members, lvl, error in bad:
+    # a singleton is admitted like any other member set before it returns 0,
+    # and a subnormal rho whose per-round share underflows is no budget
+    with_rho = [([10**9], None, IndexError, 1.0), ([1.5], None, TypeError, 1.0),
+                (np.array([[0]]), None, ValueError, 1.0), (range(1), None, ValueError, -1.0),
+                ([0], "x", TypeError, 1.0), (range(4), None, ValueError, 5e-324)]
+    for members, lvl, error, rho in [case + (1.0,) for case in bad] + with_rho:
         oracle = make_oracle(kind, instance, 8, noiseless=False)
         with pytest.raises(error, match=empty if len(members) == 0 else None):
-            oracle.noisy_tournament(members, 1.0, lvl)
+            oracle.noisy_tournament(members, rho, lvl)
         assert (oracle.spent, oracle.rounds_used, oracle.log, oracle._rng) == (0.0, 0, [], None)
         # the tournament admits its members by MinCompare's own rule
         if lvl is not None or len(members) == 0:
