@@ -114,13 +114,17 @@ def _number(spec, name: str, integral: bool) -> None:
     object.__setattr__(spec, name, int(value) if integral else float(value))
 
 
-def _known_fields(doc, cls) -> dict:
-    """A copy of the JSON object doc, whose keys must be field names of cls."""
+def _known_fields(doc, cls, key: str) -> dict:
+    """A copy of the JSON object doc, the value of key: its keys are field
+    names of cls and include every field of cls without a default."""
     if not isinstance(doc, dict):
-        raise ConfigError(f"{cls.__name__} must be a JSON object, got {doc!r}")
-    extra = set(doc) - {f.name for f in dataclasses.fields(cls)}
-    if extra:
-        raise ConfigError(f"unknown {cls.__name__} fields: {sorted(extra)}")
+        raise ConfigError(f"{key} must be a JSON object, got {doc!r}")
+    fields = dataclasses.fields(cls)
+    if extra := set(doc) - {f.name for f in fields}:
+        raise ConfigError(f"unknown {key} fields: {sorted(extra)}")
+    if missing := [f.name for f in fields if f.default is dataclasses.MISSING
+                   and f.name not in doc]:
+        raise ConfigError(f"missing required {key} fields: {missing}")
     return dict(doc)
 
 
@@ -167,10 +171,16 @@ class ExperimentConfig:
     fresh_instance_per_trial: bool = False
 
     def __post_init__(self):
+        if type(self.instance) is not InstanceSpec:
+            raise ConfigError(f"instance must be an InstanceSpec, got {self.instance!r}")
         object.__setattr__(self, "mechanisms", tuple(self.mechanisms))
         if not self.mechanisms:
             raise ConfigError("at least one mechanism is required")
         for spec in self.mechanisms:
+            if type(spec) is not MechanismSpec or not isinstance(
+                    spec.constants, (MechanismConstants, type(None))):
+                raise ConfigError(f"mechanisms must be MechanismSpecs with MechanismConstants"
+                                  f" or None as constants, got {spec!r}")
             if spec.name not in MECHANISM_NAMES:
                 raise ConfigError(
                     f"unknown mechanism {spec.name!r}; expected one of {MECHANISM_NAMES}")
@@ -203,14 +213,15 @@ class ExperimentConfig:
         """The config of a JSON document keyed by the dataclasses' field names;
         absent fields take their defaults, absent constants default_constants."""
         try:
-            doc = _known_fields(doc, cls)
-            doc["instance"] = InstanceSpec(**_known_fields(doc.get("instance"), InstanceSpec))
+            doc = _known_fields(doc, cls, "config")
+            doc["instance"] = InstanceSpec(**_known_fields(doc["instance"], InstanceSpec,
+                                                           "instance"))
             mechanisms = []
-            for m in doc.get("mechanisms", ()):
-                m = _known_fields(m, MechanismSpec)
+            for m in doc["mechanisms"]:
+                m = _known_fields(m, MechanismSpec, "mechanism")
                 consts = m.get("constants")
-                m["constants"] = (default_constants if consts is None
-                                  else MechanismConstants(**consts))
+                m["constants"] = (default_constants if consts is None else MechanismConstants(
+                    **_known_fields(consts, MechanismConstants, "constants")))
                 mechanisms.append(MechanismSpec(**m))
             doc["mechanisms"] = mechanisms
             return cls(**doc)
@@ -293,18 +304,12 @@ def _derived_seed(*parts: int) -> int:
 
 def run_trials(config: ExperimentConfig) -> list[TrialRecord]:
     """All trial records, in (trial, mechanism) order."""
-    instance_seed = config.instance_seed
-    instance = None
-    if not config.fresh_instance_per_trial:
-        instance = generate_instance(config.instance.family, config.instance.size,
-                                     config.instance.scale, instance_seed)
-        best = instance.min_loss()
+    inst, fresh, seed = config.instance, config.fresh_instance_per_trial, config.instance_seed
     records = []
     for trial in range(config.trials):
-        if config.fresh_instance_per_trial:
-            instance = generate_instance(
-                config.instance.family, config.instance.size, config.instance.scale,
-                _derived_seed(instance_seed, trial))
+        if trial == 0 or fresh:
+            instance = generate_instance(inst.family, inst.size, inst.scale,
+                                         _derived_seed(seed, trial) if fresh else seed)
             best = instance.min_loss()
         for mi, spec in enumerate(config.mechanisms):
             run, round_bound = MECHANISM_TABLE[spec.name]
@@ -336,16 +341,11 @@ def summarize(records: list[TrialRecord], threshold: float,
     """
     if not records:
         raise EmptyRecordsError("no trial records to summarize")
-    order: list[str] = []
-    grouped: dict[str, list[TrialRecord]] = {}
+    grouped: dict[str, list[TrialRecord]] = {}  # in order of first appearance
     for rec in records:
-        if rec.mechanism not in grouped:
-            order.append(rec.mechanism)
-            grouped[rec.mechanism] = []
-        grouped[rec.mechanism].append(rec)
+        grouped.setdefault(rec.mechanism, []).append(rec)
     rows = []
-    for name in order:
-        recs = grouped[name]
+    for name, recs in grouped.items():
         errors = np.sort(np.asarray([r.error for r in recs]))
         rows.append(MechanismSummary(
             mechanism=name,

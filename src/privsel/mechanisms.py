@@ -59,30 +59,27 @@ class SelectionResult:
 
 def _candidate_span(oracle, candidates) -> np.ndarray | range:
     """The candidate set, sorted and duplicate-free: a range when it is
-    contiguous (the default set of all candidates and any step-1 range
-    included), else an int64 array.
+    contiguous (the default set of all candidates included), else an int64
+    array.
 
     Indices follow ``queries._index_array``'s rules: a float or bool dtype
     raises TypeError and input that is not one-dimensional ValueError.
     """
     if candidates is None:
         return range(oracle.n_candidates)
-    if type(candidates) is range and candidates.step == 1:
-        arr = lst = candidates  # sorted already; its ends are read in O(1)
-    else:
-        arr = _index_array(candidates)
-        # a small set is checked on one list: its order, both ends and contiguity
-        lst = arr.tolist() if arr.size <= 64 else None
-        increasing = (all(map(operator.lt, lst, lst[1:])) if lst is not None
-                      else (arr[1:] > arr[:-1]).all())
-        if not increasing:
-            arr, lst = np.unique(arr), None
-    if len(arr) == 0:
+    arr = _index_array(candidates)
+    # a small set is checked on one list: its order, both ends and contiguity
+    lst = arr.tolist() if arr.size <= 64 else None
+    increasing = (all(map(operator.lt, lst, lst[1:])) if lst is not None
+                  else (arr[1:] > arr[:-1]).all())
+    if not increasing:
+        arr, lst = np.unique(arr), None
+    if arr.size == 0:
         raise ValueError("candidate set must be non-empty")
     first, last = (lst[0], lst[-1]) if lst is not None else (int(arr[0]), int(arr[-1]))
     if first < 0 or last >= oracle.n_candidates:
         raise IndexError("candidate index out of range")
-    if last - first == len(arr) - 1:
+    if last - first == arr.size - 1:
         return range(first, last + 1)
     return arr
 

@@ -95,6 +95,9 @@ class TestConfig:
         ("instance.family", "bogus"), ("instance.size", 16.8), ("instance.size", 8.5),
         ("instance.size", True), ("instance.seed", 2.5), ("instance.seed", True),
         ("instance.scale", True), ("instance.scale", "2"),
+        # JSON-shaped values, which from_json turns into dataclasses
+        ("instance", {"family": "constant", "size": 4}), ("mechanisms", ({"name": "query_all"},)),
+        ("mechanisms", (MechanismSpec("recursive_gap", {"c_xi": 1.0}),)),
     ])
     def test_invalid_fields_rejected_in_python(self, field, value):
         # the rules of from_json hold for configs built in Python
@@ -105,7 +108,23 @@ class TestConfig:
         else:
             config[field] = value
         with pytest.raises(ConfigError):
-            ExperimentConfig(instance=InstanceSpec(**instance), **config)
+            ExperimentConfig(**{"instance": InstanceSpec(**instance)} | config)
+
+    @pytest.mark.parametrize("mutate, message", [
+        (lambda d: d.pop("instance"), r"missing required config fields: \['instance'\]"),
+        (lambda d: d.pop("rho"), r"missing required config fields: \['rho'\]"),
+        (lambda d: d["instance"].pop("size"), r"missing required instance fields: \['size'\]"),
+        (lambda d: d.update(instance=None), "instance must be a JSON object, got None"),
+        (lambda d: d.update(mechanisms=[{}]), r"missing required mechanism fields: \['name'\]"),
+        (lambda d: d.update(mechanisms=[{"name": "combined", "constants": {"c": 1}}]),
+         r"unknown constants fields: \['c'\]"),
+    ], ids=["no-instance", "no-rho", "no-size", "null-instance", "no-name", "unknown-constant"])
+    def test_errors_name_the_json_key(self, mutate, message):
+        doc = {"instance": {"family": "constant", "size": 4},
+               "mechanisms": [{"name": "query_all"}], "rho": 2.0}
+        mutate(doc)
+        with pytest.raises(ConfigError, match=message):
+            ExperimentConfig.from_json(doc)
 
     def test_json_and_python_configs_agree(self):
         doc = {"instance": {"family": "uniform", "size": 32, "scale": 10, "seed": 3},

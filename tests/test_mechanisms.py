@@ -14,7 +14,6 @@ from privsel.mechanisms import (
     combined_round_bound, exponential_mechanism, query_all_baseline,
     recursive_gap_round_bound, recursive_gap_select,
 )
-from privsel import mechanisms as mechanisms_module
 from privsel import oracle as oracle_module
 from privsel.oracle import BudgetOracle
 from privsel.queries import BaseBatch
@@ -109,22 +108,12 @@ class TestBinaryTree:
         Recording, tournaments = self._recording(monkeypatch)
         inst = LossInstance(np.arange(10.0))
         for candidates, kind in ((None, range), (np.arange(10)[2:7], range),
-                                 ([5, 3, 4, 6], range), ([0, 2, 3, 5], np.ndarray)):
+                                 ([5, 3, 4, 6], range), (range(2, 7), range),
+                                 ([0, 2, 3, 5], np.ndarray)):
             tournaments.clear()
             binary_tree_select(Recording(inst, 1.0, seed=0), 1.0, candidates=candidates)
             assert [(t, level) for t, level, _ in tournaments] == [(kind, None)]
             assert tournaments[0][2]
-
-        def no_array(indices):
-            raise AssertionError(f"{indices!r} was converted to an index array")
-
-        # a step-1 range goes to the tournament as it is, with no array round trip
-        monkeypatch.setattr(mechanisms_module, "_index_array", no_array)
-        for candidates in (range(2, 7), range(10)):
-            tournaments.clear()
-            binary_tree_select(Recording(inst, 1.0, seed=0), 1.0, candidates=candidates)
-            assert [(t, level) for t, level, _ in tournaments] == [(range, None)]
-            assert tournaments[0][2][0][0] == list(candidates)
 
     def test_range_rounds_answer_as_array_rounds(self):
         class AsArrays(BudgetOracle):
