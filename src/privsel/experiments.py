@@ -102,15 +102,18 @@ class ConfigError(ValueError):
     """Invalid experiment configuration."""
 
 
-def _number(spec, name: str, integral: bool) -> None:
-    """Store spec.name as an int (integral) or a float.  A bool, a string or
-    any other non-number is a ConfigError, as is a fraction for an integer
-    field: int() would read 2.7 as 2 and true as 1.  5.0 reads as 5."""
+def _number(spec, name: str, integral: bool, least: float = -math.inf) -> None:
+    """Store spec.name as an int (integral) or a float, not below least.  A
+    bool, a string or any other non-number is a ConfigError, as is a fraction
+    for an integer field: int() would read 2.7 as 2 and true as 1.  5.0 reads
+    as 5."""
     value = getattr(spec, name)
     if (type(value) is bool or not isinstance(value, numbers.Real) or integral
             and not (isinstance(value, numbers.Integral) or float(value).is_integer())):
         raise ConfigError(
             f"{name} must be {'an integer' if integral else 'a number'}, got {value!r}")
+    if value < least:
+        raise ConfigError(f"{name} must be >= {least}, got {value!r}")
     object.__setattr__(spec, name, int(value) if integral else float(value))
 
 
@@ -142,12 +145,12 @@ class InstanceSpec:
     def __post_init__(self):
         if self.family not in INSTANCE_FAMILIES:
             raise ConfigError(f"unknown instance family {self.family!r}")
-        _number(self, "size", integral=True)
-        if self.size < 1:
-            raise ConfigError("instance size must be >= 1")
-        _number(self, "scale", integral=False)
+        _number(self, "size", integral=True, least=1)
+        _number(self, "scale", integral=False, least=0)
+        if not math.isfinite(self.scale):  # uniform draws overflow on an infinite scale
+            raise ConfigError(f"instance scale must be finite, got {self.scale!r}")
         if self.seed is not None:
-            _number(self, "seed", integral=True)
+            _number(self, "seed", integral=True, least=0)
 
 
 @dataclass(frozen=True)
@@ -190,10 +193,8 @@ class ExperimentConfig:
             PrivacyParams(self.rho, self.beta)
         except ValueError as exc:
             raise ConfigError(str(exc)) from exc
-        for name, least in (("trials", 1), ("master_seed", 0)):
-            _number(self, name, integral=True)
-            if getattr(self, name) < least:
-                raise ConfigError(f"{name} must be >= {least}")
+        _number(self, "trials", integral=True, least=1)
+        _number(self, "master_seed", integral=True, least=0)
         if type(self.fresh_instance_per_trial) is not bool:
             raise ConfigError("fresh_instance_per_trial must be true or false, got "
                               f"{self.fresh_instance_per_trial!r}")

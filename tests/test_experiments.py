@@ -78,6 +78,10 @@ class TestConfig:
         lambda d: d.update(rho=True), lambda d: d.update(failure_threshold=True),
         lambda d: d.update(beta="0.1"),
         lambda d: d["instance"].update(scale=True), lambda d: d["instance"].update(scale="2"),
+        # failed only inside run_trials before, an infinite scale with an OverflowError
+        lambda d: d["instance"].update(scale=-1.0), lambda d: d["instance"].update(seed=-1),
+        lambda d: d["instance"].update(scale=float("inf")),
+        lambda d: d["instance"].update(scale=float("nan")),
     ])
     def test_invalid_configs_rejected(self, mutate):
         doc = {"instance": {"family": "constant", "size": 4},
@@ -94,7 +98,8 @@ class TestConfig:
         ("fresh_instance_per_trial", "false"), ("fresh_instance_per_trial", 0),
         ("instance.family", "bogus"), ("instance.size", 16.8), ("instance.size", 8.5),
         ("instance.size", True), ("instance.seed", 2.5), ("instance.seed", True),
-        ("instance.scale", True), ("instance.scale", "2"),
+        ("instance.scale", True), ("instance.scale", "2"), ("instance.scale", -1.0),
+        ("instance.scale", float("inf")), ("instance.seed", -1),
         # JSON-shaped values, which from_json turns into dataclasses
         ("instance", {"family": "constant", "size": 4}), ("mechanisms", ({"name": "query_all"},)),
         ("mechanisms", (MechanismSpec("recursive_gap", {"c_xi": 1.0}),)),
