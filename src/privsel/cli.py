@@ -24,7 +24,7 @@ import numpy as np
 
 from .core import DEFAULT_CONSTANTS, MechanismConstants, generate_instance
 from .experiments import (
-    MECHANISM_TABLE, ConfigError, ExperimentConfig, run_trials, summarize,
+    MECHANISM_TABLE, ConfigError, ExperimentConfig, _known_fields, run_trials, summarize,
 )
 from .oracle import equal_budget_simulate
 from .verify import (
@@ -50,7 +50,7 @@ def _load_constants(path: str | None) -> MechanismConstants | None:
     with open(path) as fh:
         doc = json.load(fh)
     try:
-        return MechanismConstants(**doc)
+        return MechanismConstants(**_known_fields(doc, MechanismConstants, "constants"))
     except (TypeError, ValueError) as exc:
         raise ConfigError(f"bad constants file {path}: {exc}") from exc
 
@@ -229,7 +229,8 @@ def build_parser() -> argparse.ArgumentParser:
     p_ver.add_argument("--rate-trials", type=int, default=10**5)
     p_ver.add_argument("--out", default=None, help="report CSV path (default stdout)")
     p_ver.add_argument("--constants", default=None,
-                       help="JSON constants file for the inequality grid")
+                       help="JSON constants file; the grid reads only c_xi and p_xi "
+                            "and checks K >= 1000 whatever base_threshold_log is")
     p_ver.set_defaults(func=_cmd_verify)
 
     p_gen = sub.add_parser("gen", help="emit a generated instance as CSV")

@@ -150,53 +150,48 @@ class LossInstance:
 
 @dataclass(frozen=True)
 class PrivacyParams:
-    """Total budget rho (zCDP units) and failure probability beta."""
+    """Total budget rho (zCDP units, finite) and failure probability beta."""
 
     rho: float
     beta: float
 
     def __post_init__(self):
-        if not self.rho > 0:
-            raise ValueError(f"rho must be positive, got {self.rho}")
+        if not (self.rho > 0 and math.isfinite(self.rho)):
+            raise ValueError(f"rho must be positive and finite, got {self.rho}")
         if not 0 < self.beta < 1:
             raise ValueError(f"beta must lie in (0, 1), got {self.beta}")
 
 
 @dataclass(frozen=True)
 class MechanismConstants:
-    """Tunable constants of the recursive gap mechanism.
+    """Tunable constants of the recursive gap mechanism's loss scale and base case.
 
     Defaults reproduce the algorithm as analyzed: loss-scale prefactor 1000
-    with exponent 10, base case at 2**1000 candidates, round count
-    T = ceil(2**(3*sqrt(K) - 1)), and 4/5 budget/failure splits for the
-    recursive call.  Those defaults make the recursion vacuous at any
-    feasible instance size, so experiments use scaled-down values while
-    formula-level tests keep the defaults.
+    with exponent 10 and base case at 2**1000 candidates.  Those defaults
+    make the recursion vacuous at any feasible instance size, so experiments
+    use scaled-down values while formula-level tests keep the defaults.  The
+    round count and the budget/failure splits are the fixed schedule below.
     """
 
     c_xi: float = 1000.0
     p_xi: int = 10
     base_threshold_log: int = 1000
-    t_coeff: float = 3.0
-    budget_split_recursive: float = 0.8
-    beta_split_recursive: float = 0.8
 
     def __post_init__(self):
-        if not self.c_xi > 0:
-            raise ValueError("c_xi must be positive")
+        if isinstance(self.c_xi, bool) or not (self.c_xi > 0 and math.isfinite(self.c_xi)):
+            raise ValueError(f"c_xi must be a positive finite number, got {self.c_xi!r}")
         for name in ("p_xi", "base_threshold_log"):
             v = getattr(self, name)  # a bool is an int, but not an integer setting
             if isinstance(v, bool) or not (isinstance(v, int) and v > 0):
                 raise ValueError(f"{name} must be a positive integer, got {v!r}")
-        if not self.t_coeff > 0:
-            raise ValueError("t_coeff must be positive")
-        for name in ("budget_split_recursive", "beta_split_recursive"):
-            v = getattr(self, name)
-            if not 0 < v < 1:
-                raise ValueError(f"{name} must lie in (0, 1), got {v}")
 
 
 DEFAULT_CONSTANTS = MechanismConstants()
+# The recursion's schedule as analysed, which `verify` certifies: a level on 2**K
+# candidates draws T = ceil(2**(3*sqrt(K) - 1)) subsets; the recursive call gets 4/5
+# of its rho and beta.
+SUBSET_ROUNDS_COEFF = 3
+RECURSION_SPLIT = 0.8
 
 
 def gap_threshold(m: int, rho: float, beta: float) -> float:
@@ -224,7 +219,7 @@ def loss_scale(k: int, rho: float, beta: float,
     """Scale unit of the recursive mechanism's derived losses.
 
     Returns (c_xi / sqrt(rho)) * (1 + log2(k))**p_xi * log2(c_xi*(k+1)/beta)
-    for a candidate-count exponent k >= 1.
+    for a candidate-count exponent k >= 1; ValueError if that overflows a float.
     """
     if not (isinstance(k, int) and k >= 1):
         raise ValueError(f"k must be a positive integer, got {k}")
@@ -235,7 +230,13 @@ def loss_scale(k: int, rho: float, beta: float,
     arg = consts.c_xi * (k + 1) / beta
     if not arg > 1:
         raise ValueError(f"log argument must exceed 1, got {arg}")
-    return (consts.c_xi / math.sqrt(rho)) * (1.0 + math.log2(k)) ** consts.p_xi * math.log2(arg)
+    try:
+        xi = (consts.c_xi / math.sqrt(rho)) * (1.0 + math.log2(k)) ** consts.p_xi * math.log2(arg)
+    except OverflowError:  # float ** int raises where float * float gives inf
+        xi = math.inf
+    if not math.isfinite(xi):
+        raise ValueError(f"loss scale overflows at k={k}, rho={rho}, beta={beta}, {consts}")
+    return xi
 
 
 def error_scale_from_log(ceil_log_m: int, rho: float, beta: float,

@@ -17,7 +17,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .core import LossInstance, MechanismConstants, DEFAULT_CONSTANTS, ceil_log2, loss_scale
+from .core import (DEFAULT_CONSTANTS, RECURSION_SPLIT, SUBSET_ROUNDS_COEFF, LossInstance,
+                   MechanismConstants, ceil_log2, loss_scale)
 from .queries import BaseBatch, Level, _index_array
 
 __all__ = [
@@ -33,7 +34,7 @@ __all__ = [
 DEFAULT_WORK_CAP = 10**9
 
 
-class InfeasibleConfigError(Exception):
+class InfeasibleConfigError(ValueError):
     """Subsampling round count exceeds the configured work cap.
 
     Expected for the un-scaled constants at exponents K large enough to leave
@@ -128,6 +129,11 @@ def _draw_subsets(rng, n: int, k: int, t_rounds: int) -> tuple[np.ndarray, np.nd
     return indptr, indices
 
 
+def _is_base_case(k: int, beta: float, consts: MechanismConstants) -> bool:
+    """The recursion's stopping rule on 2**k candidates: run the tournament."""
+    return k <= consts.base_threshold_log or beta <= 2.0 ** (-k)
+
+
 def _recursive_gap(oracle, members, rho, beta, consts, rng, work_cap):
     """Returns (position of winner in members, recursion depth used).
 
@@ -137,10 +143,10 @@ def _recursive_gap(oracle, members, rho, beta, consts, rng, work_cap):
     n = len(members)
     level = members if type(members) is Level else None
     k = ceil_log2(n)
-    if k <= consts.base_threshold_log or beta <= 2.0 ** (-k):
+    if _is_base_case(k, beta, consts):
         return oracle.noisy_tournament(members if level is None else range(n), rho, level), 0
 
-    log2_t = consts.t_coeff * math.sqrt(k) - 1.0
+    log2_t = SUBSET_ROUNDS_COEFF * math.sqrt(k) - 1.0
     # feasibility in log space: T * 2**(k-1) must stay under the work cap
     if log2_t + (k - 1) > math.log2(work_cap):
         raise InfeasibleConfigError(
@@ -153,15 +159,12 @@ def _recursive_gap(oracle, members, rho, beta, consts, rng, work_cap):
         members = np.arange(members.start, members.stop, dtype=np.int64)
     derived = Level(members, indptr, indices, (k + math.sqrt(k)) * xi_value)
 
-    t_out, depth = _recursive_gap(
-        oracle, derived,
-        consts.budget_split_recursive * rho,
-        consts.beta_split_recursive * beta,
-        consts, rng, work_cap)
+    t_out, depth = _recursive_gap(oracle, derived, RECURSION_SPLIT * rho,
+                                  RECURSION_SPLIT * beta, consts, rng, work_cap)
 
     sel = indices[indptr[t_out]:indptr[t_out + 1]]
     pos = oracle.noisy_tournament(sel if level is not None else members[sel],
-                                  (1.0 - consts.budget_split_recursive) * rho, level)
+                                  (1.0 - RECURSION_SPLIT) * rho, level)
     return int(sel[pos]), depth + 1
 
 
@@ -171,13 +174,16 @@ def recursive_gap_select(oracle, rho: float, beta: float,
                          candidates=None, work_cap: int = DEFAULT_WORK_CAP) -> SelectionResult:
     """Recursive large-gap subset selection.
 
-    With K = ceil(log2(n)) computed first: if K <= base_threshold_log or
-    beta <= 2**-K, delegates to the halving tournament with the full budget.
-    Otherwise draws T = ceil(2**(t_coeff*sqrt(K)-1)) random subsets (size
+    With K = ceil(log2(n)) computed first: if K <= consts.base_threshold_log
+    or beta <= 2**-K, delegates to the halving tournament with the full budget.
+    Otherwise draws T = ceil(2**(3*sqrt(K)-1)) random subsets (size
     2**(K - k_t), k_t uniform on 1..K), scores each by a derived sensitivity-1
     loss favoring subsets with large gap and small offset optimum, selects a
     subset by recursing on the derived losses with budgets (4/5*rho, 4/5*beta),
-    and finishes with a tournament over the chosen subset at rho/5.
+    and finishes with a tournament over the chosen subset at the rest of rho.
+    T and the splits are fixed (core.SUBSET_ROUNDS_COEFF, RECURSION_SPLIT);
+    consts sets the loss scale and the base case.  InfeasibleConfigError (over
+    work_cap) and ValueError (the loss scale overflows) come before any spend.
 
     Each derived level is one Level node over the level below, and every
     query on it is a MinCompare over that level, so every noisy answer still
@@ -286,11 +292,10 @@ def recursive_gap_round_bound(n: int, beta: float,
         return 1
     k = ceil_log2(n)
     total = 0
-    while not (k <= consts.base_threshold_log or beta <= 2.0 ** (-k)):
+    while not _is_base_case(k, beta, consts):
         total += k  # final tournament at this level selects within a subset
-        log2_t = consts.t_coeff * math.sqrt(k) - 1.0
-        k = int(math.ceil(log2_t))  # ceil(log2(T)) of the derived level
-        beta *= consts.beta_split_recursive
+        k = int(math.ceil(SUBSET_ROUNDS_COEFF * math.sqrt(k) - 1.0))  # ceil(log2(T)) below
+        beta *= RECURSION_SPLIT
     return max(total + k, 1)
 
 

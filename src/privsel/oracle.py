@@ -88,7 +88,7 @@ def _as_seed_seq(seed) -> np.random.SeedSequence:
 
 
 class BudgetOracle:
-    """Curator of one instance under a total zCDP budget.
+    """Curator of one instance under a positive, finite total zCDP budget.
 
     One oracle serves one trial on a single logical thread; run concurrent
     trials on distinct oracles.  ``noiseless=True`` is a test hook that
@@ -101,8 +101,8 @@ class BudgetOracle:
                  noiseless: bool = False, record_log: bool = True):
         if not isinstance(instance, LossInstance):
             raise TypeError("instance must be a LossInstance")
-        if not total_budget > 0:
-            raise ValueError(f"total_budget must be positive, got {total_budget}")
+        if not (total_budget > 0 and math.isfinite(total_budget)):
+            raise ValueError(f"total_budget must be positive and finite, got {total_budget}")
         self.instance = instance
         self.total_budget = float(total_budget)
         self.noiseless = noiseless

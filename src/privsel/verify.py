@@ -30,7 +30,7 @@ import mpmath
 import numpy as np
 
 from .core import (
-    DEFAULT_CONSTANTS, LossInstance, MechanismConstants, loss_scale,
+    DEFAULT_CONSTANTS, SUBSET_ROUNDS_COEFF, LossInstance, MechanismConstants, loss_scale,
 )
 from .queries import (
     AddConst, Base, Const, Gap, GapOver, MaxOver, MinOver, Scale, Sub,
@@ -117,16 +117,17 @@ def error_scale_from_log_hp(ceil_log_m, rho, beta,
         return 2 * k * _loss_scale_mp(k, rho, beta, consts)
 
 
-def derived_rounds_ceil_log(k, consts: MechanismConstants = DEFAULT_CONSTANTS):
-    """ceil(log2(T)) for the subsampling round count T = ceil(2**(t_coeff*sqrt(k)-1)).
+def derived_rounds_ceil_log(k):
+    """ceil(log2(T)) for the subsampling round count T = ceil(2**(3*sqrt(k)-1)).
 
-    Equals ceil(t_coeff*sqrt(k) - 1) without materializing T.  When the
-    exponent is an exact integer (e.g. k a perfect square with t_coeff = 3),
-    half-ULP rounding could otherwise push ceil one step too high; that case
-    is detected and resolved to the integer itself.  Returns (value, flagged).
+    Equals ceil(3*sqrt(k) - 1), 3 the fixed core.SUBSET_ROUNDS_COEFF, without
+    materializing T.  When the exponent is an exact integer (k a perfect
+    square), half-ULP rounding could otherwise push ceil one step too high;
+    that case is detected and resolved to the integer itself.  Returns
+    (value, flagged).
     """
     with mpmath.workdps(_DPS):
-        x = mpmath.mpf(consts.t_coeff) * mpmath.sqrt(mpmath.mpf(k)) - 1
+        x = SUBSET_ROUNDS_COEFF * mpmath.sqrt(mpmath.mpf(k)) - 1
         nearest = mpmath.nint(x)
         if abs(x - nearest) < mpmath.mpf(10) ** (-_DPS + 10):
             return int(nearest), True
@@ -153,32 +154,28 @@ def _check_domain(k, rho, beta, *, integer_k: bool) -> None:
         raise ValueError(f"k must be an integer, got {k!r}")
 
 
-def _dominance(params: str, xi, xi_sqrt) -> CheckResult:
-    """scale_dominance from xi and xi_sqrt as _point_checks names them; inside workdps."""
-    return CheckResult("scale_dominance", params, *_verdict(xi, 36 * xi_sqrt),
-                       note=f"ratio={float(xi / xi_sqrt)!r}")
-
-
-def _point_checks(k: int, rho, beta, consts: MechanismConstants,
+def _point_checks(k, rho, beta, consts: MechanismConstants,
                   rounds: tuple[int, bool]) -> tuple[CheckResult, ...]:
     """scale_dominance, error_recursion and gap_margin at one point (K, rho, beta).
 
     The three checks share three scale values: xi = loss_scale(K, rho, beta)
     and, at the 4/5 splits, loss_scale(3*sqrt(K)) and the error scale at
-    ceil(log2(T)), where rounds = derived_rounds_ceil_log(K, consts).
+    ceil(log2(T)), where rounds = derived_rounds_ceil_log(K).  The splits are
+    the exact 4/5 and 1/5 (mpf(0.8) is not 4/5); a test ties them to the core's.
     """
     t_log, flagged = rounds
     params, note = f"K={k};rho={rho};beta={beta}", "t-exponent-integer" if flagged else ""
     with mpmath.workdps(_DPS):
         rho4, beta4 = mpmath.mpf(rho) * 4 / 5, mpmath.mpf(beta) * 4 / 5
         xi = loss_scale_hp(k, rho, beta, consts)
-        xi_sqrt = loss_scale_hp(3 * mpmath.sqrt(mpmath.mpf(k)), rho4, beta4, consts)
+        xi_sqrt = loss_scale_hp(SUBSET_ROUNDS_COEFF * mpmath.sqrt(k), rho4, beta4, consts)
         gamma_t = error_scale_from_log_hp(t_log, rho4, beta4, consts)
         # PASS iff K*xi + 2*gamma_t <= 2*K*xi, the error scale at K, rho, beta
         recursion = _verdict(2 * k * xi, k * xi + 2 * gamma_t)
         gap = _verdict(mpmath.sqrt(k) * xi - 2 * gamma_t,
                        gap_threshold_hp(k, mpmath.mpf(rho) / 5, mpmath.mpf(beta) / 10))
-        return (_dominance(params, xi, xi_sqrt),
+        return (CheckResult("scale_dominance", params, *_verdict(xi, 36 * xi_sqrt),
+                            note=f"ratio={float(xi / xi_sqrt)!r}"),
                 CheckResult("error_recursion", params, *recursion, note=note),
                 CheckResult("gap_margin", params, *gap, note=note))
 
@@ -192,11 +189,7 @@ def scale_dominance_result(k, rho, beta,
     ratio of the two scale values.
     """
     _check_domain(k, rho, beta, integer_k=False)
-    with mpmath.workdps(_DPS):
-        xi_sqrt = loss_scale_hp(3 * mpmath.sqrt(mpmath.mpf(k)),
-                                mpmath.mpf(rho) * 4 / 5, mpmath.mpf(beta) * 4 / 5, consts)
-        return _dominance(f"K={k};rho={rho};beta={beta}",
-                          loss_scale_hp(k, rho, beta, consts), xi_sqrt)
+    return _point_checks(k, rho, beta, consts, derived_rounds_ceil_log(k))[0]
 
 
 def error_recursion_result(k: int, rho, beta,
@@ -206,7 +199,7 @@ def error_recursion_result(k: int, rho, beta,
     The derived-level error scale is evaluated through ceil(log2(T)).
     """
     _check_domain(k, rho, beta, integer_k=True)
-    return _point_checks(k, rho, beta, consts, derived_rounds_ceil_log(k, consts))[1]
+    return _point_checks(k, rho, beta, consts, derived_rounds_ceil_log(k))[1]
 
 
 def gap_margin_result(k: int, rho, beta,
@@ -217,7 +210,7 @@ def gap_margin_result(k: int, rho, beta,
     threshold.
     """
     _check_domain(k, rho, beta, integer_k=True)
-    return _point_checks(k, rho, beta, consts, derived_rounds_ceil_log(k, consts))[2]
+    return _point_checks(k, rho, beta, consts, derived_rounds_ceil_log(k))[2]
 
 
 GRID_KS = (1000, 2000, 5000, 10**4, 10**5, 10**6)
@@ -236,11 +229,11 @@ def appendix_grid(consts: MechanismConstants = DEFAULT_CONSTANTS,
     cached across calls.
     """
     results = []
-    rounds = {}  # K -> derived_rounds_ceil_log(K, consts)
+    rounds = {}  # K -> derived_rounds_ceil_log(K)
     for k, beta, rho in itertools.product(ks, betas, rhos):
         _check_domain(k, rho, beta, integer_k=True)
         if k not in rounds:
-            rounds[k] = derived_rounds_ceil_log(k, consts)
+            rounds[k] = derived_rounds_ceil_log(k)
         results.extend(_point_checks(k, rho, beta, consts, rounds[k]))
     return results
 

@@ -1,5 +1,6 @@
 """Domain types and closed-form quantities."""
 
+import dataclasses
 import math
 import tracemalloc
 
@@ -105,6 +106,9 @@ class TestPrivacyParams:
         PrivacyParams(1.0, 0.5)
         with pytest.raises(ValueError):
             PrivacyParams(0.0, 0.5)
+        for rho in (math.inf, math.nan):
+            with pytest.raises(ValueError, match="rho"):
+                PrivacyParams(rho, 0.5)
         with pytest.raises(ValueError):
             PrivacyParams(1.0, 0.0)
         with pytest.raises(ValueError):
@@ -117,9 +121,8 @@ class TestMechanismConstants:
         assert c.c_xi == 1000.0
         assert c.p_xi == 10
         assert c.base_threshold_log == 1000
-        assert c.t_coeff == 3.0
-        assert c.budget_split_recursive == 0.8
-        assert c.beta_split_recursive == 0.8
+        # the round count and the splits are the fixed schedule, not fields
+        assert [f.name for f in dataclasses.fields(c)] == ["c_xi", "p_xi", "base_threshold_log"]
 
     def test_validation(self):
         with pytest.raises(ValueError):
@@ -127,11 +130,12 @@ class TestMechanismConstants:
         with pytest.raises(ValueError):
             MechanismConstants(p_xi=0)
         # a bool is an int to isinstance, but not an integer setting
-        for field in ("p_xi", "base_threshold_log"):
+        for field in ("c_xi", "p_xi", "base_threshold_log"):
             with pytest.raises(ValueError, match=field):
                 MechanismConstants(**{field: True})
-        with pytest.raises(ValueError):
-            MechanismConstants(budget_split_recursive=1.0)
+        for c_xi in (math.inf, math.nan):
+            with pytest.raises(ValueError, match="c_xi"):
+                MechanismConstants(c_xi=c_xi)
 
 
 def test_ceil_log2():
@@ -172,6 +176,10 @@ class TestLossScale:
         # log argument must exceed 1
         with pytest.raises(ValueError):
             loss_scale(1, 1.0, 5.0, MechanismConstants(c_xi=1.0))
+        # overflow in the product (c_xi) and in the power (p_xi)
+        for consts in (MechanismConstants(c_xi=1e307), MechanismConstants(p_xi=1000)):
+            with pytest.raises(ValueError, match="overflows"):
+                loss_scale(10, 1.0, 0.1, consts)
 
 
 class TestErrorScale:

@@ -82,6 +82,9 @@ class TestConfig:
         lambda d: d["instance"].update(scale=-1.0), lambda d: d["instance"].update(seed=-1),
         lambda d: d["instance"].update(scale=float("inf")),
         lambda d: d["instance"].update(scale=float("nan")),
+        # ran noiselessly with inf spent, or failed in numpy, before
+        lambda d: d.update(rho=float("inf")),
+        lambda d: d.update(mechanisms=[{"name": "recursive_gap", "constants": {"c_xi": True}}]),
     ])
     def test_invalid_configs_rejected(self, mutate):
         doc = {"instance": {"family": "constant", "size": 4},
@@ -102,7 +105,7 @@ class TestConfig:
         ("instance.scale", float("inf")), ("instance.seed", -1),
         # JSON-shaped values, which from_json turns into dataclasses
         ("instance", {"family": "constant", "size": 4}), ("mechanisms", ({"name": "query_all"},)),
-        ("mechanisms", (MechanismSpec("recursive_gap", {"c_xi": 1.0}),)),
+        ("mechanisms", (MechanismSpec("recursive_gap", {"c_xi": 1.0}),)), ("rho", float("inf")),
     ])
     def test_invalid_fields_rejected_in_python(self, field, value):
         # the rules of from_json hold for configs built in Python
@@ -123,13 +126,28 @@ class TestConfig:
         (lambda d: d.update(mechanisms=[{}]), r"missing required mechanism fields: \['name'\]"),
         (lambda d: d.update(mechanisms=[{"name": "combined", "constants": {"c": 1}}]),
          r"unknown constants fields: \['c'\]"),
-    ], ids=["no-instance", "no-rho", "no-size", "null-instance", "no-name", "unknown-constant"])
+        # the round count and the splits are fixed, no longer constants fields
+        (lambda d: d.update(mechanisms=[{"name": "combined", "constants": {"t_coeff": 2.0}}]),
+         r"unknown constants fields: \['t_coeff'\]"),
+    ], ids=["no-instance", "no-rho", "no-size", "null-instance", "no-name", "unknown-constant",
+            "removed-constant"])
     def test_errors_name_the_json_key(self, mutate, message):
         doc = {"instance": {"family": "constant", "size": 4},
                "mechanisms": [{"name": "query_all"}], "rho": 2.0}
         mutate(doc)
         with pytest.raises(ConfigError, match=message):
             ExperimentConfig.from_json(doc)
+
+    def test_documented_examples_load(self):
+        # README's "Experiment config" block and the experiments docstring's
+        # example, so that a field removed from the dataclasses fails here too
+        readme = (Path(__file__).resolve().parent.parent / "README.md").read_text()
+        section = readme.split("\n### Experiment config\n", 1)[1]
+        examples = [section.split("```json\n", 1)[1].split("```", 1)[0],
+                    re.search(r"\n    \{\n.*?\n    \}\n", experiments.__doc__, re.S).group()]
+        for text in examples:
+            config = ExperimentConfig.from_json_text(text)
+            assert any(m.constants is not None for m in config.mechanisms)
 
     def test_json_and_python_configs_agree(self):
         doc = {"instance": {"family": "uniform", "size": 32, "scale": 10, "seed": 3},
@@ -344,6 +362,27 @@ class TestCli:
         notjson = tmp_path / "x.json"
         notjson.write_text("{nope")
         assert main(["run", str(notjson)]) == 2
+
+    @pytest.mark.parametrize("doc, message", [
+        ({"c_xi": 1.0, "budget_split_recursive": 0.5},
+         r"unknown constants fields: \['budget_split_recursive'\]"),
+        ([1.0, 1, 6], r"constants must be a JSON object, got \[1.0, 1, 6\]"),
+    ], ids=["removed-key", "json-list"])
+    def test_bad_constants_file_exit_2(self, tmp_path, capsys, doc, message):
+        consts_path = tmp_path / "consts.json"
+        consts_path.write_text(json.dumps(doc))
+        assert main(["run", self._write_config(tmp_path), "--constants", str(consts_path)]) == 2
+        assert re.search(f"bad constants file {re.escape(str(consts_path))}: {message}",
+                         capsys.readouterr().err)
+
+    @pytest.mark.parametrize("command", ["run", "simulate-equal-budget"])
+    def test_infeasible_config_exit_2(self, tmp_path, capsys, command):
+        # at 2**20 candidates these constants' first level needs ~2**31 index slots
+        doc = dict(CONFIG_DOC, instance={"family": "uniform", "size": 1 << 20},
+                   mechanisms=[{"name": "recursive_gap", "constants": {
+                       "c_xi": 1.0, "p_xi": 1, "base_threshold_log": 6}}], trials=1)
+        assert main([command, self._write_config(tmp_path, doc)]) == 2
+        assert "exceeds cap" in capsys.readouterr().err
 
     def test_misread_fields_exit_2_naming_them(self, tmp_path, capsys):
         for bad, field in ((dict(CONFIG_DOC, mechanisms=[{"name": "recursive_gap",

@@ -203,6 +203,14 @@ class TestRecursiveGap:
         with pytest.raises(InfeasibleConfigError):
             recursive_gap_select(oracle, 1.0, 0.05, SCALED, work_cap=10**3)
 
+    def test_overflowing_loss_scale_spends_nothing(self):
+        # failed with an IndexError inside the query layer before
+        oracle = _oracle(np.zeros(1024), 1.0, seed=0)
+        consts = MechanismConstants(c_xi=1e307, p_xi=1, base_threshold_log=6)
+        with pytest.raises(ValueError, match="overflows"):
+            recursive_gap_select(oracle, 1.0, 0.05, consts)
+        assert oracle.spent == 0
+
     def test_beta_validation(self):
         oracle = _oracle([1.0, 2.0], 1.0)
         with pytest.raises(ValueError):

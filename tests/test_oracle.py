@@ -128,6 +128,14 @@ class TestNoisyQuery:
         with pytest.raises(ValueError):
             oracle.noisy_query(Base(0), 0.0)
 
+    @pytest.mark.parametrize("total", [0.0, -1.0, math.inf, math.nan])
+    def test_total_budget_must_be_positive_and_finite(self, total):
+        # an infinite budget let any query through and reported inf spent
+        with pytest.raises(ValueError, match="total_budget"):
+            BudgetOracle(INST, total)
+        with pytest.raises(ValueError, match="total_budget"):
+            EqualBudgetAdapter(INST, 4, total)
+
     def test_log_matches_spending(self):
         oracle = BudgetOracle(INST, 10.0, seed=1)
         rhos = [0.5, 1.25, 0.125, 2.0]

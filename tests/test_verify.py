@@ -9,7 +9,9 @@ import mpmath
 import numpy as np
 import pytest
 
-from privsel.core import LossInstance, MechanismConstants, generate_instance, loss_scale
+from privsel.core import (
+    RECURSION_SPLIT, LossInstance, MechanismConstants, generate_instance, loss_scale,
+)
 from privsel.queries import eval_expr
 from privsel.verify import (
     Verdict, appendix_grid, check_good_subset_rate, derived_rounds_ceil_log,
@@ -86,6 +88,11 @@ class TestRecursionInequalities:
             direct = max(t_exact - 1, 0).bit_length()  # ceil(log2(t_exact))
             assert derived_rounds_ceil_log(k)[0] == direct
 
+    def test_float_split_is_the_certified_rational(self):
+        # the grid's mpmath splits are the exact 4/5 and 1/5, the mechanism's a float
+        assert RECURSION_SPLIT == 4 / 5
+        assert 1.0 - RECURSION_SPLIT == 0.19999999999999996
+
     def test_exact_integer_exponent_flagged(self):
         # perfect squares make 3*sqrt(K) - 1 an exact integer
         value, flagged = derived_rounds_ceil_log(10**6)
@@ -108,7 +115,7 @@ class TestAppendixGrid:
         assert a == b
 
     @pytest.mark.parametrize("consts", [MechanismConstants(), SCALED,
-                                        MechanismConstants(t_coeff=2.0, p_xi=3)])
+                                        MechanismConstants(c_xi=50.0, p_xi=3)])
     def test_matches_per_point_checks(self, consts):
         # 1024 = 32**2 makes the round-count exponent an exact integer
         ks, betas, rhos = (1000, 1024, 10**5), (1e-3, 3.2768e-4, 1e-9), (1e-2, 1.0, 1e2)
