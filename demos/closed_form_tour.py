@@ -11,7 +11,7 @@ import numpy as np
 
 from privsel import (
     MechanismConstants, appendix_grid, error_scale, gap_threshold,
-    generate_instance, loss_scale, scale_dominance_result,
+    generate_instance, loss_scale, point_checks,
 )
 
 
@@ -46,7 +46,7 @@ def main():
     print("  loss_scale(K) must exceed 36x its value at (3*sqrt(K), 4rho/5,")
     print("  4beta/5) for the recursion's error bound to telescope:")
     for k in (1000, 10**4, 10**6):
-        res = scale_dominance_result(k, 1.0, 1e-3)
+        res = point_checks(k, 1.0, 1e-3)[0]
         ratio = float(res.note.removeprefix("ratio="))
         print(f"  K={k:8d}  ratio={ratio:7.2f}  holds={res.passed}")
 

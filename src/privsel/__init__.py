@@ -9,8 +9,8 @@ zCDP budget rho.
 
 from .core import (
     DEFAULT_CONSTANTS, INSTANCE_FAMILIES, ExtReal, LossInstance,
-    MechanismConstants, PrivacyParams, ceil_log2, error_scale,
-    error_scale_from_log, gap_threshold, generate_instance, loss_scale,
+    MechanismConstants, PrivacyParams, ceil_log2, error_scale, gap_threshold,
+    generate_instance, loss_scale,
 )
 from .queries import (
     AddConst, Base, BaseBatch, Const, Gap, GapOver, Level, LossExpr, MaxOver,
@@ -29,8 +29,7 @@ from .mechanisms import (
 )
 from .verify import (
     CheckResult, FuzzReport, Verdict, appendix_grid, check_good_subset_rate,
-    error_recursion_result, gap_margin_result, scale_dominance_result,
-    sensitivity_fuzz, subset_event_mc, subset_event_probability,
+    point_checks, sensitivity_fuzz, subset_event_mc, subset_event_probability,
     subset_event_probability_dp, subset_event_probability_enum,
 )
 from .experiments import (

@@ -26,7 +26,7 @@ from .core import DEFAULT_CONSTANTS, MechanismConstants, generate_instance
 from .experiments import (
     MECHANISM_TABLE, ConfigError, ExperimentConfig, _known_fields, run_trials, summarize,
 )
-from .oracle import equal_budget_simulate
+from .oracle import NonFiniteQueryError, equal_budget_simulate
 from .verify import (
     CheckResult, Verdict, appendix_grid, check_good_subset_rate, sensitivity_fuzz,
     subset_event_mc, subset_event_probability, subset_event_probability_dp,
@@ -260,6 +260,10 @@ def main(argv=None) -> int:
         return args.func(args)
     except (FileNotFoundError, ValueError) as exc:
         print(f"config error: {exc}", file=sys.stderr)
+        return 2
+    except NonFiniteQueryError as exc:  # losses are finite, so the query read a derived one
+        print(f"config error: the mechanism constants make a derived loss non-finite ({exc})",
+              file=sys.stderr)
         return 2
 
 

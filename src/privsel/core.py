@@ -239,27 +239,18 @@ def loss_scale(k: int, rho: float, beta: float,
     return xi
 
 
-def error_scale_from_log(ceil_log_m: int, rho: float, beta: float,
-                         consts: MechanismConstants = DEFAULT_CONSTANTS) -> float:
-    """Error scale in terms of the ceil-log of the candidate count.
-
-    Accepting the exponent directly keeps the formula usable when the count
-    itself would overflow (e.g. derived-round counts of order 2**(3*sqrt(K))).
-    """
-    if not (isinstance(ceil_log_m, int) and ceil_log_m >= 1):
-        raise ValueError(f"ceil_log_m must be a positive integer, got {ceil_log_m}")
-    return 2.0 * ceil_log_m * loss_scale(ceil_log_m, rho, beta, consts)
-
-
 def error_scale(m: int, rho: float, beta: float,
                 consts: MechanismConstants = DEFAULT_CONSTANTS) -> float:
     """High-probability error scale of the recursive mechanism on m candidates.
 
-    Equals 2 * ceil(log2(m)) * loss_scale(ceil(log2(m)), rho, beta).
+    Equals 2 * ceil(log2(m)) * loss_scale(ceil(log2(m)), rho, beta).  Only
+    the exact ceil-log of m is used, so m may be a Python int far beyond any
+    float, such as a derived round count 2**2999.
     """
     if m < 2:
         raise ValueError("error_scale requires at least two candidates")
-    return error_scale_from_log(ceil_log2(m), rho, beta, consts)
+    k = ceil_log2(m)
+    return 2.0 * k * loss_scale(k, rho, beta, consts)
 
 
 def generate_instance(family: str, size: int, scale: float, seed: int) -> LossInstance:
@@ -276,8 +267,8 @@ def generate_instance(family: str, size: int, scale: float, seed: int) -> LossIn
         raise ValueError(f"unknown family {family!r}; expected one of {INSTANCE_FAMILIES}")
     if size < 1:
         raise ValueError(f"size must be >= 1, got {size}")
-    if scale < 0:
-        raise ValueError(f"scale must be >= 0, got {scale}")
+    if not (math.isfinite(scale) and scale >= 0):
+        raise ValueError(f"scale must be finite and >= 0, got {scale}")
 
     if family == "layered":
         k = ceil_log2(size)

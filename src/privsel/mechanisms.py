@@ -35,7 +35,7 @@ DEFAULT_WORK_CAP = 10**9
 
 
 class InfeasibleConfigError(ValueError):
-    """Subsampling round count exceeds the configured work cap.
+    """A level's subsampling work T * 2**(K-1) exceeds DEFAULT_WORK_CAP.
 
     Expected for the un-scaled constants at exponents K large enough to leave
     the base case: T grows like 2**(3*sqrt(K)).
@@ -85,6 +85,15 @@ def _candidate_span(oracle, candidates) -> np.ndarray | range:
     return arr
 
 
+def _metered(oracle, select) -> SelectionResult:
+    """The result of select() -> (winner, recursion depth), charged with the
+    rounds and budget the oracle counted while it ran."""
+    spent0, rounds0 = oracle.spent, oracle.rounds_used
+    winner, depth = select()
+    return SelectionResult(winner=int(winner), rounds_used=oracle.rounds_used - rounds0,
+                           budget_spent=oracle.spent - spent0, recursion_depth=depth)
+
+
 def binary_tree_select(oracle, rho: float, candidates=None) -> SelectionResult:
     """Noisy halving tournament over the candidate set.
 
@@ -98,14 +107,7 @@ def binary_tree_select(oracle, rho: float, candidates=None) -> SelectionResult:
     if not rho > 0:
         raise ValueError(f"rho must be positive, got {rho}")
     idx = _candidate_span(oracle, candidates)
-    spent0, rounds0 = oracle.spent, oracle.rounds_used
-    pos = oracle.noisy_tournament(idx, rho)
-    return SelectionResult(
-        winner=int(idx[pos]),
-        rounds_used=oracle.rounds_used - rounds0,
-        budget_spent=oracle.spent - spent0,
-        recursion_depth=0,
-    )
+    return _metered(oracle, lambda: (idx[oracle.noisy_tournament(idx, rho)], 0))
 
 
 def _draw_subsets(rng, n: int, k: int, t_rounds: int) -> tuple[np.ndarray, np.ndarray]:
@@ -134,7 +136,7 @@ def _is_base_case(k: int, beta: float, consts: MechanismConstants) -> bool:
     return k <= consts.base_threshold_log or beta <= 2.0 ** (-k)
 
 
-def _recursive_gap(oracle, members, rho, beta, consts, rng, work_cap):
+def _recursive_gap(oracle, members, rho, beta, consts, rng):
     """Returns (position of winner in members, recursion depth used).
 
     members are base candidate indices (a step-1 range or an int64 array),
@@ -148,9 +150,9 @@ def _recursive_gap(oracle, members, rho, beta, consts, rng, work_cap):
 
     log2_t = SUBSET_ROUNDS_COEFF * math.sqrt(k) - 1.0
     # feasibility in log space: T * 2**(k-1) must stay under the work cap
-    if log2_t + (k - 1) > math.log2(work_cap):
+    if log2_t + (k - 1) > math.log2(DEFAULT_WORK_CAP):
         raise InfeasibleConfigError(
-            f"subsampling work 2**{log2_t + (k - 1):.1f} exceeds cap {work_cap}")
+            f"subsampling work 2**{log2_t + (k - 1):.1f} exceeds cap {DEFAULT_WORK_CAP}")
     t_rounds = int(math.ceil(2.0 ** log2_t))
     xi_value = loss_scale(k, rho, beta, consts)
 
@@ -160,7 +162,7 @@ def _recursive_gap(oracle, members, rho, beta, consts, rng, work_cap):
     derived = Level(members, indptr, indices, (k + math.sqrt(k)) * xi_value)
 
     t_out, depth = _recursive_gap(oracle, derived, RECURSION_SPLIT * rho,
-                                  RECURSION_SPLIT * beta, consts, rng, work_cap)
+                                  RECURSION_SPLIT * beta, consts, rng)
 
     sel = indices[indptr[t_out]:indptr[t_out + 1]]
     pos = oracle.noisy_tournament(sel if level is not None else members[sel],
@@ -171,7 +173,7 @@ def _recursive_gap(oracle, members, rho, beta, consts, rng, work_cap):
 def recursive_gap_select(oracle, rho: float, beta: float,
                          consts: MechanismConstants = DEFAULT_CONSTANTS,
                          rng: np.random.Generator | None = None,
-                         candidates=None, work_cap: int = DEFAULT_WORK_CAP) -> SelectionResult:
+                         candidates=None) -> SelectionResult:
     """Recursive large-gap subset selection.
 
     With K = ceil(log2(n)) computed first: if K <= consts.base_threshold_log
@@ -182,8 +184,9 @@ def recursive_gap_select(oracle, rho: float, beta: float,
     subset by recursing on the derived losses with budgets (4/5*rho, 4/5*beta),
     and finishes with a tournament over the chosen subset at the rest of rho.
     T and the splits are fixed (core.SUBSET_ROUNDS_COEFF, RECURSION_SPLIT);
-    consts sets the loss scale and the base case.  InfeasibleConfigError (over
-    work_cap) and ValueError (the loss scale overflows) come before any spend.
+    consts sets the loss scale and the base case.  InfeasibleConfigError (a
+    level's T * 2**(K-1) index slots exceed DEFAULT_WORK_CAP) and ValueError
+    (the loss scale overflows) come before any spend.
 
     Each derived level is one Level node over the level below, and every
     query on it is a MinCompare over that level, so every noisy answer still
@@ -196,14 +199,11 @@ def recursive_gap_select(oracle, rho: float, beta: float,
     idx = _candidate_span(oracle, candidates)
     if rng is None:
         rng = oracle.spawn_rng()
-    spent0, rounds0 = oracle.spent, oracle.rounds_used
-    pos, depth = _recursive_gap(oracle, idx, rho, beta, consts, rng, work_cap)
-    return SelectionResult(
-        winner=int(idx[pos]),
-        rounds_used=oracle.rounds_used - rounds0,
-        budget_spent=oracle.spent - spent0,
-        recursion_depth=depth,
-    )
+
+    def select():
+        pos, depth = _recursive_gap(oracle, idx, rho, beta, consts, rng)
+        return idx[pos], depth
+    return _metered(oracle, select)
 
 
 def combined_select(oracle, rho: float,
@@ -224,17 +224,13 @@ def combined_select(oracle, rho: float,
     beta = 1.0 / k
     if rng is None:
         rng = oracle.spawn_rng()
-    spent0, rounds0 = oracle.spent, oracle.rounds_used
-    first = recursive_gap_select(oracle, rho / 3.0, beta, consts, rng)
-    second = binary_tree_select(oracle, rho / 3.0)
-    pos = oracle.noisy_tournament([first.winner, second.winner], rho / 3.0)
-    winner = second.winner if pos == 1 else first.winner
-    return SelectionResult(
-        winner=winner,
-        rounds_used=oracle.rounds_used - rounds0,
-        budget_spent=oracle.spent - spent0,
-        recursion_depth=first.recursion_depth,
-    )
+
+    def select():
+        first = recursive_gap_select(oracle, rho / 3.0, beta, consts, rng)
+        second = binary_tree_select(oracle, rho / 3.0)
+        winners = [first.winner, second.winner]
+        return winners[oracle.noisy_tournament(winners, rho / 3.0)], first.recursion_depth
+    return _metered(oracle, select)
 
 
 def exponential_mechanism(instance: LossInstance, rho: float,
@@ -266,14 +262,8 @@ def query_all_baseline(oracle, rho: float) -> SelectionResult:
     if not rho > 0:
         raise ValueError(f"rho must be positive, got {rho}")
     n = oracle.n_candidates
-    spent0, rounds0 = oracle.spent, oracle.rounds_used
-    answers = oracle.noisy_query_batch(BaseBatch(range(n)), rho / n)
-    return SelectionResult(
-        winner=int(np.argmin(answers)),
-        rounds_used=oracle.rounds_used - rounds0,
-        budget_spent=oracle.spent - spent0,
-        recursion_depth=0,
-    )
+    return _metered(
+        oracle, lambda: (np.argmin(oracle.noisy_query_batch(BaseBatch(range(n)), rho / n)), 0))
 
 
 # ---------------------------------------------------------------------------

@@ -370,7 +370,14 @@ def _segment_first_min(values: np.ndarray, starts: np.ndarray,
 
 
 def _derive(values: np.ndarray, level: Level) -> np.ndarray:
-    """A level's derived losses from the values of the level below."""
+    """A level's derived losses from the values of the level below.
+
+    Once the offsets pass the float range a derived loss can be -inf.  A
+    level over any non-finite value is all nan, so a non-finite loss fails
+    the first query over the deepest level, which spans all of it.
+    """
+    if not np.isfinite(values).all():
+        return np.full(len(level), math.nan)
     sizes = np.diff(level.indptr)
     starts = level.indptr[:-1]
     segment = np.repeat(np.arange(sizes.size), sizes)

@@ -3,10 +3,12 @@
 Three families of checks:
 
 * Inequality certification: the closed-form loss/error scales satisfy the
-  recursion inequalities that drive the high-probability error bound.  These
-  are evaluated in high precision (mpmath, 60 significant digits) over a
-  parameter grid; a comparison that lands within 1e-9 relative distance of
-  equality is reported INCONCLUSIVE rather than pass/fail.
+  recursion inequalities that drive the high-probability error bound.
+  point_checks certifies all three at one recursion point (K, rho, beta) and
+  appendix_grid runs it over a parameter grid.  They are evaluated in high
+  precision (mpmath, 60 significant digits); a comparison that lands within
+  1e-9 relative distance of equality is reported INCONCLUSIVE rather than
+  pass/fail.
 
 * Subset combinatorics: the closed-form probability that a uniform random
   subset isolates exactly one of the best candidates, against independent
@@ -41,8 +43,7 @@ from .queries import (
 __all__ = [
     "Verdict", "CheckResult", "INCONCLUSIVE_REL",
     "gap_threshold_hp", "loss_scale_hp", "error_scale_from_log_hp",
-    "derived_rounds_ceil_log",
-    "scale_dominance_result", "error_recursion_result", "gap_margin_result",
+    "derived_rounds_ceil_log", "point_checks",
     "GRID_KS", "GRID_BETAS", "GRID_RHOS", "appendix_grid",
     "subset_event_probability", "subset_event_probability_dp",
     "subset_event_probability_enum", "ENUM_MAX_SUBSETS", "subset_event_mc",
@@ -111,7 +112,8 @@ def gap_threshold_hp(ceil_log_m, rho, beta):
 
 def error_scale_from_log_hp(ceil_log_m, rho, beta,
                             consts: MechanismConstants = DEFAULT_CONSTANTS):
-    """mpmath twin of core.error_scale_from_log, accepting real arguments."""
+    """mpmath twin of core.error_scale in terms of the ceil-log argument,
+    2 * ceil_log_m * loss_scale_hp(ceil_log_m, ...), accepting real arguments."""
     with mpmath.workdps(_DPS):
         k = mpmath.mpf(ceil_log_m)
         return 2 * k * _loss_scale_mp(k, rho, beta, consts)
@@ -143,27 +145,29 @@ def _verdict(favored, other) -> tuple[Verdict, float]:
     return (Verdict.PASS if margin > 0 else Verdict.FAIL), margin
 
 
-def _check_domain(k, rho, beta, *, integer_k: bool) -> None:
-    if not k >= 1000:
-        raise ValueError(f"domain requires k >= 1000, got {k}")
+def point_checks(k: int, rho, beta,
+                 consts: MechanismConstants = DEFAULT_CONSTANTS) -> tuple[CheckResult, ...]:
+    """The three inequalities of one recursion step on 2**K candidates, K = k.
+
+    In order: scale_dominance, loss_scale(K, rho, beta) >= 36 times its value
+    at (3*sqrt(K), 4rho/5, 4beta/5), which lets the error recursion
+    telescope (the note carries the ratio of the two); error_recursion,
+    K*xi + 2*gamma(T-level) <= gamma(2**K-level); and gap_margin,
+    sqrt(K)*xi - 2*gamma(T-level) >= gap_threshold(2**K, rho/5, beta/10),
+    which puts the selected subset's gap above the tournament's
+    exact-recovery threshold.  Here xi = loss_scale(K, rho, beta) and the
+    T-level error scale is taken at ceil(log2(T)) =
+    derived_rounds_ceil_log(K).  The splits are the exact 4/5 and 1/5
+    (mpf(0.8) is not 4/5); a test ties them to the core's.  The domain is
+    an integer K >= 1000 and 0 < beta <= 0.001.
+    """
+    if not (isinstance(k, int) and k >= 1000):
+        raise ValueError(f"domain requires an integer k >= 1000, got {k!r}")
     if not rho > 0:
         raise ValueError(f"rho must be positive, got {rho}")
     if not 0 < beta <= 0.001:
         raise ValueError(f"domain requires beta in (0, 0.001], got {beta}")
-    if integer_k and not isinstance(k, int):
-        raise ValueError(f"k must be an integer, got {k!r}")
-
-
-def _point_checks(k, rho, beta, consts: MechanismConstants,
-                  rounds: tuple[int, bool]) -> tuple[CheckResult, ...]:
-    """scale_dominance, error_recursion and gap_margin at one point (K, rho, beta).
-
-    The three checks share three scale values: xi = loss_scale(K, rho, beta)
-    and, at the 4/5 splits, loss_scale(3*sqrt(K)) and the error scale at
-    ceil(log2(T)), where rounds = derived_rounds_ceil_log(K).  The splits are
-    the exact 4/5 and 1/5 (mpf(0.8) is not 4/5); a test ties them to the core's.
-    """
-    t_log, flagged = rounds
+    t_log, flagged = derived_rounds_ceil_log(k)
     params, note = f"K={k};rho={rho};beta={beta}", "t-exponent-integer" if flagged else ""
     with mpmath.workdps(_DPS):
         rho4, beta4 = mpmath.mpf(rho) * 4 / 5, mpmath.mpf(beta) * 4 / 5
@@ -180,39 +184,6 @@ def _point_checks(k, rho, beta, consts: MechanismConstants,
                 CheckResult("gap_margin", params, *gap, note=note))
 
 
-def scale_dominance_result(k, rho, beta,
-                           consts: MechanismConstants = DEFAULT_CONSTANTS) -> CheckResult:
-    """Check loss_scale(k, rho, beta) >= 36 * loss_scale(3*sqrt(k), 4rho/5, 4beta/5).
-
-    This one-step dominance of the scale function is what lets the error
-    recursion telescope; k may be any real >= 1000.  The note carries the
-    ratio of the two scale values.
-    """
-    _check_domain(k, rho, beta, integer_k=False)
-    return _point_checks(k, rho, beta, consts, derived_rounds_ceil_log(k))[0]
-
-
-def error_recursion_result(k: int, rho, beta,
-                           consts: MechanismConstants = DEFAULT_CONSTANTS) -> CheckResult:
-    """Check K*xi + 2*gamma(T-level) <= gamma(2**K-level) on 2**k candidates.
-
-    The derived-level error scale is evaluated through ceil(log2(T)).
-    """
-    _check_domain(k, rho, beta, integer_k=True)
-    return _point_checks(k, rho, beta, consts, derived_rounds_ceil_log(k))[1]
-
-
-def gap_margin_result(k: int, rho, beta,
-                      consts: MechanismConstants = DEFAULT_CONSTANTS) -> CheckResult:
-    """Check sqrt(K)*xi - 2*gamma(T-level) >= gap_threshold(2**K, rho/5, beta/10).
-
-    Guarantees the selected subset's gap clears the tournament's exact-recovery
-    threshold.
-    """
-    _check_domain(k, rho, beta, integer_k=True)
-    return _point_checks(k, rho, beta, consts, derived_rounds_ceil_log(k))[2]
-
-
 GRID_KS = (1000, 2000, 5000, 10**4, 10**5, 10**6)
 GRID_BETAS = tuple(1e-3 * 0.8**d for d in range(31))
 GRID_RHOS = (1e-2, 1.0, 1e2)
@@ -220,22 +191,9 @@ GRID_RHOS = (1e-2, 1.0, 1e2)
 
 def appendix_grid(consts: MechanismConstants = DEFAULT_CONSTANTS,
                   ks=GRID_KS, betas=GRID_BETAS, rhos=GRID_RHOS) -> list[CheckResult]:
-    """All three inequality checks at every grid point.
-
-    Equal to scale_dominance_result, error_recursion_result and
-    gap_margin_result at each point, but each point's three scale values
-    and each K's round count are computed once and shared by the checks
-    that use them.  The sharing lives within this one call: nothing is
-    cached across calls.
-    """
-    results = []
-    rounds = {}  # K -> derived_rounds_ceil_log(K)
-    for k, beta, rho in itertools.product(ks, betas, rhos):
-        _check_domain(k, rho, beta, integer_k=True)
-        if k not in rounds:
-            rounds[k] = derived_rounds_ceil_log(k)
-        results.extend(_point_checks(k, rho, beta, consts, rounds[k]))
-    return results
+    """point_checks at every grid point, K outermost and rho innermost."""
+    return [r for k, beta, rho in itertools.product(ks, betas, rhos)
+            for r in point_checks(k, rho, beta, consts)]
 
 
 # ---------------------------------------------------------------------------
@@ -257,27 +215,17 @@ def _blocks(k: int, i_star: int, k_star: int) -> tuple[int, int, int, int]:
     return n, size, top, mid
 
 
-def subset_event_probability(k: int, i_star: int, k_star: int):
+def subset_event_probability(k: int, i_star: int, k_star: int) -> Fraction:
     """P(uniform size-2**(k-k_star) subset of 2**k hits the top 2**i_star block
     exactly once and the next block, ranks 2**i_star+1 .. 2**k_star, not at all).
 
-    Closed form: 2**i_star * C(2**k - 2**k_star, size - 1) / C(2**k, size).
-    Exact Fraction for k <= 20, log-space float beyond.
+    Closed form: 2**i_star * C(2**k - 2**k_star, size - 1) / C(2**k, size),
+    as an exact Fraction; k > 20 is a ValueError.
     """
     n, size, top, mid = _blocks(k, i_star, k_star)
-    rest = n - top - mid
-    if k <= 20:
-        return Fraction(top * comb(rest, size - 1), comb(n, size))
-    with mpmath.workdps(_DPS):
-        log_p = (mpmath.log(top) + _log_comb_hp(rest, size - 1) - _log_comb_hp(n, size))
-        return float(mpmath.exp(log_p))
-
-
-def _log_comb_hp(n: int, r: int):
-    if r < 0 or r > n:
-        return mpmath.mpf("-inf")
-    return (mpmath.loggamma(n + 1) - mpmath.loggamma(r + 1)
-            - mpmath.loggamma(n - r + 1))
+    if k > 20:
+        raise ValueError(f"the exact probability is limited to k <= 20, got {k}")
+    return Fraction(top * comb(n - top - mid, size - 1), comb(n, size))
 
 
 def subset_event_probability_dp(k: int, i_star: int, k_star: int) -> Fraction:
@@ -331,9 +279,11 @@ def subset_event_mc(k: int, i_star: int, k_star: int, draws: int, seed=0) -> flo
     """Monte Carlo frequency of the same event over uniform random subsets.
 
     Samples only the sufficient statistic (hits per block) via the
-    multivariate hypergeometric distribution.
+    multivariate hypergeometric distribution.  draws < 1 is a ValueError.
     """
     n, size, top, mid = _blocks(k, i_star, k_star)
+    if draws < 1:
+        raise ValueError("draws must be >= 1")
     rng = np.random.default_rng(seed)
     counts = rng.multivariate_hypergeometric([top, mid, n - top - mid], size, size=draws)
     good = (counts[:, 0] == 1) & (counts[:, 1] == 0)

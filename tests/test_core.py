@@ -10,7 +10,7 @@ from hypothesis import given, settings, strategies as st
 
 from privsel.core import (
     LossInstance, MechanismConstants, PrivacyParams,
-    ceil_log2, error_scale, error_scale_from_log, gap_threshold,
+    ceil_log2, error_scale, gap_threshold,
     generate_instance, loss_scale,
 )
 
@@ -189,16 +189,15 @@ class TestErrorScale:
 
     def test_ceil_log_form_unfolds(self):
         beta0 = 0.004
-        assert error_scale_from_log(11, 0.8, 0.8 * beta0) == \
-            22 * loss_scale(11, 0.8, 0.8 * beta0)
-        # consistent with the count form at an exact power of two
-        assert error_scale(2**11, 0.8, 0.8 * beta0) == error_scale_from_log(11, 0.8, 0.8 * beta0)
+        assert error_scale(2**11, 0.8, 0.8 * beta0) == 22 * loss_scale(11, 0.8, 0.8 * beta0)
+        assert error_scale(2**10 + 1, 0.8, 0.8 * beta0) == error_scale(2**11, 0.8, 0.8 * beta0)
+        # a count far beyond any float, such as a derived round count, stays exact
+        assert error_scale(2**2999, 1.0, 1e-3) == 2.0 * 2999 * loss_scale(2999, 1.0, 1e-3)
+        assert error_scale(2**2999 + 1, 1.0, 1e-3) == 2.0 * 3000 * loss_scale(3000, 1.0, 1e-3)
 
     def test_domain(self):
         with pytest.raises(ValueError):
             error_scale(1, 1, 0.5)
-        with pytest.raises(ValueError):
-            error_scale_from_log(0, 1, 0.5)
 
 
 def test_closed_forms_positive_and_decreasing_in_rho():

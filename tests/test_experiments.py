@@ -393,6 +393,34 @@ class TestCli:
             assert main(["run", self._write_config(tmp_path, bad)]) == 2
             assert field in capsys.readouterr().err
 
+    @pytest.mark.filterwarnings("error")  # a RuntimeWarning is a traceback here
+    @pytest.mark.parametrize("argv", [
+        ["gen", "uniform", "4", "inf", "0"],
+        ["gen", "uniform", "4", "nan", "0"],
+        ["verify", "--grid", "quick", "--subset-draws", "0"],
+        ["run", "NONFINITE"],
+        ["simulate-equal-budget", "NONFINITE"],
+        ["gen", "uniform", "0", "1", "0"],
+        ["verify", "--grid", "quick", "--subset-draws", "100", "--fuzz-trials", "0"],
+        ["verify", "--grid", "quick", "--subset-draws", "100", "--rate-trials", "0"],
+        ["run", "CONFIG", "--trials", "0"],
+    ], ids=["gen-inf-scale", "gen-nan-scale", "subset-draws-0", "run-nonfinite-loss",
+            "equal-budget-nonfinite-loss", "gen-size-0", "fuzz-trials-0", "rate-trials-0",
+            "run-trials-0"])
+    def test_bad_input_exits_2_with_one_line(self, tmp_path, capsys, argv):
+        # these constants keep the loss scale finite, but on this instance the
+        # derived losses overflow a few levels down
+        nonfinite = dict(CONFIG_DOC, instance={"family": "uniform", "size": 1024},
+                         mechanisms=[{"name": "recursive_gap", "constants": {
+                             "c_xi": 1e303, "p_xi": 1, "base_threshold_log": 6}}], trials=1)
+        (tmp_path / "nonfinite.json").write_text(json.dumps(nonfinite))
+        files = {"CONFIG": self._write_config(tmp_path),
+                 "NONFINITE": str(tmp_path / "nonfinite.json")}
+        assert main([files.get(arg, arg) for arg in argv]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err.startswith("config error: ") and captured.err.count("\n") == 1
+
     def test_readme_synopsis_matches_parser(self):
         # each synopsis line under README's "## CLI" against the parser
         readme = (Path(__file__).resolve().parent.parent / "README.md").read_text()

@@ -199,9 +199,11 @@ class TestRecursiveGap:
         assert all(rec.sensitivity_bound <= 1.0 for rec in oracle.log)
 
     def test_infeasible_work_cap(self):
-        oracle = _oracle(np.zeros(1024), 1.0, seed=0)
-        with pytest.raises(InfeasibleConfigError):
-            recursive_gap_select(oracle, 1.0, 0.05, SCALED, work_cap=10**3)
+        # the first level on 2**19 candidates needs 2**30.1 index slots
+        oracle = BudgetOracle(generate_instance("uniform", 1 << 19, 1.0, seed=0), 1.0, seed=0)
+        with pytest.raises(InfeasibleConfigError, match="exceeds cap"):
+            recursive_gap_select(oracle, 1.0, 0.05, SCALED)
+        assert (oracle.spent, oracle.rounds_used) == (0, 0)
 
     def test_overflowing_loss_scale_spends_nothing(self):
         # failed with an IndexError inside the query layer before
@@ -210,6 +212,18 @@ class TestRecursiveGap:
         with pytest.raises(ValueError, match="overflows"):
             recursive_gap_select(oracle, 1.0, 0.05, consts)
         assert oracle.spent == 0
+
+    @pytest.mark.filterwarnings("error")
+    @pytest.mark.parametrize("c_xi", [1e303, 3e303])
+    def test_overflowing_derived_losses_spend_nothing(self, c_xi):
+        # the loss scale is finite, but the derived losses overflow a few levels
+        # down; at 3e303 a nan level below made the next level's derivation fail
+        # with an IndexError before
+        oracle = BudgetOracle(generate_instance("uniform", 1024, 1.0, seed=0), 1.0, seed=0)
+        consts = MechanismConstants(c_xi=c_xi, p_xi=1, base_threshold_log=6)
+        with pytest.raises(oracle_module.NonFiniteQueryError):
+            recursive_gap_select(oracle, 1.0, 0.1, consts)
+        assert (oracle.spent, oracle.rounds_used) == (0, 0)
 
     def test_beta_validation(self):
         oracle = _oracle([1.0, 2.0], 1.0)

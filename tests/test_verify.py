@@ -15,8 +15,7 @@ from privsel.core import (
 from privsel.queries import eval_expr
 from privsel.verify import (
     Verdict, appendix_grid, check_good_subset_rate, derived_rounds_ceil_log,
-    error_recursion_result, gap_margin_result, scale_dominance_result,
-    sensitivity_fuzz, subset_event_mc, subset_event_probability,
+    point_checks, sensitivity_fuzz, subset_event_mc, subset_event_probability,
     subset_event_probability_dp, subset_event_probability_enum,
     _random_family_expr,
 )
@@ -33,51 +32,52 @@ def dominance_ratio(result) -> float:
 
 class TestScaleDominance:
     def test_holds_at_corner(self):
-        res = scale_dominance_result(1000, 1.0, 0.001)
+        res = point_checks(1000, 1.0, 0.001)[0]
         assert res.verdict is Verdict.PASS
         assert 36 < dominance_ratio(res) < 45
         # margin = 1 - 36 / ratio, so the same window reads (0, 0.2)
         assert 0 < res.margin < 0.2
 
     def test_holds_far_inside(self):
-        assert scale_dominance_result(10**6, 0.01, 1e-9).verdict is Verdict.PASS
+        assert point_checks(10**6, 0.01, 1e-9)[0].verdict is Verdict.PASS
 
     def test_ratio_independent_of_rho(self):
-        ratios = [dominance_ratio(scale_dominance_result(1000, rho, 5e-4))
+        ratios = [dominance_ratio(point_checks(1000, rho, 5e-4)[0])
                   for rho in (0.01, 1.0, 100.0)]
         assert ratios[0] == pytest.approx(ratios[1], rel=1e-12)
         assert ratios[1] == pytest.approx(ratios[2], rel=1e-12)
 
     def test_domain_errors(self):
-        with pytest.raises(ValueError):
-            scale_dominance_result(999, 1.0, 0.001)
-        with pytest.raises(ValueError):
-            scale_dominance_result(1000, 1.0, 0.002)
-        with pytest.raises(ValueError):
-            scale_dominance_result(1000, 1.0, 0.0)
+        for bad in ((999, 1.0, 0.001), (1000, 1.0, 0.002), (1000, 1.0, 0.0),
+                    (1000, 0.0, 0.001)):
+            with pytest.raises(ValueError):
+                point_checks(*bad)
 
-    def test_real_first_argument_accepted(self):
-        assert scale_dominance_result(1234.5, 1.0, 1e-4).verdict is Verdict.PASS
+    def test_order_of_the_three_checks(self):
+        assert [r.claim for r in point_checks(1000, 1.0, 1e-3)] == \
+            ["scale_dominance", "error_recursion", "gap_margin"]
 
 
 class TestRecursionInequalities:
     def test_error_recursion_points(self):
-        assert error_recursion_result(1000, 1.0, 0.0005).verdict is Verdict.PASS
-        assert error_recursion_result(4096, 1.0, 1e-6).verdict is Verdict.PASS
+        assert point_checks(1000, 1.0, 0.0005)[1].verdict is Verdict.PASS
+        assert point_checks(4096, 1.0, 1e-6)[1].verdict is Verdict.PASS
 
     def test_gap_margin_points(self):
-        assert gap_margin_result(1000, 1.0, 0.0005).verdict is Verdict.PASS
-        assert gap_margin_result(10**5, 10.0, 1e-4).verdict is Verdict.PASS
+        assert point_checks(1000, 1.0, 0.0005)[2].verdict is Verdict.PASS
+        assert point_checks(10**5, 10.0, 1e-4)[2].verdict is Verdict.PASS
 
     def test_gap_margin_left_side_positive(self):
         # implied by the 36x dominance slack
         for k in (1000, 5000, 10**5):
-            res = gap_margin_result(k, 1.0, 1e-3)
+            res = point_checks(k, 1.0, 1e-3)[2]
             assert res.verdict is Verdict.PASS and res.margin > 0
 
     def test_integer_k_required(self):
-        with pytest.raises(ValueError):
-            error_recursion_result(1000.5, 1.0, 0.0005)
+        # a real K, as in the scale function's own domain, is not a grid point
+        for k in (1000.5, 1234.5, 1000.0):
+            with pytest.raises(ValueError, match="integer"):
+                point_checks(k, 1.0, 0.0005)
 
     def test_log_space_matches_exact_t_materialization(self):
         # materialize T = ceil(2**(3*sqrt(K)-1)) exactly and take its ceil-log
@@ -123,9 +123,7 @@ class TestAppendixGrid:
         for k in ks:
             for beta in betas:
                 for rho in rhos:
-                    expected.extend(check(k, rho, beta, consts) for check in (
-                        scale_dominance_result, error_recursion_result,
-                        gap_margin_result))
+                    expected.extend(point_checks(k, rho, beta, consts))
         got = appendix_grid(consts, ks=ks, betas=betas, rhos=rhos)
         assert len(got) == len(expected) == 81
         for g, e in zip(got, expected):
@@ -189,13 +187,11 @@ class TestSubsetEventProbability:
         with pytest.raises(ValueError):
             subset_event_probability_enum(6, 0, 1)  # C(64, 32) subsets
 
-    def test_log_space_beyond_exact_limit(self):
-        k, i_star, k_star = 22, 3, 8
-        approx = subset_event_probability(k, i_star, k_star)
-        assert isinstance(approx, float)
-        n, size, top = 2**k, 2**(k - k_star), 2**i_star
-        exact = Fraction(top * comb(n - 2**k_star, size - 1), comb(n, size))
-        assert approx == pytest.approx(float(exact), rel=1e-9)
+    def test_beyond_exact_limit_raises(self):
+        assert isinstance(subset_event_probability(20, 3, 8), Fraction)
+        for k in (21, 22):
+            with pytest.raises(ValueError, match="k <= 20"):
+                subset_event_probability(k, 3, 8)
 
     def test_monte_carlo_agrees(self):
         target = float(subset_event_probability(16, 2, 6))
