@@ -87,6 +87,9 @@ def _report_csv(results) -> str:
 
 
 def _cmd_verify(args) -> int:
+    for flag in ("fuzz_trials", "subset_draws", "rate_trials"):
+        if getattr(args, flag) < 1:
+            raise ValueError(f"--{flag.replace('_', '-')} must be >= 1, got {getattr(args, flag)}")
     consts = _load_constants(args.constants) or MechanismConstants()
     if args.grid == "quick":
         results = appendix_grid(consts, ks=(1000, 10**4, 10**6), betas=GRID_BETAS[::6])

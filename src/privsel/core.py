@@ -194,6 +194,33 @@ SUBSET_ROUNDS_COEFF = 3
 RECURSION_SPLIT = 0.8
 
 
+def derived_rounds_ceil_log(k: int) -> int:
+    """ceil(log2(T)) = ceil(3*sqrt(k) - 1) for T = ceil(2**(3*sqrt(k) - 1)), k >= 1,
+    in integers: ceil(sqrt(9*k)) - 1 = isqrt(9*k - 1)."""
+    return math.isqrt(SUBSET_ROUNDS_COEFF ** 2 * k - 1)
+
+
+def recursion_schedule(n: int, rho: float, beta: float,
+                       consts: MechanismConstants = DEFAULT_CONSTANTS) -> list[tuple]:
+    """The recursive mechanism's levels on n candidates, outermost first, as
+    (K, T, rho, beta) records; they depend on no loss and no draw.
+
+    The first K is ceil(log2(n)).  The last level, with T = 0, is the base
+    case: K <= consts.base_threshold_log or beta <= 2**-K.  Every other level
+    draws T = ceil(2**(3*sqrt(K) - 1)) subsets and passes RECURSION_SPLIT of
+    its rho and beta on to a level with K = derived_rounds_ceil_log(K).
+    """
+    k = ceil_log2(n)
+    levels = []
+    while not (k <= consts.base_threshold_log or beta <= 2.0 ** (-k)):
+        levels.append((k, math.ceil(2.0 ** (SUBSET_ROUNDS_COEFF * math.sqrt(k) - 1.0)),
+                       rho, beta))
+        k = derived_rounds_ceil_log(k)
+        rho, beta = RECURSION_SPLIT * rho, RECURSION_SPLIT * beta
+    levels.append((k, 0, rho, beta))
+    return levels
+
+
 def gap_threshold(m: int, rho: float, beta: float) -> float:
     """Gap above which the halving tournament finds the exact argmin w.h.p.
 

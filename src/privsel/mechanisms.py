@@ -18,7 +18,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .core import (DEFAULT_CONSTANTS, RECURSION_SPLIT, SUBSET_ROUNDS_COEFF, LossInstance,
-                   MechanismConstants, ceil_log2, loss_scale)
+                   MechanismConstants, ceil_log2, loss_scale, recursion_schedule)
 from .queries import BaseBatch, Level, _index_array
 
 __all__ = [
@@ -131,43 +131,29 @@ def _draw_subsets(rng, n: int, k: int, t_rounds: int) -> tuple[np.ndarray, np.nd
     return indptr, indices
 
 
-def _is_base_case(k: int, beta: float, consts: MechanismConstants) -> bool:
-    """The recursion's stopping rule on 2**k candidates: run the tournament."""
-    return k <= consts.base_threshold_log or beta <= 2.0 ** (-k)
+def _recursive_gap(oracle, members, levels, offsets, rng, j=0) -> int:
+    """Position of the winner in members, the candidates of schedule level j.
 
-
-def _recursive_gap(oracle, members, rho, beta, consts, rng):
-    """Returns (position of winner in members, recursion depth used).
-
-    members are base candidate indices (a step-1 range or an int64 array),
-    or a Level whose derived losses are the candidates.
+    members are base candidate indices (a step-1 range or an int64 array), or
+    a Level whose derived losses are the candidates.
     """
-    n = len(members)
     level = members if type(members) is Level else None
-    k = ceil_log2(n)
-    if _is_base_case(k, beta, consts):
-        return oracle.noisy_tournament(members if level is None else range(n), rho, level), 0
+    k, t_rounds, rho, _ = levels[j]
+    if not t_rounds:
+        return oracle.noisy_tournament(members if level is None else range(len(members)),
+                                       rho, level)
 
-    log2_t = SUBSET_ROUNDS_COEFF * math.sqrt(k) - 1.0
-    # feasibility in log space: T * 2**(k-1) must stay under the work cap
-    if log2_t + (k - 1) > math.log2(DEFAULT_WORK_CAP):
-        raise InfeasibleConfigError(
-            f"subsampling work 2**{log2_t + (k - 1):.1f} exceeds cap {DEFAULT_WORK_CAP}")
-    t_rounds = int(math.ceil(2.0 ** log2_t))
-    xi_value = loss_scale(k, rho, beta, consts)
-
-    indptr, indices = _draw_subsets(rng, n, k, t_rounds)
+    indptr, indices = _draw_subsets(rng, len(members), k, t_rounds)
     if type(members) is range:  # Level and the subset gather below need an array
         members = np.arange(members.start, members.stop, dtype=np.int64)
-    derived = Level(members, indptr, indices, (k + math.sqrt(k)) * xi_value)
+    derived = Level(members, indptr, indices, offsets[j])
 
-    t_out, depth = _recursive_gap(oracle, derived, RECURSION_SPLIT * rho,
-                                  RECURSION_SPLIT * beta, consts, rng)
+    t_out = _recursive_gap(oracle, derived, levels, offsets, rng, j + 1)
 
     sel = indices[indptr[t_out]:indptr[t_out + 1]]
     pos = oracle.noisy_tournament(sel if level is not None else members[sel],
                                   (1.0 - RECURSION_SPLIT) * rho, level)
-    return int(sel[pos]), depth + 1
+    return int(sel[pos])
 
 
 def recursive_gap_select(oracle, rho: float, beta: float,
@@ -176,17 +162,16 @@ def recursive_gap_select(oracle, rho: float, beta: float,
                          candidates=None) -> SelectionResult:
     """Recursive large-gap subset selection.
 
-    With K = ceil(log2(n)) computed first: if K <= consts.base_threshold_log
-    or beta <= 2**-K, delegates to the halving tournament with the full budget.
-    Otherwise draws T = ceil(2**(3*sqrt(K)-1)) random subsets (size
-    2**(K - k_t), k_t uniform on 1..K), scores each by a derived sensitivity-1
-    loss favoring subsets with large gap and small offset optimum, selects a
-    subset by recursing on the derived losses with budgets (4/5*rho, 4/5*beta),
-    and finishes with a tournament over the chosen subset at the rest of rho.
-    T and the splits are fixed (core.SUBSET_ROUNDS_COEFF, RECURSION_SPLIT);
-    consts sets the loss scale and the base case.  InfeasibleConfigError (a
-    level's T * 2**(K-1) index slots exceed DEFAULT_WORK_CAP) and ValueError
-    (the loss scale overflows) come before any spend.
+    Walks core.recursion_schedule(n, rho, beta, consts), which is fixed
+    before the first draw.  The base-case level runs the halving tournament
+    with the level's full budget.  Any other level, on 2**K candidates, draws
+    T random subsets (size 2**(K - k_t), k_t uniform on 1..K), scores each by
+    a derived sensitivity-1 loss favoring subsets with large gap and small
+    offset optimum, selects a subset by recursing on the derived losses with
+    budgets (4/5*rho, 4/5*beta), and finishes with a tournament over the
+    chosen subset at the rest of rho.  InfeasibleConfigError (a level's
+    T * 2**(K-1) index slots exceed DEFAULT_WORK_CAP) and ValueError (a
+    level's loss scale overflows) come before any draw or spend.
 
     Each derived level is one Level node over the level below, and every
     query on it is a MinCompare over that level, so every noisy answer still
@@ -197,13 +182,19 @@ def recursive_gap_select(oracle, rho: float, beta: float,
     if not 0 < beta <= 1:
         raise ValueError(f"beta must lie in (0, 1], got {beta}")
     idx = _candidate_span(oracle, candidates)
+    levels = recursion_schedule(len(idx), rho, beta, consts)
+    offsets = []
+    for k, _, rho_j, beta_j in levels[:-1]:
+        # feasibility in log space: T * 2**(k-1) must stay under the work cap
+        log2_work = SUBSET_ROUNDS_COEFF * math.sqrt(k) - 1.0 + (k - 1)
+        if log2_work > math.log2(DEFAULT_WORK_CAP):
+            raise InfeasibleConfigError(
+                f"subsampling work 2**{log2_work:.1f} exceeds cap {DEFAULT_WORK_CAP}")
+        offsets.append((k + math.sqrt(k)) * loss_scale(k, rho_j, beta_j, consts))
     if rng is None:
         rng = oracle.spawn_rng()
-
-    def select():
-        pos, depth = _recursive_gap(oracle, idx, rho, beta, consts, rng)
-        return idx[pos], depth
-    return _metered(oracle, select)
+    return _metered(oracle, lambda: (
+        idx[_recursive_gap(oracle, idx, levels, offsets, rng)], len(levels) - 1))
 
 
 def combined_select(oracle, rho: float,
@@ -268,8 +259,8 @@ def query_all_baseline(oracle, rho: float) -> SelectionResult:
 
 # ---------------------------------------------------------------------------
 # Static round bounds, e.g. for declaring the equal-budget simulation's M.
-# These are conservative: they follow the deterministic (K, beta) recursion
-# path and charge every level's tournament at the full level exponent.
+# These are conservative: recursive_gap_round_bound sums K over the schedule,
+# charging each level's final tournament, over one subset, at the full K.
 
 
 def binary_tree_round_bound(n: int) -> int:
@@ -278,15 +269,8 @@ def binary_tree_round_bound(n: int) -> int:
 
 def recursive_gap_round_bound(n: int, beta: float,
                               consts: MechanismConstants = DEFAULT_CONSTANTS) -> int:
-    if n == 1:
-        return 1
-    k = ceil_log2(n)
-    total = 0
-    while not _is_base_case(k, beta, consts):
-        total += k  # final tournament at this level selects within a subset
-        k = int(math.ceil(SUBSET_ROUNDS_COEFF * math.sqrt(k) - 1.0))  # ceil(log2(T)) below
-        beta *= RECURSION_SPLIT
-    return max(total + k, 1)
+    # rho enters neither K nor the base-case rule, so any rho gives the same levels
+    return max(sum(k for k, _, _, _ in recursion_schedule(n, 1.0, beta, consts)), 1)
 
 
 def combined_round_bound(n: int, consts: MechanismConstants = DEFAULT_CONSTANTS) -> int:

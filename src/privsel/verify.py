@@ -32,7 +32,8 @@ import mpmath
 import numpy as np
 
 from .core import (
-    DEFAULT_CONSTANTS, SUBSET_ROUNDS_COEFF, LossInstance, MechanismConstants, loss_scale,
+    DEFAULT_CONSTANTS, SUBSET_ROUNDS_COEFF, LossInstance, MechanismConstants,
+    derived_rounds_ceil_log, loss_scale,
 )
 from .queries import (
     AddConst, Base, Const, Gap, GapOver, MaxOver, MinOver, Scale, Sub,
@@ -43,7 +44,7 @@ from .queries import (
 __all__ = [
     "Verdict", "CheckResult", "INCONCLUSIVE_REL",
     "gap_threshold_hp", "loss_scale_hp", "error_scale_from_log_hp",
-    "derived_rounds_ceil_log", "point_checks",
+    "point_checks",
     "GRID_KS", "GRID_BETAS", "GRID_RHOS", "appendix_grid",
     "subset_event_probability", "subset_event_probability_dp",
     "subset_event_probability_enum", "ENUM_MAX_SUBSETS", "subset_event_mc",
@@ -119,23 +120,6 @@ def error_scale_from_log_hp(ceil_log_m, rho, beta,
         return 2 * k * _loss_scale_mp(k, rho, beta, consts)
 
 
-def derived_rounds_ceil_log(k):
-    """ceil(log2(T)) for the subsampling round count T = ceil(2**(3*sqrt(k)-1)).
-
-    Equals ceil(3*sqrt(k) - 1), 3 the fixed core.SUBSET_ROUNDS_COEFF, without
-    materializing T.  When the exponent is an exact integer (k a perfect
-    square), half-ULP rounding could otherwise push ceil one step too high;
-    that case is detected and resolved to the integer itself.  Returns
-    (value, flagged).
-    """
-    with mpmath.workdps(_DPS):
-        x = SUBSET_ROUNDS_COEFF * mpmath.sqrt(mpmath.mpf(k)) - 1
-        nearest = mpmath.nint(x)
-        if abs(x - nearest) < mpmath.mpf(10) ** (-_DPS + 10):
-            return int(nearest), True
-        return int(mpmath.ceil(x)), False
-
-
 def _verdict(favored, other) -> tuple[Verdict, float]:
     """PASS iff favored >= other, with a relative dead zone; inside workdps(_DPS)."""
     denom = max(abs(favored), abs(other))
@@ -157,9 +141,10 @@ def point_checks(k: int, rho, beta,
     which puts the selected subset's gap above the tournament's
     exact-recovery threshold.  Here xi = loss_scale(K, rho, beta) and the
     T-level error scale is taken at ceil(log2(T)) =
-    derived_rounds_ceil_log(K).  The splits are the exact 4/5 and 1/5
-    (mpf(0.8) is not 4/5); a test ties them to the core's.  The domain is
-    an integer K >= 1000 and 0 < beta <= 0.001.
+    core.derived_rounds_ceil_log(K), noted t-exponent-integer when K is a
+    perfect square.  The splits are the exact 4/5 and 1/5 (mpf(0.8) is not
+    4/5); a test ties them to the core's.  The domain is an integer K >= 1000
+    and 0 < beta <= 0.001.
     """
     if not (isinstance(k, int) and k >= 1000):
         raise ValueError(f"domain requires an integer k >= 1000, got {k!r}")
@@ -167,13 +152,13 @@ def point_checks(k: int, rho, beta,
         raise ValueError(f"rho must be positive, got {rho}")
     if not 0 < beta <= 0.001:
         raise ValueError(f"domain requires beta in (0, 0.001], got {beta}")
-    t_log, flagged = derived_rounds_ceil_log(k)
-    params, note = f"K={k};rho={rho};beta={beta}", "t-exponent-integer" if flagged else ""
+    params = f"K={k};rho={rho};beta={beta}"
+    note = "t-exponent-integer" if math.isqrt(k) ** 2 == k else ""
     with mpmath.workdps(_DPS):
         rho4, beta4 = mpmath.mpf(rho) * 4 / 5, mpmath.mpf(beta) * 4 / 5
         xi = loss_scale_hp(k, rho, beta, consts)
         xi_sqrt = loss_scale_hp(SUBSET_ROUNDS_COEFF * mpmath.sqrt(k), rho4, beta4, consts)
-        gamma_t = error_scale_from_log_hp(t_log, rho4, beta4, consts)
+        gamma_t = error_scale_from_log_hp(derived_rounds_ceil_log(k), rho4, beta4, consts)
         # PASS iff K*xi + 2*gamma_t <= 2*K*xi, the error scale at K, rho, beta
         recursion = _verdict(2 * k * xi, k * xi + 2 * gamma_t)
         gap = _verdict(mpmath.sqrt(k) * xi - 2 * gamma_t,

@@ -10,8 +10,8 @@ from hypothesis import given, settings, strategies as st
 
 from privsel.core import (
     LossInstance, MechanismConstants, PrivacyParams,
-    ceil_log2, error_scale, gap_threshold,
-    generate_instance, loss_scale,
+    ceil_log2, derived_rounds_ceil_log, error_scale, gap_threshold,
+    generate_instance, loss_scale, recursion_schedule,
 )
 
 finite_losses = st.lists(
@@ -198,6 +198,34 @@ class TestErrorScale:
     def test_domain(self):
         with pytest.raises(ValueError):
             error_scale(1, 1, 0.5)
+
+
+class TestRecursionSchedule:
+    def test_exact_exponent_is_the_float_round_counts_ceil_log(self):
+        # every K the work cap admits, and more: a level draws the float
+        # T = ceil(2**(3*sqrt(K) - 1)) subsets, so the next level's exponent is
+        # its ceil-log, which the integer form must give bit for bit
+        for k in range(1, 257):
+            assert ceil_log2(math.ceil(2.0 ** (3 * math.sqrt(k) - 1))) == \
+                derived_rounds_ceil_log(k)
+
+    @pytest.mark.parametrize("n, rho, beta", [(1 << 12, 1.0, 0.1), (1000, 3.0, 0.3),
+                                              (300, 0.5, 2.0 ** -9)])
+    def test_levels_split_rho_and_beta_down_to_the_base_case(self, n, rho, beta):
+        levels = recursion_schedule(n, rho, beta, MechanismConstants(1.0, 1, 6))
+        assert levels[0][0] == ceil_log2(n)
+        for j, (k, t_rounds, rho_j, beta_j) in enumerate(levels):
+            assert (rho_j, beta_j) == (rho, beta)  # the same float products, in order
+            base = k <= 6 or beta_j <= 2.0 ** -k
+            assert base == (j == len(levels) - 1) == (t_rounds == 0)
+            if not base:
+                assert t_rounds == math.ceil(2.0 ** (3 * math.sqrt(k) - 1))
+                assert levels[j + 1][0] == derived_rounds_ceil_log(k)
+            rho, beta = 0.8 * rho, 0.8 * beta
+
+    def test_default_constants_give_one_base_level(self):
+        assert recursion_schedule(1, 1.0, 0.5) == [(0, 0, 1.0, 0.5)]
+        assert recursion_schedule(1 << 20, 2.0, 0.1) == [(20, 0, 2.0, 0.1)]
 
 
 def test_closed_forms_positive_and_decreasing_in_rho():

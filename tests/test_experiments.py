@@ -9,7 +9,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from privsel import experiments
+from privsel import cli, experiments
 from privsel.cli import build_parser, main
 from privsel.core import LossInstance, MechanismConstants
 from privsel.experiments import (
@@ -420,6 +420,16 @@ class TestCli:
         captured = capsys.readouterr()
         assert captured.out == ""
         assert captured.err.startswith("config error: ") and captured.err.count("\n") == 1
+
+    @pytest.mark.parametrize("flag", ["--fuzz-trials", "--subset-draws", "--rate-trials"])
+    def test_verify_counts_checked_before_any_work(self, monkeypatch, capsys, flag):
+        def no_grid(*args, **kwargs):
+            raise AssertionError("the grid ran")
+        monkeypatch.setattr(cli, "appendix_grid", no_grid)
+        assert main(["verify", flag, "0"]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == f"config error: {flag} must be >= 1, got 0\n"
 
     def test_readme_synopsis_matches_parser(self):
         # each synopsis line under README's "## CLI" against the parser

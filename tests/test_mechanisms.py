@@ -7,7 +7,8 @@ import numpy as np
 import pytest
 
 from privsel.core import (
-    INSTANCE_FAMILIES, LossInstance, MechanismConstants, ceil_log2, generate_instance,
+    DEFAULT_CONSTANTS, INSTANCE_FAMILIES, LossInstance, MechanismConstants, ceil_log2,
+    generate_instance, recursion_schedule,
 )
 from privsel.mechanisms import (
     InfeasibleConfigError, binary_tree_select, combined_select,
@@ -201,9 +202,25 @@ class TestRecursiveGap:
     def test_infeasible_work_cap(self):
         # the first level on 2**19 candidates needs 2**30.1 index slots
         oracle = BudgetOracle(generate_instance("uniform", 1 << 19, 1.0, seed=0), 1.0, seed=0)
+        rng = np.random.default_rng(5)
+        state = rng.bit_generator.state
         with pytest.raises(InfeasibleConfigError, match="exceeds cap"):
-            recursive_gap_select(oracle, 1.0, 0.05, SCALED)
+            recursive_gap_select(oracle, 1.0, 0.05, SCALED, rng)
         assert (oracle.spent, oracle.rounds_used) == (0, 0)
+        assert rng.bit_generator.state == state
+
+    @pytest.mark.parametrize("c_xi", [1e304, 2e304])
+    def test_schedule_errors_come_before_any_draw(self, c_xi):
+        # the loss scale first overflows on a K = 8 level several levels down,
+        # below levels that could have drawn their subsets already
+        oracle = BudgetOracle(generate_instance("uniform", 1024, 1.0, seed=0), 1.0, seed=0)
+        consts = MechanismConstants(c_xi=c_xi, p_xi=1, base_threshold_log=6)
+        rng = np.random.default_rng(5)
+        state = rng.bit_generator.state
+        with pytest.raises(ValueError, match="loss scale overflows at k=8"):
+            recursive_gap_select(oracle, 1.0, 0.1, consts, rng)
+        assert (oracle.spent, oracle.rounds_used) == (0, 0)
+        assert rng.bit_generator.state == state
 
     def test_overflowing_loss_scale_spends_nothing(self):
         # failed with an IndexError inside the query layer before
@@ -231,6 +248,31 @@ class TestRecursiveGap:
             recursive_gap_select(oracle, 1.0, beta=0.0)
         with pytest.raises(ValueError):
             recursive_gap_select(oracle, 1.0, beta=1.5)
+
+    def test_bench_recursive_setting_schedule(self):
+        # layered 2**12 with the scaled constants: K <= 8 maps to itself or
+        # above (7 -> 7, 8 -> 8), so the recursion stays at K = 8 until beta_j
+        # falls to 2**-8
+        n = 1 << 12
+        levels = recursion_schedule(n, 1.0, 0.1, SCALED)
+        assert [k for k, _, _, _ in levels] == [12, 10, 9] + [8] * 13
+        assert recursive_gap_round_bound(n, 0.1, SCALED) == 135
+        # combined's first stage runs at beta = 1/K
+        assert len(recursion_schedule(n, 1.0, 1.0 / 12, SCALED)) - 1 == 14
+        assert recursive_gap_round_bound(n, 1.0 / 12, SCALED) == 127
+        inst = generate_instance("layered", n, 1.0, seed=0)
+        for seed in range(3):
+            oracle = BudgetOracle(inst, 1.0, seed=seed, record_log=False)
+            result = recursive_gap_select(oracle, 1.0, 0.1, SCALED)
+            assert result.recursion_depth == len(levels) - 1
+
+    @pytest.mark.parametrize("consts", [DEFAULT_CONSTANTS, SCALED], ids=["default", "scaled"])
+    def test_round_bound_sums_the_schedules_exponents(self, consts):
+        for n in range(1, 4097):
+            for beta in (0.9, 0.1, 1e-3, 2.0 ** -9):
+                levels = recursion_schedule(n, 1.0, beta, consts)
+                assert recursive_gap_round_bound(n, beta, consts) == \
+                    max(sum(k for k, _, _, _ in levels), 1)
 
     def test_round_bound_is_conservative(self):
         for n, beta in ((1024, 0.05), (256, 0.2)):

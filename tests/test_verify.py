@@ -10,12 +10,13 @@ import numpy as np
 import pytest
 
 from privsel.core import (
-    RECURSION_SPLIT, LossInstance, MechanismConstants, generate_instance, loss_scale,
+    RECURSION_SPLIT, LossInstance, MechanismConstants, derived_rounds_ceil_log,
+    generate_instance, loss_scale,
 )
 from privsel.queries import eval_expr
 from privsel.verify import (
-    Verdict, appendix_grid, check_good_subset_rate, derived_rounds_ceil_log,
-    point_checks, sensitivity_fuzz, subset_event_mc, subset_event_probability,
+    Verdict, appendix_grid, check_good_subset_rate, point_checks,
+    sensitivity_fuzz, subset_event_mc, subset_event_probability,
     subset_event_probability_dp, subset_event_probability_enum,
     _random_family_expr,
 )
@@ -80,13 +81,14 @@ class TestRecursionInequalities:
                 point_checks(k, 1.0, 0.0005)
 
     def test_log_space_matches_exact_t_materialization(self):
-        # materialize T = ceil(2**(3*sqrt(K)-1)) exactly and take its ceil-log
-        for k in (1000, 1100, 1200):
+        # materialize T = ceil(2**(3*sqrt(K)-1)) exactly and take its ceil-log;
+        # 1024 and 10**6 are perfect squares, where the exponent is an integer
+        for k in (*range(1000, 1101), 1200, 1024, 10**6):
             with mpmath.workprec(400):
                 x = 3 * mpmath.sqrt(k) - 1
                 t_exact = int(mpmath.ceil(mpmath.power(2, x)))
             direct = max(t_exact - 1, 0).bit_length()  # ceil(log2(t_exact))
-            assert derived_rounds_ceil_log(k)[0] == direct
+            assert derived_rounds_ceil_log(k) == direct
 
     def test_float_split_is_the_certified_rational(self):
         # the grid's mpmath splits are the exact 4/5 and 1/5, the mechanism's a float
@@ -95,12 +97,10 @@ class TestRecursionInequalities:
 
     def test_exact_integer_exponent_flagged(self):
         # perfect squares make 3*sqrt(K) - 1 an exact integer
-        value, flagged = derived_rounds_ceil_log(10**6)
-        assert (value, flagged) == (2999, True)
-        value, flagged = derived_rounds_ceil_log(1024)
-        assert (value, flagged) == (95, True)
-        value, flagged = derived_rounds_ceil_log(1000)
-        assert (value, flagged) == (94, False)
+        for k, value, flagged in ((10**6, 2999, True), (1024, 95, True), (1000, 94, False)):
+            assert derived_rounds_ceil_log(k) == value
+            notes = [r.note for r in point_checks(k, 1.0, 1e-3)[1:]]
+            assert notes == ["t-exponent-integer" if flagged else ""] * 2
 
 
 class TestAppendixGrid:
