@@ -87,9 +87,10 @@ def _report_csv(results) -> str:
 
 
 def _cmd_verify(args) -> int:
-    for flag in ("fuzz_trials", "subset_draws", "rate_trials"):
-        if getattr(args, flag) < 1:
-            raise ValueError(f"--{flag.replace('_', '-')} must be >= 1, got {getattr(args, flag)}")
+    for flag, least in (("fuzz_trials", 1), ("subset_draws", 1), ("rate_trials", 1), ("seed", 0)):
+        if getattr(args, flag) < least:
+            raise ValueError(
+                f"--{flag.replace('_', '-')} must be >= {least}, got {getattr(args, flag)}")
     consts = _load_constants(args.constants) or MechanismConstants()
     if args.grid == "quick":
         results = appendix_grid(consts, ks=(1000, 10**4, 10**6), betas=GRID_BETAS[::6])
@@ -172,6 +173,9 @@ def _cmd_simulate_equal_budget(args) -> int:
     if config.fresh_instance_per_trial:
         raise ConfigError("simulate-equal-budget runs every trial on one instance: "
                           "fresh_instance_per_trial must be false")
+    for spec in config.mechanisms:
+        if MECHANISM_TABLE[spec.name][1] is None:  # no round bound: not a query-model mechanism
+            raise ConfigError(f"mechanism {spec.name!r} does not run in the query model")
     instance = generate_instance(config.instance.family, config.instance.size,
                                  config.instance.scale, config.instance_seed)
     best = instance.min_loss()
@@ -181,9 +185,6 @@ def _cmd_simulate_equal_budget(args) -> int:
              "mean_topup_variance,min_topup_variance"]
     for mi, spec in enumerate(config.mechanisms):
         run, round_bound = MECHANISM_TABLE[spec.name]
-        if round_bound is None:
-            raise ConfigError(
-                f"mechanism {spec.name!r} does not run in the query model")
         consts = spec.constants or DEFAULT_CONSTANTS
         m_bound = round_bound(n, config.beta, consts)
         mech = lambda o: run(o, config.rho, config.beta, consts, None)

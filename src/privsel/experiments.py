@@ -106,12 +106,14 @@ def _number(spec, name: str, integral: bool, least: float = -math.inf) -> None:
     """Store spec.name as an int (integral) or a float, not below least.  A
     bool, a string or any other non-number is a ConfigError, as is a fraction
     for an integer field: int() would read 2.7 as 2 and true as 1.  5.0 reads
-    as 5."""
+    as 5.  NaN is a ConfigError too: every comparison with it is false."""
     value = getattr(spec, name)
     if (type(value) is bool or not isinstance(value, numbers.Real) or integral
             and not (isinstance(value, numbers.Integral) or float(value).is_integer())):
         raise ConfigError(
             f"{name} must be {'an integer' if integral else 'a number'}, got {value!r}")
+    if value != value:
+        raise ConfigError(f"{name} must not be NaN")
     if value < least:
         raise ConfigError(f"{name} must be >= {least}, got {value!r}")
     object.__setattr__(spec, name, int(value) if integral else float(value))

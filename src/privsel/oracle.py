@@ -91,21 +91,20 @@ class BudgetOracle:
     """Curator of one instance under a positive, finite total zCDP budget.
 
     One oracle serves one trial on a single logical thread; run concurrent
-    trials on distinct oracles.  ``noiseless=True`` is a test hook that
-    answers exactly (and draws nothing from the stream).  ``record_log=False``
-    skips per-query log records for bulk experiments; budget and sensitivity
-    enforcement are unaffected.
+    trials on distinct oracles.  Every answer is its value plus a noise row
+    from ``_noise``, the one hook every entry point draws through.
+    ``record_log=False`` skips per-query log records for bulk experiments;
+    budget and sensitivity enforcement are unaffected.
     """
 
     def __init__(self, instance: LossInstance, total_budget: float, seed=None, *,
-                 noiseless: bool = False, record_log: bool = True):
+                 record_log: bool = True):
         if not isinstance(instance, LossInstance):
             raise TypeError("instance must be a LossInstance")
         if not (total_budget > 0 and math.isfinite(total_budget)):
             raise ValueError(f"total_budget must be positive and finite, got {total_budget}")
         self.instance = instance
         self.total_budget = float(total_budget)
-        self.noiseless = noiseless
         self.record_log = record_log
         self.spent = 0.0
         self.rounds_used = 0
@@ -148,10 +147,9 @@ class BudgetOracle:
         while True:
             yield self._noise(None, rho_i)
 
-    def _answer(self, value: float, noise: float | None) -> float:
-        """The answer to an admitted, charged query from its noise row (None
-        if noiseless)."""
-        return value if noise is None else value + noise
+    def _answer(self, value: float, noise: float) -> float:
+        """The answer to an admitted, charged query from its noise row."""
+        return value + noise
 
     def _respond(self, value: float, rho_i: float, bound: float, rows=None) -> float:
         """Check, charge, answer, count and log one admitted query whose value
@@ -159,11 +157,7 @@ class BudgetOracle:
         if not math.isfinite(value):
             raise NonFiniteQueryError(f"query value is {value}")
         self._charge(rho_i, 1)
-        if self.noiseless:
-            noise = None
-        else:
-            noise = self._noise(None, rho_i) if rows is None else next(rows)
-        answer = self._answer(value, noise)
+        answer = self._answer(value, self._noise(None, rho_i) if rows is None else next(rows))
         self.rounds_used += 1
         if self.record_log:
             self.log.append(QueryRecord(self.rounds_used - 1, rho_i, bound, answer))
@@ -172,8 +166,6 @@ class BudgetOracle:
     def _answer_batch(self, values: np.ndarray, rho_each: float) -> np.ndarray:
         """The noisy answers to a charged batch, always a fresh array: one
         _noise draw with values (maybe a view of the losses) added in."""
-        if self.noiseless:
-            return values.copy()
         answers = self._noise(values.size, rho_each)
         answers += values  # noise + value: IEEE addition is commutative
         return answers
@@ -226,7 +218,7 @@ class BudgetOracle:
         if not rho_round > 0:  # a subnormal rho can underflow
             raise ValueError(f"rho must be positive, got {rho}")
         rows = None
-        if n >= _WINDOW_MIN_MEMBERS and not self.noiseless:
+        if n >= _WINDOW_MIN_MEMBERS:
             ahead, start = n.bit_length() - 1, self.rounds_used
             saved, rows = self._generator().bit_generator.state, self._rows(ahead, rho_round)
         respond = self._respond
@@ -348,10 +340,10 @@ class EqualBudgetAdapter(BudgetOracle):
     """
 
     def __init__(self, instance: LossInstance, m_bound: int, rho: float,
-                 seed=None, *, noiseless: bool = False, record_log: bool = True):
+                 seed=None, *, record_log: bool = True):
         if type(m_bound) is bool or not (isinstance(m_bound, int) and m_bound >= 1):
             raise ValueError(f"m_bound must be a positive integer, got {m_bound!r}")
-        super().__init__(instance, rho, seed, noiseless=noiseless, record_log=record_log)
+        super().__init__(instance, rho, seed, record_log=record_log)
         self.m_bound = m_bound
         self.inner_rounds_used = 0
         self.plan_runs: list[list] = []  # [plan, count] per run of queries sharing a plan
@@ -423,11 +415,9 @@ class EqualBudgetAdapter(BudgetOracle):
 
     def _answer(self, value: float, noise) -> float:
         """Average m_i equal-budget rounds, then top up to variance 1/(2*rho_i),
-        from the query's noise row (None if noiseless)."""
+        from the query's noise row."""
         plan = self._last_plan[1]  # the query's, planned by _charge
         repeats = plan.per_query_repeats
-        if noise is None:
-            return float(np.full(repeats, value).mean())
         if repeats == 1:  # np.mean of one value: 0.0 plus it, over 1
             answer = 0.0 + (value + noise[0])
         else:
@@ -440,8 +430,6 @@ class EqualBudgetAdapter(BudgetOracle):
         """Each query's answer as _answer builds it, from one _noise draw."""
         plan = self._plan(rho_each)
         repeats = plan.per_query_repeats
-        if self.noiseless:
-            return np.repeat(values[:, None], repeats, axis=1).mean(axis=1)
         noise = self._noise(values.size, rho_each)
         answers = (values[:, None] + noise[:, :repeats]).mean(axis=1)
         if plan.topup_variance > 0:
@@ -452,7 +440,7 @@ class EqualBudgetAdapter(BudgetOracle):
 def equal_budget_simulate(instance: LossInstance,
                           mechanism: Callable[[EqualBudgetAdapter], object],
                           m_bound: int, rho: float, seed=None, *,
-                          noiseless: bool = False, record_log: bool = True):
+                          record_log: bool = True):
     """Run a mechanism against the equal-budget adapter.
 
     ``mechanism`` is called with the adapter as its oracle and must use at
@@ -460,7 +448,6 @@ def equal_budget_simulate(instance: LossInstance,
     output together with the adapter (for round/variance accounting).
     ``record_log`` is the adapter's, as for BudgetOracle.
     """
-    adapter = EqualBudgetAdapter(instance, m_bound, rho, seed, noiseless=noiseless,
-                                 record_log=record_log)
+    adapter = EqualBudgetAdapter(instance, m_bound, rho, seed, record_log=record_log)
     result = mechanism(adapter)
     return result, adapter

@@ -27,6 +27,7 @@ from privsel.verify import (
     loss_scale_hp, sensitivity_fuzz, subset_event_mc, subset_event_probability,
     subset_event_probability_dp, subset_event_probability_enum,
 )
+from zero_noise import ExactOracle
 
 SCALED = MechanismConstants(c_xi=1.0, p_xi=1, base_threshold_log=6)
 
@@ -200,7 +201,7 @@ def test_structural_equivalence():
 
 
 def test_zero_noise_exhaustive_recovery():
-    """With noise off, the tournament finds the exact argmin on every
+    """On the zero-noise fake, the tournament finds the exact argmin on every
     instance with <= 10 candidates, integer losses in [0, 3], unique min."""
     t0 = time.perf_counter()
     checked = 0
@@ -216,8 +217,7 @@ def test_zero_noise_exhaustive_recovery():
         for start in range(0, len(mat), chunk):
             sub = mat[start:start + chunk]
             inst = LossInstance(sub.ravel())
-            oracle = BudgetOracle(inst, total_budget=2.0 * len(sub),
-                                  noiseless=True, record_log=False)
+            oracle = ExactOracle(inst, total_budget=2.0 * len(sub), record_log=False)
             base = np.arange(len(sub) * n, dtype=np.int64)
             for b in range(len(sub)):
                 result = binary_tree_select(oracle, 1.0, candidates=base[b * n:(b + 1) * n])

@@ -85,6 +85,8 @@ class TestConfig:
         # ran noiselessly with inf spent, or failed in numpy, before
         lambda d: d.update(rho=float("inf")),
         lambda d: d.update(mechanisms=[{"name": "recursive_gap", "constants": {"c_xi": True}}]),
+        # JSON's NaN literal was stored before, and no error is above it
+        lambda d: d.update(failure_threshold=float("nan")),
     ])
     def test_invalid_configs_rejected(self, mutate):
         doc = {"instance": {"family": "constant", "size": 4},
@@ -106,6 +108,7 @@ class TestConfig:
         # JSON-shaped values, which from_json turns into dataclasses
         ("instance", {"family": "constant", "size": 4}), ("mechanisms", ({"name": "query_all"},)),
         ("mechanisms", (MechanismSpec("recursive_gap", {"c_xi": 1.0}),)), ("rho", float("inf")),
+        ("failure_threshold", float("nan")),
     ])
     def test_invalid_fields_rejected_in_python(self, field, value):
         # the rules of from_json hold for configs built in Python
@@ -117,6 +120,14 @@ class TestConfig:
             config[field] = value
         with pytest.raises(ConfigError):
             ExperimentConfig(**{"instance": InstanceSpec(**instance)} | config)
+
+    def test_threshold_json_literals(self):
+        # json.loads reads both literals; an infinite threshold is a valid one
+        text = ('{"instance": {"family": "constant", "size": 4}, "rho": 2.0, '
+                '"mechanisms": [{"name": "query_all"}], "failure_threshold": %s}')
+        assert ExperimentConfig.from_json_text(text % "Infinity").failure_threshold == float("inf")
+        with pytest.raises(ConfigError, match="^failure_threshold must not be NaN$"):
+            ExperimentConfig.from_json_text(text % "NaN")
 
     @pytest.mark.parametrize("mutate, message", [
         (lambda d: d.pop("instance"), r"missing required config fields: \['instance'\]"),
@@ -421,15 +432,19 @@ class TestCli:
         assert captured.out == ""
         assert captured.err.startswith("config error: ") and captured.err.count("\n") == 1
 
-    @pytest.mark.parametrize("flag", ["--fuzz-trials", "--subset-draws", "--rate-trials"])
-    def test_verify_counts_checked_before_any_work(self, monkeypatch, capsys, flag):
+    @pytest.mark.parametrize("flag, value, least", [
+        ("--fuzz-trials", 0, 1), ("--subset-draws", 0, 1), ("--rate-trials", 0, 1),
+        ("--seed", -1, 0),  # failed in default_rng after the grid and the sweeps before
+    ], ids=["--fuzz-trials", "--subset-draws", "--rate-trials", "--seed"])
+    def test_verify_counts_checked_before_any_work(self, monkeypatch, capsys, flag, value,
+                                                   least):
         def no_grid(*args, **kwargs):
             raise AssertionError("the grid ran")
         monkeypatch.setattr(cli, "appendix_grid", no_grid)
-        assert main(["verify", flag, "0"]) == 2
+        assert main(["verify", flag, str(value)]) == 2
         captured = capsys.readouterr()
         assert captured.out == ""
-        assert captured.err == f"config error: {flag} must be >= 1, got 0\n"
+        assert captured.err == f"config error: {flag} must be >= {least}, got {value}\n"
 
     def test_readme_synopsis_matches_parser(self):
         # each synopsis line under README's "## CLI" against the parser
@@ -493,6 +508,26 @@ class TestCli:
         fields = lines[1].split(",")
         assert fields[0] == "binary_tree" and int(fields[2]) == 5
         assert float(fields[-1]) >= 0.0  # min top-up variance
+
+    def test_simulate_equal_budget_checks_every_mechanism_first(self, tmp_path, capsys,
+                                                                 monkeypatch):
+        # query_all's trials all ran before exponential was rejected
+        calls, simulate = [], cli.equal_budget_simulate
+
+        def counted(instance, mechanism, m_bound, rho, seed, **kwargs):
+            calls.append(seed.entropy)
+            return simulate(instance, mechanism, m_bound, rho, seed, **kwargs)
+
+        monkeypatch.setattr(cli, "equal_budget_simulate", counted)
+        doc = dict(CONFIG_DOC, mechanisms=[{"name": "query_all"}, {"name": "exponential"}])
+        assert main(["simulate-equal-budget", self._write_config(tmp_path, doc)]) == 2
+        assert calls == []
+        assert capsys.readouterr().err == (
+            "config error: mechanism 'exponential' does not run in the query model\n")
+        # a valid config still runs mechanism by mechanism, trial by trial
+        assert main(["simulate-equal-budget", self._write_config(tmp_path),
+                     "--trials", "2", "--out", str(tmp_path / "eq.csv")]) == 0
+        assert calls == [[3, 0, 7000], [3, 1, 7000], [3, 0, 7001], [3, 1, 7001]]
 
     def test_simulate_equal_budget_rejects_fresh_instances(self, tmp_path, capsys):
         # every trial runs on the one instance built from the config

@@ -23,6 +23,7 @@ from privsel.mechanisms import (
 )
 from privsel.oracle import BudgetOracle, equal_budget_simulate
 from privsel.verify import appendix_grid
+from zero_noise import ExactOracle
 
 SCALED = MechanismConstants(c_xi=1.0, p_xi=1, base_threshold_log=6)
 SCALED_DOC = {"c_xi": 1.0, "p_xi": 1, "base_threshold_log": 6}
@@ -59,10 +60,11 @@ ORACLE_LOGS = {
 # 15 derived levels each): constant losses tie everywhere, so gaps are 0 and
 # derived values -0.0; gapped has one isolated optimum; a non-contiguous
 # candidate set makes the first level's minimum range over the candidates
-# only.  Noiseless logs print exact values, so they pin the sign of zero and
-# the tie rules as well as the query order.
-# The noisy layered runs are ORACLE_LOGS' combined and recursive_gap_scaled.
-# name -> (instance, mechanism, noiseless, digest of BudgetOracle.log_csv())
+# only.  Noiseless logs, run on the zero-noise fake ExactOracle, print exact
+# values, so they pin the tie rules as well as the query order; their zero
+# answers are all +0.0.  The noisy layered runs are ORACLE_LOGS' combined and
+# recursive_gap_scaled.
+# name -> (instance, mechanism, exact, digest of BudgetOracle.log_csv())
 RECURSIVE = lambda o: recursive_gap_select(o, 1.0, 0.1, SCALED)  # noqa: E731
 COMBINED = lambda o: combined_select(o, 1.0, SCALED)  # noqa: E731
 SPARSE = lambda o: recursive_gap_select(  # noqa: E731
@@ -159,8 +161,8 @@ def oracle_log(name: str) -> str:
 
 
 def recursion_log(name: str) -> str:
-    instance, mechanism, noiseless, _ = RECURSION_LOGS[name]
-    oracle = BudgetOracle(instance, 1.0, seed=11, noiseless=noiseless)
+    instance, mechanism, exact, _ = RECURSION_LOGS[name]
+    oracle = (ExactOracle if exact else BudgetOracle)(instance, 1.0, seed=11)
     mechanism(oracle)
     return oracle.log_csv()
 

@@ -18,12 +18,14 @@ from privsel.mechanisms import (
 from privsel import oracle as oracle_module
 from privsel.oracle import BudgetOracle
 from privsel.queries import BaseBatch
+from zero_noise import ExactOracle, ZeroNoise
 
 SCALED = MechanismConstants(c_xi=1.0, p_xi=1, base_threshold_log=6)
 
 
-def _oracle(losses, rho, seed=0, **kw):
-    return BudgetOracle(LossInstance(losses), rho, seed, **kw)
+def _oracle(losses, rho, seed=0, exact=False):
+    """A BudgetOracle, or its zero-noise fake if exact."""
+    return (ExactOracle if exact else BudgetOracle)(LossInstance(losses), rho, seed)
 
 
 class TestBinaryTree:
@@ -57,11 +59,11 @@ class TestBinaryTree:
             n = int(rng.integers(1, 11))
             losses = rng.integers(0, 4, n).astype(float)
             losses[rng.integers(n)] = -1.0  # unique minimum somewhere
-            oracle = _oracle(losses, 1.0, noiseless=True)
+            oracle = _oracle(losses, 1.0, exact=True)
             assert binary_tree_select(oracle, 1.0).winner == int(np.argmin(losses))
 
     def test_ties_resolve_left_at_zero_noise(self):
-        oracle = _oracle([2.0, 2.0, 2.0, 2.0], 1.0, noiseless=True)
+        oracle = _oracle([2.0, 2.0, 2.0, 2.0], 1.0, exact=True)
         assert binary_tree_select(oracle, 1.0).winner == 0
 
     @staticmethod
@@ -96,7 +98,10 @@ class TestBinaryTree:
     def test_each_round_is_one_comparison_of_adjacent_halves(self, monkeypatch):
         Recording, tournaments = self._recording(monkeypatch)
         losses = [5.0, 4.0, 3.0, 9.0, 0.0, 7.0, 8.0]
-        oracle = Recording(LossInstance(losses), 1.0, noiseless=True)
+        class ExactRecording(ZeroNoise, Recording):
+            pass
+
+        oracle = ExactRecording(LossInstance(losses), 1.0)
         assert binary_tree_select(oracle, 1.0, candidates=[1, 2, 3, 4, 5, 6]).winner == 4
         # survivors 1..6 -> right half 4..6 -> left half 4..5 -> left half 4
         assert tournaments == [(range, None, [
@@ -124,13 +129,16 @@ class TestBinaryTree:
 
         n = 1000
         zeros = LossInstance(np.random.default_rng(0).choice([-0.0, 0.0, 1.0], n))
-        # noiseless, the log shows the sign of a zero answer
-        for inst, noiseless in ((generate_instance("uniform", n, 5.0, seed=4), False),
-                                (zeros, True)):
+        class ExactAsArrays(ZeroNoise, AsArrays):
+            pass
+
+        # on the zero-noise fake, the log shows the sign of a zero answer
+        for inst, makes in ((generate_instance("uniform", n, 5.0, seed=4),
+                             (BudgetOracle, AsArrays)), (zeros, (ExactOracle, ExactAsArrays))):
             runs = []
-            for make, candidates in ((BudgetOracle, None), (BudgetOracle, np.arange(n)),
-                                     (AsArrays, None)):
-                oracle = make(inst, 1.0, seed=11, noiseless=noiseless)
+            for make, candidates in ((makes[0], None), (makes[0], np.arange(n)),
+                                     (makes[1], None)):
+                oracle = make(inst, 1.0, seed=11)
                 runs.append((binary_tree_select(oracle, 1.0, candidates=candidates),
                              oracle.log_csv()))
             assert runs[0] == runs[1] == runs[2]
@@ -286,7 +294,7 @@ class TestRecursiveGap:
 
 class TestCombined:
     def test_equal_stage_winners_return_that_index(self):
-        oracle = _oracle([0.0, 10.0], 1.0, noiseless=True)
+        oracle = _oracle([0.0, 10.0], 1.0, exact=True)
         result = combined_select(oracle, 1.0)
         assert result.winner == 0  # both stages find 0; tie comparison goes left
         last = oracle.log[-1]  # MinCompare([0, 0], 1)
@@ -424,7 +432,7 @@ class TestQueryAllBaseline:
             assert query_all_baseline(oracle, 1e6).winner == 1
 
     def test_tie_breaks_low_index_noiseless(self):
-        oracle = _oracle([1.0, 1.0, 1.0], 1.0, noiseless=True)
+        oracle = _oracle([1.0, 1.0, 1.0], 1.0, exact=True)
         assert query_all_baseline(oracle, 1.0).winner == 0
 
     def test_budget_split_evenly(self):

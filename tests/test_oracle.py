@@ -18,6 +18,7 @@ from privsel.queries import (
     Base, BaseBatch, Const, Gap, Level, MinCompare, Scale, Sub, eval_expr,
 )
 from privsel.mechanisms import binary_tree_select, combined_select, query_all_baseline
+from zero_noise import ExactAdapter, ExactOracle
 
 
 INST = LossInstance((2.0, 5.0, 1.0, 7.0))
@@ -169,12 +170,12 @@ class TestNoisyQuery:
         assert run() == run()
 
     def test_noiseless_hook(self):
-        oracle = BudgetOracle(INST, 1.0, noiseless=True)
+        oracle = ExactOracle(INST, 1.0)
         assert oracle.noisy_query(Base(3), 0.5) == 7.0
         assert oracle.spent == 0.5
 
     def test_batch_matches_values_and_budget(self):
-        oracle = BudgetOracle(INST, 10.0, noiseless=True)
+        oracle = ExactOracle(INST, 10.0)
         answers = oracle.noisy_query_batch(BaseBatch(np.arange(4)), 0.25)
         assert answers.tolist() == [2.0, 5.0, 1.0, 7.0]
         assert oracle.spent == 1.0
@@ -193,14 +194,14 @@ class TestBaseBatch:
 
     INST = generate_instance("uniform", 50, 3.0, 0)
 
-    @pytest.mark.parametrize("noiseless", [False, True])
-    def test_batch_list_and_scalar_queries_agree(self, noiseless):
+    @pytest.mark.parametrize("exact", [False, True])
+    def test_batch_list_and_scalar_queries_agree(self, exact):
         idx = np.random.default_rng(1).integers(0, 50, 200)
         runs = []
         for submit in (lambda o: o.noisy_query_batch(BaseBatch(idx), 0.01),
                        lambda o: np.array([o.noisy_query(Base(i), 0.01)
                                            for i in idx.tolist()])):
-            oracle = BudgetOracle(self.INST, 2.0, seed=5, noiseless=noiseless)
+            oracle = (ExactOracle if exact else BudgetOracle)(self.INST, 2.0, seed=5)
             answers = submit(oracle)
             runs.append((answers.tobytes(), oracle.log_csv(), oracle.spent,
                          oracle.rounds_used))
@@ -226,19 +227,19 @@ class TestBaseBatch:
             assert type(answers) is np.ndarray and answers.shape == (0,)
             assert (oracle.spent, oracle.rounds_used, oracle.log) == (0.0, 0, [])
 
-    @pytest.mark.parametrize("noiseless", [False, True])
+    @pytest.mark.parametrize("exact", [False, True])
     @pytest.mark.parametrize("adapter", [False, True])
-    def test_range_batch_is_its_index_array_bit_for_bit(self, adapter, noiseless):
+    def test_range_batch_is_its_index_array_bit_for_bit(self, adapter, exact):
         # a step-1 range is read as a slice, any other range as an array
         for seed, (a, b, step) in enumerate(((0, 50, 1), (7, 31, 1), (49, 50, 1),
                                              (1, 50, 3), (40, 2, -5))):
             runs = []
             for idx in (range(a, b, step), np.arange(a, b, step)):
                 if adapter:
-                    oracle = EqualBudgetAdapter(self.INST, 64, 1.0, seed=seed,
-                                                noiseless=noiseless)
+                    make = ExactAdapter if exact else EqualBudgetAdapter
+                    oracle = make(self.INST, 64, 1.0, seed=seed)
                 else:
-                    oracle = BudgetOracle(self.INST, 1.0, seed=seed, noiseless=noiseless)
+                    oracle = (ExactOracle if exact else BudgetOracle)(self.INST, 1.0, seed=seed)
                 answers = oracle.noisy_query_batch(BaseBatch(idx), 0.01)
                 following = oracle.noisy_query(Base(0), 0.01)
                 runs.append((answers.tobytes(), oracle.spent, oracle.rounds_used,
@@ -247,7 +248,7 @@ class TestBaseBatch:
 
     def test_noiseless_answers_are_a_fresh_array(self):
         for idx in (range(50), range(3, 9), np.arange(50)):
-            answers = BudgetOracle(self.INST, 1.0, noiseless=True).noisy_query_batch(
+            answers = ExactOracle(self.INST, 1.0).noisy_query_batch(
                 BaseBatch(idx), 0.01)
             assert answers.flags.writeable
             assert not np.shares_memory(answers, self.INST.as_array())
@@ -319,9 +320,9 @@ class TestBaseBatch:
         assert runs[0] == runs[1]
         assert len(runs[0][4]) == idx.size
 
-    @pytest.mark.parametrize("noiseless", [False, True])
+    @pytest.mark.parametrize("exact", [False, True])
     @pytest.mark.parametrize("topup", [False, True])
-    def test_adapter_batch_is_its_query_loop_bit_for_bit(self, topup, noiseless):
+    def test_adapter_batch_is_its_query_loop_bit_for_bit(self, topup, exact):
         rng = np.random.default_rng(8)
         inst = LossInstance(rng.choice([-0.0, 0.0, 1 / 3, -2.5, 7.1e-5], 30))
         # with m_bound a power of two, rho_each = m_i / m_bound plans exactly
@@ -334,8 +335,8 @@ class TestBaseBatch:
             for submit in (lambda o: o.noisy_query_batch(BaseBatch(idx), rho_each),
                            lambda o: np.array([o.noisy_query(Base(i), rho_each)
                                                for i in idx.tolist()])):
-                adapter = EqualBudgetAdapter(inst, m_bound, 1.0, seed=repeats,
-                                             noiseless=noiseless)
+                adapter = (ExactAdapter if exact else EqualBudgetAdapter)(
+                    inst, m_bound, 1.0, seed=repeats)
                 answers = submit(adapter)
                 following = adapter.noisy_query(Base(0), rho_each)
                 runs.append((answers.tobytes(), adapter.log_csv(), adapter.spent,
@@ -506,7 +507,32 @@ class TestEqualBudgetAdapter:
             adapter.noisy_query(Gap([0, 1]), 0.5)
 
     def test_noiseless_simulation_is_exact(self):
-        inst = LossInstance((4.0, 0.0, 2.0))
-        result, adapter = equal_budget_simulate(
-            inst, lambda o: binary_tree_select(o, 1.0), 2, 1.0, noiseless=True)
-        assert result.winner == 1
+        adapter = ExactAdapter(LossInstance((4.0, 0.0, 2.0)), 2, 1.0)
+        assert binary_tree_select(adapter, 1.0).winner == 1
+
+
+@pytest.mark.parametrize("repeats, topup", [(None, False), (1, False), (2, False),
+                                            (4, False), (1, True), (2, True)],
+                         ids=["oracle", "adapter-1", "adapter-2", "adapter-4",
+                              "adapter-1-topup", "adapter-2-topup"])
+def test_zero_noise_fake_answers_are_the_losses_bit_for_bit(repeats, topup):
+    # x + -0.0 == x for every float x; the adapter averages m_i equal rounds,
+    # exactly for m_i a power of two, and np.mean reads -0.0 as 0.0
+    losses = np.array([-0.0, 0.0, 1 / 3, -2.5, 7.1e-5, 1e300, -5e-324])
+    inst = LossInstance(losses)
+    if repeats is None:
+        make, rho_each, want = (lambda: ExactOracle(inst, 1.0)), 0.01, losses
+    else:
+        make, rho_each = (lambda: ExactAdapter(inst, 256, 1.0)), (repeats - 0.5 * topup) / 256
+        want = losses + 0.0
+    for submit in (lambda o: o.noisy_query_batch(BaseBatch(range(losses.size)), rho_each),
+                   lambda o: np.array([o.noisy_query(Base(i), rho_each)
+                                       for i in range(losses.size)])):
+        oracle = make()
+        answers = submit(oracle)
+        assert answers.tobytes() == want.tobytes()
+        assert np.array([r.answer for r in oracle.log]).tobytes() == want.tobytes()
+        assert oracle._rng is None  # no generator, so no draw
+        if repeats is not None:
+            plan = oracle.plans[0]
+            assert (plan.per_query_repeats, plan.topup_variance > 0) == (repeats, topup)

@@ -23,6 +23,7 @@ from privsel.oracle import (
 )
 from privsel import queries as queries_module
 from privsel.queries import Base, Level, MinCompare, Sub
+from zero_noise import ExactAdapter, ExactOracle
 
 SIZES = list(range(1, 301)) + [(1 << k) + d for k in range(8, 12) for d in (-1, 0, 1)]
 ZEROS = np.array([-0.0, 0.0, 1.0, 2.0])
@@ -56,10 +57,12 @@ def state(oracle):
             oracle._generator().normal())
 
 
-def make_oracle(kind, instance, rounds, noiseless, seed=5, rho=1.0):
+def make_oracle(kind, instance, rounds, exact, seed=5, rho=1.0):
+    """An oracle of kind, or its zero-noise fake if exact."""
+    make = {BudgetOracle: ExactOracle, EqualBudgetAdapter: ExactAdapter}[kind] if exact else kind
     if kind is EqualBudgetAdapter:
-        return EqualBudgetAdapter(instance, max(rounds, 1), rho, seed, noiseless=noiseless)
-    return BudgetOracle(instance, rho, seed, noiseless=noiseless)
+        return make(instance, max(rounds, 1), rho, seed)
+    return make(instance, rho, seed)
 
 
 def members_of(form, n, rng):
@@ -102,8 +105,8 @@ def test_tournament_equals_per_query_loop(form, kind):
         for table in ((False, True) if form == "range" else (False,)):
             if table:
                 instance.block_minima()
-            for noiseless in (False, True):
-                fast, slow, gathered = (make_oracle(kind, instance, rounds, noiseless)
+            for exact in (False, True):
+                fast, slow, gathered = (make_oracle(kind, instance, rounds, exact)
                                         for _ in range(3))
                 survivor = fast.noisy_tournament(members, 1.0, level)
                 assert survivor == reference_tournament(slow, members, 1.0, level), n
@@ -124,14 +127,14 @@ def test_adapter_tournament_with_repeats_equals_per_query_loop(repeats, topup):
             # with m_bound = 4K and total budget 1, a round of rho / K plans
             # 4 * rho rounds: exactly m_i, or m_i with a top-up
             rho = (repeats - 0.5 * topup) / 4
-            for noiseless in (False, True):
+            for exact in (False, True):
                 runs = []
                 for run in (lambda o: o.noisy_tournament(members, rho),
                             lambda o: reference_tournament(o, members, rho)):
-                    adapter = EqualBudgetAdapter(instance, 4 * k, 1.0, seed=n,
-                                                 noiseless=noiseless)
+                    adapter = (ExactAdapter if exact else EqualBudgetAdapter)(
+                        instance, 4 * k, 1.0, seed=n)
                     runs.append((run(adapter), state(adapter)))
-                assert runs[0] == runs[1], (n, form, noiseless)
+                assert runs[0] == runs[1], (n, form, exact)
                 plans = runs[0][1][4]
                 assert len(plans) == runs[0][1][2] >= math.floor(math.log2(n))
                 assert (plans[0].per_query_repeats, plans[0].topup_variance > 0) == (
@@ -193,8 +196,8 @@ class CountingGenerator:
 @pytest.mark.parametrize("n", [32, 1024])
 def test_power_of_two_tournament_draws_once(n, kind):
     instance = LossInstance(np.random.default_rng(n).uniform(0, 4, n))
-    for noiseless, rho, calls in ((False, 1.0, 1), (False, 0.9, 1), (True, 1.0, 0)):
-        oracle = make_oracle(kind, instance, ceil_log2(n), noiseless, rho=1.0)
+    for exact, rho, calls in ((False, 1.0, 1), (False, 0.9, 1), (True, 1.0, 0)):
+        oracle = make_oracle(kind, instance, ceil_log2(n), exact, rho=1.0)
         oracle._rng = CountingGenerator(5)
         oracle.noisy_tournament(range(n), rho)  # rho 0.9 plans a top-up on the adapter
         assert oracle.rounds_used == ceil_log2(n)
@@ -304,7 +307,7 @@ def test_out_of_range_members_charge_and_draw_nothing(kind):
                 (np.array([[0]]), None, ValueError, 1.0), (range(1), None, ValueError, -1.0),
                 ([0], "x", TypeError, 1.0), (range(4), None, ValueError, 5e-324)]
     for members, lvl, error, rho in [case + (1.0,) for case in bad] + with_rho:
-        oracle = make_oracle(kind, instance, 8, noiseless=False)
+        oracle = make_oracle(kind, instance, 8, exact=False)
         with pytest.raises(error, match=empty if len(members) == 0 else None):
             oracle.noisy_tournament(members, rho, lvl)
         assert (oracle.spent, oracle.rounds_used, oracle.log, oracle._rng) == (0.0, 0, [], None)
