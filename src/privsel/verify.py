@@ -23,6 +23,7 @@ from __future__ import annotations
 
 import itertools
 import math
+import numbers
 from dataclasses import dataclass
 from enum import Enum
 from fractions import Fraction
@@ -260,19 +261,46 @@ def subset_event_probability_enum(k: int, i_star: int, k_star: int) -> Fraction:
     return Fraction(hits, total)
 
 
+def _count(name: str, value) -> int:
+    """value as an int; ValueError unless it is an integer >= 1 (a bool is not)."""
+    if isinstance(value, bool) or not isinstance(value, numbers.Integral) or value < 1:
+        raise ValueError(f"{name} must be an integer >= 1, got {value!r}")
+    return int(value)
+
+
+# Most cells one Monte Carlo draw holds, so a check's memory does not grow
+# with its number of draws.
+_BLOCK_CELLS = 1 << 16
+
+
+def _hypergeometric_blocks(rng: np.random.Generator, colors, nsample: int, draws: int):
+    """Consecutive row blocks of rng.multivariate_hypergeometric(colors,
+    nsample, size=draws), each of at most _BLOCK_CELLS cells.
+
+    numpy's default ("marginals") sampler draws one row after another and keeps
+    nothing between calls, so the blocks stacked equal the one-call array bit
+    for bit and leave rng in the same state.
+    """
+    rows = max(1, _BLOCK_CELLS // len(colors))
+    for start in range(0, draws, rows):
+        yield rng.multivariate_hypergeometric(colors, nsample, size=min(rows, draws - start))
+
+
 def subset_event_mc(k: int, i_star: int, k_star: int, draws: int, seed=0) -> float:
     """Monte Carlo frequency of the same event over uniform random subsets.
 
     Samples only the sufficient statistic (hits per block) via the
-    multivariate hypergeometric distribution.  draws < 1 is a ValueError.
+    multivariate hypergeometric distribution, in blocks of at most 2**16
+    cells; the frequency equals that of one draw of all rows.  draws must be
+    an integer >= 1 (ValueError otherwise, before any draw).
     """
     n, size, top, mid = _blocks(k, i_star, k_star)
-    if draws < 1:
-        raise ValueError("draws must be >= 1")
+    draws = _count("draws", draws)
     rng = np.random.default_rng(seed)
-    counts = rng.multivariate_hypergeometric([top, mid, n - top - mid], size, size=draws)
-    good = (counts[:, 0] == 1) & (counts[:, 1] == 0)
-    return float(good.mean())
+    hits = 0
+    for counts in _hypergeometric_blocks(rng, [top, mid, n - top - mid], size, draws):
+        hits += int(np.count_nonzero((counts[:, 0] == 1) & (counts[:, 1] == 0)))
+    return hits / draws
 
 
 # ---------------------------------------------------------------------------
@@ -291,16 +319,19 @@ def check_good_subset_rate(k: int, instance: LossInstance,
     is max(min(S) - min - (K + sqrt(K))*xi, -gap(S)) / 2; the returned bound
     is the analytic per-draw lower bound on the event probability.
 
-    ``force_k`` conditions every draw on a fixed subset-size exponent (test
-    hook for checking the per-k conditional probabilities).
+    With at most 1024 distinct losses, each subset size's draws come in
+    blocks of at most 2**16 cells, and the rate equals that of one draw of
+    all its rows.  trials must be an integer >= 1 (ValueError otherwise,
+    before any draw).  ``force_k`` conditions every draw on a fixed
+    subset-size exponent (test hook for checking the per-k conditional
+    probabilities).
     """
     n = len(instance)
     if n != 1 << k:
         raise ValueError(f"instance must have exactly 2**{k} candidates, got {n}")
     if force_k is not None and not 1 <= force_k <= k:
         raise ValueError(f"force_k must lie in 1..{k}, got {force_k}")
-    if trials < 1:
-        raise ValueError("trials must be >= 1")
+    trials = _count("trials", trials)
     xi_value = loss_scale(k, rho, beta, consts)
     offset = (k + math.sqrt(k)) * xi_value
     threshold = -math.sqrt(k) * xi_value  # event: 2 * derived loss <= threshold
@@ -323,18 +354,18 @@ def check_good_subset_rate(k: int, instance: LossInstance,
             two_l = vals[lvl] - vals[0] - offset  # singleton gap is +inf
             events += int(np.count_nonzero(two_l <= threshold))
         elif len(vals) <= 1024:
-            mat = rng.multivariate_hypergeometric(counts, size, size=m)
-            occupied = mat > 0
-            rows = np.arange(m)
-            first = occupied.argmax(axis=1)
-            first_count = mat[rows, first]
-            occupied[rows, first] = False
-            second = occupied.argmax(axis=1)
-            has_second = occupied.any(axis=1)
-            gap = np.where(first_count >= 2, 0.0,
-                           np.where(has_second, vals[second] - vals[first], np.inf))
-            two_l = np.maximum(vals[first] - vals[0] - offset, -gap)
-            events += int(np.count_nonzero(two_l <= threshold))
+            for mat in _hypergeometric_blocks(rng, counts, size, m):
+                occupied = mat > 0
+                rows = np.arange(len(mat))
+                first = occupied.argmax(axis=1)
+                first_count = mat[rows, first]
+                occupied[rows, first] = False
+                second = occupied.argmax(axis=1)
+                has_second = occupied.any(axis=1)
+                gap = np.where(first_count >= 2, 0.0,
+                               np.where(has_second, vals[second] - vals[first], np.inf))
+                two_l = np.maximum(vals[first] - vals[0] - offset, -gap)
+                events += int(np.count_nonzero(two_l <= threshold))
         else:
             for _ in range(m):
                 sel = rng.choice(n, size=size, replace=False)
@@ -405,10 +436,10 @@ def sensitivity_fuzz(trials: int, seed=0) -> FuzzReport:
     shape, or a random tree over all node types), a loss vector, and a
     perturbation with coordinates in [-1, 1], then compares the evaluation
     change against the structural bound.  Pairs where either evaluation is
-    non-finite are skipped, matching the calculus' soundness claim.
+    non-finite are skipped, matching the calculus' soundness claim.  trials
+    must be an integer >= 1 (ValueError otherwise).
     """
-    if trials < 1:
-        raise ValueError("trials must be >= 1")
+    trials = _count("trials", trials)
     rng = np.random.default_rng(seed)
     max_ratio = 0.0
     worst = ""

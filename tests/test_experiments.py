@@ -446,6 +446,9 @@ class TestCli:
         assert captured.out == ""
         assert captured.err == f"config error: {flag} must be >= {least}, got {value}\n"
 
+    def test_parser_is_built_once(self):
+        assert build_parser() is build_parser()
+
     def test_readme_synopsis_matches_parser(self):
         # each synopsis line under README's "## CLI" against the parser
         readme = (Path(__file__).resolve().parent.parent / "README.md").read_text()

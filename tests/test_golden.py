@@ -15,7 +15,7 @@ import numpy as np
 import pytest
 
 from privsel.cli import main
-from privsel.core import MechanismConstants, generate_instance
+from privsel.core import LossInstance, MechanismConstants, generate_instance
 from privsel.mechanisms import (
     binary_tree_round_bound, binary_tree_select, combined_round_bound,
     combined_select, query_all_baseline, query_all_round_bound,
@@ -31,6 +31,7 @@ UNIFORM = generate_instance("uniform", 256, 1000.0, 3)
 LAYERED = generate_instance("layered", 1024, 1.0, 0)
 CONSTANT = generate_instance("constant", 1024, 1.0, 0)
 GAPPED = generate_instance("gapped", 1024, 50.0, 0)
+SIGNED_ZERO = LossInstance([-0.0, 0.0, 0.5, 2.0, 0.0, 1.0, 3.0, 4.0])
 
 
 def sha256(text: str) -> str:
@@ -61,9 +62,12 @@ ORACLE_LOGS = {
 # derived values -0.0; gapped has one isolated optimum; a non-contiguous
 # candidate set makes the first level's minimum range over the candidates
 # only.  Noiseless logs, run on the zero-noise fake ExactOracle, print exact
-# values, so they pin the tie rules as well as the query order; their zero
-# answers are all +0.0.  The noisy layered runs are ORACLE_LOGS' combined and
-# recursive_gap_scaled.
+# values, so they pin the tie rules as well as the query order.  Their zero
+# answers are +0.0 but for signed_zero's: its 8 candidates go straight to the
+# base-case tournament, whose first round compares a left half holding -0.0
+# ahead of +0.0 with a right half whose minimum is +0.0.  It logs
+# 0.5 * (-0.0 - 0.0) = -0.0, which only a noise of -0.0 keeps.  The noisy
+# layered runs are ORACLE_LOGS' combined and recursive_gap_scaled.
 # name -> (instance, mechanism, exact, digest of BudgetOracle.log_csv())
 RECURSIVE = lambda o: recursive_gap_select(o, 1.0, 0.1, SCALED)  # noqa: E731
 COMBINED = lambda o: combined_select(o, 1.0, SCALED)  # noqa: E731
@@ -85,6 +89,9 @@ RECURSION_LOGS = {
     "recursive_gap/gapped/noisy": (
         GAPPED, RECURSIVE, False,
         "217d898daecf3e06dcec23f48894ee91c40da11fdc39116a6919ca2c062f9fd2"),
+    "recursive_gap/signed_zero/noiseless": (
+        SIGNED_ZERO, RECURSIVE, True,
+        "4f7fa9e38940ff71a2522353940afccc70c98cf51bb8c389d536e441ea5d1762"),
     "recursive_gap/sparse_candidates/noiseless": (
         LAYERED, SPARSE, True,
         "82fd2bf71ebd74171ea1828bbc967591200eb38561e38316fad34035bbbd877b"),

@@ -2,6 +2,7 @@
 
 import itertools
 import math
+import tracemalloc
 from fractions import Fraction
 from math import comb
 
@@ -9,6 +10,7 @@ import mpmath
 import numpy as np
 import pytest
 
+from privsel import verify
 from privsel.core import (
     RECURSION_SPLIT, LossInstance, MechanismConstants, derived_rounds_ceil_log,
     generate_instance, loss_scale,
@@ -279,3 +281,87 @@ class TestSensitivityFuzz:
 
     def test_deterministic_given_seed(self):
         assert sensitivity_fuzz(500, seed=3) == sensitivity_fuzz(500, seed=3)
+
+
+def traced_peak(run, count: int) -> int:
+    """Peak bytes tracemalloc sees while run(count) runs.  An untraced run(1)
+    goes first: np.unique imports numpy.ma on its first call."""
+    run(1)
+    tracemalloc.start()
+    try:
+        run(count)
+        return tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+
+
+class TestBlockedDraws:
+    """The Monte Carlo checks draw in blocks of at most verify._BLOCK_CELLS cells."""
+
+    def test_subset_event_mc_equals_one_draw_of_all_rows(self):
+        k, i_star, k_star = 16, 2, 6
+        top, mid = 1 << i_star, (1 << k_star) - (1 << i_star)
+        b = verify._BLOCK_CELLS // 3  # rows in one block of the three-colour draw
+        for draws in (1, b - 1, b, b + 1, 3 * b + 7):
+            counts = np.random.default_rng(draws).multivariate_hypergeometric(
+                [top, mid, (1 << k) - top - mid], 1 << (k - k_star), size=draws)
+            one_shot = float(((counts[:, 0] == 1) & (counts[:, 1] == 0)).mean())
+            assert subset_event_mc(k, i_star, k_star, draws, seed=draws) == one_shot
+
+    @pytest.mark.parametrize("trials", [1, 63, 64, 65, 199])
+    def test_good_subset_rate_equals_one_draw_of_all_rows(self, trials):
+        # 1024 distinct losses make a block 64 rows.  With force_k every trial
+        # has one subset size, so the reference is one draw of all rows,
+        # scored here row by row.
+        k, kt = 10, 3
+        inst = generate_instance("uniform", 1 << k, 1e5, seed=5)
+        vals, counts = np.unique(inst.as_array(), return_counts=True)
+        assert len(vals) == 1024
+        xi_value = loss_scale(k, 1.0, 0.1, SCALED)
+        offset, threshold = (k + math.sqrt(k)) * xi_value, -math.sqrt(k) * xi_value
+        mat = np.random.default_rng(8).multivariate_hypergeometric(
+            counts, 1 << (k - kt), size=trials)
+        events = 0
+        for row in mat:
+            first, *rest = np.flatnonzero(row)
+            gap = 0.0 if row[first] >= 2 else (vals[rest[0]] - vals[first] if rest else math.inf)
+            events += bool(max(vals[first] - vals[0] - offset, -gap) <= threshold)
+        if trials > 1:
+            assert 0 < events < trials
+        emp, _ = check_good_subset_rate(k, inst, SCALED, trials=trials, seed=8, force_k=kt)
+        assert emp == events / trials
+
+    def test_subset_event_mc_memory_is_one_block(self):
+        # one draw of all rows peaks at 9.9 MiB traced, blocks at 1.0 MiB
+        assert traced_peak(lambda draws: subset_event_mc(16, 2, 6, draws), 400_000) < 2 * 2**20
+
+    def test_good_subset_rate_memory_is_one_block(self):
+        # one draw of all rows peaks at 17.7 MiB traced, blocks at 1.1 MiB
+        inst = generate_instance("uniform", 1 << 10, 1e5, seed=5)
+        run = lambda trials: check_good_subset_rate(  # noqa: E731
+            10, inst, SCALED, trials=trials, seed=8, force_k=2)
+        assert traced_peak(run, 2000) < 2 * 2**20
+
+
+class TestSampleCounts:
+    @pytest.mark.parametrize("bad", [True, False, 0, -3, 2.0, 2.5, "3", None])
+    def test_rejected_before_any_draw(self, bad, monkeypatch):
+        def no_rng(*args, **kwargs):
+            raise AssertionError("a generator was made")
+        inst = generate_instance("layered", 64, 2.0, seed=1)
+        monkeypatch.setattr(np.random, "default_rng", no_rng)
+        calls = (lambda: subset_event_mc(4, 1, 3, bad),
+                 lambda: check_good_subset_rate(6, inst, SCALED, trials=bad),
+                 lambda: sensitivity_fuzz(bad))
+        for call in calls:
+            with pytest.raises(ValueError, match=r"must be an integer >= 1, got "):
+                call()
+
+    def test_numpy_integers_are_counts(self):
+        inst = generate_instance("layered", 64, 2.0, seed=1)
+        freq = subset_event_mc(4, 1, 3, np.int64(500), seed=1)
+        assert type(freq) is float and freq == subset_event_mc(4, 1, 3, 500, seed=1)
+        assert check_good_subset_rate(6, inst, SCALED, trials=np.int32(300), seed=2) == \
+            check_good_subset_rate(6, inst, SCALED, trials=300, seed=2)
+        report = sensitivity_fuzz(np.int64(20), seed=4)
+        assert type(report.trials) is int and report == sensitivity_fuzz(20, seed=4)
