@@ -9,7 +9,7 @@ zCDP budget rho.
 
 from .core import (
     DEFAULT_CONSTANTS, INSTANCE_FAMILIES, ExtReal, LossInstance,
-    MechanismConstants, PrivacyParams, ceil_log2, error_scale, gap_threshold,
+    MechanismConstants, ceil_log2, error_scale, gap_threshold,
     generate_instance, loss_scale,
 )
 from .queries import (

@@ -14,6 +14,7 @@ the expression language needs.
 from __future__ import annotations
 
 import math
+import numbers
 from dataclasses import dataclass
 from functools import cached_property
 
@@ -23,6 +24,23 @@ import numpy as np
 ExtReal = float
 
 INSTANCE_FAMILIES = ("layered", "gapped", "uniform", "constant")
+
+
+def _integer(name: str, value, least: int) -> int:
+    """The one rule for a library argument that must be an integer: value as
+    an int if it is an int or numbers.Integral (numpy integers included), not
+    a bool, and >= least; else ValueError, for a float even if integral.
+
+    Kept apart on purpose: eval_expr's Base index check (run per node of a
+    tree walk; its TypeError is the documented contract), queries._index_array
+    (the dtype rule for index arrays), experiments._number (JSON has one
+    number type, so a config reads 5.0 as 5), and ceil_log2 and
+    derived_rounds_ceil_log (arithmetic on ints the code computed itself).
+    """
+    if (type(value) is int or type(value) is not bool
+            and isinstance(value, numbers.Integral)) and value >= least:
+        return int(value)
+    raise ValueError(f"{name} must be an integer >= {least}, got {value!r}")
 
 
 def ceil_log2(m: int) -> int:
@@ -149,20 +167,6 @@ class LossInstance:
 
 
 @dataclass(frozen=True)
-class PrivacyParams:
-    """Total budget rho (zCDP units, finite) and failure probability beta."""
-
-    rho: float
-    beta: float
-
-    def __post_init__(self):
-        if not (self.rho > 0 and math.isfinite(self.rho)):
-            raise ValueError(f"rho must be positive and finite, got {self.rho}")
-        if not 0 < self.beta < 1:
-            raise ValueError(f"beta must lie in (0, 1), got {self.beta}")
-
-
-@dataclass(frozen=True)
 class MechanismConstants:
     """Tunable constants of the recursive gap mechanism's loss scale and base case.
 
@@ -171,6 +175,7 @@ class MechanismConstants:
     make the recursion vacuous at any feasible instance size, so experiments
     use scaled-down values while formula-level tests keep the defaults.  The
     round count and the budget/failure splits are the fixed schedule below.
+    p_xi and base_threshold_log are ints >= 1 by _integer's rule.
     """
 
     c_xi: float = 1000.0
@@ -181,9 +186,7 @@ class MechanismConstants:
         if isinstance(self.c_xi, bool) or not (self.c_xi > 0 and math.isfinite(self.c_xi)):
             raise ValueError(f"c_xi must be a positive finite number, got {self.c_xi!r}")
         for name in ("p_xi", "base_threshold_log"):
-            v = getattr(self, name)  # a bool is an int, but not an integer setting
-            if isinstance(v, bool) or not (isinstance(v, int) and v > 0):
-                raise ValueError(f"{name} must be a positive integer, got {v!r}")
+            object.__setattr__(self, name, _integer(name, getattr(self, name), 1))
 
 
 DEFAULT_CONSTANTS = MechanismConstants()
@@ -227,9 +230,9 @@ def gap_threshold(m: int, rho: float, beta: float) -> float:
     Returns 2 * sqrt(K * log2(K / beta)) / sqrt(rho) with K = ceil(log2(m)).
     The tournament on an instance of m candidates whose gap is at least this
     value returns the minimum index with probability at least 1 - beta.
+    m, the number of candidates, is an integer >= 2 by _integer's rule.
     """
-    if m < 2:
-        raise ValueError("gap_threshold requires at least two candidates")
+    m = _integer("m", m, 2)
     if not rho > 0:
         raise ValueError(f"rho must be positive, got {rho}")
     if not 0 < beta <= 0.5:
@@ -246,10 +249,9 @@ def loss_scale(k: int, rho: float, beta: float,
     """Scale unit of the recursive mechanism's derived losses.
 
     Returns (c_xi / sqrt(rho)) * (1 + log2(k))**p_xi * log2(c_xi*(k+1)/beta)
-    for a candidate-count exponent k >= 1; ValueError if that overflows a float.
+    for an integer candidate-count exponent k >= 1; ValueError if it overflows a float.
     """
-    if not (isinstance(k, int) and k >= 1):
-        raise ValueError(f"k must be a positive integer, got {k}")
+    k = _integer("k", k, 1)
     if not rho > 0:
         raise ValueError(f"rho must be positive, got {rho}")
     if not beta > 0:
@@ -272,10 +274,10 @@ def error_scale(m: int, rho: float, beta: float,
 
     Equals 2 * ceil(log2(m)) * loss_scale(ceil(log2(m)), rho, beta).  Only
     the exact ceil-log of m is used, so m may be a Python int far beyond any
-    float, such as a derived round count 2**2999.
+    float, such as a derived round count 2**2999; it is an integer >= 2 by
+    _integer's rule.
     """
-    if m < 2:
-        raise ValueError("error_scale requires at least two candidates")
+    m = _integer("m", m, 2)
     k = ceil_log2(m)
     return 2.0 * k * loss_scale(k, rho, beta, consts)
 
@@ -289,11 +291,11 @@ def generate_instance(family: str, size: int, scale: float, seed: int) -> LossIn
     gapped:   one candidate at 0, all others at `scale`.
     uniform:  i.i.d. uniform on [0, scale], seeded.
     constant: all zeros.
+    size is an integer >= 1 by _integer's rule.
     """
     if family not in INSTANCE_FAMILIES:
         raise ValueError(f"unknown family {family!r}; expected one of {INSTANCE_FAMILIES}")
-    if size < 1:
-        raise ValueError(f"size must be >= 1, got {size}")
+    size = _integer("size", size, 1)
     if not (math.isfinite(scale) and scale >= 0):
         raise ValueError(f"scale must be finite and >= 0, got {scale}")
 

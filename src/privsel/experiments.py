@@ -41,8 +41,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .core import (
-    DEFAULT_CONSTANTS, INSTANCE_FAMILIES, MechanismConstants, PrivacyParams,
-    generate_instance,
+    DEFAULT_CONSTANTS, INSTANCE_FAMILIES, MechanismConstants, generate_instance,
 )
 from .mechanisms import (
     binary_tree_round_bound, binary_tree_select, combined_round_bound,
@@ -191,10 +190,10 @@ class ExperimentConfig:
                     f"unknown mechanism {spec.name!r}; expected one of {MECHANISM_NAMES}")
         for name in ("rho", "beta", "failure_threshold"):
             _number(self, name, integral=False)
-        try:
-            PrivacyParams(self.rho, self.beta)
-        except ValueError as exc:
-            raise ConfigError(str(exc)) from exc
+        if not (self.rho > 0 and math.isfinite(self.rho)):
+            raise ConfigError(f"rho must be positive and finite, got {self.rho}")
+        if not 0 < self.beta < 1:
+            raise ConfigError(f"beta must lie in (0, 1), got {self.beta}")
         _number(self, "trials", integral=True, least=1)
         _number(self, "master_seed", integral=True, least=0)
         if type(self.fresh_instance_per_trial) is not bool:

@@ -17,8 +17,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .core import (DEFAULT_CONSTANTS, RECURSION_SPLIT, SUBSET_ROUNDS_COEFF, LossInstance,
-                   MechanismConstants, ceil_log2, loss_scale, recursion_schedule)
+from .core import (DEFAULT_CONSTANTS, RECURSION_SPLIT, LossInstance, MechanismConstants,
+                   ceil_log2, loss_scale, recursion_schedule)
 from .queries import BaseBatch, Level, _index_array
 
 __all__ = [
@@ -184,12 +184,10 @@ def recursive_gap_select(oracle, rho: float, beta: float,
     idx = _candidate_span(oracle, candidates)
     levels = recursion_schedule(len(idx), rho, beta, consts)
     offsets = []
-    for k, _, rho_j, beta_j in levels[:-1]:
-        # feasibility in log space: T * 2**(k-1) must stay under the work cap
-        log2_work = SUBSET_ROUNDS_COEFF * math.sqrt(k) - 1.0 + (k - 1)
-        if log2_work > math.log2(DEFAULT_WORK_CAP):
-            raise InfeasibleConfigError(
-                f"subsampling work 2**{log2_work:.1f} exceeds cap {DEFAULT_WORK_CAP}")
+    for k, t_rounds, rho_j, beta_j in levels[:-1]:
+        if t_rounds << (k - 1) > DEFAULT_WORK_CAP:
+            raise InfeasibleConfigError(f"subsampling work 2**{math.log2(t_rounds) + k - 1:.1f}"
+                                        f" exceeds cap {DEFAULT_WORK_CAP}")
         offsets.append((k + math.sqrt(k)) * loss_scale(k, rho_j, beta_j, consts))
     if rng is None:
         rng = oracle.spawn_rng()

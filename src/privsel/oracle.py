@@ -29,7 +29,7 @@ from typing import Callable
 
 import numpy as np
 
-from .core import LossInstance, ceil_log2
+from .core import LossInstance, _integer, ceil_log2
 from .queries import (
     BaseBatch, Level, LossExpr, _check_indices, _members, _span_source, eval_expr,
     sensitivity_bound,
@@ -81,12 +81,6 @@ class QueryRecord:
 LOG_CSV_HEADER = "round,rho_i,sensitivity_bound,answer"
 
 
-def _as_seed_seq(seed) -> np.random.SeedSequence:
-    if isinstance(seed, np.random.SeedSequence):
-        return seed
-    return np.random.SeedSequence(seed)
-
-
 class BudgetOracle:
     """Curator of one instance under a positive, finite total zCDP budget.
 
@@ -109,7 +103,8 @@ class BudgetOracle:
         self.spent = 0.0
         self.rounds_used = 0
         self.log: list[QueryRecord] = []
-        self._seed_seq = _as_seed_seq(seed)
+        self._seed_seq = (seed if isinstance(seed, np.random.SeedSequence)
+                          else np.random.SeedSequence(seed))
         self._rng: np.random.Generator | None = None  # created on the first draw
         self._eval_memo: dict = {}
 
@@ -303,9 +298,9 @@ class EqualBudgetPlan:
 
 
 def plan_equal_budget(rho_i: float, m_bound: int, rho: float) -> EqualBudgetPlan:
-    """Repeat count and top-up variance for one variable-budget query."""
-    if type(m_bound) is bool or not (isinstance(m_bound, int) and m_bound >= 1):
-        raise ValueError(f"m_bound must be a positive integer, got {m_bound!r}")
+    """Repeat count and top-up variance for one variable-budget query; m_bound
+    is an integer >= 1 (core._integer's rule)."""
+    m_bound = _integer("m_bound", m_bound, 1)
     if not rho > 0:
         raise ValueError(f"rho must be positive, got {rho}")
     if not 0 < rho_i <= rho * (1.0 + RELATIVE_BUDGET_SLACK):
@@ -337,12 +332,12 @@ class EqualBudgetAdapter(BudgetOracle):
     round bound, then the budget, then the equal-budget round bound M', and
     charges only once all three pass.  The induced equal-budget round count
     ``inner_rounds_used`` then never exceeds 2 * m_bound by construction.
+    m_bound is an integer >= 1 (core._integer's rule), stored as an int.
     """
 
     def __init__(self, instance: LossInstance, m_bound: int, rho: float,
                  seed=None, *, record_log: bool = True):
-        if type(m_bound) is bool or not (isinstance(m_bound, int) and m_bound >= 1):
-            raise ValueError(f"m_bound must be a positive integer, got {m_bound!r}")
+        m_bound = _integer("m_bound", m_bound, 1)
         super().__init__(instance, rho, seed, record_log=record_log)
         self.m_bound = m_bound
         self.inner_rounds_used = 0
@@ -361,18 +356,6 @@ class EqualBudgetAdapter(BudgetOracle):
             plan = plan_equal_budget(rho_i, self.m_bound, self.total_budget)
             self._last_plan = (rho_i, plan)
         return plan
-
-    def _take_rounds(self, plan: EqualBudgetPlan, count: int) -> None:
-        """Take the equal-budget rounds of count queries of this plan, if M' allows."""
-        rounds = count * plan.per_query_repeats
-        if self.inner_rounds_used + rounds > plan.m_rounds_total:
-            raise RoundsExceededError(
-                f"{self.inner_rounds_used} + {rounds} rounds exceeds {plan.m_rounds_total}")
-        self.inner_rounds_used += rounds
-        if self.plan_runs and self.plan_runs[-1][0] is plan:
-            self.plan_runs[-1][1] += count
-        else:
-            self.plan_runs.append([plan, count])
 
     def _charge(self, rho_i: float, count: int) -> None:
         """Check count queries of budget rho_i against the round bound, the
@@ -394,7 +377,16 @@ class EqualBudgetAdapter(BudgetOracle):
         if total > self.total_budget * (1.0 + RELATIVE_BUDGET_SLACK):
             raise BudgetExceededError(
                 f"spent {self.spent} + {count} * {rho_i} exceeds budget {self.total_budget}")
-        self._take_rounds(self._plan(rho_i), count)
+        plan = self._plan(rho_i)
+        rounds = count * plan.per_query_repeats
+        if self.inner_rounds_used + rounds > plan.m_rounds_total:
+            raise RoundsExceededError(
+                f"{self.inner_rounds_used} + {rounds} rounds exceeds {plan.m_rounds_total}")
+        self.inner_rounds_used += rounds
+        if self.plan_runs and self.plan_runs[-1][0] is plan:
+            self.plan_runs[-1][1] += count
+        else:
+            self.plan_runs.append([plan, count])
         self.spent = total
 
     def _noise(self, count: int | None, rho_i: float) -> np.ndarray:

@@ -108,14 +108,13 @@ format_expr raises TypeError on them.
 from __future__ import annotations
 
 import math
-import operator
 from collections.abc import Sequence
 from dataclasses import dataclass
 from typing import Iterable, Union
 
 import numpy as np
 
-from .core import LossInstance
+from .core import LossInstance, _integer
 
 __all__ = [
     "Base", "Const", "MinOver", "MaxOver", "Gap", "GapOver", "Sub", "Scale",
@@ -269,7 +268,8 @@ class MinCompare:
 
     (min v[indices[:split]] - min v[indices[split:]]) / 2, where v is the
     base losses, or ``level``'s derived losses when it is given; positions in
-    a level must be strictly increasing.  Both sides must be non-empty.
+    a level must be strictly increasing.  Both sides must be non-empty:
+    split is an integer >= 1 (core._integer's rule) below len(indices).
 
     Over base losses, a step-1 ``range`` of candidates is kept as given: it
     is bounds-checked in O(1) at evaluation and each side is reduced as a
@@ -283,8 +283,8 @@ class MinCompare:
 
     def __post_init__(self):
         object.__setattr__(self, "indices", _members(self.indices, self.level))
-        object.__setattr__(self, "split", operator.index(self.split))
-        if not 0 < self.split < len(self.indices):
+        object.__setattr__(self, "split", _integer("split", self.split, 1))
+        if self.split >= len(self.indices):
             raise ValueError(
                 f"split {self.split} leaves a side of {len(self.indices)} indices empty")
 
@@ -611,10 +611,9 @@ def build_tilde_loss(subset: Iterable[int], k: int, xi_value: float,
     The universe minimum realizes the optimal loss as a sensitivity-1
     function of the data, so the whole expression has sensitivity bound
     exactly 1.  A singleton subset has gap +inf, so its score reduces to the
-    first branch.
+    first branch.  k is an integer >= 1 (core._integer's rule).
     """
-    if not (isinstance(k, int) and k >= 1):
-        raise ValueError(f"k must be a positive integer, got {k}")
+    k = _integer("k", k, 1)
     if not xi_value > 0:
         raise ValueError(f"xi_value must be positive, got {xi_value}")
     sub = np.unique(_index_array(subset))

@@ -23,7 +23,6 @@ from __future__ import annotations
 
 import itertools
 import math
-import numbers
 from dataclasses import dataclass
 from enum import Enum
 from fractions import Fraction
@@ -33,7 +32,7 @@ import mpmath
 import numpy as np
 
 from .core import (
-    DEFAULT_CONSTANTS, SUBSET_ROUNDS_COEFF, LossInstance, MechanismConstants,
+    DEFAULT_CONSTANTS, SUBSET_ROUNDS_COEFF, LossInstance, MechanismConstants, _integer,
     derived_rounds_ceil_log, loss_scale,
 )
 from .queries import (
@@ -81,23 +80,19 @@ class CheckResult:
 # here (the float-path functions in core restrict them to integers).
 
 
-def _loss_scale_mp(k, rho, beta, consts: MechanismConstants):
-    """loss_scale_hp on an mpf k, inside an active workdps(_DPS)."""
-    if not k > 0:
-        raise ValueError(f"k must be positive, got {k}")
-    c = mpmath.mpf(consts.c_xi)
-    arg = c * (k + 1) / mpmath.mpf(beta)
-    if not arg > 1:
-        raise ValueError(f"log argument must exceed 1, got {arg}")
-    return (c / mpmath.sqrt(rho)) \
-        * (1 + mpmath.log(k, 2)) ** consts.p_xi \
-        * mpmath.log(arg, 2)
-
-
 def loss_scale_hp(k, rho, beta, consts: MechanismConstants = DEFAULT_CONSTANTS):
     """mpmath twin of core.loss_scale, accepting real k > 0."""
     with mpmath.workdps(_DPS):
-        return _loss_scale_mp(mpmath.mpf(k), rho, beta, consts)
+        k = mpmath.mpf(k)
+        if not k > 0:
+            raise ValueError(f"k must be positive, got {k}")
+        c = mpmath.mpf(consts.c_xi)
+        arg = c * (k + 1) / mpmath.mpf(beta)
+        if not arg > 1:
+            raise ValueError(f"log argument must exceed 1, got {arg}")
+        return (c / mpmath.sqrt(rho)) \
+            * (1 + mpmath.log(k, 2)) ** consts.p_xi \
+            * mpmath.log(arg, 2)
 
 
 def gap_threshold_hp(ceil_log_m, rho, beta):
@@ -118,7 +113,7 @@ def error_scale_from_log_hp(ceil_log_m, rho, beta,
     2 * ceil_log_m * loss_scale_hp(ceil_log_m, ...), accepting real arguments."""
     with mpmath.workdps(_DPS):
         k = mpmath.mpf(ceil_log_m)
-        return 2 * k * _loss_scale_mp(k, rho, beta, consts)
+        return 2 * k * loss_scale_hp(k, rho, beta, consts)
 
 
 def _verdict(favored, other) -> tuple[Verdict, float]:
@@ -145,10 +140,9 @@ def point_checks(k: int, rho, beta,
     core.derived_rounds_ceil_log(K), noted t-exponent-integer when K is a
     perfect square.  The splits are the exact 4/5 and 1/5 (mpf(0.8) is not
     4/5); a test ties them to the core's.  The domain is an integer K >= 1000
-    and 0 < beta <= 0.001.
+    (core._integer's rule) and 0 < beta <= 0.001.
     """
-    if not (isinstance(k, int) and k >= 1000):
-        raise ValueError(f"domain requires an integer k >= 1000, got {k!r}")
+    k = _integer("k", k, 1000)
     if not rho > 0:
         raise ValueError(f"rho must be positive, got {rho}")
     if not 0 < beta <= 0.001:
@@ -187,12 +181,11 @@ def appendix_grid(consts: MechanismConstants = DEFAULT_CONSTANTS,
 
 
 def _blocks(k: int, i_star: int, k_star: int) -> tuple[int, int, int, int]:
-    """Validate (k, i_star, k_star); return n, subset size, top and middle block sizes."""
-    if not (isinstance(k, int) and k >= 1):
-        raise ValueError(f"k must be a positive integer, got {k}")
-    if not (isinstance(i_star, int) and isinstance(k_star, int)):
-        raise ValueError("i_star and k_star must be integers")
-    if not 0 <= i_star < k_star <= k:
+    """Validate (k, i_star, k_star), integers by core._integer's rule; return
+    n, subset size, top and middle block sizes."""
+    k = _integer("k", k, 1)
+    i_star, k_star = _integer("i_star", i_star, 0), _integer("k_star", k_star, 1)
+    if not i_star < k_star <= k:
         raise ValueError(f"need 0 <= i_star < k_star <= k, got ({i_star}, {k_star}, {k})")
     n = 1 << k
     size = 1 << (k - k_star)
@@ -261,13 +254,6 @@ def subset_event_probability_enum(k: int, i_star: int, k_star: int) -> Fraction:
     return Fraction(hits, total)
 
 
-def _count(name: str, value) -> int:
-    """value as an int; ValueError unless it is an integer >= 1 (a bool is not)."""
-    if isinstance(value, bool) or not isinstance(value, numbers.Integral) or value < 1:
-        raise ValueError(f"{name} must be an integer >= 1, got {value!r}")
-    return int(value)
-
-
 # Most cells one Monte Carlo draw holds, so a check's memory does not grow
 # with its number of draws.
 _BLOCK_CELLS = 1 << 16
@@ -295,7 +281,7 @@ def subset_event_mc(k: int, i_star: int, k_star: int, draws: int, seed=0) -> flo
     an integer >= 1 (ValueError otherwise, before any draw).
     """
     n, size, top, mid = _blocks(k, i_star, k_star)
-    draws = _count("draws", draws)
+    draws = _integer("draws", draws, 1)
     rng = np.random.default_rng(seed)
     hits = 0
     for counts in _hypergeometric_blocks(rng, [top, mid, n - top - mid], size, draws):
@@ -321,17 +307,20 @@ def check_good_subset_rate(k: int, instance: LossInstance,
 
     With at most 1024 distinct losses, each subset size's draws come in
     blocks of at most 2**16 cells, and the rate equals that of one draw of
-    all its rows.  trials must be an integer >= 1 (ValueError otherwise,
-    before any draw).  ``force_k`` conditions every draw on a fixed
-    subset-size exponent (test hook for checking the per-k conditional
-    probabilities).
+    all its rows.  k, trials and force_k must be integers >= 1 by
+    core._integer's rule (ValueError otherwise, before any draw).
+    ``force_k`` conditions every draw on a fixed subset-size exponent (test
+    hook for checking the per-k conditional probabilities).
     """
+    k = _integer("k", k, 1)
     n = len(instance)
     if n != 1 << k:
         raise ValueError(f"instance must have exactly 2**{k} candidates, got {n}")
-    if force_k is not None and not 1 <= force_k <= k:
-        raise ValueError(f"force_k must lie in 1..{k}, got {force_k}")
-    trials = _count("trials", trials)
+    if force_k is not None:
+        force_k = _integer("force_k", force_k, 1)
+        if force_k > k:
+            raise ValueError(f"force_k must lie in 1..{k}, got {force_k}")
+    trials = _integer("trials", trials, 1)
     xi_value = loss_scale(k, rho, beta, consts)
     offset = (k + math.sqrt(k)) * xi_value
     threshold = -math.sqrt(k) * xi_value  # event: 2 * derived loss <= threshold
@@ -439,7 +428,7 @@ def sensitivity_fuzz(trials: int, seed=0) -> FuzzReport:
     non-finite are skipped, matching the calculus' soundness claim.  trials
     must be an integer >= 1 (ValueError otherwise).
     """
-    trials = _count("trials", trials)
+    trials = _integer("trials", trials, 1)
     rng = np.random.default_rng(seed)
     max_ratio = 0.0
     worst = ""

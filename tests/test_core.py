@@ -9,7 +9,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from privsel.core import (
-    LossInstance, MechanismConstants, PrivacyParams,
+    LossInstance, MechanismConstants,
     ceil_log2, derived_rounds_ceil_log, error_scale, gap_threshold,
     generate_instance, loss_scale, recursion_schedule,
 )
@@ -99,20 +99,6 @@ class TestLossInstance:
         # building it takes the generator's draw, the instance's copy and a
         # bool mask of n bytes, and no Python float per loss
         assert peak <= 2.25 * 8 * n
-
-
-class TestPrivacyParams:
-    def test_validation(self):
-        PrivacyParams(1.0, 0.5)
-        with pytest.raises(ValueError):
-            PrivacyParams(0.0, 0.5)
-        for rho in (math.inf, math.nan):
-            with pytest.raises(ValueError, match="rho"):
-                PrivacyParams(rho, 0.5)
-        with pytest.raises(ValueError):
-            PrivacyParams(1.0, 0.0)
-        with pytest.raises(ValueError):
-            PrivacyParams(1.0, 1.0)
 
 
 class TestMechanismConstants:

@@ -87,6 +87,8 @@ class TestConfig:
         lambda d: d.update(mechanisms=[{"name": "recursive_gap", "constants": {"c_xi": True}}]),
         # JSON's NaN literal was stored before, and no error is above it
         lambda d: d.update(failure_threshold=float("nan")),
+        lambda d: d.update(rho=0.0), lambda d: d.update(beta=0.0),
+        lambda d: d.update(beta=1.0), lambda d: d.update(rho=float("nan")),
     ])
     def test_invalid_configs_rejected(self, mutate):
         doc = {"instance": {"family": "constant", "size": 4},
@@ -108,7 +110,8 @@ class TestConfig:
         # JSON-shaped values, which from_json turns into dataclasses
         ("instance", {"family": "constant", "size": 4}), ("mechanisms", ({"name": "query_all"},)),
         ("mechanisms", (MechanismSpec("recursive_gap", {"c_xi": 1.0}),)), ("rho", float("inf")),
-        ("failure_threshold", float("nan")),
+        ("failure_threshold", float("nan")), ("rho", 0.0), ("beta", 0.0), ("beta", 1.0),
+        ("rho", float("nan")),
     ])
     def test_invalid_fields_rejected_in_python(self, field, value):
         # the rules of from_json hold for configs built in Python
@@ -140,8 +143,10 @@ class TestConfig:
         # the round count and the splits are fixed, no longer constants fields
         (lambda d: d.update(mechanisms=[{"name": "combined", "constants": {"t_coeff": 2.0}}]),
          r"unknown constants fields: \['t_coeff'\]"),
+        (lambda d: d.update(rho=float("inf")), "^rho must be positive and finite, got inf$"),
+        (lambda d: d.update(beta=1.0), r"^beta must lie in \(0, 1\), got 1.0$"),
     ], ids=["no-instance", "no-rho", "no-size", "null-instance", "no-name", "unknown-constant",
-            "removed-constant"])
+            "removed-constant", "rho-infinite", "beta-one"])
     def test_errors_name_the_json_key(self, mutate, message):
         doc = {"instance": {"family": "constant", "size": 4},
                "mechanisms": [{"name": "query_all"}], "rho": 2.0}

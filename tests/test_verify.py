@@ -248,12 +248,29 @@ class TestGoodSubsetRate:
         b = check_good_subset_rate(6, inst, SCALED, trials=2000, seed=9)
         assert a == b
 
-    def test_many_level_fallback_path(self):
-        # a uniform instance has ~2**k distinct levels, forcing per-trial sampling
-        k = 7
+    def test_many_level_fallback_path(self, monkeypatch):
+        # more than 1024 distinct losses: every subset of two or more is drawn
+        # per trial, and the blocked matrix draw is never made
+        def no_blocks(*args):
+            raise AssertionError("the matrix branch ran")
+        k = 11
         inst = generate_instance("uniform", 1 << k, 50.0, seed=5)
+        assert len(np.unique(inst.as_array())) == 2048
+        monkeypatch.setattr(verify, "_hypergeometric_blocks", no_blocks)
         emp, bound = check_good_subset_rate(k, inst, SCALED, trials=2000, seed=6)
-        assert 0.0 <= emp <= 1.0
+        assert (emp, bound) == (0.088, 2.0 ** (-2.0 * math.sqrt(k)))
+
+    def test_at_most_1024_levels_take_the_matrix_path(self, monkeypatch):
+        sizes = []
+        def counted(rng, colors, nsample, draws):
+            sizes.append(nsample)
+            return blocks(rng, colors, nsample, draws)
+        blocks = verify._hypergeometric_blocks
+        inst = generate_instance("uniform", 1 << 10, 50.0, seed=5)
+        assert len(np.unique(inst.as_array())) == 1024
+        monkeypatch.setattr(verify, "_hypergeometric_blocks", counted)
+        check_good_subset_rate(10, inst, SCALED, trials=2000, seed=6)
+        assert sorted(sizes) == [1 << j for j in range(1, 10)]  # each size above 1
 
     def test_validation(self):
         inst = generate_instance("constant", 64, 1.0, seed=0)
