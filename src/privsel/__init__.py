@@ -9,8 +9,8 @@ zCDP budget rho.
 
 from .core import (
     DEFAULT_CONSTANTS, INSTANCE_FAMILIES, ExtReal, LossInstance,
-    MechanismConstants, ceil_log2, error_scale, gap_threshold,
-    generate_instance, loss_scale,
+    MechanismConstants, error_scale, gap_threshold, generate_instance,
+    loss_scale,
 )
 from .queries import (
     AddConst, Base, BaseBatch, Const, Gap, GapOver, Level, LossExpr, MaxOver,

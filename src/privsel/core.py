@@ -44,7 +44,9 @@ def _integer(name: str, value, least: int) -> int:
 
 
 def ceil_log2(m: int) -> int:
-    """Exact ceil(log2(m)) for positive integers, without float round-off."""
+    """Exact ceil(log2(m)) for positive integers, without float round-off.
+
+    Internal and unexported: callers pass ints they computed themselves."""
     if m < 1:
         raise ValueError(f"m must be a positive integer, got {m}")
     return (m - 1).bit_length()

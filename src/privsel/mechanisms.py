@@ -19,7 +19,7 @@ import numpy as np
 
 from .core import (DEFAULT_CONSTANTS, RECURSION_SPLIT, LossInstance, MechanismConstants,
                    ceil_log2, loss_scale, recursion_schedule)
-from .queries import BaseBatch, Level, _index_array
+from .queries import BaseBatch, Level, _index_array, _segment_blocks
 
 __all__ = [
     "SelectionResult", "InfeasibleConfigError", "DEFAULT_WORK_CAP",
@@ -30,7 +30,8 @@ __all__ = [
 ]
 
 # Cap on T * (largest subset size): the subsampling stage materializes about
-# this many index slots, so reject configurations beyond it up front.
+# this many index slots, 8 bytes each and twice that while a level's draws
+# are joined, so reject configurations beyond it up front.
 DEFAULT_WORK_CAP = 10**9
 
 
@@ -114,7 +115,8 @@ def _draw_subsets(rng, n: int, k: int, t_rounds: int) -> tuple[np.ndarray, np.nd
     """The T random subsets of range(n) of one level, as CSR (indptr, indices).
 
     Subset t has 2**(k - k_t) members, k_t uniform on 1..k, drawn without
-    replacement and stored in increasing order.
+    replacement and stored in increasing order: one in-place sort of the
+    joined draws, keyed on segment * n + position block by block.
     """
     draws = []
     for _ in range(t_rounds):
@@ -122,12 +124,13 @@ def _draw_subsets(rng, n: int, k: int, t_rounds: int) -> tuple[np.ndarray, np.nd
         draws.append(rng.choice(n, size=1 << (k - k_t), replace=False))
     indptr = np.zeros(t_rounds + 1, dtype=np.int64)
     np.cumsum([d.size for d in draws], out=indptr[1:])
-    # sorting on segment * n + position sorts every subset in one call
-    shift = np.repeat(np.arange(0, t_rounds * n, n, dtype=np.int64), np.diff(indptr))
     indices = np.concatenate(draws)
-    indices += shift
+    draws.clear()
+    for a, b in _segment_blocks(indptr):
+        indices[indptr[a]:indptr[b]] += np.repeat(
+            np.arange(a * n, b * n, n, dtype=np.int64), np.diff(indptr[a:b + 1]))
     indices.sort()
-    indices -= shift
+    np.remainder(indices, n, out=indices)
     return indptr, indices
 
 

@@ -126,6 +126,10 @@ __all__ = [
 # Up to this size, plain Python beats numpy on the minimum of a MinCompare side.
 _SMALL = 64
 
+# Members per block when a level is sorted or derived (_segment_blocks): the
+# temporaries of a block stay small beside the level's own index array.
+_SEGMENT_BLOCK = 1 << 14
+
 
 def _index_array(indices) -> np.ndarray:
     arr = np.asarray(list(indices) if isinstance(indices, (set, frozenset)) else indices)
@@ -369,23 +373,38 @@ def _segment_first_min(values: np.ndarray, starts: np.ndarray,
     return hits[np.searchsorted(segment[hits], np.arange(starts.size))]
 
 
+def _segment_blocks(indptr: np.ndarray):
+    """Consecutive subset ranges [a, b) of the CSR ``indptr``, covering every
+    subset once and in order; each holds at most _SEGMENT_BLOCK members,
+    unless it is a single subset longer than that."""
+    a, t_rounds = 0, indptr.size - 1
+    while a < t_rounds:
+        b = max(a + 1, int(np.searchsorted(indptr, indptr[a] + _SEGMENT_BLOCK, "right")) - 1)
+        yield a, b
+        a = b
+
+
 def _derive(values: np.ndarray, level: Level) -> np.ndarray:
     """A level's derived losses from the values of the level below.
 
-    Once the offsets pass the float range a derived loss can be -inf.  A
-    level over any non-finite value is all nan, so a non-finite loss fails
-    the first query over the deepest level, which spans all of it.
+    Each subset's two smallest values are gathered block by block
+    (_segment_blocks), so no gather spans the whole level.  Once the offsets
+    pass the float range a derived loss can be -inf.  A level over any
+    non-finite value is all nan, so a non-finite loss fails the first query
+    over the deepest level, which spans all of it.
     """
     if not np.isfinite(values).all():
         return np.full(len(level), math.nan)
-    sizes = np.diff(level.indptr)
-    starts = level.indptr[:-1]
-    segment = np.repeat(np.arange(sizes.size), sizes)
-    members = values[level.indices]
-    first = _segment_first_min(members, starts, segment)
-    smallest = members[first]
-    members[first] = math.inf  # the second smallest is the minimum of the rest
-    second = members[_segment_first_min(members, starts, segment)]
+    indptr = level.indptr
+    smallest, second = np.empty((2, len(level)))
+    for a, b in _segment_blocks(indptr):
+        starts = indptr[a:b] - indptr[a]
+        segment = np.repeat(np.arange(b - a), np.diff(indptr[a:b + 1]))
+        members = values[level.indices[indptr[a]:indptr[b]]]
+        first = _segment_first_min(members, starts, segment)
+        smallest[a:b] = members[first]
+        members[first] = math.inf  # the second smallest is the minimum of the rest
+        second[a:b] = members[_segment_first_min(members, starts, segment)]
     offset_min = _min_of(values) + level.offset
     score = smallest - offset_min
     neg_gap = -(second - smallest)  # -inf for a singleton

@@ -8,6 +8,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
+import privsel
 from privsel.core import (
     LossInstance, MechanismConstants,
     ceil_log2, derived_rounds_ceil_log, error_scale, gap_threshold,
@@ -128,6 +129,8 @@ def test_ceil_log2():
     assert [ceil_log2(m) for m in (1, 2, 3, 4, 1023, 1024, 1025)] == [0, 1, 2, 2, 10, 10, 11]
     with pytest.raises(ValueError):
         ceil_log2(0)
+    # an internal helper outside the integer rule, so the package keeps it private
+    assert not hasattr(privsel, "ceil_log2")
 
 
 class TestGapThreshold:

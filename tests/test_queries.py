@@ -7,11 +7,12 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from privsel import queries
 from privsel.core import LossInstance
 from privsel.queries import (
     AddConst, Base, BaseBatch, Const, Gap, GapOver, Level, MaxOver, MinCompare,
-    MinOver, Scale, Sub, _level_values, build_bintree_query, build_tilde_loss,
-    eval_expr, format_expr, sensitivity_bound,
+    MinOver, Scale, Sub, _derive, _level_values, _segment_blocks, build_bintree_query,
+    build_tilde_loss, eval_expr, format_expr, sensitivity_bound,
 )
 
 
@@ -406,6 +407,44 @@ class TestLevel:
         for expr in (level, compare, Scale(0.5, Sub(compare, Base(1)))):
             with pytest.raises(TypeError, match="no text form"):
                 format_expr(expr)
+
+
+class TestSegmentBlocks:
+    """A level is derived in blocks of subsets; any block size gives its bytes."""
+
+    @pytest.mark.parametrize("block", [1, 7, 64, queries._SEGMENT_BLOCK])
+    @pytest.mark.parametrize("seed", range(10))
+    def test_blocks_cover_every_subset_once_in_order(self, monkeypatch, seed, block):
+        monkeypatch.setattr(queries, "_SEGMENT_BLOCK", block)
+        rng = np.random.default_rng([seed, 11])
+        sizes = rng.integers(1, 3 * block + 2, int(rng.integers(1, 60)))
+        sizes[rng.random(sizes.size) < 0.3] = 1
+        indptr = np.concatenate([[0], np.cumsum(sizes)])
+        blocks = list(_segment_blocks(indptr))
+        assert [a for a, _ in blocks] == [0] + [b for _, b in blocks[:-1]]
+        assert blocks[-1][1] == sizes.size
+        for a, b in blocks:
+            assert b > a
+            assert indptr[b] - indptr[a] <= block or b == a + 1
+            # greedy: the next subset would not have fitted
+            assert b == sizes.size or indptr[b + 1] - indptr[a] > block
+
+    @pytest.mark.parametrize("seed", range(30))
+    def test_derive_is_bytewise_independent_of_the_block_size(self, monkeypatch, seed):
+        rng = np.random.default_rng([seed, 12])
+        n = int(rng.integers(1, 300))
+        # few distinct losses (heavy ties) with zeros of both signs
+        values = rng.integers(0, int(rng.integers(1, 4)), n).astype(float)
+        zeros = values == 0
+        values[zeros] = rng.choice([0.0, -0.0], zeros.sum())
+        # singletons (random_subsets makes ~30%) and subsets longer than a block
+        level = Level(np.arange(n), *csr(random_subsets(rng, n, int(rng.integers(1, 40)))),
+                      float(rng.choice([0.0, 1.0, 2.5])))
+        monkeypatch.setattr(queries, "_SEGMENT_BLOCK", 1 << 62)
+        reference = _derive(values, level).tobytes()
+        for block in (1, 7, 64):
+            monkeypatch.setattr(queries, "_SEGMENT_BLOCK", block)
+            assert _derive(values, level).tobytes() == reference
 
 
 class TestMinCompare:
