@@ -8,9 +8,8 @@ zCDP budget rho.
 """
 
 from .core import (
-    DEFAULT_CONSTANTS, INSTANCE_FAMILIES, ExtReal, LossInstance,
-    MechanismConstants, error_scale, gap_threshold, generate_instance,
-    loss_scale,
+    DEFAULT_CONSTANTS, INSTANCE_FAMILIES, LossInstance, MechanismConstants,
+    error_scale, gap_threshold, generate_instance, loss_scale,
 )
 from .queries import (
     AddConst, Base, BaseBatch, Const, Gap, GapOver, Level, LossExpr, MaxOver,
@@ -19,8 +18,8 @@ from .queries import (
 )
 from .oracle import (
     BudgetExceededError, BudgetOracle, EqualBudgetAdapter, EqualBudgetPlan,
-    NonFiniteQueryError, OracleError, QueryRecord, RoundsExceededError,
-    SensitivityViolationError, equal_budget_simulate, plan_equal_budget,
+    NonFiniteQueryError, OracleError, RoundsExceededError, SensitivityViolationError,
+    equal_budget_simulate, plan_equal_budget,
 )
 from .mechanisms import (
     DEFAULT_WORK_CAP, InfeasibleConfigError, SelectionResult,

@@ -20,9 +20,6 @@ from functools import cached_property
 
 import numpy as np
 
-# Extended real line: ordinary floats plus +/- math.inf.
-ExtReal = float
-
 INSTANCE_FAMILIES = ("layered", "gapped", "uniform", "constant")
 
 
@@ -157,7 +154,7 @@ class LossInstance:
     def min_loss(self) -> float:
         return float(self._array.min())
 
-    def gap(self) -> ExtReal:
+    def gap(self) -> float:
         """Second order statistic minus the minimum; +inf for a singleton.
 
         Duplicated minima give gap 0.

@@ -11,6 +11,7 @@ and the mechanism's own seeded randomness.
 
 from __future__ import annotations
 
+import dataclasses
 import math
 import operator
 from dataclasses import dataclass
@@ -51,12 +52,7 @@ class SelectionResult:
     recursion_depth: int = 0
 
     def to_json(self) -> dict:
-        return {
-            "winner": self.winner,
-            "rounds_used": self.rounds_used,
-            "budget_spent": self.budget_spent,
-            "recursion_depth": self.recursion_depth,
-        }
+        return dataclasses.asdict(self)
 
 
 def _candidate_span(oracle, candidates) -> np.ndarray | range:

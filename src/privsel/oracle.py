@@ -88,7 +88,9 @@ class BudgetOracle:
     trials on distinct oracles.  Every answer is its value plus a noise row
     from ``_noise``, the one hook every entry point draws through.
     ``record_log=False`` skips per-query log records for bulk experiments;
-    budget and sensitivity enforcement are unaffected.
+    budget and sensitivity enforcement are unaffected.  For its lifetime the
+    oracle keeps the values of every Level its tournaments and queries
+    derive, so a level is derived once; it keeps no query tree.
     """
 
     def __init__(self, instance: LossInstance, total_budget: float, seed=None, *,
@@ -106,7 +108,7 @@ class BudgetOracle:
         self._seed_seq = (seed if isinstance(seed, np.random.SeedSequence)
                           else np.random.SeedSequence(seed))
         self._rng: np.random.Generator | None = None  # created on the first draw
-        self._eval_memo: dict = {}
+        self._level_memo: dict = {}  # each derived Level and its values
 
     @property
     def n_candidates(self) -> int:
@@ -172,7 +174,7 @@ class BudgetOracle:
         bound = sensitivity_bound(expr)
         if bound > 1.0 + _SENSITIVITY_TOL:
             raise SensitivityViolationError(f"sensitivity bound {bound} exceeds 1")
-        return self._respond(eval_expr(expr, self.instance, self._eval_memo), rho_i, bound)
+        return self._respond(eval_expr(expr, self.instance, self._level_memo), rho_i, bound)
 
     def noisy_tournament(self, members, rho: float, level: Level | None = None) -> int:
         """Run a noisy halving tournament; return the survivor's position in members.
@@ -206,7 +208,7 @@ class BudgetOracle:
             raise ValueError(f"rho must be positive, got {rho}")
         members = _members(members, level)
         n = len(members)
-        value = _span_source(members, (n + 1) // 2, level, self.instance, self._eval_memo)
+        value = _span_source(members, (n + 1) // 2, level, self.instance, self._level_memo)
         if n == 1:
             return 0
         rho_round = rho / ceil_log2(n)

@@ -493,9 +493,12 @@ def eval_expr(expr: LossExpr, instance: LossInstance, memo: dict | None = None) 
     """Evaluate an expression on an instance.
 
     Total: returns +/-inf where the extended-real semantics produce them
-    (callers that need finite answers must check).  ``memo`` may be reused
-    across calls for the same instance; values are cached per node identity
-    and nodes are pinned by the cache.
+    (callers that need finite answers must check).  Tree nodes are memoised
+    per call, by identity, so a subtree shared within expr is evaluated once
+    and no node is kept past the call.  ``memo`` carries derived levels
+    across calls for the same instance: each Level derived for a level-form
+    MinCompare is stored there, pinned with its values, and read by later
+    calls given the same memo.
 
     Raises IndexError for out-of-range candidate indices, and TypeError for
     a Base index that is a bool or not an integer (numpy integers pass).
@@ -506,12 +509,13 @@ def eval_expr(expr: LossExpr, instance: LossInstance, memo: dict | None = None) 
         return _compare_value(expr, instance, memo)
     arr = instance.as_array()
     n = arr.size
+    seen = {}  # value per node identity; expr keeps its nodes alive until we return
 
     def ev(node) -> float:
         key = id(node)
-        hit = memo.get(key)
-        if hit is not None:
-            return hit[1]
+        v = seen.get(key)
+        if v is not None:
+            return v
         t = type(node)
         if t is Base:
             i = node.index
@@ -548,7 +552,7 @@ def eval_expr(expr: LossExpr, instance: LossInstance, memo: dict | None = None) 
             v = _compare_value(node, instance, memo)
         else:
             raise TypeError(f"not a loss expression: {node!r}")
-        memo[key] = (node, v)
+        seen[key] = v
         return v
 
     try:
@@ -564,13 +568,13 @@ def sensitivity_bound(expr: LossExpr) -> float:
     sound wherever both evaluations are finite; see the module docstring for
     the per-node rules.
     """
-    memo = {}  # per node identity, so a shared subtree is bounded once
+    seen = {}  # per node identity, so a shared subtree is bounded once
 
     def bd(node) -> float:
         key = id(node)
-        hit = memo.get(key)
-        if hit is not None:
-            return hit[1]
+        b = seen.get(key)
+        if b is not None:
+            return b
         t = type(node)
         if t is Base:
             b = 1.0
@@ -595,7 +599,7 @@ def sensitivity_bound(expr: LossExpr) -> float:
             b = 1.0
         else:
             raise TypeError(f"not a loss expression: {node!r}")
-        memo[key] = (node, b)
+        seen[key] = b
         return b
 
     try:

@@ -292,12 +292,17 @@ def subset_event_mc(k: int, i_star: int, k_star: int, draws: int, seed=0) -> flo
 # ---------------------------------------------------------------------------
 # Empirical rate of "good" subsets for the recursive mechanism.
 
+# Most distinct losses for which check_good_subset_rate draws subsets as
+# counts per distinct loss.  A row of that draw costs about 0.14 us per
+# distinct loss, a subset drawn on its own 14-28 us at 2**10-2**12 candidates
+# (2-core x86-64, numpy PCG64), so the two break even near 128 values at 2**10.
+_MATRIX_MAX_VALUES = 128
+
 
 def check_good_subset_rate(k: int, instance: LossInstance,
                            consts: MechanismConstants = DEFAULT_CONSTANTS,
                            rho: float = 1.0, beta: float = 0.1,
-                           trials: int = 10**5, seed=0,
-                           force_k: int | None = None) -> tuple[float, float]:
+                           trials: int = 10**5, seed=0) -> tuple[float, float]:
     """Empirical frequency of a derived loss clearing -sqrt(K)*xi/2, vs 2**(-2*sqrt(K)).
 
     Samples (k_t, subset) exactly as the recursive mechanism does and
@@ -305,21 +310,17 @@ def check_good_subset_rate(k: int, instance: LossInstance,
     is max(min(S) - min - (K + sqrt(K))*xi, -gap(S)) / 2; the returned bound
     is the analytic per-draw lower bound on the event probability.
 
-    With at most 1024 distinct losses, each subset size's draws come in
-    blocks of at most 2**16 cells, and the rate equals that of one draw of
-    all its rows.  k, trials and force_k must be integers >= 1 by
+    A subset of two or more is drawn as its count per distinct loss, from
+    one multivariate hypergeometric draw per subset size in blocks of at most
+    2**16 cells (the rate equals that of one draw of all its rows), when the
+    instance has at most _MATRIX_MAX_VALUES distinct losses; with more, each
+    such subset is drawn on its own.  k and trials must be integers >= 1 by
     core._integer's rule (ValueError otherwise, before any draw).
-    ``force_k`` conditions every draw on a fixed subset-size exponent (test
-    hook for checking the per-k conditional probabilities).
     """
     k = _integer("k", k, 1)
     n = len(instance)
     if n != 1 << k:
         raise ValueError(f"instance must have exactly 2**{k} candidates, got {n}")
-    if force_k is not None:
-        force_k = _integer("force_k", force_k, 1)
-        if force_k > k:
-            raise ValueError(f"force_k must lie in 1..{k}, got {force_k}")
     trials = _integer("trials", trials, 1)
     xi_value = loss_scale(k, rho, beta, consts)
     offset = (k + math.sqrt(k)) * xi_value
@@ -328,10 +329,7 @@ def check_good_subset_rate(k: int, instance: LossInstance,
     arr = instance.as_array()
     vals, counts = np.unique(arr, return_counts=True)
     rng = np.random.default_rng(seed)
-    if force_k is not None:
-        ks = np.full(trials, force_k, dtype=np.int64)
-    else:
-        ks = rng.integers(1, k + 1, size=trials)
+    ks = rng.integers(1, k + 1, size=trials)
 
     events = 0
     for kt in np.unique(ks):
@@ -342,7 +340,7 @@ def check_good_subset_rate(k: int, instance: LossInstance,
             lvl = np.searchsorted(np.cumsum(counts), picks, side="right")
             two_l = vals[lvl] - vals[0] - offset  # singleton gap is +inf
             events += int(np.count_nonzero(two_l <= threshold))
-        elif len(vals) <= 1024:
+        elif len(vals) <= _MATRIX_MAX_VALUES:
             for mat in _hypergeometric_blocks(rng, counts, size, m):
                 occupied = mat > 0
                 rows = np.arange(len(mat))

@@ -55,9 +55,6 @@ SITES = {
     "subset_event_mc.draws": ("draws", 50, lambda v: subset_event_mc(4, 1, 3, v, seed=1)),
     "check_good_subset_rate.k": (
         "k", 6, lambda v: check_good_subset_rate(v, LAYERED, SCALED, trials=50, seed=2)),
-    "check_good_subset_rate.force_k": (
-        "force_k", 3,
-        lambda v: check_good_subset_rate(6, LAYERED, SCALED, trials=50, seed=2, force_k=v)),
     "check_good_subset_rate.trials": (
         "trials", 50, lambda v: check_good_subset_rate(6, LAYERED, SCALED, trials=v, seed=2)),
     "sensitivity_fuzz.trials": ("trials", 5, lambda v: sensitivity_fuzz(v, seed=3)),

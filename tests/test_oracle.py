@@ -2,12 +2,14 @@
 
 import gc
 import math
+import tracemalloc
 import weakref
 
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from privsel import queries
 from privsel.core import LossInstance, MechanismConstants, generate_instance
 from privsel.oracle import (
     BudgetExceededError, BudgetOracle, EqualBudgetAdapter, NonFiniteQueryError,
@@ -43,10 +45,10 @@ class TestNoisyQuery:
 
     def test_trial_leaves_no_reference_cycle(self):
         # with the collector off, only reference counting frees the oracle's
-        # memo and the query nodes and levels it pins; a cycle through it
-        # would keep them alive after the trial.  Tournaments build no nodes,
-        # so after the trial a tree query and a MinCompare over the trial's
-        # last level go through noisy_query too.
+        # memo and the levels it pins; a cycle through it would keep them
+        # alive after the trial.  Tournaments build no nodes, so after the
+        # trial a tree query and a MinCompare over the trial's last level go
+        # through noisy_query too, and are freed as soon as they are answered.
         submitted, levels, tournaments = [], [], []
 
         class Recording(BudgetOracle):
@@ -70,8 +72,9 @@ class TestNoisyQuery:
             assert tournaments[-1] == 2 and levels and not submitted
             oracle.noisy_query(MinCompare(range(2), 1, levels[-1]()), 0.5)
             oracle.noisy_query(Scale(0.5, Sub(Base(0), Base(1))), 0.5)
-            pinned = [node for node, _ in oracle._eval_memo.values()]
-            assert {Level, Base, Sub, Scale} <= set(map(type, pinned))
+            assert len(submitted) == 2 and all(ref() is None for ref in submitted)
+            pinned = [node for node, _ in oracle._level_memo.values()]
+            assert set(map(type, pinned)) == {Level}
             pinned = [weakref.ref(node) for node in pinned]
             owner = weakref.ref(oracle)
             del oracle
@@ -79,6 +82,46 @@ class TestNoisyQuery:
             assert all(ref() is None for ref in submitted + levels + pinned)
         finally:
             gc.enable()
+
+    def test_answered_trees_are_not_kept(self):
+        # a tree is memoised only while noisy_query evaluates it: a few
+        # thousand fresh trees leave the oracle's memo empty and its memory
+        # where it was (it held about 1 KiB per tree when the memo kept them)
+        oracle = BudgetOracle(generate_instance("uniform", 1000, 10.0, 0), 1e4,
+                              seed=0, record_log=False)
+        oracle.noisy_query(Scale(0.5, Sub(Base(0), Base(1))), 1.0)  # makes the generator
+        tracemalloc.start()
+        try:
+            before = tracemalloc.get_traced_memory()[0]
+            for q in range(3000):
+                oracle.noisy_query(Scale(0.5, Sub(Base(q % 1000), Base(7 * q % 1000))), 1.0)
+            held = tracemalloc.get_traced_memory()[0] - before
+        finally:
+            tracemalloc.stop()
+        assert held < 64 * 2**10
+        trees = [Scale(0.5, Sub(Base(i), Base(i + 1))) for i in range(20)]
+        refs = [weakref.ref(tree) for tree in trees]
+        for tree in trees:
+            oracle.noisy_query(tree, 1.0)
+        del trees, tree
+        assert all(ref() is None for ref in refs)
+        assert oracle._level_memo == {}
+
+    def test_level_query_derives_its_chain_once(self, monkeypatch):
+        derived = []
+
+        def spy(values, level):
+            derived.append(level)
+            return derive(values, level)
+        derive = queries._derive
+        monkeypatch.setattr(queries, "_derive", spy)
+        below = Level(np.arange(4), [0, 2, 4], [0, 1, 2, 3], 1.0)
+        level = Level(below, [0, 1, 2], [0, 1], 1.0)
+        oracle = BudgetOracle(INST, 1.0, seed=0)
+        query = MinCompare([0, 1], 1, level)
+        first, second = (oracle.noisy_query(query, 0.25) for _ in range(2))
+        assert len(derived) == 2 and derived[0] is below and derived[1] is level
+        assert oracle.rounds_used == 2 and first != second
 
     def test_out_of_range_candidate_range_draws_nothing(self):
         # a range is admitted by its ends alone; one past either end is refused

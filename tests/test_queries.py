@@ -63,12 +63,22 @@ class TestEval:
             eval_expr(MinOver(bases(np.append(idx, 300))), inst)
 
     def test_memo_reuse_across_queries(self):
+        # a caller's memo carries derived levels across calls, and no tree node
         inst = LossInstance((2.0, 7.0, 1.0))
         shared = MinOver((Base(0), Base(1), Base(2)))
         memo = {}
         a = eval_expr(Sub(Base(1), shared), inst, memo)
         b = eval_expr(Sub(Base(0), shared), inst, memo)
-        assert (a, b) == (6.0, 1.0)
+        assert (a, b) == (6.0, 1.0) and memo == {}
+        below = Level(np.arange(3), [0, 2, 3], [0, 1, 2], 1.0)
+        level = Level(below, [0, 1, 2], [0, 1], 1.0)
+        tree = Sub(MinCompare([0, 1], 1, level), Const(1.0))
+        value = eval_expr(tree, inst, memo)
+        assert len(memo) == 2 and all(memo[id(node)][0] is node for node in (below, level))
+        held = dict(memo)
+        assert eval_expr(tree, inst, memo) == value
+        assert memo.keys() == held.keys()
+        assert all(memo[key][1] is held[key][1] for key in held)  # read, not derived again
 
     def test_min_comparison_fast_path_matches_generic(self):
         rng = np.random.default_rng(7)

@@ -23,6 +23,8 @@ from privsel.verify import (
     _random_family_expr,
 )
 
+from fixed_subset_size import fix_subset_size
+
 SCALED = MechanismConstants(c_xi=1.0, p_xi=1, base_threshold_log=6)
 
 
@@ -221,15 +223,16 @@ class TestGoodSubsetRate:
         assert emp == pytest.approx(expect, abs=3 * se)
         assert emp >= bound - 3 * se
 
-    def test_forced_k_isolates_single_draw_case(self):
+    def test_forced_k_isolates_single_draw_case(self, monkeypatch):
         # top block of 8 at loss 0, all others above K*xi: with the subset
         # size forced to 1, the event is exactly a top-block hit
         k = 8
         xi_value = loss_scale(k, 1.0, 0.1, SCALED)
         losses = np.full(1 << k, math.ceil(k * xi_value) + 100.0)
         losses[:8] = 0.0
+        fix_subset_size(monkeypatch, k)
         emp, _ = check_good_subset_rate(k, LossInstance(losses), SCALED, rho=1.0,
-                                        beta=0.1, trials=10**5, seed=3, force_k=k)
+                                        beta=0.1, trials=10**5, seed=3)
         expect = 8 / (1 << k)
         se = math.sqrt(expect * (1 - expect) / 10**5)
         assert emp == pytest.approx(expect, abs=3 * se)
@@ -249,8 +252,8 @@ class TestGoodSubsetRate:
         assert a == b
 
     def test_many_level_fallback_path(self, monkeypatch):
-        # more than 1024 distinct losses: every subset of two or more is drawn
-        # per trial, and the blocked matrix draw is never made
+        # more than _MATRIX_MAX_VALUES distinct losses: every subset of two or
+        # more is drawn per trial, and the blocked matrix draw is never made
         def no_blocks(*args):
             raise AssertionError("the matrix branch ran")
         k = 11
@@ -260,24 +263,27 @@ class TestGoodSubsetRate:
         emp, bound = check_good_subset_rate(k, inst, SCALED, trials=2000, seed=6)
         assert (emp, bound) == (0.088, 2.0 ** (-2.0 * math.sqrt(k)))
 
-    def test_at_most_1024_levels_take_the_matrix_path(self, monkeypatch):
+    def test_levels_up_to_the_cutoff_take_the_matrix_path(self, monkeypatch):
+        # 2**10 losses with d distinct values: up to the cutoff every subset
+        # size above 1 is one blocked matrix draw, one past it none is
         sizes = []
         def counted(rng, colors, nsample, draws):
             sizes.append(nsample)
             return blocks(rng, colors, nsample, draws)
         blocks = verify._hypergeometric_blocks
-        inst = generate_instance("uniform", 1 << 10, 50.0, seed=5)
-        assert len(np.unique(inst.as_array())) == 1024
         monkeypatch.setattr(verify, "_hypergeometric_blocks", counted)
-        check_good_subset_rate(10, inst, SCALED, trials=2000, seed=6)
-        assert sorted(sizes) == [1 << j for j in range(1, 10)]  # each size above 1
+        cutoff = verify._MATRIX_MAX_VALUES
+        for distinct, expect in ((cutoff, [1 << j for j in range(1, 10)]), (cutoff + 1, [])):
+            inst = LossInstance(np.arange(1 << 10) % distinct * 50.0)
+            assert len(np.unique(inst.as_array())) == distinct
+            sizes.clear()
+            check_good_subset_rate(10, inst, SCALED, trials=2000, seed=6)
+            assert sorted(sizes) == expect, distinct
 
     def test_validation(self):
         inst = generate_instance("constant", 64, 1.0, seed=0)
         with pytest.raises(ValueError):
             check_good_subset_rate(5, inst, SCALED)  # size mismatch
-        with pytest.raises(ValueError):
-            check_good_subset_rate(6, inst, SCALED, force_k=7)
 
 
 class TestSensitivityFuzz:
@@ -325,15 +331,17 @@ class TestBlockedDraws:
             one_shot = float(((counts[:, 0] == 1) & (counts[:, 1] == 0)).mean())
             assert subset_event_mc(k, i_star, k_star, draws, seed=draws) == one_shot
 
-    @pytest.mark.parametrize("trials", [1, 63, 64, 65, 199])
-    def test_good_subset_rate_equals_one_draw_of_all_rows(self, trials):
-        # 1024 distinct losses make a block 64 rows.  With force_k every trial
-        # has one subset size, so the reference is one draw of all rows,
-        # scored here row by row.
-        k, kt = 10, 3
-        inst = generate_instance("uniform", 1 << k, 1e5, seed=5)
+    @pytest.mark.parametrize("sixty_fourths", [1, 63, 64, 65, 199])
+    def test_good_subset_rate_equals_one_draw_of_all_rows(self, sixty_fourths, monkeypatch):
+        # 128 distinct losses make a block 512 rows; the trials, in 64ths of a
+        # block, end just short of, at and just past one block, and in the
+        # fourth.  With the subset size fixed every trial has one size, so the
+        # reference is one draw of all rows, scored here row by row.
+        k, kt = 7, 3
+        inst = generate_instance("uniform", 1 << k, 1e3, seed=5)
         vals, counts = np.unique(inst.as_array(), return_counts=True)
-        assert len(vals) == 1024
+        assert len(vals) == 128 <= verify._MATRIX_MAX_VALUES
+        trials = sixty_fourths * (verify._BLOCK_CELLS // len(vals)) // 64
         xi_value = loss_scale(k, 1.0, 0.1, SCALED)
         offset, threshold = (k + math.sqrt(k)) * xi_value, -math.sqrt(k) * xi_value
         mat = np.random.default_rng(8).multivariate_hypergeometric(
@@ -345,19 +353,22 @@ class TestBlockedDraws:
             events += bool(max(vals[first] - vals[0] - offset, -gap) <= threshold)
         if trials > 1:
             assert 0 < events < trials
-        emp, _ = check_good_subset_rate(k, inst, SCALED, trials=trials, seed=8, force_k=kt)
+        fix_subset_size(monkeypatch, kt)
+        emp, _ = check_good_subset_rate(k, inst, SCALED, trials=trials, seed=8)
         assert emp == events / trials
 
     def test_subset_event_mc_memory_is_one_block(self):
         # one draw of all rows peaks at 9.9 MiB traced, blocks at 1.0 MiB
         assert traced_peak(lambda draws: subset_event_mc(16, 2, 6, draws), 400_000) < 2 * 2**20
 
-    def test_good_subset_rate_memory_is_one_block(self):
-        # one draw of all rows peaks at 17.7 MiB traced, blocks at 1.1 MiB
-        inst = generate_instance("uniform", 1 << 10, 1e5, seed=5)
+    def test_good_subset_rate_memory_is_one_block(self, monkeypatch):
+        # 128 distinct losses: one draw of all rows peaks at 11.7 MiB traced,
+        # blocks at 1.2 MiB
+        inst = generate_instance("uniform", 1 << 7, 1e3, seed=5)
+        fix_subset_size(monkeypatch, 2)
         run = lambda trials: check_good_subset_rate(  # noqa: E731
-            10, inst, SCALED, trials=trials, seed=8, force_k=2)
-        assert traced_peak(run, 2000) < 2 * 2**20
+            7, inst, SCALED, trials=trials, seed=8)
+        assert traced_peak(run, 10_000) < 2 * 2**20
 
 
 class TestSampleCounts:
