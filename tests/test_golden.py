@@ -153,7 +153,15 @@ SIMULATE_CONFIG = {
 }
 SIMULATE_DIGEST = "d432bebc035a9bec62ab6dd2af2e29cc3635d4e3707740bb9172639297b37141"
 
-VERIFY_QUICK_DIGEST = "4a288600c16e34cc7701a3bc1377738e89d403761361d6720283e37e32d910a0"
+# privsel verify reports: --grid quick with small counts, and every CLI
+# default (--grid full, 10**4 fuzz trials), the report the bench's certify
+# workload digests.
+VERIFY_REPORTS = {
+    "quick": (["--grid", "quick", "--fuzz-trials", "300", "--subset-draws", "20000",
+               "--rate-trials", "3000"],
+              "4a288600c16e34cc7701a3bc1377738e89d403761361d6720283e37e32d910a0"),
+    "full": ([], "a6674ac37aea63e80461dff7677923bc9b2b2552c3ce4322c6bb864c1549b7f6"),
+}
 
 # The full default grid (6 K x 31 beta x 3 rho points, three checks each) as
 # report CSV rows: pins every verdict, margin and note the full report prints.
@@ -220,10 +228,11 @@ def test_simulate_equal_budget_csv(tmp_path):
     assert sha256(csv) == SIMULATE_DIGEST
 
 
-def test_verify_quick_report(tmp_path):
-    (csv,) = cli_outputs(tmp_path, ["verify", "--grid", "quick", "--fuzz-trials", "300",
-                                    "--subset-draws", "20000", "--rate-trials", "3000"])
-    assert sha256(csv) == VERIFY_QUICK_DIGEST
+@pytest.mark.parametrize("grid", sorted(VERIFY_REPORTS, reverse=True))
+def test_verify_quick_report(tmp_path, grid):
+    flags, digest = VERIFY_REPORTS[grid]
+    (csv,) = cli_outputs(tmp_path, ["verify"] + flags)
+    assert sha256(csv) == digest
 
 
 def test_appendix_grid_full_rows():
