@@ -12,7 +12,7 @@ Run:  python demos/query_language.py
 import numpy as np
 
 from privsel import (
-    Base, BudgetOracle, Gap, Level, LossInstance, MinCompare, Scale,
+    Base, BudgetOracle, GapOver, Level, LossInstance, MinCompare, Scale,
     SensitivityViolationError, Sub, build_bintree_query, build_tilde_loss,
     eval_expr, format_expr, sensitivity_bound,
 )
@@ -58,11 +58,12 @@ def main():
     answer = oracle.noisy_query(query, rho_i=0.25)
     print(f"  noisy answer at rho_i=0.25 (noise std {1/(2*0.25)**0.5:.2f}):"
           f" {answer:.4f}")
+    gap = GapOver((Base(0), Base(1)))  # the gap of losses 0 and 1
     try:
-        oracle.noisy_query(Gap([0, 1]), rho_i=0.25)
+        oracle.noisy_query(gap, rho_i=0.25)
     except SensitivityViolationError as exc:
         print(f"  raw gap rejected: {exc}")
-    halved = Scale(0.5, Gap([0, 1]))
+    halved = Scale(0.5, gap)
     print(f"  halved gap accepted: {oracle.noisy_query(halved, rho_i=0.25):.4f}")
     print(f"  budget spent so far: {oracle.spent}")
     print("\n  query log:")

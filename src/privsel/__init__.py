@@ -12,7 +12,7 @@ from .core import (
     error_scale, gap_threshold, generate_instance, loss_scale,
 )
 from .queries import (
-    AddConst, Base, BaseBatch, Const, Gap, GapOver, Level, LossExpr, MaxOver,
+    AddConst, Base, BaseBatch, Const, GapOver, Level, LossExpr, MaxOver,
     MinCompare, MinOver, Scale, Sub, build_bintree_query, build_tilde_loss,
     eval_expr, format_expr, sensitivity_bound,
 )

@@ -201,11 +201,12 @@ def _cmd_simulate_equal_budget(args) -> int:
         counts = [count for _, count in runs]
         repeats = np.repeat(np.array([p.per_query_repeats for p, _ in runs], int), counts)
         topups = np.repeat(np.array([p.topup_variance for p, _ in runs], float), counts)
+        plan = ((np.mean(repeats), np.mean(topups), np.min(topups)) if repeats.size
+                else (math.nan,) * 3)  # no trial answered a query: no plan to average
         lines.append(
             f"{spec.name},{config.trials},{m_bound},{2 * m_bound},"
-            f"{float(np.mean(errors))!r},{float(np.mean(rounds))!r},"
-            f"{int(np.max(rounds))},{float(np.mean(repeats))!r},"
-            f"{float(np.mean(topups))!r},{float(np.min(topups))!r}")
+            f"{float(np.mean(errors))!r},{float(np.mean(rounds))!r},{int(np.max(rounds))},"
+            + ",".join(repr(float(x)) for x in plan))
     _write_text(args.out, "\n".join(lines) + "\n")
     return 0
 

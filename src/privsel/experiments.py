@@ -188,6 +188,10 @@ class ExperimentConfig:
             if spec.name not in MECHANISM_NAMES:
                 raise ConfigError(
                     f"unknown mechanism {spec.name!r}; expected one of {MECHANISM_NAMES}")
+        names = [spec.name for spec in self.mechanisms]
+        if twice := sorted({name for name in names if names.count(name) > 1}):
+            # summaries are keyed by name, so two specs' trials would pool in one row
+            raise ConfigError(f"mechanisms listed more than once: {twice}")
         for name in ("rho", "beta", "failure_threshold"):
             _number(self, name, integral=False)
         if not (self.rho > 0 and math.isfinite(self.rho)):

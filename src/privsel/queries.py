@@ -17,10 +17,10 @@ Node semantics on a loss vector l (extended-real valued):
     Const(v)           v  (v may be +/-inf)
     MinOver(es)        min of child values
     MaxOver(es)        max of child values
-    Gap(S)             second order statistic minus minimum of l restricted
-                       to the index set S; +inf when |S| = 1
-    GapOver(es)        same, over child expression values (the tree form of
-                       a derived level's gap; Level computes it in numpy)
+    GapOver(es)        second smallest minus smallest child value, +inf for
+                       one child; over one Base(i) per i in S it is the gap
+                       of l on the index set S, over a level's entries a
+                       derived gap (Level computes those in numpy)
     Sub(a, b)          a - b
     Scale(c, e)        c * e
     AddConst(c, e)     e + c
@@ -77,9 +77,8 @@ vectors differing by at most 1 per coordinate):
 
     Base -> 1;  Const -> 0;  MinOver/MaxOver -> max of child bounds;
     Sub -> sum of child bounds;  Scale(c, e) -> |c| * bound(e);
-    AddConst -> unchanged;  Gap -> 2 (0 for a singleton);
-    GapOver -> 2 * max child bound (0 for a single child);
-    Level -> 1 per entry;  MinCompare -> 1.
+    AddConst -> unchanged;  Level -> 1 per entry;  MinCompare -> 1;
+    GapOver -> 2 * max child bound (0 for a single child): 2 over Base leaves.
 
 Every Level entry has bound 1, by induction on the chain.  The Level rule
 is the tree rule folded once: with b the bound of the level below, the
@@ -93,12 +92,11 @@ entries, so its bound is (1 + 1) / 2 = 1.  Neither needs a walk.
 Canonical text form (prefix notation, whitespace separated), output only:
 
     expr := (base N) | (const NUM) | (min expr+) | (max expr+)
-          | (gap N+) | (gapx expr+) | (sub expr expr)
-          | (scale NUM expr) | (addc NUM expr)
+          | (gapx expr+) | (sub expr expr) | (scale NUM expr) | (addc NUM expr)
 
 N is a nonnegative integer; NUM is a Python float repr (inf and -inf
-included).  ``gap`` carries base candidate indices, ``gapx`` the general
-expression form.  A MinCompare over base candidates is written as its tree,
+included).  An index set's gap is written over its leaves, as
+``(gapx (base i) ...)``; a MinCompare over base candidates as its tree,
 ``(scale 0.5 (sub (min ...) (min ...)))``.
 Level and a MinCompare over a level have no text form: a chain of
 d levels expands into trees whose size grows exponentially with d, so
@@ -117,7 +115,7 @@ import numpy as np
 from .core import LossInstance, _integer
 
 __all__ = [
-    "Base", "Const", "MinOver", "MaxOver", "Gap", "GapOver", "Sub", "Scale",
+    "Base", "Const", "MinOver", "MaxOver", "GapOver", "Sub", "Scale",
     "AddConst", "Level", "MinCompare", "LossExpr", "eval_expr",
     "sensitivity_bound", "build_bintree_query", "build_tilde_loss", "format_expr",
     "BaseBatch",
@@ -177,19 +175,6 @@ def _init_over(node) -> None:
     if not children:
         raise ValueError("need at least one child")
     object.__setattr__(node, "children", children)
-
-
-@dataclass(frozen=True, eq=False)
-class Gap:
-    """Gap of the instance restricted to a set of base candidate indices."""
-
-    indices: np.ndarray
-
-    def __post_init__(self):
-        arr = np.unique(_index_array(self.indices))
-        if arr.size == 0:
-            raise ValueError("gap needs at least one index")
-        object.__setattr__(self, "indices", arr)
 
 
 @dataclass(frozen=True, eq=False)
@@ -310,7 +295,7 @@ def _members(idx, level: Level | None) -> np.ndarray | range:
     return idx
 
 
-LossExpr = Union[Base, Const, MinOver, MaxOver, Gap, GapOver, Sub, Scale, AddConst, MinCompare]
+LossExpr = Union[Base, Const, MinOver, MaxOver, GapOver, Sub, Scale, AddConst, MinCompare]
 
 
 class BaseBatch(Sequence):
@@ -484,11 +469,6 @@ def _span_source(idx, split: int, level, instance: LossInstance, memo: dict):
     return sibling
 
 
-def _compare_value(node: MinCompare, instance: LossInstance, memo: dict) -> float:
-    value = _span_source(node.indices, node.split, node.level, instance, memo)
-    return value(0, node.split, len(node.indices))
-
-
 def eval_expr(expr: LossExpr, instance: LossInstance, memo: dict | None = None) -> float:
     """Evaluate an expression on an instance.
 
@@ -505,8 +485,6 @@ def eval_expr(expr: LossExpr, instance: LossInstance, memo: dict | None = None) 
     """
     if memo is None:
         memo = {}
-    if type(expr) is MinCompare:
-        return _compare_value(expr, instance, memo)
     arr = instance.as_array()
     n = arr.size
     seen = {}  # value per node identity; expr keeps its nodes alive until we return
@@ -529,12 +507,6 @@ def eval_expr(expr: LossExpr, instance: LossInstance, memo: dict | None = None) 
         elif t is MinOver or t is MaxOver:
             vals = [ev(c) for c in node.children]
             v = min(vals) if t is MinOver else max(vals)
-        elif t is Gap:
-            lst = node.indices.tolist()
-            if min(lst) < 0:
-                raise IndexError(f"negative candidate index in {lst}")
-            s1, s2 = _two_smallest(map(arr.item, lst))
-            v = s2 - s1
         elif t is GapOver:
             if len(node.children) == 1:
                 ev(node.children[0])  # still validated
@@ -549,7 +521,8 @@ def eval_expr(expr: LossExpr, instance: LossInstance, memo: dict | None = None) 
         elif t is AddConst:
             v = ev(node.child) + node.offset
         elif t is MinCompare:
-            v = _compare_value(node, instance, memo)
+            idx, split = node.indices, node.split
+            v = _span_source(idx, split, node.level, instance, memo)(0, split, len(idx))
         else:
             raise TypeError(f"not a loss expression: {node!r}")
         seen[key] = v
@@ -582,8 +555,6 @@ def sensitivity_bound(expr: LossExpr) -> float:
             b = 0.0
         elif t is MinOver or t is MaxOver:
             b = max(bd(c) for c in node.children)
-        elif t is Gap:
-            b = 0.0 if node.indices.size == 1 else 2.0
         elif t is GapOver:
             if len(node.children) == 1:
                 b = 0.0
@@ -648,10 +619,10 @@ def build_tilde_loss(subset: Iterable[int], k: int, xi_value: float,
     if pos[-1] == uni.size or np.any(uni[pos] != sub):
         raise ValueError("subset must be contained in the universe")
     offset = (k + math.sqrt(k)) * xi_value
+    leaves = tuple(map(Base, sub.tolist()))  # shared, so each is evaluated once
     return Scale(0.5, MaxOver((
-        Sub(MinOver(tuple(map(Base, sub.tolist()))),
-            AddConst(offset, MinOver(tuple(map(Base, uni.tolist()))))),
-        Scale(-1.0, Gap(sub)),
+        Sub(MinOver(leaves), AddConst(offset, MinOver(tuple(map(Base, uni.tolist()))))),
+        Scale(-1.0, GapOver(leaves)),
     )))
 
 
@@ -673,8 +644,6 @@ def format_expr(expr: LossExpr) -> str:
     if t is MinOver or t is MaxOver:
         tag = "min" if t is MinOver else "max"
         return f"({tag} " + " ".join(format_expr(c) for c in expr.children) + ")"
-    if t is Gap:
-        return "(gap " + " ".join(str(int(i)) for i in expr.indices) + ")"
     if t is GapOver:
         return "(gapx " + " ".join(format_expr(c) for c in expr.children) + ")"
     if t is Sub:

@@ -36,7 +36,7 @@ from .core import (
     derived_rounds_ceil_log, loss_scale,
 )
 from .queries import (
-    AddConst, Base, Const, Gap, GapOver, MaxOver, MinOver, Scale, Sub,
+    AddConst, Base, Const, GapOver, MaxOver, MinOver, Scale, Sub,
     build_bintree_query, build_tilde_loss, eval_expr, format_expr,
     sensitivity_bound,
 )
@@ -388,9 +388,9 @@ def _random_tree(rng: np.random.Generator, n: int, depth: int):
     over = {0: MinOver, 1: MaxOver, 3: GapOver}.get(kind)
     if over is not None:
         return over(tuple(_random_tree(rng, n, depth - 1) for _ in range(rng.integers(1, 4))))
-    if kind == 2:
+    if kind == 2:  # the gap of an index set, its leaves in index order
         m = int(rng.integers(1, n + 1))
-        return Gap(rng.choice(n, size=m, replace=False))
+        return GapOver(tuple(map(Base, np.sort(rng.choice(n, size=m, replace=False)).tolist())))
     if kind == 4:
         return Sub(_random_tree(rng, n, depth - 1), _random_tree(rng, n, depth - 1))
     if kind == 5:

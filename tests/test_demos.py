@@ -19,7 +19,7 @@ STDOUT_SHA256 = {
     "equal_budget_accounting.py":
         "fb572a6fba1aa77a9b093e40368e8a0f2243000b769a625139b12943335cd531",
     "mechanism_race.py": "eea03e12960a9ca0c01cdb7b44bd65756e80f493ac3bfe6d19b40e5e97bdeb73",
-    "query_language.py": "a6049a028edd0d112106cd608f47684305a28b5e39863b9f355d2f7b205b412f",
+    "query_language.py": "244fd3f0d5e34010c337317465103bce6a37dbffc1133db21684a12f08515246",
     "subset_certification.py":
         "3324abcc17de4fafb422a6df31cfc8802f2de22fe2c706371298a2cbebad392b",
 }

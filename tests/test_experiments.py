@@ -89,6 +89,9 @@ class TestConfig:
         lambda d: d.update(failure_threshold=float("nan")),
         lambda d: d.update(rho=0.0), lambda d: d.update(beta=0.0),
         lambda d: d.update(beta=1.0), lambda d: d.update(rho=float("nan")),
+        # run summarises by name, so a repeated name would pool two specs' trials
+        lambda d: d.update(mechanisms=[{"name": "recursive_gap"},
+                                       {"name": "recursive_gap", "constants": {"c_xi": 1.0}}]),
     ])
     def test_invalid_configs_rejected(self, mutate):
         doc = {"instance": {"family": "constant", "size": 4},
@@ -536,6 +539,31 @@ class TestCli:
         assert main(["simulate-equal-budget", self._write_config(tmp_path),
                      "--trials", "2", "--out", str(tmp_path / "eq.csv")]) == 0
         assert calls == [[3, 0, 7000], [3, 1, 7000], [3, 0, 7001], [3, 1, 7001]]
+
+    @pytest.mark.parametrize("command", ["run", "simulate-equal-budget"])
+    def test_repeated_mechanism_name_exits_2(self, tmp_path, capsys, command):
+        # run would print one row pooling both specs' trials
+        doc = dict(CONFIG_DOC, mechanisms=[
+            {"name": "recursive_gap"},
+            {"name": "recursive_gap", "constants": {"c_xi": 1.0, "p_xi": 1,
+                                                    "base_threshold_log": 6}}])
+        assert main([command, self._write_config(tmp_path, doc), "--trials", "1"]) == 2
+        assert capsys.readouterr().err == (
+            "config error: mechanisms listed more than once: ['recursive_gap']\n")
+
+    @pytest.mark.filterwarnings("error")  # numpy's empty-mean RuntimeWarning included
+    def test_simulate_equal_budget_without_queries_writes_nan(self, tmp_path):
+        # on one candidate the tournaments answer no query, so no plan exists
+        doc = dict(CONFIG_DOC, instance={"family": "uniform", "size": 1},
+                   mechanisms=[{"name": "binary_tree"}, {"name": "recursive_gap"},
+                               {"name": "query_all"}], trials=3)
+        out = tmp_path / "eq.csv"
+        assert main(["simulate-equal-budget", self._write_config(tmp_path, doc),
+                     "--out", str(out)]) == 0
+        rows = [line.split(",") for line in out.read_text().splitlines()[1:]]
+        assert [row[0] for row in rows] == ["binary_tree", "recursive_gap", "query_all"]
+        assert [row[-3:] for row in rows[:2]] == [["nan"] * 3] * 2
+        assert rows[2][-3:] == ["1.0", "0.0", "0.0"]  # query_all's one batch
 
     def test_simulate_equal_budget_rejects_fresh_instances(self, tmp_path, capsys):
         # every trial runs on the one instance built from the config

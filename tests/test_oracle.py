@@ -17,7 +17,7 @@ from privsel.oracle import (
     plan_equal_budget, LOG_CSV_HEADER,
 )
 from privsel.queries import (
-    Base, BaseBatch, Const, Gap, Level, MinCompare, Scale, Sub, eval_expr,
+    Base, BaseBatch, Const, GapOver, Level, MinCompare, Scale, Sub, eval_expr,
 )
 from privsel.mechanisms import binary_tree_select, combined_select, query_all_baseline
 from zero_noise import ExactAdapter, ExactOracle
@@ -37,10 +37,10 @@ class TestNoisyQuery:
     def test_unhalved_gap_is_rejected(self):
         oracle = BudgetOracle(INST, 1.0, seed=0)
         with pytest.raises(SensitivityViolationError):
-            oracle.noisy_query(Gap([0, 1]), 0.5)
+            oracle.noisy_query(GapOver((Base(0), Base(1))), 0.5)
         assert (oracle.spent, oracle.log) == (0.0, [])
         # the halved version passes
-        oracle.noisy_query(Scale(0.5, Gap([0, 1])), 0.5)
+        oracle.noisy_query(Scale(0.5, GapOver((Base(0), Base(1)))), 0.5)
         assert oracle.log[0].sensitivity_bound == 1.0
 
     def test_trial_leaves_no_reference_cycle(self):
@@ -141,13 +141,13 @@ class TestNoisyQuery:
         answer = BudgetOracle(instance, 1.0, seed=0).noisy_query(Base(5), 1.0)
         assert answer.hex() == "0x1.c86c17fc34de8p+9"
         two = np.sort(instance.as_array()[[3, 5, 9]])[:2]
-        assert eval_expr(Gap([9, 3, 5]), instance) == two[1] - two[0]
+        assert eval_expr(GapOver((Base(3), Base(5), Base(9))), instance) == two[1] - two[0]
         assert "losses" not in vars(instance)
 
     def test_nonfinite_query_rejected(self):
         oracle = BudgetOracle(INST, 1.0, seed=0)
         with pytest.raises(NonFiniteQueryError):
-            oracle.noisy_query(Gap([2]), 0.5)  # singleton gap evaluates to +inf
+            oracle.noisy_query(GapOver((Base(2),)), 0.5)  # singleton gap evaluates to +inf
         with pytest.raises(NonFiniteQueryError):
             oracle.noisy_query(Const(-math.inf), 0.5)
 
@@ -547,7 +547,7 @@ class TestEqualBudgetAdapter:
     def test_enforces_sensitivity_too(self):
         adapter = EqualBudgetAdapter(INST, m_bound=3, rho=1.0, seed=0)
         with pytest.raises(SensitivityViolationError):
-            adapter.noisy_query(Gap([0, 1]), 0.5)
+            adapter.noisy_query(GapOver((Base(0), Base(1))), 0.5)
 
     def test_noiseless_simulation_is_exact(self):
         adapter = ExactAdapter(LossInstance((4.0, 0.0, 2.0)), 2, 1.0)

@@ -10,7 +10,7 @@ from hypothesis import given, settings, strategies as st
 from privsel import queries
 from privsel.core import LossInstance
 from privsel.queries import (
-    AddConst, Base, BaseBatch, Const, Gap, GapOver, Level, MaxOver, MinCompare,
+    AddConst, Base, BaseBatch, Const, GapOver, Level, MaxOver, MinCompare,
     MinOver, Scale, Sub, _derive, _level_values, _segment_blocks, build_bintree_query,
     build_tilde_loss, eval_expr, format_expr, sensitivity_bound,
 )
@@ -24,7 +24,7 @@ def bases(indices):
 class TestEval:
     def test_singleton_gap_is_infinite(self):
         inst = LossInstance((4.0, 9.0))
-        assert eval_expr(Gap([0]), inst) == math.inf
+        assert eval_expr(GapOver(bases([0])), inst) == math.inf
 
     def test_affine_arithmetic(self):
         inst = LossInstance((0.0, 5.0))
@@ -45,8 +45,8 @@ class TestEval:
 
     def test_index_out_of_range(self):
         inst = LossInstance((1.0, 2.0))
-        for expr in (Base(2), Base(-1), Gap([0, 5]), Gap([-1, 0]), Gap([2]),
-                     MinOver(bases([1, 2])), MinOver(bases([-1, 0]))):
+        for expr in (Base(2), Base(-1), GapOver(bases([0, 5])), GapOver(bases([-1, 0])),
+                     GapOver(bases([2])), MinOver(bases([1, 2])), MinOver(bases([-1, 0]))):
             with pytest.raises(IndexError):
                 eval_expr(expr, inst)
 
@@ -58,7 +58,7 @@ class TestEval:
         assert eval_expr(MinOver(bases(idx)), inst) == losses[idx].min()
         assert eval_expr(MaxOver(bases(idx)), inst) == losses[idx].max()
         two = np.sort(losses[idx])[:2]
-        assert eval_expr(Gap(idx), inst) == pytest.approx(two[1] - two[0])
+        assert eval_expr(GapOver(bases(np.sort(idx))), inst) == pytest.approx(two[1] - two[0])
         with pytest.raises(IndexError):
             eval_expr(MinOver(bases(np.append(idx, 300))), inst)
 
@@ -110,21 +110,19 @@ class TestOracleEquivalence:
                 sub_inst = LossInstance(tuple(losses[i] for i in subset))
                 assert eval_expr(MinOver(bases(subset)), inst) == min(
                     losses[i] for i in subset)
-                assert eval_expr(Gap(subset), inst) == sub_inst.gap()
+                assert eval_expr(GapOver(bases(subset)), inst) == sub_inst.gap()
 
 
 class TestSensitivityRules:
     def test_node_rules(self):
         assert sensitivity_bound(Base(3)) == 1.0
         assert sensitivity_bound(Const(9.0)) == 0.0
-        assert sensitivity_bound(Gap([0, 1])) == 2.0
-        assert sensitivity_bound(Gap([4])) == 0.0
-        assert sensitivity_bound(GapOver((Base(0),))) == 0.0
+        assert sensitivity_bound(GapOver((Base(4),))) == 0.0
         assert sensitivity_bound(GapOver((Base(0), Base(1)))) == 2.0
-        assert sensitivity_bound(Sub(Base(0), Gap([0, 1]))) == 3.0
-        assert sensitivity_bound(Scale(-0.25, Gap([0, 1]))) == 0.5
+        assert sensitivity_bound(Sub(Base(0), GapOver(bases([0, 1])))) == 3.0
+        assert sensitivity_bound(Scale(-0.25, GapOver(bases([0, 1])))) == 0.5
         assert sensitivity_bound(MinOver((Base(0), Const(1.0)))) == 1.0
-        assert sensitivity_bound(MaxOver((Gap([0, 1]), Base(0)))) == 2.0
+        assert sensitivity_bound(MaxOver((GapOver(bases([0, 1])), Base(0)))) == 2.0
         assert sensitivity_bound(MinOver(bases(range(50)))) == 1.0
 
     def test_gap_over_scales_with_children(self):
@@ -134,13 +132,13 @@ class TestSensitivityRules:
     @given(st.floats(min_value=-50, max_value=50, allow_nan=False))
     @settings(max_examples=40, deadline=None)
     def test_addconst_never_changes_bound(self, c):
-        expr = Sub(MinOver((Base(0), Base(1))), Gap([0, 1, 2]))
+        expr = Sub(MinOver((Base(0), Base(1))), GapOver(bases([0, 1, 2])))
         assert sensitivity_bound(AddConst(c, expr)) == sensitivity_bound(expr)
 
     @given(st.floats(min_value=-1.0, max_value=1.0, allow_nan=False))
     @settings(max_examples=40, deadline=None)
     def test_small_scale_never_increases_bound(self, c):
-        expr = Sub(MinOver((Base(0), Base(1))), Gap([0, 1, 2]))
+        expr = Sub(MinOver((Base(0), Base(1))), GapOver(bases([0, 1, 2])))
         assert sensitivity_bound(Scale(c, expr)) <= sensitivity_bound(expr)
 
 
@@ -218,20 +216,13 @@ class TestNodeValidation:
         with pytest.raises(ValueError):
             MinOver(())
         with pytest.raises(ValueError):
-            Gap([])
-        with pytest.raises(ValueError):
             GapOver(())
-
-    def test_gap_indices_canonicalized(self):
-        g = Gap([3, 1, 3, 2])
-        assert g.indices.tolist() == [1, 2, 3]
 
     def test_float_indices_rejected(self):
         # a float index would otherwise be truncated to the candidate below it
         level = Level(np.arange(4), [0, 1, 2, 4], [0, 1, 2, 3], 1.0)
         for make in (lambda: BaseBatch([1.5]),
                      lambda: BaseBatch(np.array([0.0, 1.0])),
-                     lambda: Gap([0, 1.5]),
                      lambda: Level(np.array([0.0, 1.0]), [0, 2], [0, 1], 1.0),
                      lambda: Level(np.arange(4), [0.0, 2.0], [0, 1], 1.0),
                      lambda: Level(np.arange(4), [0, 2], [0.5, 1], 1.0),
@@ -242,7 +233,7 @@ class TestNodeValidation:
             with pytest.raises(TypeError, match="integers"):
                 make()
         # any integer dtype is accepted and stored as int64
-        assert Gap(np.array([2, 0], dtype=np.uint8)).indices.dtype == np.int64
+        assert MinCompare(np.array([2, 0], dtype=np.uint8), 1).indices.dtype == np.int64
 
 
 def bits(x: float) -> bytes:
@@ -298,7 +289,7 @@ class TestLevel:
         inst = LossInstance(losses)
         candidates = np.sort(rng.choice(n, size=int(rng.integers(1, n + 1)), replace=False))
         members, level = candidates, candidates
-        memo, tree_memo = {}, {}
+        memo = {}
         for _ in range(int(rng.integers(1, 5))):
             k, xi_value = int(rng.integers(1, 9)), float(rng.choice([0.5, 1.0, 2.5]))
             subsets = random_subsets(rng, len(level), int(rng.integers(1, 12)))
@@ -307,7 +298,7 @@ class TestLevel:
             values = _level_values(level, inst, memo)
             assert values.shape == (len(level),)
             for t, tree in enumerate(members):
-                assert bits(values[t]) == bits(eval_expr(tree, inst, tree_memo))
+                assert bits(values[t]) == bits(eval_expr(tree, inst))
                 assert sensitivity_bound(tree) == 1.0
             for pos in random_subsets(rng, len(level), 4):
                 if pos.size < 2:
@@ -316,8 +307,7 @@ class TestLevel:
                 compare = MinCompare(pos, cut, level)
                 tree = Scale(0.5, Sub(MinOver(tuple(members[i] for i in pos[:cut])),
                                       MinOver(tuple(members[i] for i in pos[cut:]))))
-                assert bits(eval_expr(compare, inst, memo)) == bits(
-                    eval_expr(tree, inst, tree_memo))
+                assert bits(eval_expr(compare, inst, memo)) == bits(eval_expr(tree, inst))
                 assert sensitivity_bound(compare) == sensitivity_bound(tree) == 1.0
             if len(level) > 1:
                 cut = int(rng.integers(1, len(level)))
@@ -341,7 +331,7 @@ class TestLevel:
         subsets = [[0, 1]] + [choices[c] for c in rng.integers(0, 3, 138)] + [[2]]
         level = Level(np.arange(4), *csr([np.array(sub) for sub in subsets]), 1.0)
         trees = tilde_trees(np.arange(4), subsets, 1, 0.5)
-        memo, tree_memo = {}, {}
+        memo = {}
         for size in (64, 65) * 6:
             side = np.sort(rng.choice(np.arange(1, 139), size, replace=False))
             for pos, cut in ((np.append(side, 139), size), (np.insert(side, 0, 0), 1),
@@ -349,7 +339,7 @@ class TestLevel:
                 tree = Scale(0.5, Sub(MinOver(tuple(trees[i] for i in pos[:cut])),
                                       MinOver(tuple(trees[i] for i in pos[cut:]))))
                 assert bits(eval_expr(MinCompare(pos, cut, level), inst, memo)) == bits(
-                    eval_expr(tree, inst, tree_memo))
+                    eval_expr(tree, inst))
 
     def test_signed_zero_ties_follow_position_order(self):
         # losses (0, 0, 1), offset 1: subset {0, 1} scores -0.0 (a zero gap
@@ -623,7 +613,8 @@ def test_index_nodes_above_64_reduce_as_python_does(seed):
         assert bits(eval_expr(MinOver(bases(idx)), inst)) == bits(min(vals))
         assert bits(eval_expr(MaxOver(bases(idx)), inst)) == bits(max(vals))
         ordered = [losses[i] for i in sorted(idx.tolist())]
-        assert bits(eval_expr(Gap(idx), inst)) == bits(python_gap(ordered))
+        assert bits(eval_expr(GapOver(bases(sorted(idx.tolist()))), inst)) == bits(
+            python_gap(ordered))
         split = int(rng.integers(1, idx.size))
         expected = 0.5 * (min(vals[:split]) - min(vals[split:]))
         assert bits(eval_expr(MinCompare(idx, split), inst)) == bits(expected)
@@ -682,12 +673,12 @@ class TestBaseBatch:
 class TestSerialization:
     def test_canonical_examples(self):
         assert format_expr(Base(3)) == "(base 3)"
-        assert format_expr(Gap([2, 0])) == "(gap 0 2)"
+        assert format_expr(GapOver(bases([0, 2]))) == "(gapx (base 0) (base 2))"
         assert format_expr(Const(math.inf)) == "(const inf)"
         assert format_expr(Scale(0.5, Sub(Base(0), Base(1)))) == \
             "(scale 0.5 (sub (base 0) (base 1)))"
         assert format_expr(MinOver(bases([1, 2]))) == "(min (base 1) (base 2))"
         assert format_expr(GapOver((Base(1), AddConst(-1.25, Base(0))))) == \
             "(gapx (base 1) (addc -1.25 (base 0)))"
-        assert format_expr(MaxOver((Const(-math.inf), Scale(-1.0, Gap([0, 1]))))) == \
-            "(max (const -inf) (scale -1.0 (gap 0 1)))"
+        assert format_expr(MaxOver((Const(-math.inf), Scale(-1.0, GapOver(bases([0, 1])))))) == \
+            "(max (const -inf) (scale -1.0 (gapx (base 0) (base 1))))"
