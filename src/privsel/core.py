@@ -15,6 +15,7 @@ from __future__ import annotations
 
 import math
 import numbers
+import sys
 from dataclasses import dataclass
 from functools import cached_property
 
@@ -38,6 +39,24 @@ def _integer(name: str, value, least: int) -> int:
             and isinstance(value, numbers.Integral)) and value >= least:
         return int(value)
     raise ValueError(f"{name} must be an integer >= {least}, got {value!r}")
+
+
+def _positive(name: str, value, most: float = math.inf) -> float:
+    """The one rule for a budget, a beta or a scale constant: value as a float
+    if it is a float or numbers.Real (numpy, int and Fraction included) but not
+    a bool, and 0 < value <= most; else ValueError.  Kept apart on purpose:
+    ExperimentConfig (JSON input, ConfigError), verify's *_hp twins (float()
+    would drop their mpmath digits) and generate_instance's scale (closed at 0).
+    """
+    x = value
+    if type(x) is not float:
+        try:
+            x = float(x) if type(x) is not bool and isinstance(x, numbers.Real) else math.nan
+        except OverflowError:  # an int or Fraction beyond every float
+            x = math.nan
+    if 0 < x <= most:
+        return x
+    raise ValueError(f"{name} must be a real number in (0, {most!r}], got {value!r}")
 
 
 def ceil_log2(m: int) -> int:
@@ -98,6 +117,11 @@ class LossInstance:
         """Read-only float64 view of the losses."""
         return self._array
 
+    @property
+    def built_block_minima(self) -> np.ndarray | None:
+        """The block_minima() table if it is built, else None; never builds it."""
+        return self.__dict__.get("_block_minima")
+
     def block_minima(self) -> np.ndarray:
         """Minima of the aligned blocks of 2**j losses, j >= 1, as one heap.
 
@@ -107,7 +131,7 @@ class LossInstance:
         (P + lo) >> j; entry 0 is unused.  It is built bottom-up on the
         first call, in P extra floats, and cached.
         """
-        table = self.__dict__.get("_block_minima")
+        table = self.built_block_minima
         if table is None:
             level = self._array
             size = 1 << ceil_log2(level.size)
@@ -138,7 +162,7 @@ class LossInstance:
         tournament never builds the table.  Callers on other threads can at
         worst lose a count or build the same table twice.
         """
-        table = self.__dict__.get("_block_minima")
+        table = self.built_block_minima
         if table is None:
             asked = self.__dict__.get("_block_losses_asked", 0) + size
             object.__setattr__(self, "_block_losses_asked", asked)
@@ -174,7 +198,7 @@ class MechanismConstants:
     make the recursion vacuous at any feasible instance size, so experiments
     use scaled-down values while formula-level tests keep the defaults.  The
     round count and the budget/failure splits are the fixed schedule below.
-    p_xi and base_threshold_log are ints >= 1 by _integer's rule.
+    c_xi is a finite float > 0 (_positive), p_xi and base_threshold_log ints >= 1 (_integer).
     """
 
     c_xi: float = 1000.0
@@ -182,8 +206,7 @@ class MechanismConstants:
     base_threshold_log: int = 1000
 
     def __post_init__(self):
-        if isinstance(self.c_xi, bool) or not (self.c_xi > 0 and math.isfinite(self.c_xi)):
-            raise ValueError(f"c_xi must be a positive finite number, got {self.c_xi!r}")
+        object.__setattr__(self, "c_xi", _positive("c_xi", self.c_xi, sys.float_info.max))
         for name in ("p_xi", "base_threshold_log"):
             object.__setattr__(self, name, _integer(name, getattr(self, name), 1))
 
@@ -229,13 +252,10 @@ def gap_threshold(m: int, rho: float, beta: float) -> float:
     Returns 2 * sqrt(K * log2(K / beta)) / sqrt(rho) with K = ceil(log2(m)).
     The tournament on an instance of m candidates whose gap is at least this
     value returns the minimum index with probability at least 1 - beta.
-    m, the number of candidates, is an integer >= 2 by _integer's rule.
+    m >= 2, rho > 0 and 0 < beta <= 0.5 by _integer's and _positive's rules.
     """
     m = _integer("m", m, 2)
-    if not rho > 0:
-        raise ValueError(f"rho must be positive, got {rho}")
-    if not 0 < beta <= 0.5:
-        raise ValueError(f"beta must lie in (0, 0.5], got {beta}")
+    rho, beta = _positive("rho", rho), _positive("beta", beta, 0.5)
     k = ceil_log2(m)
     if not k / beta > 1:
         raise ValueError("need ceil(log2(m)) / beta > 1")
@@ -248,13 +268,10 @@ def loss_scale(k: int, rho: float, beta: float,
     """Scale unit of the recursive mechanism's derived losses.
 
     Returns (c_xi / sqrt(rho)) * (1 + log2(k))**p_xi * log2(c_xi*(k+1)/beta)
-    for an integer candidate-count exponent k >= 1; ValueError if it overflows a float.
+    for k >= 1, rho > 0, beta > 0 (_integer, _positive); ValueError if it overflows a float.
     """
     k = _integer("k", k, 1)
-    if not rho > 0:
-        raise ValueError(f"rho must be positive, got {rho}")
-    if not beta > 0:
-        raise ValueError(f"beta must be positive, got {beta}")
+    rho, beta = _positive("rho", rho), _positive("beta", beta)
     arg = consts.c_xi * (k + 1) / beta
     if not arg > 1:
         raise ValueError(f"log argument must exceed 1, got {arg}")

@@ -6,7 +6,7 @@ each halving tournament is one ``noisy_tournament`` call, combined_select's
 final comparison a two-member one, and query_all one ``BaseBatch(range(n))``
 through ``noisy_query_batch``, answered in one noise buffer.  Control flow,
 the tournament's inside the oracle included, depends only on noisy answers
-and the mechanism's own seeded randomness.
+and the mechanism's own seeded randomness.  Budgets and betas follow core._positive.
 """
 
 from __future__ import annotations
@@ -19,7 +19,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .core import (DEFAULT_CONSTANTS, RECURSION_SPLIT, LossInstance, MechanismConstants,
-                   ceil_log2, loss_scale, recursion_schedule)
+                   _positive, ceil_log2, loss_scale, recursion_schedule)
 from .queries import BaseBatch, Level, _index_array, _segment_blocks
 
 __all__ = [
@@ -101,8 +101,7 @@ def binary_tree_select(oracle, rho: float, candidates=None) -> SelectionResult:
     A contiguous candidate set is passed as a range.  A singleton returns
     immediately with no budget spent.
     """
-    if not rho > 0:
-        raise ValueError(f"rho must be positive, got {rho}")
+    rho = _positive("rho", rho)
     idx = _candidate_span(oracle, candidates)
     return _metered(oracle, lambda: (idx[oracle.noisy_tournament(idx, rho)], 0))
 
@@ -176,10 +175,7 @@ def recursive_gap_select(oracle, rho: float, beta: float,
     query on it is a MinCompare over that level, so every noisy answer still
     flows through the single oracle.
     """
-    if not rho > 0:
-        raise ValueError(f"rho must be positive, got {rho}")
-    if not 0 < beta <= 1:
-        raise ValueError(f"beta must lie in (0, 1], got {beta}")
+    rho, beta = _positive("rho", rho), _positive("beta", beta, 1)
     idx = _candidate_span(oracle, candidates)
     levels = recursion_schedule(len(idx), rho, beta, consts)
     offsets = []
@@ -203,8 +199,7 @@ def combined_select(oracle, rho: float,
     with rho/3, then spends the last rho/3 on a two-member tournament of
     the two winners: the second wins iff that comparison is strictly positive.
     """
-    if not rho > 0:
-        raise ValueError(f"rho must be positive, got {rho}")
+    rho = _positive("rho", rho)
     n = oracle.n_candidates
     if n < 2:
         raise ValueError("combined_select needs at least two candidates")
@@ -231,8 +226,7 @@ def exponential_mechanism(instance: LossInstance, rho: float,
     conversion (eps-DP implies eps**2/2-zCDP); the bounded-range sqrt(8*rho)
     is deliberately not used.
     """
-    if not rho > 0:
-        raise ValueError(f"rho must be positive, got {rho}")
+    rho = _positive("rho", rho)
     eps = math.sqrt(2.0 * rho)
     probs = -0.5 * eps * instance.as_array()
     probs -= probs.max()
@@ -247,8 +241,7 @@ def query_all_baseline(oracle, rho: float) -> SelectionResult:
 
     Exact ties go to the lowest index.
     """
-    if not rho > 0:
-        raise ValueError(f"rho must be positive, got {rho}")
+    rho = _positive("rho", rho)
     n = oracle.n_candidates
     return _metered(
         oracle, lambda: (np.argmin(oracle.noisy_query_batch(BaseBatch(range(n)), rho / n)), 0))
@@ -267,6 +260,7 @@ def binary_tree_round_bound(n: int) -> int:
 def recursive_gap_round_bound(n: int, beta: float,
                               consts: MechanismConstants = DEFAULT_CONSTANTS) -> int:
     # rho enters neither K nor the base-case rule, so any rho gives the same levels
+    beta = _positive("beta", beta, 1)
     return max(sum(k for k, _, _, _ in recursion_schedule(n, 1.0, beta, consts)), 1)
 
 

@@ -24,12 +24,13 @@ Child streams for mechanism-internal randomness come from
 from __future__ import annotations
 
 import math
+import sys
 from dataclasses import dataclass
 from typing import Callable
 
 import numpy as np
 
-from .core import LossInstance, _integer, ceil_log2
+from .core import LossInstance, _integer, _positive, ceil_log2
 from .queries import (
     BaseBatch, Level, LossExpr, _check_indices, _members, _span_source, eval_expr,
     sensitivity_bound,
@@ -82,7 +83,7 @@ LOG_CSV_HEADER = "round,rho_i,sensitivity_bound,answer"
 
 
 class BudgetOracle:
-    """Curator of one instance under a positive, finite total zCDP budget.
+    """Curator of one instance under a finite total zCDP budget (core._positive).
 
     One oracle serves one trial on a single logical thread; run concurrent
     trials on distinct oracles.  Every answer is its value plus a noise row
@@ -97,10 +98,8 @@ class BudgetOracle:
                  record_log: bool = True):
         if not isinstance(instance, LossInstance):
             raise TypeError("instance must be a LossInstance")
-        if not (total_budget > 0 and math.isfinite(total_budget)):
-            raise ValueError(f"total_budget must be positive and finite, got {total_budget}")
         self.instance = instance
-        self.total_budget = float(total_budget)
+        self.total_budget = _positive("total_budget", total_budget, sys.float_info.max)
         self.record_log = record_log
         self.spent = 0.0
         self.rounds_used = 0
@@ -169,8 +168,7 @@ class BudgetOracle:
 
     def noisy_query(self, expr: LossExpr, rho_i: float) -> float:
         """Answer expr(instance) + N(0, 1/(2*rho_i)), charging rho_i."""
-        if not rho_i > 0:
-            raise ValueError(f"rho_i must be positive, got {rho_i}")
+        rho_i = _positive("rho_i", rho_i)
         bound = sensitivity_bound(expr)
         if bound > 1.0 + _SENSITIVITY_TOL:
             raise SensitivityViolationError(f"sensitivity bound {bound} exceeds 1")
@@ -202,18 +200,15 @@ class BudgetOracle:
         made once the first round is charged, and a failure at round j < w
         restores the generator state saved before it and redraws j rows.  So
         a failure at round j leaves exactly the rounds before j charged,
-        drawn and logged, as the per-round loop would.
+        drawn and logged, as the per-round loop would.  rho follows core._positive.
         """
-        if not rho > 0:
-            raise ValueError(f"rho must be positive, got {rho}")
+        rho = _positive("rho", rho)
         members = _members(members, level)
         n = len(members)
         value = _span_source(members, (n + 1) // 2, level, self.instance, self._level_memo)
         if n == 1:
             return 0
-        rho_round = rho / ceil_log2(n)
-        if not rho_round > 0:  # a subnormal rho can underflow
-            raise ValueError(f"rho must be positive, got {rho}")
+        rho_round = _positive("rho / K", rho / ceil_log2(n))  # a subnormal rho can underflow
         rows = None
         if n >= _WINDOW_MIN_MEMBERS:
             ahead, start = n.bit_length() - 1, self.rounds_used
@@ -248,8 +243,7 @@ class BudgetOracle:
         """
         if type(batch) is not BaseBatch:
             raise TypeError(f"a batch must be a BaseBatch, got {type(batch).__name__}")
-        if not rho_each > 0:
-            raise ValueError(f"rho_each must be positive, got {rho_each}")
+        rho_each = _positive("rho_each", rho_each)
         idx = batch.indices
         count = len(idx)
         if count == 0:
@@ -301,12 +295,10 @@ class EqualBudgetPlan:
 
 def plan_equal_budget(rho_i: float, m_bound: int, rho: float) -> EqualBudgetPlan:
     """Repeat count and top-up variance for one variable-budget query; m_bound
-    is an integer >= 1 (core._integer's rule)."""
+    is an integer >= 1, rho > 0 and rho_i in (0, rho] (core._integer, _positive)."""
     m_bound = _integer("m_bound", m_bound, 1)
-    if not rho > 0:
-        raise ValueError(f"rho must be positive, got {rho}")
-    if not 0 < rho_i <= rho * (1.0 + RELATIVE_BUDGET_SLACK):
-        raise ValueError(f"rho_i must lie in (0, rho], got {rho_i}")
+    rho = _positive("rho", rho)
+    rho_i = _positive("rho_i", rho_i, rho * (1.0 + RELATIVE_BUDGET_SLACK))
     m_prime = 2 * m_bound
     rho_prime = 2.0 * rho
     ratio = m_prime * rho_i / rho_prime

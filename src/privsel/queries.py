@@ -14,7 +14,7 @@ semantics, used by the sensitivity fuzzer, the tests and the demos.
 Node semantics on a loss vector l (extended-real valued):
 
     Base(i)            l[i]
-    Const(v)           v  (v may be +/-inf)
+    Const(v)           float(v)  (v may be +/-inf)
     MinOver(es)        min of child values
     MaxOver(es)        max of child values
     GapOver(es)        second smallest minus smallest child value, +inf for
@@ -22,8 +22,8 @@ Node semantics on a loss vector l (extended-real valued):
                        of l on the index set S, over a level's entries a
                        derived gap (Level computes those in numpy)
     Sub(a, b)          a - b
-    Scale(c, e)        c * e
-    AddConst(c, e)     e + c
+    Scale(c, e)        float(c) * e
+    AddConst(c, e)     e + float(c)
     Level(P, S, c)     vector, one entry per subset S_t of positions in P:
                        (1/2) * max(min_{S_t} v - (min v + c), -gap_{S_t} v)
                        where v is P's vector: the losses l[i] of its
@@ -112,7 +112,7 @@ from typing import Iterable, Union
 
 import numpy as np
 
-from .core import LossInstance, _integer
+from .core import LossInstance, _integer, _positive
 
 __all__ = [
     "Base", "Const", "MinOver", "MaxOver", "GapOver", "Sub", "Scale",
@@ -454,7 +454,7 @@ def _span_source(idx, split: int, level, instance: LossInstance, memo: dict):
         vals = vals[idx]
         return lambda lo, mid, hi: 0.5 * (_min_of(vals[lo:mid]) - _min_of(vals[mid:hi]))
     start = idx.start
-    table = vars(instance).get("_block_minima")  # built by an earlier call, if any
+    table = instance.built_block_minima  # built by an earlier call, if any
     if table is None or n & (n - 1) or start % n or 2 * split != n:
         return lambda lo, mid, hi: 0.5 * (_range_min(instance, start + lo, start + mid)
                                           - _range_min(instance, start + mid, start + hi))
@@ -517,9 +517,9 @@ def eval_expr(expr: LossExpr, instance: LossInstance, memo: dict | None = None) 
         elif t is Sub:
             v = ev(node.left) - ev(node.right)
         elif t is Scale:
-            v = node.factor * ev(node.child)
+            v = float(node.factor) * ev(node.child)
         elif t is AddConst:
-            v = ev(node.child) + node.offset
+            v = ev(node.child) + float(node.offset)
         elif t is MinCompare:
             idx, split = node.indices, node.split
             v = _span_source(idx, split, node.level, instance, memo)(0, split, len(idx))
@@ -563,7 +563,7 @@ def sensitivity_bound(expr: LossExpr) -> float:
         elif t is Sub:
             b = bd(node.left) + bd(node.right)
         elif t is Scale:
-            b = abs(node.factor) * bd(node.child)
+            b = abs(float(node.factor)) * bd(node.child)
         elif t is AddConst:
             b = bd(node.child)
         elif t is MinCompare:
@@ -605,11 +605,10 @@ def build_tilde_loss(subset: Iterable[int], k: int, xi_value: float,
     The universe minimum realizes the optimal loss as a sensitivity-1
     function of the data, so the whole expression has sensitivity bound
     exactly 1.  A singleton subset has gap +inf, so its score reduces to the
-    first branch.  k is an integer >= 1 (core._integer's rule).
+    first branch.  k >= 1 and xi_value > 0 by core._integer's and _positive's rules.
     """
     k = _integer("k", k, 1)
-    if not xi_value > 0:
-        raise ValueError(f"xi_value must be positive, got {xi_value}")
+    xi_value = _positive("xi_value", xi_value)
     sub = np.unique(_index_array(subset))
     uni = np.unique(_index_array(universe))
     if sub.size == 0:

@@ -33,7 +33,7 @@ import numpy as np
 
 from .core import (
     DEFAULT_CONSTANTS, SUBSET_ROUNDS_COEFF, LossInstance, MechanismConstants, _integer,
-    derived_rounds_ceil_log, loss_scale,
+    _positive, derived_rounds_ceil_log, loss_scale,
 )
 from .queries import (
     AddConst, Base, Const, GapOver, MaxOver, MinOver, Scale, Sub,
@@ -76,8 +76,8 @@ class CheckResult:
 
 
 # ---------------------------------------------------------------------------
-# High-precision closed forms.  First arguments may be any positive reals
-# here (the float-path functions in core restrict them to integers).
+# High-precision closed forms, outside core._positive: float() would drop digits.
+# First arguments may be any positive reals here (core restricts them to integers).
 
 
 def loss_scale_hp(k, rho, beta, consts: MechanismConstants = DEFAULT_CONSTANTS):
@@ -140,13 +140,10 @@ def point_checks(k: int, rho, beta,
     core.derived_rounds_ceil_log(K), noted t-exponent-integer when K is a
     perfect square.  The splits are the exact 4/5 and 1/5 (mpf(0.8) is not
     4/5); a test ties them to the core's.  The domain is an integer K >= 1000
-    (core._integer's rule) and 0 < beta <= 0.001.
+    (core._integer's rule), rho > 0 and 0 < beta <= 0.001 (core._positive's).
     """
     k = _integer("k", k, 1000)
-    if not rho > 0:
-        raise ValueError(f"rho must be positive, got {rho}")
-    if not 0 < beta <= 0.001:
-        raise ValueError(f"domain requires beta in (0, 0.001], got {beta}")
+    rho, beta = _positive("rho", rho), _positive("beta", beta, 0.001)
     params = f"K={k};rho={rho};beta={beta}"
     note = "t-exponent-integer" if math.isqrt(k) ** 2 == k else ""
     with mpmath.workdps(_DPS):
@@ -315,7 +312,7 @@ def check_good_subset_rate(k: int, instance: LossInstance,
     2**16 cells (the rate equals that of one draw of all its rows), when the
     instance has at most _MATRIX_MAX_VALUES distinct losses; with more, each
     such subset is drawn on its own.  k and trials must be integers >= 1 by
-    core._integer's rule (ValueError otherwise, before any draw).
+    core._integer's rule, rho and beta by _positive's (ValueError before any draw).
     """
     k = _integer("k", k, 1)
     n = len(instance)

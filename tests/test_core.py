@@ -28,6 +28,13 @@ class TestLossInstance:
         with pytest.raises(ValueError):
             LossInstance((math.nan,))
 
+    def test_built_block_minima_never_builds_the_table(self):
+        inst = LossInstance((3.0, 1.0, 4.0, 1.0, 5.0))
+        assert inst.built_block_minima is None
+        assert inst.built_block_minima is None
+        table = inst.block_minima()
+        assert inst.built_block_minima is table
+
     def test_min_index_breaks_ties_low(self):
         assert LossInstance((3.0, 1.0, 1.0, 2.0)).min_index() == 1
         assert LossInstance((0.0, 0.0)).min_index() == 0

@@ -2,6 +2,7 @@
 
 import itertools
 import math
+from fractions import Fraction
 
 import numpy as np
 import pytest
@@ -9,6 +10,7 @@ from hypothesis import given, settings, strategies as st
 
 from privsel import queries
 from privsel.core import LossInstance
+from privsel.oracle import BudgetOracle
 from privsel.queries import (
     AddConst, Base, BaseBatch, Const, GapOver, Level, MaxOver, MinCompare,
     MinOver, Scale, Sub, _derive, _level_values, _segment_blocks, build_bintree_query,
@@ -111,6 +113,25 @@ class TestOracleEquivalence:
                 assert eval_expr(MinOver(bases(subset)), inst) == min(
                     losses[i] for i in subset)
                 assert eval_expr(GapOver(bases(subset)), inst) == sub_inst.gap()
+
+
+@pytest.mark.parametrize("node", [
+    lambda c: AddConst(c, Base(1)), lambda c: Scale(c, Base(0)),
+    lambda c: Scale(c, Sub(Base(2), AddConst(c, Base(0)))),
+])
+def test_tree_constants_are_read_as_floats(node):
+    """A numpy or Fraction constant answers and logs as the float it equals."""
+    inst = LossInstance((0.25, -1.5, 3.0))
+
+    def answer(c):
+        oracle = BudgetOracle(inst, 1.0, seed=0)
+        value = oracle.noisy_query(node(c), 0.5)
+        return type(value), value, oracle.log_csv()
+    expected = answer(0.5)
+    for c in (np.float32(0.5), np.float64(0.5), Fraction(1, 2)):
+        assert type(eval_expr(node(c), inst)) is float
+        assert type(sensitivity_bound(node(c))) is float
+        assert answer(c) == expected
 
 
 class TestSensitivityRules:
