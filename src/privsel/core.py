@@ -41,6 +41,18 @@ def _integer(name: str, value, least: int) -> int:
     raise ValueError(f"{name} must be an integer >= {least}, got {value!r}")
 
 
+def _real(value) -> float:
+    """value as a float if it is a numbers.Real (numpy, int and Fraction
+    included) but not a bool, else NaN; shared by _positive and the tree
+    nodes' constant rule (queries._constant)."""
+    if type(value) is bool or not isinstance(value, numbers.Real):
+        return math.nan
+    try:
+        return float(value)
+    except OverflowError:  # an int or Fraction beyond every float
+        return math.nan
+
+
 def _positive(name: str, value, most: float = math.inf) -> float:
     """The one rule for a budget, a beta or a scale constant: value as a float
     if it is a float or numbers.Real (numpy, int and Fraction included) but not
@@ -48,12 +60,7 @@ def _positive(name: str, value, most: float = math.inf) -> float:
     ExperimentConfig (JSON input, ConfigError), verify's *_hp twins (float()
     would drop their mpmath digits) and generate_instance's scale (closed at 0).
     """
-    x = value
-    if type(x) is not float:
-        try:
-            x = float(x) if type(x) is not bool and isinstance(x, numbers.Real) else math.nan
-        except OverflowError:  # an int or Fraction beyond every float
-            x = math.nan
+    x = value if type(value) is float else _real(value)
     if 0 < x <= most:
         return x
     raise ValueError(f"{name} must be a real number in (0, {most!r}], got {value!r}")
@@ -257,9 +264,7 @@ def gap_threshold(m: int, rho: float, beta: float) -> float:
     m = _integer("m", m, 2)
     rho, beta = _positive("rho", rho), _positive("beta", beta, 0.5)
     k = ceil_log2(m)
-    if not k / beta > 1:
-        raise ValueError("need ceil(log2(m)) / beta > 1")
-    inner = math.log2(k / beta)
+    inner = math.log2(k / beta)  # >= 1: K >= 1 and beta <= 0.5
     return 2.0 * math.sqrt(k * inner) / math.sqrt(rho)
 
 

@@ -13,14 +13,13 @@ from __future__ import annotations
 
 import dataclasses
 import math
-import operator
 from dataclasses import dataclass
 
 import numpy as np
 
 from .core import (DEFAULT_CONSTANTS, RECURSION_SPLIT, LossInstance, MechanismConstants,
                    _positive, ceil_log2, loss_scale, recursion_schedule)
-from .queries import BaseBatch, Level, _index_array, _segment_blocks
+from .queries import BaseBatch, Level, _segment_blocks
 
 __all__ = [
     "SelectionResult", "InfeasibleConfigError", "DEFAULT_WORK_CAP",
@@ -55,33 +54,6 @@ class SelectionResult:
         return dataclasses.asdict(self)
 
 
-def _candidate_span(oracle, candidates) -> np.ndarray | range:
-    """The candidate set, sorted and duplicate-free: a range when it is
-    contiguous (the default set of all candidates included), else an int64
-    array.
-
-    Indices follow ``queries._index_array``'s rules: a float or bool dtype
-    raises TypeError and input that is not one-dimensional ValueError.
-    """
-    if candidates is None:
-        return range(oracle.n_candidates)
-    arr = _index_array(candidates)
-    # a small set is checked on one list: its order, both ends and contiguity
-    lst = arr.tolist() if arr.size <= 64 else None
-    increasing = (all(map(operator.lt, lst, lst[1:])) if lst is not None
-                  else (arr[1:] > arr[:-1]).all())
-    if not increasing:
-        arr, lst = np.unique(arr), None
-    if arr.size == 0:
-        raise ValueError("candidate set must be non-empty")
-    first, last = (lst[0], lst[-1]) if lst is not None else (int(arr[0]), int(arr[-1]))
-    if first < 0 or last >= oracle.n_candidates:
-        raise IndexError("candidate index out of range")
-    if last - first == arr.size - 1:
-        return range(first, last + 1)
-    return arr
-
-
 def _metered(oracle, select) -> SelectionResult:
     """The result of select() -> (winner, recursion depth), charged with the
     rounds and budget the oracle counted while it ran."""
@@ -91,19 +63,18 @@ def _metered(oracle, select) -> SelectionResult:
                            budget_spent=oracle.spent - spent0, recursion_depth=depth)
 
 
-def binary_tree_select(oracle, rho: float, candidates=None) -> SelectionResult:
-    """Noisy halving tournament over the candidate set.
+def binary_tree_select(oracle, rho: float) -> SelectionResult:
+    """Noisy halving tournament over all n candidates.
 
     Splits the candidates in index order into the first ceil(n/2) and the
     rest, queries which half holds the smaller minimum, descends, and repeats;
     at most ceil(log2(n)) queries (exactly that many when n is a power of
-    two) of budget rho/ceil(log2(n)) each, run by ``oracle.noisy_tournament``.
-    A contiguous candidate set is passed as a range.  A singleton returns
-    immediately with no budget spent.
+    two) of budget rho/ceil(log2(n)) each, run by ``oracle.noisy_tournament``
+    over ``range(n)``.  A single candidate returns immediately with no budget
+    spent.
     """
     rho = _positive("rho", rho)
-    idx = _candidate_span(oracle, candidates)
-    return _metered(oracle, lambda: (idx[oracle.noisy_tournament(idx, rho)], 0))
+    return _metered(oracle, lambda: (oracle.noisy_tournament(range(oracle.n_candidates), rho), 0))
 
 
 def _draw_subsets(rng, n: int, k: int, t_rounds: int) -> tuple[np.ndarray, np.ndarray]:
@@ -130,35 +101,31 @@ def _draw_subsets(rng, n: int, k: int, t_rounds: int) -> tuple[np.ndarray, np.nd
 
 
 def _recursive_gap(oracle, members, levels, offsets, rng, j=0) -> int:
-    """Position of the winner in members, the candidates of schedule level j.
-
-    members are base candidate indices (a step-1 range or an int64 array), or
-    a Level whose derived losses are the candidates.
+    """Position of the winner in members, the candidates of schedule level j:
+    range(n), the base candidates, at the top level, else a Level whose
+    derived losses are the candidates.
     """
     level = members if type(members) is Level else None
     k, t_rounds, rho, _ = levels[j]
     if not t_rounds:
-        return oracle.noisy_tournament(members if level is None else range(len(members)),
-                                       rho, level)
+        return oracle.noisy_tournament(range(len(members)), rho, level)
 
     indptr, indices = _draw_subsets(rng, len(members), k, t_rounds)
-    if type(members) is range:  # Level and the subset gather below need an array
-        members = np.arange(members.start, members.stop, dtype=np.int64)
-    derived = Level(members, indptr, indices, offsets[j])
+    prev = members if level is not None else np.arange(len(members), dtype=np.int64)
+    derived = Level(prev, indptr, indices, offsets[j])
 
     t_out = _recursive_gap(oracle, derived, levels, offsets, rng, j + 1)
 
+    # at the top level a position in range(n) is its base candidate
     sel = indices[indptr[t_out]:indptr[t_out + 1]]
-    pos = oracle.noisy_tournament(sel if level is not None else members[sel],
-                                  (1.0 - RECURSION_SPLIT) * rho, level)
+    pos = oracle.noisy_tournament(sel, (1.0 - RECURSION_SPLIT) * rho, level)
     return int(sel[pos])
 
 
 def recursive_gap_select(oracle, rho: float, beta: float,
                          consts: MechanismConstants = DEFAULT_CONSTANTS,
-                         rng: np.random.Generator | None = None,
-                         candidates=None) -> SelectionResult:
-    """Recursive large-gap subset selection.
+                         rng: np.random.Generator | None = None) -> SelectionResult:
+    """Recursive large-gap subset selection over all n candidates.
 
     Walks core.recursion_schedule(n, rho, beta, consts), which is fixed
     before the first draw.  The base-case level runs the halving tournament
@@ -176,8 +143,8 @@ def recursive_gap_select(oracle, rho: float, beta: float,
     flows through the single oracle.
     """
     rho, beta = _positive("rho", rho), _positive("beta", beta, 1)
-    idx = _candidate_span(oracle, candidates)
-    levels = recursion_schedule(len(idx), rho, beta, consts)
+    n = oracle.n_candidates
+    levels = recursion_schedule(n, rho, beta, consts)
     offsets = []
     for k, t_rounds, rho_j, beta_j in levels[:-1]:
         if t_rounds << (k - 1) > DEFAULT_WORK_CAP:
@@ -187,7 +154,7 @@ def recursive_gap_select(oracle, rho: float, beta: float,
     if rng is None:
         rng = oracle.spawn_rng()
     return _metered(oracle, lambda: (
-        idx[_recursive_gap(oracle, idx, levels, offsets, rng)], len(levels) - 1))
+        _recursive_gap(oracle, range(n), levels, offsets, rng), len(levels) - 1))
 
 
 def combined_select(oracle, rho: float,

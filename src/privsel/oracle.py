@@ -170,7 +170,7 @@ class BudgetOracle:
         """Answer expr(instance) + N(0, 1/(2*rho_i)), charging rho_i."""
         rho_i = _positive("rho_i", rho_i)
         bound = sensitivity_bound(expr)
-        if bound > 1.0 + _SENSITIVITY_TOL:
+        if not bound <= 1.0 + _SENSITIVITY_TOL:  # a NaN bound is refused too
             raise SensitivityViolationError(f"sensitivity bound {bound} exceeds 1")
         return self._respond(eval_expr(expr, self.instance, self._level_memo), rho_i, bound)
 
@@ -332,6 +332,7 @@ class EqualBudgetAdapter(BudgetOracle):
     def __init__(self, instance: LossInstance, m_bound: int, rho: float,
                  seed=None, *, record_log: bool = True):
         m_bound = _integer("m_bound", m_bound, 1)
+        rho = _positive("rho", rho, sys.float_info.max)
         super().__init__(instance, rho, seed, record_log=record_log)
         self.m_bound = m_bound
         self.inner_rounds_used = 0

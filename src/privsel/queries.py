@@ -14,7 +14,7 @@ semantics, used by the sensitivity fuzzer, the tests and the demos.
 Node semantics on a loss vector l (extended-real valued):
 
     Base(i)            l[i]
-    Const(v)           float(v)  (v may be +/-inf)
+    Const(v)           v  (v may be +/-inf)
     MinOver(es)        min of child values
     MaxOver(es)        max of child values
     GapOver(es)        second smallest minus smallest child value, +inf for
@@ -22,8 +22,8 @@ Node semantics on a loss vector l (extended-real valued):
                        of l on the index set S, over a level's entries a
                        derived gap (Level computes those in numpy)
     Sub(a, b)          a - b
-    Scale(c, e)        float(c) * e
-    AddConst(c, e)     e + float(c)
+    Scale(c, e)        c * e  (c finite)
+    AddConst(c, e)     e + c  (c may be +/-inf)
     Level(P, S, c)     vector, one entry per subset S_t of positions in P:
                        (1/2) * max(min_{S_t} v - (min v + c), -gap_{S_t} v)
                        where v is P's vector: the losses l[i] of its
@@ -35,6 +35,11 @@ Node semantics on a loss vector l (extended-real valued):
     MinCompare(Q, s, L)
                        the same over the level vector L at the strictly
                        increasing positions Q
+
+Each constant v or c, and a Level's offset, is stored at construction as
+the float it equals (``_constant``): a bool, a non-real or NaN raises
+ValueError, and so does an infinite Scale factor, the one way a bound could
+become inf * 0 = NaN.
 
 A Level is one derived level of the recursive mechanism, the vector of its
 T derived losses; it holds the subsets in CSR form and has no scalar value
@@ -112,7 +117,7 @@ from typing import Iterable, Union
 
 import numpy as np
 
-from .core import LossInstance, _integer, _positive
+from .core import LossInstance, _integer, _positive, _real
 
 __all__ = [
     "Base", "Const", "MinOver", "MaxOver", "GapOver", "Sub", "Scale",
@@ -145,9 +150,25 @@ class Base:
     index: int
 
 
+def _constant(node, name: str, finite: bool = False) -> None:
+    """The one rule for a tree node's constant: stored as the float it equals
+    if it is a float or numbers.Real (numpy, int and Fraction included) but
+    not a bool, and not NaN (nor +/-inf if finite); else ValueError."""
+    value = x = getattr(node, name)
+    if type(x) is not float:
+        x = _real(x)
+        object.__setattr__(node, name, x)
+    if x != x or finite and math.isinf(x):
+        kind = "a finite real number" if finite else "a real number other than NaN"
+        raise ValueError(f"{type(node).__name__} {name} must be {kind}, got {value!r}")
+
+
 @dataclass(frozen=True)
 class Const:
     value: float
+
+    def __post_init__(self):
+        _constant(self, "value")
 
 
 @dataclass(frozen=True, eq=False)
@@ -198,11 +219,17 @@ class Scale:
     factor: float
     child: "LossExpr"
 
+    def __post_init__(self):
+        _constant(self, "factor", finite=True)  # inf * a zero bound would be NaN
+
 
 @dataclass(frozen=True)
 class AddConst:
     offset: float
     child: "LossExpr"
+
+    def __post_init__(self):
+        _constant(self, "offset")
 
 
 def _increasing(arr: np.ndarray) -> bool:
@@ -245,7 +272,7 @@ class Level:
             raise ValueError("subset positions must be strictly increasing")
         object.__setattr__(self, "indptr", indptr)
         object.__setattr__(self, "indices", indices)
-        object.__setattr__(self, "offset", float(self.offset))
+        _constant(self, "offset")
 
     def __len__(self) -> int:
         return self.indptr.size - 1
@@ -503,7 +530,7 @@ def eval_expr(expr: LossExpr, instance: LossInstance, memo: dict | None = None) 
                 raise IndexError(f"candidate index out of range: {i} vs n={n}")
             v = arr.item(i)
         elif t is Const:
-            v = float(node.value)
+            v = node.value
         elif t is MinOver or t is MaxOver:
             vals = [ev(c) for c in node.children]
             v = min(vals) if t is MinOver else max(vals)
@@ -517,9 +544,9 @@ def eval_expr(expr: LossExpr, instance: LossInstance, memo: dict | None = None) 
         elif t is Sub:
             v = ev(node.left) - ev(node.right)
         elif t is Scale:
-            v = float(node.factor) * ev(node.child)
+            v = node.factor * ev(node.child)
         elif t is AddConst:
-            v = ev(node.child) + float(node.offset)
+            v = ev(node.child) + node.offset
         elif t is MinCompare:
             idx, split = node.indices, node.split
             v = _span_source(idx, split, node.level, instance, memo)(0, split, len(idx))
@@ -563,7 +590,7 @@ def sensitivity_bound(expr: LossExpr) -> float:
         elif t is Sub:
             b = bd(node.left) + bd(node.right)
         elif t is Scale:
-            b = abs(float(node.factor)) * bd(node.child)
+            b = abs(node.factor) * bd(node.child)
         elif t is AddConst:
             b = bd(node.child)
         elif t is MinCompare:
@@ -629,17 +656,13 @@ def build_tilde_loss(subset: Iterable[int], k: int, xi_value: float,
 # Canonical text form.
 
 
-def _fmt_num(x: float) -> str:
-    return repr(float(x))
-
-
 def format_expr(expr: LossExpr) -> str:
     """Canonical prefix-notation text of an expression."""
     t = type(expr)
     if t is Base:
         return f"(base {expr.index})"
     if t is Const:
-        return f"(const {_fmt_num(expr.value)})"
+        return f"(const {expr.value!r})"
     if t is MinOver or t is MaxOver:
         tag = "min" if t is MinOver else "max"
         return f"({tag} " + " ".join(format_expr(c) for c in expr.children) + ")"
@@ -648,14 +671,14 @@ def format_expr(expr: LossExpr) -> str:
     if t is Sub:
         return f"(sub {format_expr(expr.left)} {format_expr(expr.right)})"
     if t is Scale:
-        return f"(scale {_fmt_num(expr.factor)} {format_expr(expr.child)})"
+        return f"(scale {expr.factor!r} {format_expr(expr.child)})"
     if t is AddConst:
-        return f"(addc {_fmt_num(expr.offset)} {format_expr(expr.child)})"
+        return f"(addc {expr.offset!r} {format_expr(expr.child)})"
     if t is MinCompare and expr.level is None:
         sides = (expr.indices[:expr.split], expr.indices[expr.split:])
         left, right = ("(min " + " ".join(f"(base {i})" for i in map(int, side)) + ")"
                        for side in sides)
-        return f"(scale {_fmt_num(0.5)} (sub {left} {right}))"
+        return f"(scale 0.5 (sub {left} {right}))"
     if t is Level or t is MinCompare:
         raise TypeError(f"{t.__name__} has no text form: its tree expansion grows "
                         "exponentially with the number of levels")

@@ -218,10 +218,9 @@ def test_zero_noise_exhaustive_recovery():
             sub = mat[start:start + chunk]
             inst = LossInstance(sub.ravel())
             oracle = ExactOracle(inst, total_budget=2.0 * len(sub), record_log=False)
-            base = np.arange(len(sub) * n, dtype=np.int64)
             for b in range(len(sub)):
-                result = binary_tree_select(oracle, 1.0, candidates=base[b * n:(b + 1) * n])
-                assert result.winner == b * n + argmins[start + b]
+                winner = oracle.noisy_tournament(range(b * n, (b + 1) * n), 1.0)
+                assert winner == argmins[start + b]
                 checked += 1
     assert checked == 289756  # all unique-minimum vectors in {0..3}^(1..10)
     _finish(f"zero-noise exhaustive recovery ({checked} instances)", t0, 10.0)

@@ -11,7 +11,6 @@ the affected digest and records why in CHANGES.md.
 import hashlib
 import json
 
-import numpy as np
 import pytest
 
 from privsel.cli import main
@@ -59,20 +58,17 @@ ORACLE_LOGS = {
 
 # Edge cases of the derived-loss recursion (scaled constants, n = 1024, about
 # 15 derived levels each): constant losses tie everywhere, so gaps are 0 and
-# derived values -0.0; gapped has one isolated optimum; a non-contiguous
-# candidate set makes the first level's minimum range over the candidates
-# only.  Noiseless logs, run on the zero-noise fake ExactOracle, print exact
-# values, so they pin the tie rules as well as the query order.  Their zero
-# answers are +0.0 but for signed_zero's: its 8 candidates go straight to the
-# base-case tournament, whose first round compares a left half holding -0.0
-# ahead of +0.0 with a right half whose minimum is +0.0.  It logs
-# 0.5 * (-0.0 - 0.0) = -0.0, which only a noise of -0.0 keeps.  The noisy
-# layered runs are ORACLE_LOGS' combined and recursive_gap_scaled.
+# derived values -0.0; gapped has one isolated optimum.  Noiseless logs, run
+# on the zero-noise fake ExactOracle, print exact values, so they pin the tie
+# rules as well as the query order.  Their zero answers are +0.0 but for
+# signed_zero's: its 8 candidates go straight to the base-case tournament,
+# whose first round compares a left half holding -0.0 ahead of +0.0 with a
+# right half whose minimum is +0.0.  It logs 0.5 * (-0.0 - 0.0) = -0.0, which
+# only a noise of -0.0 keeps.  The noisy layered runs are ORACLE_LOGS'
+# combined and recursive_gap_scaled.
 # name -> (instance, mechanism, exact, digest of BudgetOracle.log_csv())
 RECURSIVE = lambda o: recursive_gap_select(o, 1.0, 0.1, SCALED)  # noqa: E731
 COMBINED = lambda o: combined_select(o, 1.0, SCALED)  # noqa: E731
-SPARSE = lambda o: recursive_gap_select(  # noqa: E731
-    o, 1.0, 0.1, SCALED, candidates=np.arange(5, 1024, 3))
 RECURSION_LOGS = {
     "recursive_gap/layered/noiseless": (
         LAYERED, RECURSIVE, True,
@@ -92,12 +88,6 @@ RECURSION_LOGS = {
     "recursive_gap/signed_zero/noiseless": (
         SIGNED_ZERO, RECURSIVE, True,
         "4f7fa9e38940ff71a2522353940afccc70c98cf51bb8c389d536e441ea5d1762"),
-    "recursive_gap/sparse_candidates/noiseless": (
-        LAYERED, SPARSE, True,
-        "82fd2bf71ebd74171ea1828bbc967591200eb38561e38316fad34035bbbd877b"),
-    "recursive_gap/sparse_candidates/noisy": (
-        LAYERED, SPARSE, False,
-        "7ca126fda327d6993ef2c22018e85e6cb6f0884a0b28405a577ec1769eecea4b"),
     "combined/layered/noiseless": (
         LAYERED, COMBINED, True,
         "af421b1519f1e66faf712c21cef2217521f010ee586eacc2413907d0c4a6aa55"),

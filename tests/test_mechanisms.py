@@ -50,11 +50,6 @@ class TestBinaryTree:
             oracle = _oracle([0.0, 10.0], 1e6, seed=seed)
             assert binary_tree_select(oracle, 1e6).winner == 0
 
-    def test_candidate_subset(self):
-        oracle = _oracle([0.0, 9.0, 1.0, 8.0], 1e6, seed=1)
-        result = binary_tree_select(oracle, 1e6, candidates=[1, 3])
-        assert result.winner == 3
-
     def test_zero_noise_exact_on_unique_minimum(self):
         rng = np.random.default_rng(0)
         for _ in range(300):
@@ -104,24 +99,13 @@ class TestBinaryTree:
             pass
 
         oracle = ExactRecording(LossInstance(losses), 1.0)
-        assert binary_tree_select(oracle, 1.0, candidates=[1, 2, 3, 4, 5, 6]).winner == 4
-        # survivors 1..6 -> right half 4..6 -> left half 4..5 -> left half 4
+        assert oracle.noisy_tournament(range(1, 7), 1.0) == 3
+        # members 1..6 -> right half 4..6 -> left half 4..5 -> left half 4, at position 3
         assert tournaments == [(range, None, [
             ([1, 2, 3, 4, 5, 6], 3),
             ([4, 5, 6], 2),
             ([4, 5], 1)])]
         assert oracle.rounds_used == 3
-
-    def test_contiguous_candidates_submit_ranges(self, monkeypatch):
-        Recording, tournaments = self._recording(monkeypatch)
-        inst = LossInstance(np.arange(10.0))
-        for candidates, kind in ((None, range), (np.arange(10)[2:7], range),
-                                 ([5, 3, 4, 6], range), (range(2, 7), range),
-                                 ([0, 2, 3, 5], np.ndarray)):
-            tournaments.clear()
-            binary_tree_select(Recording(inst, 1.0, seed=0), 1.0, candidates=candidates)
-            assert [(t, level) for t, level, _ in tournaments] == [(kind, None)]
-            assert tournaments[0][2]
 
     def test_range_rounds_answer_as_array_rounds(self):
         class AsArrays(BudgetOracle):
@@ -138,38 +122,10 @@ class TestBinaryTree:
         for inst, makes in ((generate_instance("uniform", n, 5.0, seed=4),
                              (BudgetOracle, AsArrays)), (zeros, (ExactOracle, ExactAsArrays))):
             runs = []
-            for make, candidates in ((makes[0], None), (makes[0], np.arange(n)),
-                                     (makes[1], None)):
+            for make in makes:
                 oracle = make(inst, 1.0, seed=11)
-                runs.append((binary_tree_select(oracle, 1.0, candidates=candidates),
-                             oracle.log_csv()))
-            assert runs[0] == runs[1] == runs[2]
-
-
-class TestCandidateValidation:
-    """Candidate sets follow the query language's index rules."""
-
-    @pytest.mark.parametrize("select", [
-        lambda oracle, c: binary_tree_select(oracle, 1.0, candidates=c),
-        lambda oracle, c: recursive_gap_select(oracle, 1.0, 0.05, SCALED, candidates=c),
-    ], ids=["binary_tree", "recursive_gap"])
-    def test_bad_candidates_rejected_before_any_charge_or_draw(self, select):
-        inst = generate_instance("layered", 256, 2.0, seed=1)
-        fresh = BudgetOracle(inst, 1.0, seed=3)
-        expected = (select(fresh, None), fresh.log_csv())
-        # none is truncated, cast or flattened into a candidate set
-        for bad, error, match in (([0.5, 3.7], TypeError, "integers"),
-                                  (np.array([1.9, 2.2]), TypeError, "integers"),
-                                  ([True, False], TypeError, "integers"),
-                                  (np.array([[0, 1], [2, 3]]), ValueError, "one-dimensional"),
-                                  (range(0), ValueError, "non-empty"),
-                                  (range(-1, 5), IndexError, "out of range"),
-                                  (range(250, 257), IndexError, "out of range")):
-            oracle = BudgetOracle(inst, 1.0, seed=3)
-            with pytest.raises(error, match=match):
-                select(oracle, bad)
-            assert (oracle.spent, oracle.rounds_used, oracle.log) == (0.0, 0, [])
-            assert (select(oracle, None), oracle.log_csv()) == expected
+                runs.append((binary_tree_select(oracle, 1.0), oracle.log_csv()))
+            assert runs[0] == runs[1]
 
 
 class TestRecursiveGap:

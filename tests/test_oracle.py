@@ -18,6 +18,7 @@ from privsel.oracle import (
 )
 from privsel.queries import (
     Base, BaseBatch, Const, GapOver, Level, MinCompare, Scale, Sub, eval_expr,
+    sensitivity_bound,
 )
 from privsel.mechanisms import binary_tree_select, combined_select, query_all_baseline
 from zero_noise import ExactAdapter, ExactOracle
@@ -144,6 +145,27 @@ class TestNoisyQuery:
         assert eval_expr(GapOver((Base(3), Base(5), Base(9))), instance) == two[1] - two[0]
         assert "losses" not in vars(instance)
 
+    def test_nan_bound_is_rejected_before_any_charge_or_draw(self):
+        # node constructors refuse a NaN or infinite factor, so each factor
+        # is set after construction: nan * 1 and inf * 0 both make the bound
+        # NaN.  Either tree is 5.0 on these losses but 11.0 on the neighbour
+        # (0, 4, 9), so answering it at sensitivity 1 would break the privacy.
+        def scale(factor, child):
+            node = Scale(1.0, child)
+            object.__setattr__(node, "factor", factor)
+            return node
+
+        inst = LossInstance((0.0, 3.0, 10.0))
+        fresh = BudgetOracle(inst, 1.0, seed=3).noisy_query(Base(0), 0.5)
+        for lead in (scale(math.nan, Base(0)), scale(math.inf, Const(0.0))):
+            query = GapOver((lead, Scale(5.0, Base(1)), Base(2)))
+            assert math.isnan(sensitivity_bound(query)) and eval_expr(query, inst) == 5.0
+            oracle = BudgetOracle(inst, 1.0, seed=3)
+            with pytest.raises(SensitivityViolationError):
+                oracle.noisy_query(query, 0.5)
+            assert (oracle.spent, oracle.rounds_used, oracle.log) == (0.0, 0, [])
+            assert oracle.noisy_query(Base(0), 0.5) == fresh
+
     def test_nonfinite_query_rejected(self):
         oracle = BudgetOracle(INST, 1.0, seed=0)
         with pytest.raises(NonFiniteQueryError):
@@ -177,7 +199,7 @@ class TestNoisyQuery:
         # an infinite budget let any query through and reported inf spent
         with pytest.raises(ValueError, match="total_budget"):
             BudgetOracle(INST, total)
-        with pytest.raises(ValueError, match="total_budget"):
+        with pytest.raises(ValueError, match="^rho must"):  # the adapter's own name
             EqualBudgetAdapter(INST, 4, total)
 
     def test_log_matches_spending(self):

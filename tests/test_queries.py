@@ -2,6 +2,7 @@
 
 import itertools
 import math
+from decimal import Decimal
 from fractions import Fraction
 
 import numpy as np
@@ -132,6 +133,33 @@ def test_tree_constants_are_read_as_floats(node):
         assert type(eval_expr(node(c), inst)) is float
         assert type(sensitivity_bound(node(c))) is float
         assert answer(c) == expected
+
+
+@pytest.mark.parametrize("make, field", [
+    (Const, "value"), (lambda c: Scale(c, Base(0)), "factor"),
+    (lambda c: AddConst(c, Base(0)), "offset"),
+    (lambda c: Level(np.arange(2), [0, 2], [0, 1], c), "offset"),
+], ids=["Const", "Scale", "AddConst", "Level"])
+def test_tree_constants_follow_one_rule(make, field):
+    """Each constant is stored once, at construction, as the float it equals;
+    a bool, a non-real, NaN and an unrepresentable int are refused, and so is
+    an infinite Scale factor, while the others may be +/-inf."""
+    for c in (np.float32(0.5), np.float64(0.5), Fraction(1, 2), 2, np.int64(2), -0.0):
+        stored = getattr(make(c), field)
+        assert type(stored) is float and stored == float(c)
+        assert math.copysign(1.0, stored) == math.copysign(1.0, float(c))
+    for bad in (True, False, np.True_, "2.5", None, Decimal("1"), 1 + 0j, math.nan,
+                np.float64(math.nan), 10**400):
+        with pytest.raises(ValueError, match="must be a"):
+            make(bad)
+    for c in (math.inf, -math.inf):
+        if field == "factor":
+            with pytest.raises(ValueError, match="finite"):
+                make(c)
+        else:
+            assert getattr(make(c), field) == c
+    assert eval_expr(Const(math.inf), LossInstance((0.0,))) == math.inf
+    assert format_expr(Const(-math.inf)) == "(const -inf)"
 
 
 class TestSensitivityRules:

@@ -93,11 +93,11 @@ SITES = {
     "BudgetOracle.noisy_query_batch.rho_each": (
         "rho_each", math.inf, 0.5,
         on_oracle(lambda o, v: o.noisy_query_batch(BaseBatch(range(8)), v).tolist())),
-    # the adapter's rho is its total budget, checked by BudgetOracle under that name
+    # the adapter's rho is its total budget, checked under its own name
     "EqualBudgetAdapter.rho": (
-        "total_budget", MAX, 2.0,
+        "rho", MAX, 2.0,
         plain(lambda v: EqualBudgetAdapter(INST, 4, v, seed=0).noisy_query(Base(1), 1.0))),
-    "equal_budget_simulate.rho": ("total_budget", MAX, 2.0, plain(simulated)),
+    "equal_budget_simulate.rho": ("rho", MAX, 2.0, plain(simulated)),
     "plan_equal_budget.rho": (
         "rho", math.inf, 2.0, plain(lambda v: fields(plan_equal_budget(1.0, 10, v)))),
     "plan_equal_budget.rho_i": (

@@ -305,6 +305,28 @@ class TestSensitivityFuzz:
     def test_deterministic_given_seed(self):
         assert sensitivity_fuzz(500, seed=3) == sensitivity_fuzz(500, seed=3)
 
+    def test_reports_violations_of_a_shrunken_bound(self, monkeypatch):
+        # a calculus claiming a quarter of each bound is caught: the fuzzer can fail
+        bound = verify.sensitivity_bound
+        monkeypatch.setattr(verify, "sensitivity_bound", lambda expr: 0.25 * bound(expr))
+        report = sensitivity_fuzz(200)
+        assert report.violations > 0 and report.max_ratio > 1 + 1e-9
+
+
+class TestVerdict:
+    @pytest.mark.parametrize("scale, verdict", [
+        (1 - 1e-6, Verdict.INCONCLUSIVE), (1 + 1e-6, None)])
+    def test_dead_zone_edges(self, scale, verdict):
+        # margin m is (favored - other) / max(|favored|, |other|): exactly m
+        # for (1, 1 - m) when m > 0 and for (1 + m, 1) when m < 0
+        with mpmath.workdps(verify._DPS):
+            for sign, outside in ((1, Verdict.PASS), (-1, Verdict.FAIL)):
+                m = mpmath.mpf(sign * scale) * verify.INCONCLUSIVE_REL
+                pair = (1, 1 - m) if m > 0 else (1 + m, 1)
+                got, margin = verify._verdict(*map(mpmath.mpf, pair))
+                assert got is (verdict or outside)
+                assert margin == pytest.approx(float(m), rel=1e-12)
+
 
 def traced_peak(run, count: int) -> int:
     """Peak bytes tracemalloc sees while run(count) runs.  An untraced run(1)
