@@ -183,7 +183,8 @@ class LossInstance:
         return int(np.argmin(self._array))
 
     def min_loss(self) -> float:
-        return float(self._array.min())
+        """The loss at min_index()."""
+        return self._array.item(self._array.argmin())
 
     def gap(self) -> float:
         """Second order statistic minus the minimum; +inf for a singleton.

@@ -19,7 +19,7 @@ import numpy as np
 
 from .core import (DEFAULT_CONSTANTS, RECURSION_SPLIT, LossInstance, MechanismConstants,
                    _positive, ceil_log2, loss_scale, recursion_schedule)
-from .queries import BaseBatch, Level, _segment_blocks
+from .queries import BaseBatch, Level
 
 __all__ = [
     "SelectionResult", "InfeasibleConfigError", "DEFAULT_WORK_CAP",
@@ -81,23 +81,15 @@ def _draw_subsets(rng, n: int, k: int, t_rounds: int) -> tuple[np.ndarray, np.nd
     """The T random subsets of range(n) of one level, as CSR (indptr, indices).
 
     Subset t has 2**(k - k_t) members, k_t uniform on 1..k, drawn without
-    replacement and stored in increasing order: one in-place sort of the
-    joined draws, keyed on segment * n + position block by block.
+    replacement and sorted as drawn.
     """
     draws = []
     for _ in range(t_rounds):
         k_t = int(rng.integers(1, k + 1))
-        draws.append(rng.choice(n, size=1 << (k - k_t), replace=False))
+        draws.append(np.sort(rng.choice(n, size=1 << (k - k_t), replace=False)))
     indptr = np.zeros(t_rounds + 1, dtype=np.int64)
     np.cumsum([d.size for d in draws], out=indptr[1:])
-    indices = np.concatenate(draws)
-    draws.clear()
-    for a, b in _segment_blocks(indptr):
-        indices[indptr[a]:indptr[b]] += np.repeat(
-            np.arange(a * n, b * n, n, dtype=np.int64), np.diff(indptr[a:b + 1]))
-    indices.sort()
-    np.remainder(indices, n, out=indices)
-    return indptr, indices
+    return indptr, np.concatenate(draws)
 
 
 def _recursive_gap(oracle, members, levels, offsets, rng, j=0) -> int:

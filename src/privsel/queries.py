@@ -50,10 +50,9 @@ numpy instead of node by node.  Minima and gaps take, among equal values,
 the first in position order, as the tree nodes' Python min does; that only
 decides the sign of a zero.  Each side of a MinCompare, over losses or a
 level, follows the same rule at every size: a MinCompare of up to 64
-members reads their values once, as a list, and reduces each side in
-Python; above that a side goes through ``_min_of``, in Python up to 64
-values, else with numpy, a zero numpy result replaced by the first equal
-value in index order.
+members reads their values once, as a list, and reduces each side with
+Python's min; above that a side goes through ``_min_of``, the value at
+numpy's argmin.  Both take the first of equal values.
 A range Q is admitted by an O(1) check of its ends and each side is reduced
 as a slice of the losses, with no bounds scan, gather or index copy; a side
 that is an aligned block of 2 or more candidates (2**j of them, starting at
@@ -126,10 +125,11 @@ __all__ = [
     "BaseBatch",
 ]
 
-# Up to this size, plain Python beats numpy on the minimum of a MinCompare side.
+# Up to this many members, a tournament reads its values once as a list:
+# there Python's min over list slices beats a numpy slice and argmin per side.
 _SMALL = 64
 
-# Members per block when a level is sorted or derived (_segment_blocks): the
+# Members per block when a level is derived (_segment_blocks): the
 # temporaries of a block stay small beside the level's own index array.
 _SEGMENT_BLOCK = 1 << 14
 
@@ -368,14 +368,9 @@ def _two_smallest(values) -> tuple[float, float]:
 
 
 def _min_of(sub: np.ndarray) -> float:
-    """Minimum of sub; among equal values the first in order, which only
-    decides the sign of a zero.  Up to _SMALL values it reduces in Python."""
-    if sub.size <= _SMALL:
-        return min(sub.tolist())
-    v = sub.min()
-    if v == 0:  # numpy may return either zero; take the first one
-        v = sub[np.flatnonzero(sub == 0)[0]]
-    return float(v)
+    """Minimum of sub; among equal values the first in order (argmin's rule),
+    which only decides the sign of a zero."""
+    return sub.item(sub.argmin())
 
 
 def _segment_first_min(values: np.ndarray, starts: np.ndarray,

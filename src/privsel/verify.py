@@ -28,7 +28,6 @@ from enum import Enum
 from fractions import Fraction
 from math import comb
 
-import mpmath
 import numpy as np
 
 from .core import (
@@ -78,10 +77,12 @@ class CheckResult:
 # ---------------------------------------------------------------------------
 # High-precision closed forms, outside core._positive: float() would drop digits.
 # First arguments may be any positive reals here (core restricts them to integers).
+# mpmath is imported inside them, so a process that does not certify never loads it.
 
 
 def loss_scale_hp(k, rho, beta, consts: MechanismConstants = DEFAULT_CONSTANTS):
     """mpmath twin of core.loss_scale, accepting real k > 0."""
+    import mpmath
     with mpmath.workdps(_DPS):
         k = mpmath.mpf(k)
         if not k > 0:
@@ -97,6 +98,7 @@ def loss_scale_hp(k, rho, beta, consts: MechanismConstants = DEFAULT_CONSTANTS):
 
 def gap_threshold_hp(ceil_log_m, rho, beta):
     """mpmath twin of core.gap_threshold in terms of the ceil-log argument."""
+    import mpmath
     with mpmath.workdps(_DPS):
         k = mpmath.mpf(ceil_log_m)
         if not k > 0:
@@ -111,6 +113,7 @@ def error_scale_from_log_hp(ceil_log_m, rho, beta,
                             consts: MechanismConstants = DEFAULT_CONSTANTS):
     """mpmath twin of core.error_scale in terms of the ceil-log argument,
     2 * ceil_log_m * loss_scale_hp(ceil_log_m, ...), accepting real arguments."""
+    import mpmath
     with mpmath.workdps(_DPS):
         k = mpmath.mpf(ceil_log_m)
         return 2 * k * loss_scale_hp(k, rho, beta, consts)
@@ -142,6 +145,7 @@ def point_checks(k: int, rho, beta,
     4/5); a test ties them to the core's.  The domain is an integer K >= 1000
     (core._integer's rule), rho > 0 and 0 < beta <= 0.001 (core._positive's).
     """
+    import mpmath
     k = _integer("k", k, 1000)
     rho, beta = _positive("rho", rho), _positive("beta", beta, 0.001)
     params = f"K={k};rho={rho};beta={beta}"

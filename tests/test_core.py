@@ -39,6 +39,11 @@ class TestLossInstance:
         assert LossInstance((3.0, 1.0, 1.0, 2.0)).min_index() == 1
         assert LossInstance((0.0, 0.0)).min_index() == 0
 
+    @pytest.mark.parametrize("losses", [(-0.0, 0.0), (0.0, -0.0), (1.0, -0.0, 0.0, -0.0)])
+    def test_min_loss_is_the_loss_at_min_index(self, losses):
+        inst = LossInstance(losses)
+        assert repr(inst.min_loss()) == repr(losses[inst.min_index()])
+
     def test_gap_basic(self):
         assert LossInstance((0.0, 5.0, 7.0)).gap() == 5.0
         assert LossInstance((2.0,)).gap() == math.inf

@@ -16,7 +16,6 @@ from privsel.mechanisms import (
     recursive_gap_round_bound, recursive_gap_select,
 )
 from privsel import oracle as oracle_module
-from privsel import queries
 from privsel.mechanisms import _draw_subsets
 from privsel.oracle import BudgetOracle
 from privsel.queries import BaseBatch
@@ -240,14 +239,13 @@ class TestRecursiveGap:
                 assert recursive_gap_round_bound(n, beta, consts) == \
                     max(sum(k for k, _, _, _ in levels), 1)
 
-    @pytest.mark.parametrize("block", [7, 64, queries._SEGMENT_BLOCK])
+    @pytest.mark.parametrize("seed", [7, 64, 1 << 14])
     @pytest.mark.parametrize("n, t_rounds", [(1000, 50), (4096, 300)])
-    def test_draws_are_the_sorted_one_by_one_draws(self, monkeypatch, n, t_rounds, block):
+    def test_draws_are_the_sorted_one_by_one_draws(self, n, t_rounds, seed):
         # the reference makes the same Generator calls in the same order and
-        # sorts each draw on its own; 4096 x 300 spans ~6 default blocks
-        monkeypatch.setattr(queries, "_SEGMENT_BLOCK", block)
+        # sorts each draw on its own
         k = ceil_log2(n)
-        rng, ref_rng = np.random.default_rng(5), np.random.default_rng(5)
+        rng, ref_rng = np.random.default_rng(seed), np.random.default_rng(seed)
         draws = [np.sort(ref_rng.choice(n, size=1 << (k - int(ref_rng.integers(1, k + 1))),
                                         replace=False)) for _ in range(t_rounds)]
         indptr, indices = _draw_subsets(rng, n, k, t_rounds)
@@ -256,9 +254,9 @@ class TestRecursiveGap:
         assert rng.bit_generator.state == ref_rng.bit_generator.state
 
     def test_recursive_trial_peak_memory(self):
-        # a level holds ~230k index slots here (1.8 MiB as int64); sorting and
-        # deriving it in blocks keeps a call's traced peak near twice that,
-        # where full-length temporaries took it to 7-9 MiB
+        # a level holds ~230k index slots here (1.8 MiB as int64); sorting each
+        # subset as drawn and deriving in blocks keeps a call's traced peak near
+        # twice that, where full-length temporaries took it to 7-9 MiB
         inst = generate_instance("layered", 1 << 12, 1.0, seed=0)
         for seed in (0, 1, 2):
             oracle = BudgetOracle(inst, 1.0, seed=seed, record_log=False)

@@ -371,7 +371,7 @@ class TestLevel:
     def test_sides_of_64_and_65_signed_zeros_match_trees(self, seed):
         # losses (0, 0, 1, 3), offset 1: subset {0, 1} scores -0.0, {2} +0.0
         # and {3} 1.0, so a side's minimum is a zero whose sign only the
-        # first-of-equals rule decides, on both sides of the 64-value threshold
+        # first-of-equals rule decides
         rng = np.random.default_rng([seed, 7])
         inst = LossInstance((0.0, 0.0, 1.0, 3.0))
         choices = ([0, 1], [2], [3])

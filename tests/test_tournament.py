@@ -241,17 +241,21 @@ def test_block_minima_are_python_min_of_every_aligned_block(n, values):
     assert not table.flags.writeable
 
 
-@pytest.mark.parametrize("failing_round", range(8))
-def test_budget_failure_leaves_earlier_rounds(failing_round):
-    # 256 candidates: 8 rounds of 1/8 each; the budget holds failing_round of them
-    instance = LossInstance(np.random.default_rng(0).uniform(0, 4, 256))
-    budget = failing_round / 8 if failing_round else 1 / 16
+@pytest.mark.parametrize("n, failing_round",
+                         [(256, j) for j in range(8)] + [(8, j) for j in range(3)],
+                         ids=[*map(str, range(8)), *(f"n8-{j}" for j in range(3))])
+def test_budget_failure_leaves_earlier_rounds(n, failing_round):
+    # K = log2 n rounds of 1/K each; the budget holds failing_round of them.
+    # n = 256 draws its first rounds' noise at once, n = 8 round by round.
+    rounds = ceil_log2(n)
+    instance = LossInstance(np.random.default_rng(0).uniform(0, 4, n))
+    budget = failing_round / rounds if failing_round else 1 / (2 * rounds)
     fast = BudgetOracle(instance, budget, seed=2)
     slow = BudgetOracle(instance, budget, seed=2)
     with pytest.raises(BudgetExceededError):
-        fast.noisy_tournament(range(256), 1.0)
+        fast.noisy_tournament(range(n), 1.0)
     with pytest.raises(BudgetExceededError):
-        reference_tournament(slow, range(256), 1.0)
+        reference_tournament(slow, range(n), 1.0)
     assert fast.rounds_used == len(fast.log) == failing_round
     assert state(fast) == state(slow)
     # the failing round drew nothing: the next draw is the stream's next value
@@ -259,12 +263,15 @@ def test_budget_failure_leaves_earlier_rounds(failing_round):
     assert fast._generator().normal() == draws[-1]
 
 
-@pytest.mark.parametrize("failing_round", range(1, 8))
+@pytest.mark.parametrize("n, failing_round",
+                         [(256, j) for j in range(1, 8)] + [(8, j) for j in range(1, 3)],
+                         ids=[*map(str, range(1, 8)), *(f"n8-{j}" for j in range(1, 3))])
 @pytest.mark.parametrize("form", ["range", "array"])
-def test_round_bound_failure_leaves_earlier_rounds(failing_round, form):
-    # the adapter declares fewer rounds than the tournament's 8
-    instance = LossInstance(np.random.default_rng(1).uniform(0, 4, 256))
-    members = range(256) if form == "range" else np.arange(256)
+def test_round_bound_failure_leaves_earlier_rounds(n, failing_round, form):
+    # the adapter declares fewer rounds than the tournament's log2 n; n = 256
+    # draws its first rounds' noise at once, n = 8 round by round
+    instance = LossInstance(np.random.default_rng(1).uniform(0, 4, n))
+    members = range(n) if form == "range" else np.arange(n)
     fast = EqualBudgetAdapter(instance, failing_round, 1.0, seed=4)
     slow = EqualBudgetAdapter(instance, failing_round, 1.0, seed=4)
     with pytest.raises(RoundsExceededError):

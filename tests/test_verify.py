@@ -2,6 +2,9 @@
 
 import itertools
 import math
+import os
+import subprocess
+import sys
 import tracemalloc
 from fractions import Fraction
 from math import comb
@@ -10,6 +13,7 @@ import mpmath
 import numpy as np
 import pytest
 
+import privsel
 from privsel import verify
 from privsel.core import (
     RECURSION_SPLIT, LossInstance, MechanismConstants, derived_rounds_ceil_log,
@@ -415,3 +419,15 @@ class TestSampleCounts:
             check_good_subset_rate(6, inst, SCALED, trials=300, seed=2)
         report = sensitivity_fuzz(np.int64(20), seed=4)
         assert type(report.trials) is int and report == sensitivity_fuzz(20, seed=4)
+
+
+def test_only_certification_imports_mpmath():
+    # a fresh interpreter, since this one has imported mpmath already
+    src = os.path.dirname(os.path.dirname(privsel.__file__))
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+        filter(None, (src, os.environ.get("PYTHONPATH")))))
+    code = ("import sys, privsel, privsel.cli, privsel.experiments; "
+            "print('mpmath' in sys.modules)")
+    out = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True,
+                         text=True, check=True).stdout
+    assert out == "False\n"
