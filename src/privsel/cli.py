@@ -9,7 +9,8 @@ Subcommands:
     simulate-equal-budget <config.json>  run mechanisms through the
                                   equal-budget adapter -> accounting CSV
 
-Exit codes: 0 all checks pass, 1 any non-PASS verdict, 2 config error.
+Exit codes: 0 all checks pass, 1 any non-PASS verdict, 2 config error (a bad
+config, constants file or argument, or a path that cannot be opened).
 """
 
 from __future__ import annotations
@@ -219,13 +220,15 @@ def build_parser() -> argparse.ArgumentParser:
         description="Private selection with budgeted Gaussian queries.")
     sub = parser.add_subparsers(dest="command", required=True)
 
-    p_run = sub.add_parser("run", help="run a Monte Carlo experiment config")
-    p_run.add_argument("config")
-    p_run.add_argument("--seed", type=int, default=None, help="override master_seed")
-    p_run.add_argument("--trials", type=int, default=None, help="override trials")
-    p_run.add_argument("--out", default=None, help="summary CSV path (default stdout)")
-    p_run.add_argument("--constants", default=None,
-                       help="JSON file of default mechanism constants")
+    p_config = argparse.ArgumentParser(add_help=False)
+    p_config.add_argument("config")
+    p_config.add_argument("--seed", type=int, default=None, help="override master_seed")
+    p_config.add_argument("--trials", type=int, default=None, help="override trials")
+    p_config.add_argument("--out", default=None, help="output CSV path (default stdout)")
+    p_config.add_argument("--constants", default=None,
+                          help="JSON file of default mechanism constants")
+
+    p_run = sub.add_parser("run", parents=[p_config], help="run a Monte Carlo experiment config")
     p_run.add_argument("--records", default=None, help="per-trial JSONL path")
     p_run.set_defaults(func=_cmd_run)
 
@@ -249,13 +252,8 @@ def build_parser() -> argparse.ArgumentParser:
     p_gen.add_argument("--out", default=None)
     p_gen.set_defaults(func=_cmd_gen)
 
-    p_eq = sub.add_parser("simulate-equal-budget",
+    p_eq = sub.add_parser("simulate-equal-budget", parents=[p_config],
                           help="run mechanisms through the equal-budget adapter")
-    p_eq.add_argument("config")
-    p_eq.add_argument("--seed", type=int, default=None, help="override master_seed")
-    p_eq.add_argument("--trials", type=int, default=None, help="override trials")
-    p_eq.add_argument("--out", default=None)
-    p_eq.add_argument("--constants", default=None)
     p_eq.set_defaults(func=_cmd_simulate_equal_budget)
 
     return parser
@@ -266,7 +264,7 @@ def main(argv=None) -> int:
     args = parser.parse_args(argv)
     try:
         return args.func(args)
-    except (FileNotFoundError, ValueError) as exc:
+    except (OSError, ValueError) as exc:  # a path that cannot be opened is a config error
         print(f"config error: {exc}", file=sys.stderr)
         return 2
     except NonFiniteQueryError as exc:  # losses are finite, so the query read a derived one

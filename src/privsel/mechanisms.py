@@ -95,7 +95,9 @@ def _draw_subsets(rng, n: int, k: int, t_rounds: int) -> tuple[np.ndarray, np.nd
 def _recursive_gap(oracle, members, levels, offsets, rng, j=0) -> int:
     """Position of the winner in members, the candidates of schedule level j:
     range(n), the base candidates, at the top level, else a Level whose
-    derived losses are the candidates.
+    derived losses are the candidates; range(n) is level 0 itself.  A step-1
+    range is kept as given, any other ordered input becomes an int64 array,
+    and a set raises TypeError.
     """
     level = members if type(members) is Level else None
     k, t_rounds, rho, _ = levels[j]
@@ -103,8 +105,7 @@ def _recursive_gap(oracle, members, levels, offsets, rng, j=0) -> int:
         return oracle.noisy_tournament(range(len(members)), rho, level)
 
     indptr, indices = _draw_subsets(rng, len(members), k, t_rounds)
-    prev = members if level is not None else np.arange(len(members), dtype=np.int64)
-    derived = Level(prev, indptr, indices, offsets[j])
+    derived = Level(members, indptr, indices, offsets[j])
 
     t_out = _recursive_gap(oracle, derived, levels, offsets, rng, j + 1)
 

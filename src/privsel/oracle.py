@@ -32,7 +32,7 @@ import numpy as np
 
 from .core import LossInstance, _integer, _positive, ceil_log2
 from .queries import (
-    BaseBatch, Level, LossExpr, _check_indices, _members, _span_source, eval_expr,
+    BaseBatch, Level, LossExpr, _check_indices, _members, _span_source, _take, eval_expr,
     sensitivity_bound,
 )
 
@@ -177,14 +177,13 @@ class BudgetOracle:
     def noisy_tournament(self, members, rho: float, level: Level | None = None) -> int:
         """Run a noisy halving tournament; return the survivor's position in members.
 
-        members are base candidate indices (a step-1 range or an index
-        array) or, with ``level``, strictly increasing positions in that
-        level's derived losses.  With K = ceil(log2(len(members))), each
-        round, at most K of them, answers MinCompare(members[lo:hi],
-        mid - lo, level), mid = lo + ceil((hi - lo) / 2), with budget rho / K,
-        and keeps the right half iff the noisy answer is > 0.  A singleton is
-        admitted like any other member set, then returns 0 and charges, draws
-        and logs nothing.
+        members are an index set of base candidates or, with ``level``, of
+        strictly increasing positions in that level's derived losses.  With
+        K = ceil(log2(len(members))), each round, at most K of them, answers
+        MinCompare(members[lo:hi], mid - lo, level), mid = lo + ceil((hi - lo)
+        / 2), with budget rho / K, and keeps the right half iff the noisy
+        answer is > 0.  A singleton is admitted like any other member set,
+        then returns 0 and charges, draws and logs nothing.
 
         No node is built.  The members are admitted once by MinCompare's
         rules (``_members``: not empty; over a level, increasing and in
@@ -235,9 +234,9 @@ class BudgetOracle:
         Equivalent to one noisy_query per query, in order, answered as one
         vectorised batch: range check (a range's two ends), one ``_charge``
         of count queries (the hook each scalar query charges through, with
-        count 1), ``_answer_batch`` over a range's slice view or an array's
-        gather (the values of that many scalar answers, in one noise buffer),
-        then the log.  The batch is admitted whole or not at all: a rejected
+        count 1), ``_answer_batch`` over the values ``_take`` reads (the
+        values of that many scalar answers, in one noise buffer), then the
+        log.  The batch is admitted whole or not at all: a rejected
         batch charges, draws and logs nothing.  Any input other than a
         BaseBatch raises TypeError.
         """
@@ -250,9 +249,7 @@ class BudgetOracle:
             return np.empty(0)
         _check_indices(idx, self.n_candidates)
         self._charge(rho_each, count)
-        losses = self.instance.as_array()
-        values = losses[idx.start:idx.stop] if type(idx) is range else losses[idx]
-        answers = self._answer_batch(values, rho_each)
+        answers = self._answer_batch(_take(self.instance.as_array(), idx), rho_each)
         start = self.rounds_used
         self.rounds_used += count
         if self.record_log:

@@ -27,11 +27,11 @@ Node semantics on a loss vector l (extended-real valued):
     Level(P, S, c)     vector, one entry per subset S_t of positions in P:
                        (1/2) * max(min_{S_t} v - (min v + c), -gap_{S_t} v)
                        where v is P's vector: the losses l[i] of its
-                       candidate indices when P is an index array (level 0),
+                       candidate indices when P is an index set (level 0),
                        else P's own values; a singleton's gap is +inf
     MinCompare(Q, s)   (min of l at Q[:s] - min of l at Q[s:]) / 2, the
                        halving tournament's query; both parts non-empty;
-                       Q is an int64 array or a step-1 range of indices
+                       Q is an index set of candidates
     MinCompare(Q, s, L)
                        the same over the level vector L at the strictly
                        increasing positions Q
@@ -53,12 +53,15 @@ level, follows the same rule at every size: a MinCompare of up to 64
 members reads their values once, as a list, and reduces each side with
 Python's min; above that a side goes through ``_min_of``, the value at
 numpy's argmin.  Both take the first of equal values.
-A range Q is admitted by an O(1) check of its ends and each side is reduced
-as a slice of the losses, with no bounds scan, gather or index copy; a side
-that is an aligned block of 2 or more candidates (2**j of them, starting at
-a multiple of 2**j) reads one entry of the instance's cached
-``block_minima`` table, built by the same rule, once the instance has been
-asked for enough such blocks to pay for building it (``block_min``).
+An index set (a level 0, the members of a MinCompare or a tournament, a
+BaseBatch) follows one form rule, ``_members``'s.  A step-1 range is kept as
+given, any other ordered input becomes an int64 array, and a set raises
+TypeError.  A range is admitted by an O(1) check of its ends and read as a
+slice (``_take``), with no bounds scan, gather or index copy.  Over base
+losses, a side that is an aligned block of 2 or more candidates (2**j of
+them, starting at a multiple of 2**j) reads one entry of the instance's
+cached ``block_minima`` table, built by the same rule, once the instance has
+been asked for enough such blocks to pay for building it (``block_min``).
 
 The halving tournament (``BudgetOracle.noisy_tournament``) builds no node:
 it admits its members Q once by MinCompare's rule (``_members``), then
@@ -71,10 +74,8 @@ same evaluator over the full span of its admitted members.  The tree
 nodes reduce in plain Python at every size and share no numpy code with
 Level and MinCompare, so comparing the two is an independent check.
 
-A BaseBatch is not a node: it is the sequence of Base(i) for the i of a
-step-1 range, kept as given, or of an int64 index array, which the oracle
-answers as one vectorised batch in one noise buffer; a range is admitted by
-its ends and read as a slice of the losses, with no gather.
+A BaseBatch is not a node: it is the sequence of Base(i) for the i of an
+index set, answered as one vectorised batch in one noise buffer.
 
 Sensitivity calculus (upper bound on the change of the value between loss
 vectors differing by at most 1 per coordinate):
@@ -88,7 +89,7 @@ Every Level entry has bound 1, by induction on the chain.  The Level rule
 is the tree rule folded once: with b the bound of the level below, the
 subset minimum minus the offset universe minimum has bound 2b, the negated
 gap 2b (0 for a singleton), their max 2b, and the halving gives b again.
-A Level's ``prev`` is either the candidate index array, whose entries are
+A Level's ``prev`` is either an index set of candidates, whose entries are
 losses (b = 1), or another Level, so b = 1 at every level.  MinCompare is
 Scale(1/2, Sub(MinOver, MinOver)) as one node, over losses or over such
 entries, so its bound is (1 + 1) / 2 = 1.  Neither needs a walk.
@@ -112,7 +113,7 @@ from __future__ import annotations
 import math
 from collections.abc import Sequence
 from dataclasses import dataclass
-from typing import Iterable, Union
+from typing import Union
 
 import numpy as np
 
@@ -135,9 +136,9 @@ _SEGMENT_BLOCK = 1 << 14
 
 
 def _index_array(indices) -> np.ndarray:
-    arr = np.asarray(list(indices) if isinstance(indices, (set, frozenset)) else indices)
+    arr = np.asarray(indices)  # a set is one object here, with no order to take
     if arr.size and arr.dtype.kind not in "iu":
-        raise TypeError(f"indices must be integers, got dtype {arr.dtype}")
+        raise TypeError(f"indices must be ordered integers: {type(indices).__name__} {arr.dtype}")
     if arr.ndim != 1:
         raise ValueError("index set must be one-dimensional")
     return arr.astype(np.int64, copy=False)
@@ -240,24 +241,22 @@ def _increasing(arr: np.ndarray) -> bool:
 class Level:
     """One derived level: T derived losses over the level below.
 
-    ``prev`` is the level below: an index array of base candidates (level 0)
-    or another Level.  Subset t is ``indices[indptr[t]:indptr[t+1]]``, a
-    non-empty, strictly increasing run of positions in ``prev``.  ``offset``
-    is the recursion's (k + sqrt(k)) * xi.  See the module docstring for the
-    value and bound rules.
+    ``prev`` is the level below: a non-empty index set of base candidates
+    (level 0) or another Level.  A step-1 range is kept as given, any other
+    ordered input becomes an int64 array, and a set raises TypeError.  Subset
+    t is ``indices[indptr[t]:indptr[t+1]]``, a non-empty, strictly increasing
+    run of positions in ``prev``.  ``offset`` is the recursion's
+    (k + sqrt(k)) * xi.  See the module docstring for the value and bound rules.
     """
 
-    prev: "np.ndarray | Level"
+    prev: "np.ndarray | range | Level"
     indptr: np.ndarray
     indices: np.ndarray
     offset: float
 
     def __post_init__(self):
         if type(self.prev) is not Level:
-            prev = _index_array(self.prev)
-            if prev.size == 0:
-                raise ValueError("level 0 needs at least one candidate")
-            object.__setattr__(self, "prev", prev)
+            object.__setattr__(self, "prev", _members(self.prev, None))
         indptr = _index_array(self.indptr)
         indices = _index_array(self.indices)
         if indptr.size < 2 or indptr[0] != 0 or indptr[-1] != indices.size:
@@ -286,11 +285,8 @@ class MinCompare:
     base losses, or ``level``'s derived losses when it is given; positions in
     a level must be strictly increasing.  Both sides must be non-empty:
     split is an integer >= 1 (core._integer's rule) below len(indices).
-
-    Over base losses, a step-1 ``range`` of candidates is kept as given: it
-    is bounds-checked in O(1) at evaluation and each side is reduced as a
-    slice of the losses.  Every other input, and every level-form input, is
-    stored as an int64 array.
+    A step-1 range is kept as given, any other ordered input becomes an int64
+    array, and a set raises TypeError.
     """
 
     indices: np.ndarray | range
@@ -306,16 +302,18 @@ class MinCompare:
 
 
 def _members(idx, level: Level | None) -> np.ndarray | range:
-    """The members of a tournament or (split aside) of MinCompare(idx, split,
-    level), as admitted; _span_source checks base candidates' range."""
-    if type(idx) is not range or idx.step != 1 or level is not None:
+    """The members of a tournament, a level 0 or (split aside) of
+    MinCompare(idx, split, level), as admitted; _span_source checks base
+    candidates' range.  A step-1 range is kept as given, any other ordered
+    input becomes an int64 array, and a set raises TypeError."""
+    if type(idx) is not range or idx.step != 1:
         idx = _index_array(idx)
     if not len(idx):
         raise ValueError("the member set is empty")
     if level is not None:
         if type(level) is not Level:
             raise TypeError(f"MinCompare needs a Level, got {type(level).__name__}")
-        if not _increasing(idx):
+        if type(idx) is not range and not _increasing(idx):
             raise ValueError("positions must be strictly increasing")
         if idx[0] < 0 or idx[-1] >= len(level):
             raise IndexError(f"position out of range for {len(level)} entries")
@@ -328,11 +326,11 @@ LossExpr = Union[Base, Const, MinOver, MaxOver, GapOver, Sub, Scale, AddConst, M
 class BaseBatch(Sequence):
     """The queries Base(i) for the i of some indices, as a read-only sequence.
 
-    ``indices`` is a step-1 ``range`` kept as given, as in MinCompare, or
-    else a read-only int64 array.  ``len()`` is their count, and iterating
-    or indexing yields Base nodes with ``int`` indices built on demand, so
-    the batch holds no nodes; a slice is the BaseBatch of the sliced
-    indices.  The oracle answers the batch in one noise buffer.
+    ``indices`` follow MinCompare's form rule, as a read-only array if not a
+    range.  ``len()`` is their count, and iterating or indexing yields Base
+    nodes with ``int`` indices built on demand, so the batch holds no nodes;
+    a slice is the BaseBatch of the sliced indices.  The oracle answers the
+    batch in one noise buffer.
     """
 
     __slots__ = ("indices",)
@@ -429,7 +427,7 @@ def _level_values(level: Level, instance: LossInstance, memo: dict) -> np.ndarra
         values = memo[id(below)][1]
     else:
         _check_indices(below, len(instance))
-        values = instance.as_array()[below]
+        values = _take(instance.as_array(), below)
     for node in reversed(levels):
         values = _derive(values, node)
         memo[id(node)] = (node, values)
@@ -447,6 +445,11 @@ def _check_indices(idx: np.ndarray | range, n: int) -> None:
         raise IndexError(f"candidate index out of range: [{lo}, {hi}] vs n={n}")
 
 
+def _take(values: np.ndarray, idx: np.ndarray | range) -> np.ndarray:
+    """values at admitted members idx: a range's slice view, an array's gather."""
+    return values[idx.start:idx.stop] if type(idx) is range else values[idx]
+
+
 def _range_min(instance: LossInstance, lo: int, hi: int) -> float:
     """Minimum of the losses in [lo, hi), by the tie rule of _min_of."""
     size = hi - lo
@@ -461,19 +464,19 @@ def _span_source(idx, split: int, level, instance: LossInstance, memo: dict):
     """The evaluator value(lo, mid, hi) of MinCompare(idx[lo:hi], mid - lo,
     level), for members idx admitted by _members, picked once base members
     are checked against the instance: slices of up to _SMALL members' values
-    as a list, or of an index array's or a level's gathered values; a range's
-    sides by _range_min, or, for an aligned range split in halves once the
-    table is built, a halving span's halves as the sibling table entries k
-    and k + 1 (a span of two, its two losses)."""
+    as a list, or of an index array's or a level's values read by _take; a
+    base range's sides by _range_min, or, for an aligned range split in halves
+    once the table is built, a halving span's halves as the sibling table
+    entries k and k + 1 (a span of two, its two losses)."""
     n = len(idx)
     if level is None:
         _check_indices(idx, len(instance))
     vals = instance.as_array() if level is None else _level_values(level, instance, memo)
     if n <= _SMALL:
-        vals = (vals[idx.start:idx.stop] if type(idx) is range else vals[idx]).tolist()
+        vals = _take(vals, idx).tolist()
         return lambda lo, mid, hi: 0.5 * (min(vals[lo:mid]) - min(vals[mid:hi]))
-    if type(idx) is not range:
-        vals = vals[idx]
+    if type(idx) is not range or level is not None:  # range evaluators read base losses
+        vals = _take(vals, idx)
         return lambda lo, mid, hi: 0.5 * (_min_of(vals[lo:mid]) - _min_of(vals[mid:hi]))
     start = idx.start
     table = instance.built_block_minima  # built by an earlier call, if any
@@ -601,7 +604,7 @@ def sensitivity_bound(expr: LossExpr) -> float:
         del bd  # as in eval_expr
 
 
-def build_bintree_query(c1: Iterable[int], c2: Iterable[int]) -> LossExpr:
+def build_bintree_query(c1: Sequence[int], c2: Sequence[int]) -> LossExpr:
     """Half the difference of subtree minima: (min over c1 - min over c2) / 2.
 
     The halving keeps the sensitivity bound at exactly 1.
@@ -615,8 +618,8 @@ def build_bintree_query(c1: Iterable[int], c2: Iterable[int]) -> LossExpr:
     return MinCompare(np.concatenate((a1, a2)), a1.size)
 
 
-def build_tilde_loss(subset: Iterable[int], k: int, xi_value: float,
-                     universe: Iterable[int]) -> LossExpr:
+def build_tilde_loss(subset: Sequence[int], k: int, xi_value: float,
+                     universe: Sequence[int]) -> LossExpr:
     """Derived loss scoring a candidate subset by gap and offset optimum.
 
     Returns

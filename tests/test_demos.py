@@ -1,5 +1,6 @@
-"""Every demo script runs to completion as documented (``python demos/X.py``)
-and prints exactly the bytes pinned below."""
+"""Every demo script runs to completion as documented (``python demos/X.py``),
+raising no warning (run under ``-W error``), and prints exactly the bytes
+pinned below."""
 
 import hashlib
 import os
@@ -32,7 +33,7 @@ def test_demos_found():
 @pytest.mark.parametrize("script", DEMOS, ids=[d.name for d in DEMOS])
 def test_demo_runs(script):
     env = dict(os.environ, PYTHONPATH=str(ROOT / "src"))
-    proc = subprocess.run([sys.executable, str(script)], cwd=ROOT, env=env,
+    proc = subprocess.run([sys.executable, "-W", "error", str(script)], cwd=ROOT, env=env,
                           capture_output=True)
     assert proc.returncode == 0, proc.stderr.decode()
     assert hashlib.sha256(proc.stdout).hexdigest() == STDOUT_SHA256[script.name]

@@ -423,9 +423,14 @@ class TestCli:
         ["verify", "--grid", "quick", "--subset-draws", "100", "--fuzz-trials", "0"],
         ["verify", "--grid", "quick", "--subset-draws", "100", "--rate-trials", "0"],
         ["run", "CONFIG", "--trials", "0"],
+        # a path that cannot be opened, here a directory
+        ["run", "DIR"],
+        ["gen", "uniform", "4", "1.0", "0", "--out", "DIR"],
+        ["verify", "--grid", "quick", "--fuzz-trials", "10", "--subset-draws", "100",
+         "--rate-trials", "10", "--out", "DIR"],
     ], ids=["gen-inf-scale", "gen-nan-scale", "subset-draws-0", "run-nonfinite-loss",
             "equal-budget-nonfinite-loss", "gen-size-0", "fuzz-trials-0", "rate-trials-0",
-            "run-trials-0"])
+            "run-trials-0", "run-config-dir", "gen-out-dir", "verify-out-dir"])
     def test_bad_input_exits_2_with_one_line(self, tmp_path, capsys, argv):
         # these constants keep the loss scale finite, but on this instance the
         # derived losses overflow a few levels down
@@ -434,7 +439,7 @@ class TestCli:
                              "c_xi": 1e303, "p_xi": 1, "base_threshold_log": 6}}], trials=1)
         (tmp_path / "nonfinite.json").write_text(json.dumps(nonfinite))
         files = {"CONFIG": self._write_config(tmp_path),
-                 "NONFINITE": str(tmp_path / "nonfinite.json")}
+                 "NONFINITE": str(tmp_path / "nonfinite.json"), "DIR": str(tmp_path)}
         assert main([files.get(arg, arg) for arg in argv]) == 2
         captured = capsys.readouterr()
         assert captured.out == ""

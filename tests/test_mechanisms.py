@@ -18,7 +18,7 @@ from privsel.mechanisms import (
 from privsel import oracle as oracle_module
 from privsel.mechanisms import _draw_subsets
 from privsel.oracle import BudgetOracle
-from privsel.queries import BaseBatch
+from privsel.queries import BaseBatch, Level
 from zero_noise import ExactOracle, ZeroNoise
 
 SCALED = MechanismConstants(c_xi=1.0, p_xi=1, base_threshold_log=6)
@@ -163,6 +163,33 @@ class TestRecursiveGap:
         assert result.recursion_depth >= 1
         assert result.rounds_used == len(oracle.log)
         assert all(rec.sensitivity_bound <= 1.0 for rec in oracle.log)
+
+    def test_level_ranges_are_kept_as_given(self, monkeypatch):
+        # level 0 is range(n) itself, and the base-case tournament over the
+        # deepest level admits range(len(level)) as given: the recursion hands
+        # the queries layer no index array it did not draw
+        levels, admitted = [], []
+        post_init, span_source = Level.__post_init__, oracle_module._span_source
+
+        def spy_level(self):
+            post_init(self)
+            levels.append(self)
+
+        def spy_source(members, split, level, instance, memo):
+            admitted.append((members, level))
+            return span_source(members, split, level, instance, memo)
+
+        monkeypatch.setattr(Level, "__post_init__", spy_level)
+        monkeypatch.setattr(oracle_module, "_span_source", spy_source)
+        n = 256
+        oracle = BudgetOracle(generate_instance("layered", n, 2.0, seed=1), 1.0, seed=3)
+        result = recursive_gap_select(oracle, 1.0, 0.05, SCALED)
+        assert result.recursion_depth == len(levels) >= 1
+        assert type(levels[0].prev) is range and levels[0].prev == range(n)
+        assert all(above.prev is below for below, above in zip(levels, levels[1:]))
+        members, level = admitted[0]
+        assert level is levels[-1]
+        assert type(members) is range and members == range(len(level))
 
     def test_infeasible_work_cap(self):
         # the first level on 2**19 candidates needs 2**30.1 index slots

@@ -368,10 +368,11 @@ class TestLevel:
                 assert sensitivity_bound(compare) == 1.0
 
     @pytest.mark.parametrize("seed", range(10))
-    def test_sides_of_64_and_65_signed_zeros_match_trees(self, seed):
+    def test_first_of_equal_signed_zeros_matches_trees(self, seed):
         # losses (0, 0, 1, 3), offset 1: subset {0, 1} scores -0.0, {2} +0.0
         # and {3} 1.0, so a side's minimum is a zero whose sign only the
-        # first-of-equals rule decides
+        # first-of-equals rule decides; sides of 31 and 32 make MinCompares of
+        # at most 64 members, sides of 64 and 65 larger ones
         rng = np.random.default_rng([seed, 7])
         inst = LossInstance((0.0, 0.0, 1.0, 3.0))
         choices = ([0, 1], [2], [3])
@@ -381,10 +382,10 @@ class TestLevel:
         level = Level(np.arange(4), *csr([np.array(sub) for sub in subsets]), 1.0)
         trees = tilde_trees(np.arange(4), subsets, 1, 0.5)
         memo = {}
-        for size in (64, 65) * 6:
+        for size in (31, 32, 64, 65) * 3:
             side = np.sort(rng.choice(np.arange(1, 139), size, replace=False))
             for pos, cut in ((np.append(side, 139), size), (np.insert(side, 0, 0), 1),
-                             (np.arange(1, 130), size)):
+                             (np.arange(1, 130), size), (range(1, 130), size)):
                 tree = Scale(0.5, Sub(MinOver(tuple(trees[i] for i in pos[:cut])),
                                       MinOver(tuple(trees[i] for i in pos[cut:]))))
                 assert bits(eval_expr(MinCompare(pos, cut, level), inst, memo)) == bits(
@@ -395,15 +396,16 @@ class TestLevel:
         # beats the score -1) and {2} scores +0.0 (1 - (0 + 1)), so the level
         # reads (-0.0, +0.0, -0.0, +0.0); among equal values the first wins
         inst = LossInstance((0.0, 0.0, 1.0))
-        level = Level(np.arange(3), [0, 2, 3, 5, 6], [0, 1, 2, 0, 1, 2], 1.0)
-        values = _level_values(level, inst, {})
-        assert [bits(v) for v in values] == [bits(-0.0), bits(0.0)] * 2
-        # a side's minimum minus the +0.0 at position 3 keeps that minimum's sign
-        assert bits(eval_expr(MinCompare([0, 1, 3], 2, level), inst)) == bits(-0.0)
-        assert bits(eval_expr(MinCompare([1, 2, 3], 2, level), inst)) == bits(0.0)
-        # a gap of (s2 = -0.0) - (s1 = +0.0) is -0.0, so subset {1, 2} scores +0.0
-        above = Level(level, [0, 2, 4], [0, 1, 1, 2], 1.0)
-        assert [bits(v) for v in _level_values(above, inst, {})] == [bits(-0.0), bits(0.0)]
+        for candidates in (np.arange(3), range(3)):  # level 0 as an array or a range
+            level = Level(candidates, [0, 2, 3, 5, 6], [0, 1, 2, 0, 1, 2], 1.0)
+            values = _level_values(level, inst, {})
+            assert [bits(v) for v in values] == [bits(-0.0), bits(0.0)] * 2
+            # a side's minimum minus the +0.0 at position 3 keeps that minimum's sign
+            assert bits(eval_expr(MinCompare([0, 1, 3], 2, level), inst)) == bits(-0.0)
+            assert bits(eval_expr(MinCompare([1, 2, 3], 2, level), inst)) == bits(0.0)
+            # a gap of (s2 = -0.0) - (s1 = +0.0) is -0.0, so subset {1, 2} scores +0.0
+            above = Level(level, [0, 2, 4], [0, 1, 1, 2], 1.0)
+            assert [bits(v) for v in _level_values(above, inst, {})] == [bits(-0.0), bits(0.0)]
         trees = tilde_trees(tilde_trees(np.arange(3), [[0, 1], [2], [0, 1], [2]], 1, 0.5),
                             [[0, 1], [1, 2]], 1, 0.5)
         assert [bits(eval_expr(t, inst)) for t in trees] == [bits(-0.0), bits(0.0)]
@@ -586,12 +588,12 @@ class TestMinCompare:
         for split in (0, 5):
             with pytest.raises(ValueError):
                 MinCompare(range(3, 8), split)
-        # only a step-1 range over base losses stays a range
+        # a step-1 range stays a range, over base losses and level positions alike
         level = Level(np.arange(4), [0, 1, 2, 3, 4], [0, 1, 2, 3], 1.0)
-        for indices, lvl, stored in ((range(0, 10, 2), None, [0, 2, 4, 6, 8]),
-                                     (range(3, 0, -1), None, [3, 2, 1]),
-                                     (range(1, 4), level, [1, 2, 3])):
-            node = MinCompare(indices, 1, lvl)
+        for indices, lvl in ((range(3, 8), None), (range(1, 4), level)):
+            assert MinCompare(indices, 1, lvl).indices is indices
+        for indices, stored in ((range(0, 10, 2), [0, 2, 4, 6, 8]), (range(3, 0, -1), [3, 2, 1])):
+            node = MinCompare(indices, 1)
             assert type(node.indices) is np.ndarray and node.indices.dtype == np.int64
             assert node.indices.tolist() == stored
 

@@ -22,7 +22,7 @@ from privsel.oracle import (
     RoundsExceededError, SensitivityViolationError,
 )
 from privsel import queries as queries_module
-from privsel.queries import Base, Level, MinCompare, Sub
+from privsel.queries import Base, BaseBatch, Level, MinCompare, Sub, build_bintree_query
 from zero_noise import ExactAdapter, ExactOracle
 
 SIZES = list(range(1, 301)) + [(1 << k) + d for k in range(8, 12) for d in (-1, 0, 1)]
@@ -322,6 +322,22 @@ def test_out_of_range_members_charge_and_draw_nothing(kind):
         if lvl is not None or len(members) == 0:
             with pytest.raises(error, match=empty if len(members) == 0 else None):
                 MinCompare(members, (len(members) + 1) // 2, lvl)
+
+
+@pytest.mark.parametrize("attempt", [
+    lambda o: o.noisy_tournament({8, 1}, 1.0),
+    lambda o: o.noisy_query(MinCompare({8, 1}, 1), 1.0),
+    lambda o: o.noisy_query_batch(BaseBatch({8, 1}), 1.0),
+    lambda o: o.noisy_tournament(range(2), 1.0, Level({0, 1}, [0, 1, 2], [0, 1], 1.0)),
+    lambda o: o.noisy_query(build_bintree_query(frozenset({0}), {1}), 1.0),
+], ids=["tournament", "MinCompare", "BaseBatch", "Level", "build_bintree_query"])
+def test_unordered_sets_are_refused(attempt):
+    # a set has no positions: "position 1" of {8, 1} is whichever member
+    # iteration happens to yield second
+    oracle = BudgetOracle(LossInstance(np.arange(10.0)), 1.0, seed=0)
+    with pytest.raises(TypeError, match="must be ordered integers: (frozen)?set object"):
+        attempt(oracle)
+    assert (oracle.spent, oracle.rounds_used, oracle.log, oracle._rng) == (0.0, 0, [], None)
 
 
 def test_mechanisms_build_no_node_and_walk_no_bound(monkeypatch):
