@@ -46,6 +46,12 @@ def _write_text(path: str | None, text: str) -> None:
             fh.write(text)
 
 
+def _check_writable(*paths: str | None) -> None:
+    """Fail at once on a path that cannot be written; "a" keeps a file's bytes."""
+    for path in filter(None, paths):
+        open(path, "a").close()
+
+
 def _load_constants(path: str | None) -> MechanismConstants | None:
     if path is None:
         return None
@@ -71,13 +77,12 @@ def _load_config(args) -> ExperimentConfig:
 
 def _cmd_run(args) -> int:
     config = _load_config(args)
+    _check_writable(args.out, args.records)
     records = run_trials(config)
     summary = summarize(records, config.failure_threshold, config.master_seed)
     _write_text(args.out, summary.to_csv())
     if args.records:
-        with open(args.records, "w") as fh:
-            for rec in records:
-                fh.write(json.dumps(rec.to_json()) + "\n")
+        _write_text(args.records, "".join(json.dumps(rec.to_json()) + "\n" for rec in records))
     return 0
 
 
@@ -94,6 +99,7 @@ def _cmd_verify(args) -> int:
             raise ValueError(
                 f"--{flag.replace('_', '-')} must be >= {least}, got {getattr(args, flag)}")
     consts = _load_constants(args.constants) or MechanismConstants()
+    _check_writable(args.out)
     if args.grid == "quick":
         results = appendix_grid(consts, ks=(1000, 10**4, 10**6), betas=GRID_BETAS[::6])
     else:
@@ -178,6 +184,7 @@ def _cmd_simulate_equal_budget(args) -> int:
     for spec in config.mechanisms:
         if MECHANISM_TABLE[spec.name][1] is None:  # no round bound: not a query-model mechanism
             raise ConfigError(f"mechanism {spec.name!r} does not run in the query model")
+    _check_writable(args.out)
     instance = generate_instance(config.instance.family, config.instance.size,
                                  config.instance.scale, config.instance_seed)
     best = instance.min_loss()

@@ -86,9 +86,10 @@ class LossInstance:
     and cached, and the instance's repr, equality and hash are the tuple's.
 
     ``block_minima()`` is a table of the minima of the aligned blocks of
-    losses, built on its first call and kept for the instance's lifetime.
-    Among equal values a block's minimum is the first in index order, as
-    Python's ``min`` gives it; that only decides the sign of a zero.
+    losses, built on its first call and kept as ``built_block_minima`` (a
+    read-only attribute, None until then) for the instance's lifetime. Among
+    equal values a block's minimum is the first in index order, as Python's
+    ``min`` gives it; that only decides the sign of a zero.
     ``block_min`` reads it, building it only once the instance has been
     asked for enough blocks to pay for it.
     """
@@ -101,6 +102,8 @@ class LossInstance:
             raise ValueError("all losses must be finite")
         arr.setflags(write=False)
         object.__setattr__(self, "_array", arr)
+        object.__setattr__(self, "built_block_minima", None)
+        object.__setattr__(self, "_block_losses_asked", 0)
 
     @cached_property
     def losses(self) -> tuple[float, ...]:
@@ -123,11 +126,6 @@ class LossInstance:
     def as_array(self) -> np.ndarray:
         """Read-only float64 view of the losses."""
         return self._array
-
-    @property
-    def built_block_minima(self) -> np.ndarray | None:
-        """The block_minima() table if it is built, else None; never builds it."""
-        return self.__dict__.get("_block_minima")
 
     def block_minima(self) -> np.ndarray:
         """Minima of the aligned blocks of 2**j losses, j >= 1, as one heap.
@@ -155,7 +153,7 @@ class LossInstance:
                     zeros = np.flatnonzero(level == 0)
                     level[zeros] = np.where(left[zeros] == 0, left[zeros], right[zeros])
             table.setflags(write=False)
-            object.__setattr__(self, "_block_minima", table)
+            object.__setattr__(self, "built_block_minima", table)
         return table
 
     def block_min(self, lo: int, size: int) -> float | None:
@@ -171,7 +169,7 @@ class LossInstance:
         """
         table = self.built_block_minima
         if table is None:
-            asked = self.__dict__.get("_block_losses_asked", 0) + size
+            asked = self._block_losses_asked + size
             object.__setattr__(self, "_block_losses_asked", asked)
             if asked <= 2 << ceil_log2(len(self)):
                 return None

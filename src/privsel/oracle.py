@@ -10,14 +10,14 @@ rounds of bound 1, admitting its members once (no node is built) and then
 checking finiteness, charging, drawing and logging each as ``noisy_query`` would.
 
 Randomness contract (frozen for golden tests): all noise comes from a numpy
-``Generator`` over the PCG64 bit generator, built from a ``SeedSequence``;
-draws consume the stream in query order via ``Generator.normal``, one noise
-row per query: one value, or on the equal-budget adapter the query's m_i
-round noises and then its top-up noise when the top-up variance is positive.
-``_noise`` draws the rows of K queries sharing a budget (a batch, or the
-first floor(log2 n) rounds of a tournament of n members) in one ``normal``
-call of shape K or (K, m_i + top-up), the values of K per-query draws.
-Child streams for mechanism-internal randomness come from
+``Generator`` over the PCG64 bit generator, built from the oracle's
+``SeedSequence`` when the oracle is constructed; draws consume the stream in
+query order via ``Generator.normal``, one noise row per query: one value, or on
+the equal-budget adapter the query's m_i round noises and then its top-up noise
+when the top-up variance is positive. ``_noise`` draws the rows of K queries
+sharing a budget (a batch, or the first floor(log2 n) rounds of a tournament of
+n members) in one ``normal`` call of shape K or (K, m_i + top-up), the values
+of K per-query draws. Child streams for mechanism-internal randomness come from
 ``SeedSequence.spawn``.
 """
 
@@ -106,17 +106,12 @@ class BudgetOracle:
         self.log: list[QueryRecord] = []
         self._seed_seq = (seed if isinstance(seed, np.random.SeedSequence)
                           else np.random.SeedSequence(seed))
-        self._rng: np.random.Generator | None = None  # created on the first draw
+        self._rng = np.random.default_rng(self._seed_seq)
         self._level_memo: dict = {}  # each derived Level and its values
 
     @property
     def n_candidates(self) -> int:
         return len(self.instance)
-
-    def _generator(self) -> np.random.Generator:
-        if self._rng is None:
-            self._rng = np.random.default_rng(self._seed_seq)
-        return self._rng
 
     def spawn_rng(self) -> np.random.Generator:
         """Independent child stream (deterministic given the oracle seed)."""
@@ -133,8 +128,7 @@ class BudgetOracle:
     def _noise(self, count: int | None, rho_i: float) -> np.ndarray | float:
         """The noise rows of count queries of budget rho_i from one normal draw;
         with count None, one query's row alone (a float here)."""
-        rng = self._rng or self._generator()
-        return rng.normal(0.0, math.sqrt(1.0 / (2.0 * rho_i)), size=count)
+        return self._rng.normal(0.0, math.sqrt(1.0 / (2.0 * rho_i)), size=count)
 
     def _rows(self, ahead: int, rho_i: float):
         """One call's noise rows in query order, each drawn once it is asked
@@ -211,7 +205,7 @@ class BudgetOracle:
         rows = None
         if n >= _WINDOW_MIN_MEMBERS:
             ahead, start = n.bit_length() - 1, self.rounds_used
-            saved, rows = self._generator().bit_generator.state, self._rows(ahead, rho_round)
+            saved, rows = self._rng.bit_generator.state, self._rows(ahead, rho_round)
         respond = self._respond
         lo, hi = 0, n
         try:
@@ -390,10 +384,10 @@ class EqualBudgetAdapter(BudgetOracle):
         size = repeats + topup if count is None else (count, repeats + topup)
         sigma = math.sqrt(1.0 / (2.0 * plan.per_round_budget))
         if not topup:
-            return self._generator().normal(0.0, sigma, size=size)
+            return self._rng.normal(0.0, sigma, size=size)
         # normal(0.0, s) computes 0.0 + s * z, the float that s times normal(0.0,
         # 1.0)'s 0.0 + z gives for every z; a scale per column makes numpy broadcast
-        noise = self._generator().normal(0.0, 1.0, size=size)
+        noise = self._rng.normal(0.0, 1.0, size=size)
         noise *= [sigma] * repeats + [math.sqrt(plan.topup_variance)]
         return noise
 

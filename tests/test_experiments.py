@@ -197,6 +197,8 @@ class TestSummarize:
         assert row.mean_error == 2.5
         assert row.failure_frequency == 0.25
         assert row.trials == 4
+        with pytest.raises(KeyError):
+            summary.row("other")
 
     def test_single_zero_record(self):
         row = summarize(self._records([0.0]), threshold=0.0).row("m")
@@ -459,6 +461,31 @@ class TestCli:
         assert captured.out == ""
         assert captured.err == f"config error: {flag} must be >= {least}, got {value}\n"
 
+    @pytest.mark.parametrize("argv, patched", [
+        (["verify", "--out", "PATH"], "appendix_grid"),
+        (["run", "CONFIG", "--out", "PATH"], "run_trials"),
+        (["run", "CONFIG", "--records", "PATH"], "run_trials"),
+        (["simulate-equal-budget", "CONFIG", "--out", "PATH"], "equal_budget_simulate"),
+    ], ids=["verify-out", "run-out", "run-records", "equal-budget-out"])
+    def test_output_paths_checked_before_any_work(self, tmp_path, monkeypatch, capsys, argv,
+                                                  patched):
+        def no_work(*args, **kwargs):
+            raise ValueError(f"{patched} ran")
+        monkeypatch.setattr(cli, patched, no_work)
+        files = {"CONFIG": self._write_config(tmp_path), "PATH": str(tmp_path)}
+        assert main([files.get(arg, arg) for arg in argv]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err.startswith("config error: ") and captured.err.count("\n") == 1
+        assert "Is a directory" in captured.err
+        # a path that can be written keeps its bytes when the work then fails
+        kept = tmp_path / "kept.csv"
+        kept.write_text("kept\n")
+        files["PATH"] = str(kept)
+        assert main([files.get(arg, arg) for arg in argv]) == 2
+        assert capsys.readouterr().err == f"config error: {patched} ran\n"
+        assert kept.read_text() == "kept\n"
+
     def test_parser_is_built_once(self):
         assert build_parser() is build_parser()
 
@@ -488,6 +515,7 @@ class TestCli:
         assert main(["gen", "gapped", "4", "2.5", "0", "--out", str(out)]) == 0
         assert out.read_text() == "index,loss\n0,0.0\n1,2.5\n2,2.5\n3,2.5\n"
         assert main(["gen", "bogus", "4", "2.5", "0", "--out", str(out)]) == 2
+        assert out.read_text() == "index,loss\n0,0.0\n1,2.5\n2,2.5\n3,2.5\n"
 
     @pytest.mark.parametrize("argv, sha256", [
         (["uniform", "7", "1000.0", "3"],

@@ -5,14 +5,18 @@ mechanism, parameters) yield byte-identical logs and outputs.  Each test here
 hashes one such output with SHA-256 and compares it with a committed digest,
 so any change to noise draws, query order, budget splits, float formatting or
 CSV layout fails here.  A change that alters an output on purpose recomputes
-the affected digest and records why in CHANGES.md.
+the affected digest and records why in CHANGES.md.  The last test pins where
+the library makes random streams, so a new stream cannot slip in unnoticed.
 """
 
+import ast
 import hashlib
 import json
+from pathlib import Path
 
 import pytest
 
+import privsel
 from privsel.cli import main
 from privsel.core import LossInstance, MechanismConstants, generate_instance
 from privsel.mechanisms import (
@@ -230,3 +234,51 @@ def test_appendix_grid_full_rows():
                    for r in appendix_grid())
     assert rows.count("\n") == 3 * 6 * 31 * 3
     assert sha256(rows) == APPENDIX_GRID_DIGEST
+
+
+# Every call that makes a random stream (default_rng, SeedSequence, .spawn) in
+# src/privsel, by module, enclosing function and callee, with the reason.
+STREAM_SITES = {
+    ("core", "generate_instance", "default_rng"): "a uniform instance's losses, from its seed",
+    ("experiments", "_rng", "default_rng"): "a mechanism's own stream, from its seed entropy",
+    ("experiments", "_derived_seed", "SeedSequence"): "a fresh instance's seed per trial",
+    ("experiments", "run_trials", "SeedSequence"): "a trial's oracle seed",
+    ("cli", "_cmd_simulate_equal_budget", "SeedSequence"): "a trial's adapter seed",
+    ("oracle", "BudgetOracle.__init__", "SeedSequence"): "the oracle's seed, unless given one",
+    ("oracle", "BudgetOracle.__init__", "default_rng"): "the oracle's noise stream",
+    ("oracle", "BudgetOracle.spawn_rng", "spawn"): "a child seed for mechanism randomness",
+    ("oracle", "BudgetOracle.spawn_rng", "default_rng"): "the child seed's stream",
+    ("verify", "subset_event_mc", "default_rng"): "the Monte Carlo subset draws",
+    ("verify", "check_good_subset_rate", "default_rng"): "the good-subset rate's draws",
+    ("verify", "sensitivity_fuzz", "default_rng"): "the fuzzer's trees and perturbations",
+}
+STREAM_MAKERS = {"default_rng", "SeedSequence", "spawn"}
+
+
+def stream_calls(module: str, tree) -> list[tuple[str, str, str]]:
+    """(module, enclosing function's qualified name, callee) for each call in
+    tree to a stream maker; "" for module level."""
+    found = []
+
+    def visit(node, scope):
+        for child in ast.iter_child_nodes(node):
+            if isinstance(child, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)):
+                visit(child, scope + [child.name])
+                continue
+            if isinstance(child, ast.Call):
+                f = child.func
+                name = f.id if isinstance(f, ast.Name) else getattr(f, "attr", None)
+                if name in STREAM_MAKERS:
+                    found.append((module, ".".join(scope), name))
+            visit(child, scope)
+
+    visit(tree, [])
+    return found
+
+
+def test_random_streams_are_made_only_at_the_listed_sites():
+    calls = []
+    for path in sorted(Path(privsel.__file__).parent.glob("*.py")):
+        calls += stream_calls(path.stem, ast.parse(path.read_text()))
+    assert sorted(calls) == sorted(STREAM_SITES)
+    assert len({(module, function) for module, function, _ in STREAM_SITES}) == 10

@@ -13,7 +13,7 @@ from privsel import queries
 from privsel.core import LossInstance, MechanismConstants, generate_instance
 from privsel.oracle import (
     BudgetExceededError, BudgetOracle, EqualBudgetAdapter, NonFiniteQueryError,
-    RoundsExceededError, SensitivityViolationError, equal_budget_simulate,
+    EqualBudgetPlan, RoundsExceededError, SensitivityViolationError, equal_budget_simulate,
     plan_equal_budget, LOG_CSV_HEADER,
 )
 from privsel.queries import (
@@ -201,6 +201,11 @@ class TestNoisyQuery:
             BudgetOracle(INST, total)
         with pytest.raises(ValueError, match="^rho must"):  # the adapter's own name
             EqualBudgetAdapter(INST, 4, total)
+
+    def test_instance_must_be_a_loss_instance(self):
+        for make in (lambda x: BudgetOracle(x, 1.0), lambda x: EqualBudgetAdapter(x, 4, 1.0)):
+            with pytest.raises(TypeError, match="^instance must be a LossInstance$"):
+                make(INST.losses)
 
     def test_log_matches_spending(self):
         oracle = BudgetOracle(INST, 10.0, seed=1)
@@ -492,6 +497,10 @@ class TestEqualBudgetPlan:
         assert per_round_var / plan.per_query_repeats == pytest.approx(10 / 12)
         assert plan.topup_variance == pytest.approx(1.0 - 10 / 12)
 
+    def test_negative_topup_variance_is_refused(self):
+        with pytest.raises(ValueError, match="^topup_variance must be nonnegative$"):
+            EqualBudgetPlan(10, 0.2, 3, -1e-12)
+
     def test_models_coincide_when_budget_matches_per_round(self):
         plan = plan_equal_budget(0.2, 5, 1.0)  # rho_i = rho'/M' exactly
         assert plan.per_query_repeats == 1
@@ -597,7 +606,9 @@ def test_zero_noise_fake_answers_are_the_losses_bit_for_bit(repeats, topup):
         answers = submit(oracle)
         assert answers.tobytes() == want.tobytes()
         assert np.array([r.answer for r in oracle.log]).tobytes() == want.tobytes()
-        assert oracle._rng is None  # no generator, so no draw
+        # nothing drawn: the generator is where a fresh one starts
+        assert oracle._rng.bit_generator.state == \
+            np.random.default_rng(oracle._seed_seq).bit_generator.state
         if repeats is not None:
             plan = oracle.plans[0]
             assert (plan.per_query_repeats, plan.topup_variance > 0) == (repeats, topup)

@@ -458,6 +458,9 @@ class TestLevel:
         for expr in (level, compare, Scale(0.5, Sub(compare, Base(1)))):
             with pytest.raises(TypeError, match="no text form"):
                 format_expr(expr)
+        for other in (3, "(base 0)", None):
+            with pytest.raises(TypeError, match="^not a loss expression: "):
+                format_expr(other)
 
 
 class TestSegmentBlocks:

@@ -54,7 +54,12 @@ def state(oracle):
     """Everything a tournament may change, including the generator's position."""
     return (oracle.log_csv(), oracle.spent, oracle.rounds_used,
             getattr(oracle, "inner_rounds_used", None), getattr(oracle, "plans", None),
-            oracle._generator().normal())
+            oracle._rng.normal())
+
+
+def fresh_state(oracle):
+    """The generator state of an oracle that has drawn nothing."""
+    return np.random.default_rng(oracle._seed_seq).bit_generator.state
 
 
 def make_oracle(kind, instance, rounds, exact, seed=5, rho=1.0):
@@ -172,8 +177,8 @@ def test_non_finite_round_leaves_earlier_rounds(n, kind):
             reference_tournament(slow, range(n), 1.0)
         assert fast.rounds_used == len(fast.log) == j
         # each round drew one noise: the next draw is a fresh stream's (j+1)-th
-        assert fast._generator().normal() == np.random.default_rng(6).normal(size=j + 1)[-1]
-        slow._generator().normal()
+        assert fast._rng.normal() == np.random.default_rng(6).normal(size=j + 1)[-1]
+        slow._rng.normal()
         assert state(fast) == state(slow)
 
 
@@ -205,7 +210,7 @@ def test_power_of_two_tournament_draws_once(n, kind):
     rejected = make_oracle(kind, instance, ceil_log2(n), False)
     with pytest.raises(IndexError):
         rejected.noisy_tournament(range(1, n + 1), 1.0)
-    assert rejected._rng is None
+    assert rejected._rng.bit_generator.state == fresh_state(rejected)
 
 
 def test_adapter_first_round_budget_failure_comes_before_its_plan():
@@ -260,7 +265,7 @@ def test_budget_failure_leaves_earlier_rounds(n, failing_round):
     assert state(fast) == state(slow)
     # the failing round drew nothing: the next draw is the stream's next value
     draws = np.random.default_rng(2).normal(size=failing_round + 2)
-    assert fast._generator().normal() == draws[-1]
+    assert fast._rng.normal() == draws[-1]
 
 
 @pytest.mark.parametrize("n, failing_round",
@@ -317,7 +322,8 @@ def test_out_of_range_members_charge_and_draw_nothing(kind):
         oracle = make_oracle(kind, instance, 8, exact=False)
         with pytest.raises(error, match=empty if len(members) == 0 else None):
             oracle.noisy_tournament(members, rho, lvl)
-        assert (oracle.spent, oracle.rounds_used, oracle.log, oracle._rng) == (0.0, 0, [], None)
+        assert (oracle.spent, oracle.rounds_used, oracle.log) == (0.0, 0, [])
+        assert oracle._rng.bit_generator.state == fresh_state(oracle)
         # the tournament admits its members by MinCompare's own rule
         if lvl is not None or len(members) == 0:
             with pytest.raises(error, match=empty if len(members) == 0 else None):
@@ -337,7 +343,8 @@ def test_unordered_sets_are_refused(attempt):
     oracle = BudgetOracle(LossInstance(np.arange(10.0)), 1.0, seed=0)
     with pytest.raises(TypeError, match="must be ordered integers: (frozen)?set object"):
         attempt(oracle)
-    assert (oracle.spent, oracle.rounds_used, oracle.log, oracle._rng) == (0.0, 0, [], None)
+    assert (oracle.spent, oracle.rounds_used, oracle.log) == (0.0, 0, [])
+    assert oracle._rng.bit_generator.state == fresh_state(oracle)
 
 
 def test_mechanisms_build_no_node_and_walk_no_bound(monkeypatch):
@@ -383,18 +390,38 @@ def test_table_is_built_once_the_blocks_asked_for_pay_for_it():
         instance = LossInstance(np.random.default_rng(3).uniform(0, 1, n))
         query_all_baseline(BudgetOracle(instance, 1.0, seed=0, record_log=False), 1.0)
         exponential_mechanism(instance, 1.0, np.random.default_rng(0))
-        assert "_block_minima" not in vars(instance)
+        assert instance.built_block_minima is None
         # one tournament asks for aligned blocks of 2 * (n/2 + ... + 2) = 2n - 4
         # losses, 2044 at n = 2**10 and 131,068 at 2**16, not above 2n
         first = BudgetOracle(instance, 1.0, seed=0)
         binary_tree_select(first, 1.0)
-        assert vars(instance)["_block_losses_asked"] == 2 * n - 4
-        assert "_block_minima" not in vars(instance)
+        assert instance._block_losses_asked == 2 * n - 4
+        assert instance.built_block_minima is None
         # the second one's first round passes 2n and builds it
         second = BudgetOracle(instance, 1.0, seed=0)
         binary_tree_select(second, 1.0)
-        assert "_block_minima" in vars(instance)
+        assert instance.built_block_minima is not None
         assert second.log_csv() == first.log_csv()
+
+
+def test_no_state_is_created_on_first_use():
+    # the generator, the block table's slot and its rent counter are all set
+    # at construction; only the instance's cached loss tuple may appear later
+    scaled = MechanismConstants(c_xi=1.0, p_xi=1, base_threshold_log=6)
+    instance = generate_instance("layered", 256, 1.0, 0)
+    oracles = (BudgetOracle(instance, 4.0, seed=0),
+               EqualBudgetAdapter(instance, 1000, 4.0, seed=0))
+    assert all(type(oracle._rng) is np.random.Generator for oracle in oracles)
+    fields = [set(vars(x)) for x in (instance, *oracles)]
+    for oracle in oracles:
+        binary_tree_select(oracle, 1.0)
+        binary_tree_select(oracle, 1.0)  # the first oracle's second one builds the table
+        query_all_baseline(oracle, 1.0)
+        recursive_gap_select(oracle, 1.0, 0.1, scaled)
+        assert oracle.rounds_used > 256
+    assert instance.built_block_minima is not None
+    assert set(vars(instance)) in (fields[0], fields[0] | {"losses"})
+    assert [set(vars(oracle)) for oracle in oracles] == fields[1:]
 
 
 @pytest.mark.parametrize("k", [10, 16])

@@ -1,5 +1,6 @@
 """Certification module: inequalities, combinatorics, fuzzing."""
 
+import dataclasses
 import itertools
 import math
 import os
@@ -21,8 +22,8 @@ from privsel.core import (
 )
 from privsel.queries import eval_expr
 from privsel.verify import (
-    Verdict, appendix_grid, check_good_subset_rate, point_checks,
-    sensitivity_fuzz, subset_event_mc, subset_event_probability,
+    Verdict, appendix_grid, check_good_subset_rate, gap_threshold_hp, loss_scale_hp,
+    point_checks, sensitivity_fuzz, subset_event_mc, subset_event_probability,
     subset_event_probability_dp, subset_event_probability_enum,
     _random_family_expr,
 )
@@ -61,6 +62,16 @@ class TestScaleDominance:
                     (1000, 0.0, 0.001)):
             with pytest.raises(ValueError):
                 point_checks(*bad)
+        # the mpmath twins' own domains: k > 0 and c_xi * (k + 1) / beta > 1;
+        # ceil_log_m > 0 and ceil_log_m / beta > 1
+        for twin, args, message in (
+                (loss_scale_hp, (0, 1.0, 0.5), "k must be positive"),
+                (loss_scale_hp, (1, 1.0, 1.0, MechanismConstants(c_xi=0.5)),
+                 "log argument must exceed 1"),
+                (gap_threshold_hp, (0, 1.0, 0.5), "ceil_log_m must be positive"),
+                (gap_threshold_hp, (1, 1.0, 1.0), "need ceil_log_m / beta > 1")):
+            with pytest.raises(ValueError, match=message):
+                twin(*args)
 
     def test_order_of_the_three_checks(self):
         assert [r.claim for r in point_checks(1000, 1.0, 1e-3)] == \
@@ -115,7 +126,9 @@ class TestAppendixGrid:
     def test_small_slice_all_pass(self):
         results = appendix_grid(ks=(1000, 10**4), betas=(1e-3, 1e-5), rhos=(1.0,))
         assert len(results) == 12
-        assert all(r.verdict is Verdict.PASS for r in results)
+        assert all(r.verdict is Verdict.PASS and r.passed for r in results)
+        for verdict in (Verdict.FAIL, Verdict.INCONCLUSIVE):
+            assert not dataclasses.replace(results[0], verdict=verdict).passed
 
     def test_deterministic(self):
         a = appendix_grid(ks=(2000,), betas=(1e-4,), rhos=(0.01, 100.0))
