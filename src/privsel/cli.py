@@ -26,7 +26,8 @@ import numpy as np
 
 from .core import DEFAULT_CONSTANTS, MechanismConstants, generate_instance
 from .experiments import (
-    MECHANISM_TABLE, ConfigError, ExperimentConfig, _known_fields, run_trials, summarize,
+    MECHANISM_TABLE, ConfigError, ExperimentConfig, _check_work_caps, _known_fields,
+    run_trials, summarize,
 )
 from .oracle import NonFiniteQueryError, equal_budget_simulate
 from .verify import (
@@ -77,6 +78,7 @@ def _load_config(args) -> ExperimentConfig:
 
 def _cmd_run(args) -> int:
     config = _load_config(args)
+    _check_work_caps(config)
     _check_writable(args.out, args.records)
     records = run_trials(config)
     summary = summarize(records, config.failure_threshold, config.master_seed)
@@ -184,6 +186,7 @@ def _cmd_simulate_equal_budget(args) -> int:
     for spec in config.mechanisms:
         if MECHANISM_TABLE[spec.name][1] is None:  # no round bound: not a query-model mechanism
             raise ConfigError(f"mechanism {spec.name!r} does not run in the query model")
+    _check_work_caps(config)
     _check_writable(args.out)
     instance = generate_instance(config.instance.family, config.instance.size,
                                  config.instance.scale, config.instance_seed)

@@ -77,6 +77,21 @@ def binary_tree_select(oracle, rho: float) -> SelectionResult:
     return _metered(oracle, lambda: (oracle.noisy_tournament(range(oracle.n_candidates), rho), 0))
 
 
+def _check_work_cap(n: int, beta: float, consts: MechanismConstants) -> None:
+    """InfeasibleConfigError when a level of the recursion on n candidates
+    would draw more than DEFAULT_WORK_CAP index slots, T * 2**(K-1).  rho
+    enters neither K nor T, so the check reads only n, beta and consts."""
+    for k, t_rounds, _, _ in recursion_schedule(n, 1.0, beta, consts)[:-1]:
+        if t_rounds << (k - 1) > DEFAULT_WORK_CAP:
+            raise InfeasibleConfigError(f"subsampling work 2**{math.log2(t_rounds) + k - 1:.1f}"
+                                        f" exceeds cap {DEFAULT_WORK_CAP}")
+
+
+def _combined_beta(n: int) -> float:
+    """The beta combined_select gives its recursive stage: 1/ceil(log2(n))."""
+    return 1.0 / max(ceil_log2(n), 1)
+
+
 def _draw_subsets(rng, n: int, k: int, t_rounds: int) -> tuple[np.ndarray, np.ndarray]:
     """The T random subsets of range(n) of one level, as CSR (indptr, indices).
 
@@ -86,7 +101,9 @@ def _draw_subsets(rng, n: int, k: int, t_rounds: int) -> tuple[np.ndarray, np.nd
     draws = []
     for _ in range(t_rounds):
         k_t = int(rng.integers(1, k + 1))
-        draws.append(np.sort(rng.choice(n, size=1 << (k - k_t), replace=False)))
+        d = rng.choice(n, size=1 << (k - k_t), replace=False)
+        d.sort()
+        draws.append(d)
     indptr = np.zeros(t_rounds + 1, dtype=np.int64)
     np.cumsum([d.size for d in draws], out=indptr[1:])
     return indptr, np.concatenate(draws)
@@ -137,13 +154,10 @@ def recursive_gap_select(oracle, rho: float, beta: float,
     """
     rho, beta = _positive("rho", rho), _positive("beta", beta, 1)
     n = oracle.n_candidates
+    _check_work_cap(n, beta, consts)
     levels = recursion_schedule(n, rho, beta, consts)
-    offsets = []
-    for k, t_rounds, rho_j, beta_j in levels[:-1]:
-        if t_rounds << (k - 1) > DEFAULT_WORK_CAP:
-            raise InfeasibleConfigError(f"subsampling work 2**{math.log2(t_rounds) + k - 1:.1f}"
-                                        f" exceeds cap {DEFAULT_WORK_CAP}")
-        offsets.append((k + math.sqrt(k)) * loss_scale(k, rho_j, beta_j, consts))
+    offsets = [(k + math.sqrt(k)) * loss_scale(k, rho_j, beta_j, consts)
+               for k, _, rho_j, beta_j in levels[:-1]]
     if rng is None:
         rng = oracle.spawn_rng()
     return _metered(oracle, lambda: (
@@ -163,8 +177,7 @@ def combined_select(oracle, rho: float,
     n = oracle.n_candidates
     if n < 2:
         raise ValueError("combined_select needs at least two candidates")
-    k = ceil_log2(n)
-    beta = 1.0 / k
+    beta = _combined_beta(n)
     if rng is None:
         rng = oracle.spawn_rng()
 
@@ -181,18 +194,33 @@ def exponential_mechanism(instance: LossInstance, rho: float,
     """Classical baseline outside the query model.
 
     Samples a candidate with probability proportional to exp(-eps*loss/2)
-    where eps = sqrt(2*rho), via a max-shifted stable softmax built in place
-    in one n-float buffer.  That eps is the conservative pure-DP to zCDP
-    conversion (eps-DP implies eps**2/2-zCDP); the bounded-range sqrt(8*rho)
-    is deliberately not used.
+    where eps = sqrt(2*rho), via a max-shifted stable softmax.  That eps is
+    the conservative pure-DP to zCDP conversion (eps-DP implies
+    eps**2/2-zCDP); the bounded-range sqrt(8*rho) is deliberately not used.
+
+    The draw is the one Generator.choice(n, p=probs) makes: the cdf
+    cumsum(probs) / its last entry, one rng.random() uniform, and the
+    right-sided searchsorted of that uniform, so winner and generator state
+    match it bit for bit.  All of it runs in place in one n-float buffer.
+    Of choice's checks on p only one can fail here, and it is kept: when the
+    logits overflow, the weights' total is NaN and ValueError is raised before
+    any draw.  The others always hold: the buffer is 1-D with n entries, every
+    weight is >= 0 because it comes from exp, and after the division the
+    weights sum to 1 within sqrt(machine epsilon).
     """
     rho = _positive("rho", rho)
     eps = math.sqrt(2.0 * rho)
-    probs = -0.5 * eps * instance.as_array()
-    probs -= probs.max()
-    np.exp(probs, out=probs)
-    probs /= probs.sum()
-    winner = int(rng.choice(len(probs), p=probs))
+    cdf = -0.5 * eps * instance.as_array()
+    cdf -= cdf.max()
+    np.exp(cdf, out=cdf)
+    total = cdf.sum()
+    if not math.isfinite(total):
+        raise ValueError(f"exponential mechanism weights sum to {total} at rho={rho}: "
+                         "the logits overflow a float")
+    cdf /= total
+    np.cumsum(cdf, out=cdf)
+    cdf /= cdf[-1]
+    winner = int(cdf.searchsorted(rng.random(), side="right"))
     return SelectionResult(winner=winner, rounds_used=0, budget_spent=rho)
 
 
@@ -225,8 +253,8 @@ def recursive_gap_round_bound(n: int, beta: float,
 
 
 def combined_round_bound(n: int, consts: MechanismConstants = DEFAULT_CONSTANTS) -> int:
-    k = max(ceil_log2(n), 1)
-    return recursive_gap_round_bound(n, 1.0 / k, consts) + binary_tree_round_bound(n) + 1
+    return (recursive_gap_round_bound(n, _combined_beta(n), consts)
+            + binary_tree_round_bound(n) + 1)
 
 
 def query_all_round_bound(n: int) -> int:

@@ -398,12 +398,17 @@ class TestCli:
 
     @pytest.mark.parametrize("command", ["run", "simulate-equal-budget"])
     def test_infeasible_config_exit_2(self, tmp_path, capsys, command):
-        # at 2**20 candidates these constants' first level needs ~2**31 index slots
-        doc = dict(CONFIG_DOC, instance={"family": "uniform", "size": 1 << 20},
-                   mechanisms=[{"name": "recursive_gap", "constants": {
-                       "c_xi": 1.0, "p_xi": 1, "base_threshold_log": 6}}], trials=1)
-        assert main([command, self._write_config(tmp_path, doc)]) == 2
-        assert "exceeds cap" in capsys.readouterr().err
+        # at 2**20 candidates these constants' first level needs ~2**31 index
+        # slots; the cap is checked before the output path is created
+        out = tmp_path / "new.csv"
+        for mechanism in ("recursive_gap", "combined"):
+            doc = dict(CONFIG_DOC, instance={"family": "uniform", "size": 1 << 20},
+                       mechanisms=[{"name": "binary_tree"}, {"name": mechanism, "constants": {
+                           "c_xi": 1.0, "p_xi": 1, "base_threshold_log": 6}}], trials=1)
+            assert main([command, self._write_config(tmp_path, doc), "--out", str(out)]) == 2
+            assert capsys.readouterr().err == (
+                "config error: subsampling work 2**31.4 exceeds cap 1000000000\n")
+            assert not out.exists()
 
     def test_misread_fields_exit_2_naming_them(self, tmp_path, capsys):
         for bad, field in ((dict(CONFIG_DOC, mechanisms=[{"name": "recursive_gap",

@@ -398,24 +398,39 @@ class TestExponentialMechanism:
     @pytest.mark.parametrize("rho", [0.01, 1.0, 100.0])
     @pytest.mark.parametrize("family", INSTANCE_FAMILIES)
     def test_probabilities_are_the_out_of_place_formula_bit_for_bit(self, family, rho):
-        class Recording:  # stands in for the Generator and keeps the probabilities
-            def choice(self, a, p):
-                seen.append(p.copy())
-                return 0
+        class Probe:  # stands in for the Generator: its one uniform is u
+            def random(self):
+                return u
 
         # an odd size reaches the vector loops' tails; at scale 1e5 every
         # family but the constant one has weights that underflow to 0
         for scale in (1.0, 1e5):
             inst = generate_instance(family, 4099, scale, 7)
             expected = self._out_of_place_probs(inst, rho)
-            seen = []
-            exponential_mechanism(inst, rho, Recording())
-            assert seen[0].tobytes() == expected.tobytes()
             assert (scale == 1e5 and family != "constant") == (expected == 0).any()
+            cdf = np.cumsum(expected)
+            cdf /= cdf[-1]
+            # the mechanism's cdf is nondecreasing, so the winners at every
+            # step of the reference cdf and one ulp below it fix its bits
+            steps = np.unique(cdf)
+            for u in np.concatenate([steps, np.nextafter(steps, -np.inf)]).tolist():
+                winner = exponential_mechanism(inst, rho, Probe()).winner
+                assert winner == cdf.searchsorted(u, side="right")
             for seed in range(10):
-                reference = int(np.random.default_rng(seed).choice(expected.size, p=expected))
-                result = exponential_mechanism(inst, rho, np.random.default_rng(seed))
-                assert result.winner == reference
+                reference = np.random.default_rng(seed)
+                expected_winner = int(reference.choice(expected.size, p=expected))
+                rng = np.random.default_rng(seed)
+                assert exponential_mechanism(inst, rho, rng).winner == expected_winner
+                assert rng.bit_generator.state == reference.bit_generator.state
+
+    @pytest.mark.filterwarnings("ignore::RuntimeWarning")  # numpy warns of the overflow
+    def test_overflowing_logits_raise_before_any_draw(self):
+        # eps * 1e308 / 2 overflows at rho = 100: the weights' total is nan
+        rng = np.random.default_rng(0)
+        state = rng.bit_generator.state
+        with pytest.raises(ValueError):
+            exponential_mechanism(LossInstance((-1e308, 1e308)), 100.0, rng)
+        assert rng.bit_generator.state == state
 
     def test_result_fields(self):
         rng = np.random.default_rng(3)
@@ -488,14 +503,14 @@ def test_combined_round_bound_holds():
 
 
 @pytest.mark.parametrize("trial, ceiling", [
-    (lambda inst, t: exponential_mechanism(inst, 1.0, np.random.default_rng(t)), 2.1),
+    (lambda inst, t: exponential_mechanism(inst, 1.0, np.random.default_rng(t)), 1.1),
     (lambda inst, t: query_all_baseline(
         BudgetOracle(inst, 1.0, seed=t, record_log=False), 1.0), 1.1),
 ], ids=["exponential", "query_all"])
 def test_full_vector_trial_allocation_ceiling(trial, ceiling):
     # traced peak of one warmed trial, in n-float buffers: the exponential
-    # mechanism keeps its weights and Generator.choice's cdf, query_all one
-    # noise buffer that becomes its answers
+    # mechanism keeps one buffer that holds its logits, weights and cdf in
+    # turn, query_all one noise buffer that becomes its answers
     n = 1 << 16
     inst = generate_instance("uniform", n, 1.0, 0)
     trial(inst, 0)
