@@ -10,7 +10,9 @@ Subcommands:
                                   equal-budget adapter -> accounting CSV
 
 Exit codes: 0 all checks pass, 1 any non-PASS verdict, 2 config error (a bad
-config, constants file or argument, or a path that cannot be opened).
+config, constants file or argument, or a path that cannot be opened).  Each
+output path is checked before any work and written only after all of it, so a
+failed command leaves every path as it found it.
 """
 
 from __future__ import annotations
@@ -20,14 +22,14 @@ import dataclasses
 import functools
 import json
 import math
+import os
 import sys
 
 import numpy as np
 
 from .core import DEFAULT_CONSTANTS, MechanismConstants, generate_instance
 from .experiments import (
-    MECHANISM_TABLE, ConfigError, ExperimentConfig, _check_work_caps, _known_fields,
-    run_trials, summarize,
+    MECHANISM_TABLE, ConfigError, ExperimentConfig, _known_fields, run_trials, summarize,
 )
 from .oracle import NonFiniteQueryError, equal_budget_simulate
 from .verify import (
@@ -48,9 +50,16 @@ def _write_text(path: str | None, text: str) -> None:
 
 
 def _check_writable(*paths: str | None) -> None:
-    """Fail at once on a path that cannot be written; "a" keeps a file's bytes."""
+    """Fail at once on a path that cannot be written, leaving each path as
+    it found it: an existing one is opened to append, which keeps its bytes,
+    and a new one is created and removed.  So until _write_text no output
+    file exists, and a command that fails at any step creates none."""
     for path in filter(None, paths):
-        open(path, "a").close()
+        if os.path.lexists(path):
+            open(path, "a").close()
+        else:
+            open(path, "x").close()
+            os.remove(path)
 
 
 def _load_constants(path: str | None) -> MechanismConstants | None:
@@ -78,7 +87,6 @@ def _load_config(args) -> ExperimentConfig:
 
 def _cmd_run(args) -> int:
     config = _load_config(args)
-    _check_work_caps(config)
     _check_writable(args.out, args.records)
     records = run_trials(config)
     summary = summarize(records, config.failure_threshold, config.master_seed)
@@ -171,6 +179,7 @@ def _cmd_verify(args) -> int:
 
 
 def _cmd_gen(args) -> int:
+    _check_writable(args.out)
     inst = generate_instance(args.family, args.size, args.scale, args.seed)
     lines = ["index,loss"]
     lines.extend(f"{i},{x!r}" for i, x in enumerate(inst.as_array().tolist()))
@@ -186,7 +195,6 @@ def _cmd_simulate_equal_budget(args) -> int:
     for spec in config.mechanisms:
         if MECHANISM_TABLE[spec.name][1] is None:  # no round bound: not a query-model mechanism
             raise ConfigError(f"mechanism {spec.name!r} does not run in the query model")
-    _check_work_caps(config)
     _check_writable(args.out)
     instance = generate_instance(config.instance.family, config.instance.size,
                                  config.instance.scale, config.instance_seed)

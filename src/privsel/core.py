@@ -43,8 +43,8 @@ def _integer(name: str, value, least: int) -> int:
 
 def _real(value) -> float:
     """value as a float if it is a numbers.Real (numpy, int and Fraction
-    included) but not a bool, else NaN; shared by _positive and the tree
-    nodes' constant rule (queries._constant)."""
+    included) but not a bool, else NaN; shared by _positive, the tree
+    nodes' constant rule (queries._constant) and generate_instance's scale."""
     if type(value) is bool or not isinstance(value, numbers.Real):
         return math.nan
     try:
@@ -311,13 +311,17 @@ def generate_instance(family: str, size: int, scale: float, seed: int) -> LossIn
     gapped:   one candidate at 0, all others at `scale`.
     uniform:  i.i.d. uniform on [0, scale], seeded.
     constant: all zeros.
-    size is an integer >= 1 by _integer's rule.
+    size >= 1 and seed >= 0 are integers by _integer's rule, for every
+    family; scale is a finite real >= 0 read through _real.
     """
     if family not in INSTANCE_FAMILIES:
         raise ValueError(f"unknown family {family!r}; expected one of {INSTANCE_FAMILIES}")
     size = _integer("size", size, 1)
-    if not (math.isfinite(scale) and scale >= 0):
-        raise ValueError(f"scale must be finite and >= 0, got {scale}")
+    seed = _integer("seed", seed, 0)
+    real = _real(scale)
+    if not (math.isfinite(real) and real >= 0):
+        raise ValueError(f"scale must be finite and >= 0, got {scale!r}")
+    scale = real
 
     if family == "layered":
         k = ceil_log2(size)
@@ -326,7 +330,7 @@ def generate_instance(family: str, size: int, scale: float, seed: int) -> LossIn
             vals.extend([i * scale] * (1 << (i - 1)))
         losses = tuple(vals[:size])
     elif family == "gapped":
-        losses = (0.0,) + (float(scale),) * (size - 1)
+        losses = (0.0,) + (scale,) * (size - 1)
     elif family == "uniform":
         rng = np.random.default_rng(seed)
         losses = rng.uniform(0.0, scale, size)

@@ -44,9 +44,9 @@ from .core import (
     DEFAULT_CONSTANTS, INSTANCE_FAMILIES, MechanismConstants, generate_instance,
 )
 from .mechanisms import (
-    _check_work_cap, _combined_beta, binary_tree_round_bound, binary_tree_select,
-    combined_round_bound, combined_select, exponential_mechanism, query_all_baseline,
-    query_all_round_bound, recursive_gap_round_bound, recursive_gap_select,
+    binary_tree_round_bound, binary_tree_select, combined_round_bound, combined_select,
+    exponential_mechanism, query_all_baseline, query_all_round_bound,
+    recursive_gap_round_bound, recursive_gap_select,
 )
 from .oracle import BudgetOracle
 
@@ -302,17 +302,6 @@ def nearest_rank_quantile(sorted_values: np.ndarray, q: float) -> float:
     n = len(sorted_values)
     rank = max(1, math.ceil(q / 100.0 * n))
     return float(sorted_values[rank - 1])
-
-
-def _check_work_caps(config: ExperimentConfig) -> None:
-    """InfeasibleConfigError when a recursive_gap or combined spec of config
-    would exceed the subsampling work cap on its instance.  The cap reads no
-    loss, no draw and no rho, so a command checks it before opening a path."""
-    n = config.instance.size
-    for spec in config.mechanisms:
-        beta = {"recursive_gap": config.beta, "combined": _combined_beta(n)}.get(spec.name)
-        if beta is not None:
-            _check_work_cap(n, beta, spec.constants or DEFAULT_CONSTANTS)
 
 
 def _derived_seed(*parts: int) -> int:

@@ -77,16 +77,6 @@ def binary_tree_select(oracle, rho: float) -> SelectionResult:
     return _metered(oracle, lambda: (oracle.noisy_tournament(range(oracle.n_candidates), rho), 0))
 
 
-def _check_work_cap(n: int, beta: float, consts: MechanismConstants) -> None:
-    """InfeasibleConfigError when a level of the recursion on n candidates
-    would draw more than DEFAULT_WORK_CAP index slots, T * 2**(K-1).  rho
-    enters neither K nor T, so the check reads only n, beta and consts."""
-    for k, t_rounds, _, _ in recursion_schedule(n, 1.0, beta, consts)[:-1]:
-        if t_rounds << (k - 1) > DEFAULT_WORK_CAP:
-            raise InfeasibleConfigError(f"subsampling work 2**{math.log2(t_rounds) + k - 1:.1f}"
-                                        f" exceeds cap {DEFAULT_WORK_CAP}")
-
-
 def _combined_beta(n: int) -> float:
     """The beta combined_select gives its recursive stage: 1/ceil(log2(n))."""
     return 1.0 / max(ceil_log2(n), 1)
@@ -154,8 +144,11 @@ def recursive_gap_select(oracle, rho: float, beta: float,
     """
     rho, beta = _positive("rho", rho), _positive("beta", beta, 1)
     n = oracle.n_candidates
-    _check_work_cap(n, beta, consts)
     levels = recursion_schedule(n, rho, beta, consts)
+    for k, t_rounds, _, _ in levels[:-1]:
+        if t_rounds << (k - 1) > DEFAULT_WORK_CAP:
+            raise InfeasibleConfigError(f"subsampling work 2**{math.log2(t_rounds) + k - 1:.1f}"
+                                        f" exceeds cap {DEFAULT_WORK_CAP}")
     offsets = [(k + math.sqrt(k)) * loss_scale(k, rho_j, beta_j, consts)
                for k, _, rho_j, beta_j in levels[:-1]]
     if rng is None:

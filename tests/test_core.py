@@ -10,7 +10,7 @@ from hypothesis import given, settings, strategies as st
 
 import privsel
 from privsel.core import (
-    LossInstance, MechanismConstants,
+    INSTANCE_FAMILIES, LossInstance, MechanismConstants,
     ceil_log2, derived_rounds_ceil_log, error_scale, gap_threshold,
     generate_instance, loss_scale, recursion_schedule,
 )
@@ -288,3 +288,12 @@ class TestGenerateInstance:
             generate_instance("gapped", 0, 1.0, seed=0)
         with pytest.raises(ValueError):
             generate_instance("gapped", 4, -1.0, seed=0)
+
+    @pytest.mark.parametrize("family", INSTANCE_FAMILIES)
+    def test_seed_and_scale_follow_the_shared_rules(self, family):
+        # a None seed would draw uniform losses from OS entropy
+        for seed in (None, -1):
+            with pytest.raises(ValueError, match=rf"^seed must be an integer >= 0, got {seed}$"):
+                generate_instance(family, 3, 1.0, seed)
+        with pytest.raises(ValueError, match=r"^scale must be finite and >= 0, got True$"):
+            generate_instance(family, 3, True, 0)

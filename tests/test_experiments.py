@@ -314,6 +314,11 @@ CONFIG_DOC = {
     "trials": 20,
     "master_seed": 3,
 }
+# these constants keep the loss scale finite, but on this instance the derived
+# losses overflow a few levels down
+NONFINITE_DOC = dict(CONFIG_DOC, instance={"family": "uniform", "size": 1024},
+                     mechanisms=[{"name": "recursive_gap", "constants": {
+                         "c_xi": 1e303, "p_xi": 1, "base_threshold_log": 6}}], trials=1)
 
 
 class TestCli:
@@ -399,7 +404,7 @@ class TestCli:
     @pytest.mark.parametrize("command", ["run", "simulate-equal-budget"])
     def test_infeasible_config_exit_2(self, tmp_path, capsys, command):
         # at 2**20 candidates these constants' first level needs ~2**31 index
-        # slots; the cap is checked before the output path is created
+        # slots; recursive_gap_select checks the cap before any draw or spend
         out = tmp_path / "new.csv"
         for mechanism in ("recursive_gap", "combined"):
             doc = dict(CONFIG_DOC, instance={"family": "uniform", "size": 1 << 20},
@@ -439,12 +444,7 @@ class TestCli:
             "equal-budget-nonfinite-loss", "gen-size-0", "fuzz-trials-0", "rate-trials-0",
             "run-trials-0", "run-config-dir", "gen-out-dir", "verify-out-dir"])
     def test_bad_input_exits_2_with_one_line(self, tmp_path, capsys, argv):
-        # these constants keep the loss scale finite, but on this instance the
-        # derived losses overflow a few levels down
-        nonfinite = dict(CONFIG_DOC, instance={"family": "uniform", "size": 1024},
-                         mechanisms=[{"name": "recursive_gap", "constants": {
-                             "c_xi": 1e303, "p_xi": 1, "base_threshold_log": 6}}], trials=1)
-        (tmp_path / "nonfinite.json").write_text(json.dumps(nonfinite))
+        (tmp_path / "nonfinite.json").write_text(json.dumps(NONFINITE_DOC))
         files = {"CONFIG": self._write_config(tmp_path),
                  "NONFINITE": str(tmp_path / "nonfinite.json"), "DIR": str(tmp_path)}
         assert main([files.get(arg, arg) for arg in argv]) == 2
@@ -471,7 +471,8 @@ class TestCli:
         (["run", "CONFIG", "--out", "PATH"], "run_trials"),
         (["run", "CONFIG", "--records", "PATH"], "run_trials"),
         (["simulate-equal-budget", "CONFIG", "--out", "PATH"], "equal_budget_simulate"),
-    ], ids=["verify-out", "run-out", "run-records", "equal-budget-out"])
+        (["gen", "uniform", "4", "1.0", "0", "--out", "PATH"], "generate_instance"),
+    ], ids=["verify-out", "run-out", "run-records", "equal-budget-out", "gen-out"])
     def test_output_paths_checked_before_any_work(self, tmp_path, monkeypatch, capsys, argv,
                                                   patched):
         def no_work(*args, **kwargs):
@@ -483,13 +484,41 @@ class TestCli:
         assert captured.out == ""
         assert captured.err.startswith("config error: ") and captured.err.count("\n") == 1
         assert "Is a directory" in captured.err
-        # a path that can be written keeps its bytes when the work then fails
-        kept = tmp_path / "kept.csv"
+        # a path that can be written is left as it was when the work then
+        # fails: a file keeps its bytes, and a new path stays absent
+        kept, new = tmp_path / "kept.csv", tmp_path / "new.csv"
         kept.write_text("kept\n")
-        files["PATH"] = str(kept)
-        assert main([files.get(arg, arg) for arg in argv]) == 2
-        assert capsys.readouterr().err == f"config error: {patched} ran\n"
+        for path in (kept, new):
+            files["PATH"] = str(path)
+            assert main([files.get(arg, arg) for arg in argv]) == 2
+            assert capsys.readouterr().err == f"config error: {patched} ran\n"
         assert kept.read_text() == "kept\n"
+        assert not new.exists()
+
+    @pytest.mark.parametrize("command", ["run", "simulate-equal-budget"])
+    @pytest.mark.parametrize("doc, message", [
+        (dict(CONFIG_DOC, instance={"family": "uniform", "size": 1},
+              mechanisms=[{"name": "combined"}], trials=1),
+         "combined_select needs at least two candidates"),
+        (dict(CONFIG_DOC, instance={"family": "layered", "size": 1 << 12},
+              mechanisms=[{"name": "recursive_gap", "constants": {
+                  "c_xi": 1e300, "p_xi": 1, "base_threshold_log": 6}}], rho=1e-10, trials=1),
+         "loss scale overflows at k=12, rho=1e-10, beta=0.1, "
+         "MechanismConstants(c_xi=1e+300, p_xi=1, base_threshold_log=6)"),
+        (NONFINITE_DOC,
+         "the mechanism constants make a derived loss non-finite (query value is nan)"),
+    ], ids=["combined-one-candidate", "loss-scale-overflow", "derived-loss-nan"])
+    def test_failed_trial_leaves_output_paths_as_found(self, tmp_path, capsys, command, doc,
+                                                       message):
+        cfg = self._write_config(tmp_path, doc)
+        kept, new = tmp_path / "kept.csv", tmp_path / "new.csv"
+        kept.write_text("kept\n")
+        for path in (kept, new):
+            assert main([command, cfg, "--out", str(path)]) == 2
+            captured = capsys.readouterr()
+            assert (captured.out, captured.err) == ("", f"config error: {message}\n")
+        assert kept.read_text() == "kept\n"
+        assert not new.exists()
 
     def test_parser_is_built_once(self):
         assert build_parser() is build_parser()

@@ -29,3 +29,18 @@ def test_package_imports_only_listed_names():
                 unlisted += [f"{node.module}.{alias.name}" for alias in node.names
                              if alias.name not in module.__all__]
     assert unlisted == []
+
+
+def test_no_module_imports_private_names_of_mechanisms():
+    # a fact about a mechanism is stated once, in mechanisms: other modules
+    # call its public functions, which check their own arguments
+    private = []
+    for path in sorted(Path(privsel.__file__).parent.glob("*.py")):
+        if path.stem == "mechanisms":
+            continue
+        for node in ast.walk(ast.parse(path.read_text())):
+            if isinstance(node, ast.ImportFrom) and (node.level, node.module) in (
+                    (1, "mechanisms"), (0, "privsel.mechanisms")):
+                private += [f"{path.stem}: {alias.name}" for alias in node.names
+                            if alias.name.startswith("_")]
+    assert private == []

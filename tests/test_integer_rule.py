@@ -42,6 +42,8 @@ SITES = {
     "error_scale.m": ("m", 4, lambda v: error_scale(v, 1.0, 0.5)),
     "generate_instance.size": (
         "size", 8, lambda v: generate_instance("layered", v, 1.0, 0).losses),
+    "generate_instance.seed": (
+        "seed", 0, lambda v: generate_instance("uniform", 4, 1.0, v).losses),
     "MinCompare.split": ("split", 1, lambda v: typed(MinCompare([0, 1, 2], v).split)),
     "build_tilde_loss.k": (
         "k", 2, lambda v: format_expr(build_tilde_loss([0, 1], v, 1.0, range(4)))),
