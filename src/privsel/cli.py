@@ -51,15 +51,18 @@ def _write_text(path: str | None, text: str) -> None:
 
 def _check_writable(*paths: str | None) -> None:
     """Fail at once on a path that cannot be written, leaving each path as
-    it found it: an existing one is opened to append, which keeps its bytes,
-    and a new one is created and removed.  So until _write_text no output
-    file exists, and a command that fails at any step creates none."""
+    it found it: an existing file (a regular one, or one like /dev/stdout)
+    is opened to append, which keeps its bytes, and a new one is created and
+    removed; for a dangling symlink that is the link's resolved target.  So
+    until _write_text no output file exists, and a command that fails at any
+    step creates none."""
     for path in filter(None, paths):
-        if os.path.lexists(path):
+        if os.path.exists(path):
             open(path, "a").close()
         else:
-            open(path, "x").close()
-            os.remove(path)
+            target = os.path.realpath(path)
+            open(target, "x").close()
+            os.remove(target)
 
 
 def _load_constants(path: str | None) -> MechanismConstants | None:

@@ -11,6 +11,7 @@ and the mechanism's own seeded randomness.  Budgets and betas follow core._posit
 
 from __future__ import annotations
 
+import bisect
 import dataclasses
 import math
 from dataclasses import dataclass
@@ -194,12 +195,17 @@ def exponential_mechanism(instance: LossInstance, rho: float,
     The draw is the one Generator.choice(n, p=probs) makes: the cdf
     cumsum(probs) / its last entry, one rng.random() uniform, and the
     right-sided searchsorted of that uniform, so winner and generator state
-    match it bit for bit.  All of it runs in place in one n-float buffer.
-    Of choice's checks on p only one can fail here, and it is kept: when the
-    logits overflow, the weights' total is NaN and ValueError is raised before
-    any draw.  The others always hold: the buffer is 1-D with n entries, every
-    weight is >= 0 because it comes from exp, and after the division the
-    weights sum to 1 within sqrt(machine epsilon).
+    match it bit for bit.  The winner is that searchsorted index, found by
+    bisecting the cumsum with only the probed entries divided by its last:
+    a cumsum of weights >= 0 never decreases and correctly rounded division
+    by a positive constant is monotone, so "entry / last <= u" is a monotone
+    test on the very quotients the full division would write, and its
+    boundary is the same index.  All of it runs in place in one n-float
+    buffer.  Of choice's checks on p only one can fail here, and it is kept:
+    when the logits overflow, the weights' total is NaN and ValueError is
+    raised before any draw.  The others always hold: the buffer is 1-D with
+    n entries, every weight is >= 0 because it comes from exp, and after the
+    division the weights sum to 1 within sqrt(machine epsilon).
     """
     rho = _positive("rho", rho)
     eps = math.sqrt(2.0 * rho)
@@ -212,8 +218,8 @@ def exponential_mechanism(instance: LossInstance, rho: float,
                          "the logits overflow a float")
     cdf /= total
     np.cumsum(cdf, out=cdf)
-    cdf /= cdf[-1]
-    winner = int(cdf.searchsorted(rng.random(), side="right"))
+    last = cdf[-1]
+    winner = bisect.bisect_right(cdf, rng.random(), key=lambda s: s / last)
     return SelectionResult(winner=winner, rounds_used=0, budget_spent=rho)
 
 

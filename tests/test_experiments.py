@@ -520,6 +520,22 @@ class TestCli:
         assert kept.read_text() == "kept\n"
         assert not new.exists()
 
+    def test_dangling_link_out_leaves_no_target(self, tmp_path, capsys):
+        # the probe creates and removes the link's target, so a failed
+        # command leaves the link dangling and a finished one writes through it
+        link, target = tmp_path / "link", tmp_path / "target.csv"
+        link.symlink_to(target.name)
+        failing = self._write_config(tmp_path, dict(
+            CONFIG_DOC, instance={"family": "uniform", "size": 1},
+            mechanisms=[{"name": "combined"}], trials=1))
+        assert main(["run", failing, "--out", str(link)]) == 2
+        assert capsys.readouterr().err == \
+            "config error: combined_select needs at least two candidates\n"
+        assert link.is_symlink() and not target.exists()
+        assert main(["run", self._write_config(tmp_path), "--out", str(link)]) == 0
+        assert link.is_symlink()
+        assert target.read_text().split("\n")[0] == SUMMARY_CSV_HEADER
+
     def test_parser_is_built_once(self):
         assert build_parser() is build_parser()
 

@@ -1,5 +1,6 @@
 """Selection mechanisms: structure, budget safety, recovery behavior."""
 
+import itertools
 import math
 import tracemalloc
 
@@ -403,17 +404,21 @@ class TestExponentialMechanism:
                 return u
 
         # an odd size reaches the vector loops' tails; at scale 1e5 every
-        # family but the constant one has weights that underflow to 0
-        for scale in (1.0, 1e5):
-            inst = generate_instance(family, 4099, scale, 7)
+        # family but the constant one has weights that underflow to 0.  At
+        # sizes 1 and 2 the winner's bisection spans one or two entries.
+        for size, scale in itertools.product((1, 2, 4099), (1.0, 1e5)):
+            inst = generate_instance(family, size, scale, 7)
             expected = self._out_of_place_probs(inst, rho)
-            assert (scale == 1e5 and family != "constant") == (expected == 0).any()
+            if size == 4099:
+                assert (scale == 1e5 and family != "constant") == (expected == 0).any()
             cdf = np.cumsum(expected)
             cdf /= cdf[-1]
             # the mechanism's cdf is nondecreasing, so the winners at every
-            # step of the reference cdf and one ulp below it fix its bits
+            # step of the reference cdf and one ulp below it fix its bits;
+            # the largest uniform below 1 is the draw's top edge
             steps = np.unique(cdf)
-            for u in np.concatenate([steps, np.nextafter(steps, -np.inf)]).tolist():
+            edges = [steps, np.nextafter(steps, -np.inf), [np.nextafter(1.0, 0.0)]]
+            for u in np.concatenate(edges).tolist():
                 winner = exponential_mechanism(inst, rho, Probe()).winner
                 assert winner == cdf.searchsorted(u, side="right")
             for seed in range(10):
