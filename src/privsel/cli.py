@@ -19,10 +19,12 @@ from __future__ import annotations
 
 import argparse
 import dataclasses
+import errno
 import functools
 import json
 import math
 import os
+import stat
 import sys
 
 import numpy as np
@@ -55,14 +57,18 @@ def _check_writable(*paths: str | None) -> None:
     is opened to append, which keeps its bytes, and a new one is created and
     removed; for a dangling symlink that is the link's resolved target.  So
     until _write_text no output file exists, and a command that fails at any
-    step creates none."""
+    step creates none.  A named pipe is only checked for write permission:
+    opening it would block until a reader came, and closing it would end
+    that reader's input."""
     for path in filter(None, paths):
-        if os.path.exists(path):
-            open(path, "a").close()
-        else:
+        if not os.path.exists(path):
             target = os.path.realpath(path)
             open(target, "x").close()
             os.remove(target)
+        elif not stat.S_ISFIFO(os.stat(path).st_mode):
+            open(path, "a").close()
+        elif not os.access(path, os.W_OK):
+            raise PermissionError(errno.EACCES, os.strerror(errno.EACCES), path)
 
 
 def _load_constants(path: str | None) -> MechanismConstants | None:

@@ -75,6 +75,12 @@ def ceil_log2(m: int) -> int:
     return (m - 1).bit_length()
 
 
+def _min_of(values: np.ndarray) -> float:
+    """Minimum of values; among equal values the first in order (argmin's
+    rule), which only decides the sign of a zero."""
+    return values.item(values.argmin())
+
+
 @dataclass(frozen=True, init=False, repr=False, eq=False)  # frozen: assignments raise
 class LossInstance:
     """A finite candidate set with one real-valued loss per candidate.
@@ -90,8 +96,9 @@ class LossInstance:
     read-only attribute, None until then) for the instance's lifetime. Among
     equal values a block's minimum is the first in index order, as Python's
     ``min`` gives it; that only decides the sign of a zero.
-    ``block_min`` reads it, building it only once the instance has been
-    asked for enough blocks to pay for it.
+    ``range_min`` is the one reader of a span's minimum: an aligned block
+    from the table, built only once the instance has been asked for enough
+    blocks to pay for it, and any other span by reduction.
     """
 
     def __init__(self, losses):
@@ -156,25 +163,28 @@ class LossInstance:
             object.__setattr__(self, "built_block_minima", table)
         return table
 
-    def block_min(self, lo: int, size: int) -> float | None:
-        """Minimum of the aligned block [lo, lo + size) from the table, or None.
+    def range_min(self, lo: int, hi: int) -> float:
+        """Minimum of the losses in [lo, hi), by _min_of's tie rule.
 
-        size is a power of two and lo a multiple of it.  Building the table
-        costs about as much as reducing 2 * P losses, so it is built only
-        once the blocks asked for hold more than 2 * P losses in all; until
-        then this returns None and the caller reduces the block.  One halving
-        tournament asks for fewer, so an instance that serves a single
-        tournament never builds the table.  Callers on other threads can at
-        worst lose a count or build the same table twice.
+        An aligned block (2**j >= 2 losses from a multiple of 2**j) is read
+        from the table.  Building it costs about as much as reducing 2 * P
+        losses, so it is built only once the blocks asked for hold more than
+        2 * P losses in all; until then, and for any other span, the span is
+        reduced.  One halving tournament asks for fewer, so an instance that
+        serves a single tournament never builds the table.  Callers on other
+        threads can at worst lose a count or build the same table twice.
         """
-        table = self.built_block_minima
-        if table is None:
-            asked = self._block_losses_asked + size
-            object.__setattr__(self, "_block_losses_asked", asked)
-            if asked <= 2 << ceil_log2(len(self)):
-                return None
-            table = self.block_minima()
-        return float(table[(table.size + lo) // size])
+        size = hi - lo
+        if size > 1 and size & (size - 1) == 0 and lo % size == 0:  # an aligned block
+            table = self.built_block_minima
+            if table is None:
+                asked = self._block_losses_asked + size
+                object.__setattr__(self, "_block_losses_asked", asked)
+                if asked > 2 << ceil_log2(len(self)):
+                    table = self.block_minima()
+            if table is not None:
+                return table.item((table.size + lo) // size)
+        return _min_of(self._array[lo:hi])
 
     def min_index(self) -> int:
         """Smallest position attaining the minimum loss."""
@@ -182,7 +192,7 @@ class LossInstance:
 
     def min_loss(self) -> float:
         """The loss at min_index()."""
-        return self._array.item(self._array.argmin())
+        return _min_of(self._array)
 
     def gap(self) -> float:
         """Second order statistic minus the minimum; +inf for a singleton.

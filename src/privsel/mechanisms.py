@@ -202,15 +202,19 @@ def exponential_mechanism(instance: LossInstance, rho: float,
     test on the very quotients the full division would write, and its
     boundary is the same index.  All of it runs in place in one n-float
     buffer.  Of choice's checks on p only one can fail here, and it is kept:
-    when the logits overflow, the weights' total is NaN and ValueError is
-    raised before any draw.  The others always hold: the buffer is 1-D with
+    a logit below the max that overflows to -inf only gets weight 0, but a
+    max logit that is not finite (an overflow, or eps itself infinite) makes
+    the shifted logits, and so the weights' total, NaN, and ValueError is
+    raised before any draw; numpy's overflow warnings are silenced, so that
+    error is the one report.  The others always hold: the buffer is 1-D with
     n entries, every weight is >= 0 because it comes from exp, and after the
     division the weights sum to 1 within sqrt(machine epsilon).
     """
     rho = _positive("rho", rho)
     eps = math.sqrt(2.0 * rho)
-    cdf = -0.5 * eps * instance.as_array()
-    cdf -= cdf.max()
+    with np.errstate(over="ignore", invalid="ignore"):
+        cdf = -0.5 * eps * instance.as_array()
+        cdf -= cdf.max()
     np.exp(cdf, out=cdf)
     total = cdf.sum()
     if not math.isfinite(total):

@@ -58,10 +58,10 @@ BaseBatch) follows one form rule, ``_members``'s.  A step-1 range is kept as
 given, any other ordered input becomes an int64 array, and a set raises
 TypeError.  A range is admitted by an O(1) check of its ends and read as a
 slice (``_take``), with no bounds scan, gather or index copy.  Over base
-losses, a side that is an aligned block of 2 or more candidates (2**j of
-them, starting at a multiple of 2**j) reads one entry of the instance's
-cached ``block_minima`` table, built by the same rule, once the instance has
-been asked for enough such blocks to pay for building it (``block_min``).
+losses, a side is read by ``LossInstance.range_min``, the one reader of a
+span: an aligned block of 2**j >= 2 candidates from a multiple of 2**j is
+an entry of the cached ``block_minima`` table, by the same rule, once enough
+such blocks have been asked for to pay for building it; any other is reduced.
 
 The halving tournament (``BudgetOracle.noisy_tournament``) builds no node:
 it admits its members Q once by MinCompare's rule (``_members``), then
@@ -69,10 +69,11 @@ it admits its members Q once by MinCompare's rule (``_members``), then
 mid - lo, L), so nothing is built, checked or dispatched on per round.
 For a range of 2**K candidates from a multiple of 2**K, split in halves,
 once the table is built, a round's halves are two sibling table entries
-(at the last round, two losses).  ``eval_expr`` on a MinCompare is the
-same evaluator over the full span of its admitted members.  The tree
-nodes reduce in plain Python at every size and share no numpy code with
-Level and MinCompare, so comparing the two is an independent check.
+(at the last round, two losses), read together: the one fast path past
+``range_min``.  ``eval_expr`` on a MinCompare is the same evaluator over
+the full span of its admitted members.  The tree nodes reduce in plain
+Python at every size and share no numpy code with Level and MinCompare, so
+comparing the two is an independent check.
 
 A BaseBatch is not a node: it is the sequence of Base(i) for the i of an
 index set, answered as one vectorised batch in one noise buffer.
@@ -117,7 +118,7 @@ from typing import Union
 
 import numpy as np
 
-from .core import LossInstance, _integer, _positive, _real
+from .core import LossInstance, _integer, _min_of, _positive, _real
 
 __all__ = [
     "Base", "Const", "MinOver", "MaxOver", "GapOver", "Sub", "Scale",
@@ -365,12 +366,6 @@ def _two_smallest(values) -> tuple[float, float]:
     return s1, s2
 
 
-def _min_of(sub: np.ndarray) -> float:
-    """Minimum of sub; among equal values the first in order (argmin's rule),
-    which only decides the sign of a zero."""
-    return sub.item(sub.argmin())
-
-
 def _segment_first_min(values: np.ndarray, starts: np.ndarray,
                        segment: np.ndarray) -> np.ndarray:
     """Per segment, the position in ``values`` of its first minimal entry."""
@@ -450,24 +445,14 @@ def _take(values: np.ndarray, idx: np.ndarray | range) -> np.ndarray:
     return values[idx.start:idx.stop] if type(idx) is range else values[idx]
 
 
-def _range_min(instance: LossInstance, lo: int, hi: int) -> float:
-    """Minimum of the losses in [lo, hi), by the tie rule of _min_of."""
-    size = hi - lo
-    if size > 1 and size & (size - 1) == 0 and lo % size == 0:  # an aligned block
-        value = instance.block_min(lo, size)
-        if value is not None:
-            return value
-    return _min_of(instance.as_array()[lo:hi])
-
-
 def _span_source(idx, split: int, level, instance: LossInstance, memo: dict):
     """The evaluator value(lo, mid, hi) of MinCompare(idx[lo:hi], mid - lo,
     level), for members idx admitted by _members, picked once base members
     are checked against the instance: slices of up to _SMALL members' values
     as a list, or of an index array's or a level's values read by _take; a
-    base range's sides by _range_min, or, for an aligned range split in halves
-    once the table is built, a halving span's halves as the sibling table
-    entries k and k + 1 (a span of two, its two losses)."""
+    base range's sides by instance.range_min, or, for an aligned range split
+    in halves once the table is built, a halving span's halves as the sibling
+    table entries k and k + 1 (a span of two, its two losses)."""
     n = len(idx)
     if level is None:
         _check_indices(idx, len(instance))
@@ -481,8 +466,9 @@ def _span_source(idx, split: int, level, instance: LossInstance, memo: dict):
     start = idx.start
     table = instance.built_block_minima  # built by an earlier call, if any
     if table is None or n & (n - 1) or start % n or 2 * split != n:
-        return lambda lo, mid, hi: 0.5 * (_range_min(instance, start + lo, start + mid)
-                                          - _range_min(instance, start + mid, start + hi))
+        range_min = instance.range_min
+        return lambda lo, mid, hi: 0.5 * (range_min(start + lo, start + mid)
+                                          - range_min(start + mid, start + hi))
     offset = table.size + start
 
     def sibling(lo: int, mid: int, hi: int) -> float:

@@ -3,7 +3,11 @@
 import argparse
 import hashlib
 import json
+import os
 import re
+import subprocess
+import sys
+import threading
 from pathlib import Path
 
 import numpy as np
@@ -319,6 +323,8 @@ CONFIG_DOC = {
 NONFINITE_DOC = dict(CONFIG_DOC, instance={"family": "uniform", "size": 1024},
                      mechanisms=[{"name": "recursive_gap", "constants": {
                          "c_xi": 1e303, "p_xi": 1, "base_threshold_log": 6}}], trials=1)
+# eps = sqrt(2 * rho) is inf, so every logit is nan or infinite
+INF_EPS_DOC = dict(CONFIG_DOC, mechanisms=[{"name": "exponential"}], rho=1e308)
 
 
 class TestCli:
@@ -431,6 +437,7 @@ class TestCli:
         ["verify", "--grid", "quick", "--subset-draws", "0"],
         ["run", "NONFINITE"],
         ["simulate-equal-budget", "NONFINITE"],
+        ["run", "INF_EPS"],
         ["gen", "uniform", "0", "1", "0"],
         ["verify", "--grid", "quick", "--subset-draws", "100", "--fuzz-trials", "0"],
         ["verify", "--grid", "quick", "--subset-draws", "100", "--rate-trials", "0"],
@@ -441,12 +448,15 @@ class TestCli:
         ["verify", "--grid", "quick", "--fuzz-trials", "10", "--subset-draws", "100",
          "--rate-trials", "10", "--out", "DIR"],
     ], ids=["gen-inf-scale", "gen-nan-scale", "subset-draws-0", "run-nonfinite-loss",
-            "equal-budget-nonfinite-loss", "gen-size-0", "fuzz-trials-0", "rate-trials-0",
-            "run-trials-0", "run-config-dir", "gen-out-dir", "verify-out-dir"])
+            "equal-budget-nonfinite-loss", "exponential-inf-eps", "gen-size-0",
+            "fuzz-trials-0", "rate-trials-0", "run-trials-0", "run-config-dir", "gen-out-dir",
+            "verify-out-dir"])
     def test_bad_input_exits_2_with_one_line(self, tmp_path, capsys, argv):
         (tmp_path / "nonfinite.json").write_text(json.dumps(NONFINITE_DOC))
+        (tmp_path / "inf_eps.json").write_text(json.dumps(INF_EPS_DOC))
         files = {"CONFIG": self._write_config(tmp_path),
-                 "NONFINITE": str(tmp_path / "nonfinite.json"), "DIR": str(tmp_path)}
+                 "NONFINITE": str(tmp_path / "nonfinite.json"),
+                 "INF_EPS": str(tmp_path / "inf_eps.json"), "DIR": str(tmp_path)}
         assert main([files.get(arg, arg) for arg in argv]) == 2
         captured = capsys.readouterr()
         assert captured.out == ""
@@ -535,6 +545,44 @@ class TestCli:
         assert main(["run", self._write_config(tmp_path), "--out", str(link)]) == 0
         assert link.is_symlink()
         assert target.read_text().split("\n")[0] == SUMMARY_CSV_HEADER
+
+    def test_exponential_overflow_to_zero_weight_is_silent(self, tmp_path, capsys):
+        # at scale 1e308 most logits overflow to -inf, which only zeroes their
+        # weights; numpy's warning of it is neither printed nor raised
+        doc = dict(CONFIG_DOC, instance={"family": "uniform", "size": 64, "scale": 1e308},
+                   mechanisms=[{"name": "exponential"}], rho=100.0)
+        assert main(["run", self._write_config(tmp_path, doc)]) == 0
+        captured = capsys.readouterr()
+        assert captured.err == ""
+        assert captured.out.split("\n")[1].startswith("exponential,20,")
+
+    @pytest.mark.skipif(not hasattr(os, "mkfifo"), reason="no named pipes here")
+    def test_fifo_out_is_written_once_and_not_probed(self, tmp_path):
+        # opening the pipe to probe it and closing it again would end the
+        # reader's input, and the final open would then wait for a new reader
+        fifo = tmp_path / "out.fifo"
+        os.mkfifo(fifo)
+        got = []
+        reader = threading.Thread(target=lambda: got.append(fifo.read_bytes()))
+        reader.start()
+        src = os.path.dirname(os.path.dirname(cli.__file__))
+        env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+            filter(None, (src, os.environ.get("PYTHONPATH")))))
+        try:
+            proc = subprocess.run(
+                [sys.executable, "-m", "privsel.cli", "run", self._write_config(tmp_path),
+                 "--out", str(fifo)], env=env, capture_output=True, text=True, timeout=30)
+        except subprocess.TimeoutExpired:  # the child is killed and reaped
+            pytest.fail("privsel blocked opening the pipe")
+        finally:
+            while reader.is_alive():  # a reader still waiting for a writer: be one
+                try:
+                    os.close(os.open(fifo, os.O_WRONLY | os.O_NONBLOCK))
+                except OSError:  # no reader has the pipe open yet
+                    pass
+                reader.join(0.1)
+        assert (proc.returncode, proc.stderr) == (0, "")
+        assert got[0].decode().split("\n")[0] == SUMMARY_CSV_HEADER
 
     def test_parser_is_built_once(self):
         assert build_parser() is build_parser()

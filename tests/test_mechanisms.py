@@ -428,7 +428,6 @@ class TestExponentialMechanism:
                 assert exponential_mechanism(inst, rho, rng).winner == expected_winner
                 assert rng.bit_generator.state == reference.bit_generator.state
 
-    @pytest.mark.filterwarnings("ignore::RuntimeWarning")  # numpy warns of the overflow
     def test_overflowing_logits_raise_before_any_draw(self):
         # eps * 1e308 / 2 overflows at rho = 100: the weights' total is nan
         rng = np.random.default_rng(0)

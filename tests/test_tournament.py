@@ -11,7 +11,9 @@ import math
 import numpy as np
 import pytest
 
-from privsel.core import LossInstance, MechanismConstants, ceil_log2, generate_instance
+from privsel.core import (
+    LossInstance, MechanismConstants, _min_of, ceil_log2, generate_instance,
+)
 from privsel.mechanisms import (
     binary_tree_select, combined_select, exponential_mechanism, query_all_baseline,
     recursive_gap_select,
@@ -246,6 +248,33 @@ def test_block_minima_are_python_min_of_every_aligned_block(n, values):
     assert not table.flags.writeable
 
 
+@pytest.mark.parametrize("n", [*range(1, 10), 16, 17])
+def test_range_min_is_min_of_every_span_before_and_after_the_build(n):
+    # ties and both signed zeros, so the first-of-equals rule decides signs
+    values = np.random.default_rng(n).permutation(np.resize(ZEROS, n))
+    spans = [(lo, hi) for lo in range(n) for hi in range(lo + 1, n + 1)]
+
+    def aligned(lo, hi):
+        size = hi - lo
+        return size > 1 and size & (size - 1) == 0 and lo % size == 0
+
+    built = LossInstance(values)
+    built.block_minima()
+    shared = LossInstance(values)  # may build its table partway, once the rent is paid
+    for lo, hi in spans * 2:
+        want = repr(_min_of(values[lo:hi]))
+        fresh = LossInstance(values)
+        assert repr(fresh.range_min(lo, hi)) == want, (lo, hi)
+        assert fresh._block_losses_asked == (hi - lo if aligned(lo, hi) else 0)
+        assert fresh.built_block_minima is None
+        assert repr(built.range_min(lo, hi)) == want, (lo, hi)
+        assert built._block_losses_asked == 0
+        asked, unbuilt = shared._block_losses_asked, shared.built_block_minima is None
+        assert repr(shared.range_min(lo, hi)) == want, (lo, hi)
+        grown = hi - lo if aligned(lo, hi) and unbuilt else 0
+        assert shared._block_losses_asked == asked + grown
+
+
 @pytest.mark.parametrize("n, failing_round",
                          [(256, j) for j in range(8)] + [(8, j) for j in range(3)],
                          ids=[*map(str, range(8)), *(f"n8-{j}" for j in range(3))])
@@ -428,7 +457,7 @@ def test_no_state_is_created_on_first_use():
 def test_aligned_tournament_reads_sibling_pairs_of_a_built_table(k, monkeypatch):
     # every round of a tournament over range(2**k) is an aligned span split in
     # halves, so once the table is built it reads both halves as one sibling
-    # pair, neither reducing a side nor asking block_min for it
+    # pair, never calling range_min, which reduces a side or asks for its block
     n = 1 << k
     instance = LossInstance(np.random.default_rng(k).uniform(0, 1, n))
     instance.block_minima()
@@ -437,8 +466,7 @@ def test_aligned_tournament_reads_sibling_pairs_of_a_built_table(k, monkeypatch)
         raise AssertionError(f"a side was reduced or asked for: {args[1:]}")
 
     with monkeypatch.context() as patched:
-        patched.setattr(queries_module, "_range_min", forbidden)
-        patched.setattr(LossInstance, "block_min", forbidden)
+        patched.setattr(LossInstance, "range_min", forbidden)
         fast = BudgetOracle(instance, 1.0, seed=1)
         survivor = binary_tree_select(fast, 1.0).winner
     slow = BudgetOracle(instance, 1.0, seed=1)
