@@ -26,6 +26,7 @@ import math
 import os
 import stat
 import sys
+import threading
 
 import numpy as np
 
@@ -112,20 +113,14 @@ def _report_csv(results) -> str:
     return "\n".join(lines) + "\n"
 
 
-def _cmd_verify(args) -> int:
-    for flag, least in (("fuzz_trials", 1), ("subset_draws", 1), ("rate_trials", 1), ("seed", 0)):
-        if getattr(args, flag) < least:
-            raise ValueError(
-                f"--{flag.replace('_', '-')} must be >= {least}, got {getattr(args, flag)}")
-    consts = _load_constants(args.constants) or MechanismConstants()
-    _check_writable(args.out)
-    if args.grid == "quick":
+def _grid_rows(consts: MechanismConstants, grid: str) -> list[CheckResult]:
+    """The appendix grid, then the closed-form subset probability against two
+    exact oracles on all small cases: the sequential-draw DP, then literal
+    enumeration where it is tractable."""
+    if grid == "quick":
         results = appendix_grid(consts, ks=(1000, 10**4, 10**6), betas=GRID_BETAS[::6])
     else:
         results = appendix_grid(consts)
-
-    # closed-form subset probability vs two exact oracles on all small cases:
-    # the sequential-draw DP, then literal enumeration where it is tractable
     exact_oracles = (
         ("subset_event_dp_match", subset_event_probability_dp, math.inf),
         ("subset_event_enum_match", subset_event_probability_enum, ENUM_MAX_SUBSETS),
@@ -143,7 +138,14 @@ def _cmd_verify(args) -> int:
                         claim, f"K={k};i*={i_star};k*={k_star}",
                         Verdict.PASS if ok else Verdict.FAIL,
                         0.0 if ok else float(abs(closed - value))))
+    return results
 
+
+def _sampler_rows(args) -> list[CheckResult]:
+    """The Monte Carlo subset check and the good-subset rate check.  Their time
+    is spent in numpy's samplers, which release the GIL, and neither touches
+    mpmath, whose precision is process-global: so they run on a worker thread
+    beside the main thread's checks."""
     # Monte Carlo subset sampling vs the closed form
     k, i_star, k_star = 16, 2, 6
     target = float(subset_event_probability(k, i_star, k_star))
@@ -151,10 +153,10 @@ def _cmd_verify(args) -> int:
     freq = subset_event_mc(k, i_star, k_star, draws, seed=args.seed)
     se = math.sqrt(target * (1 - target) / draws)
     z = (freq - target) / se if se > 0 else 0.0
-    results.append(CheckResult(
+    rows = [CheckResult(
         "subset_event_mc", f"K={k};i*={i_star};k*={k_star};draws={draws}",
         Verdict.PASS if abs(z) <= 3 else Verdict.FAIL, -abs(z) + 3,
-        note=f"freq={freq!r};target={target!r}"))
+        note=f"freq={freq!r};target={target!r}")]
 
     # empirical good-subset rate on a layered instance, scaled constants
     # (the derived-loss scale must sit near the instance scale to be visible)
@@ -165,13 +167,44 @@ def _cmd_verify(args) -> int:
         k, inst, scaled, rho=1.0, beta=0.1, trials=args.rate_trials, seed=args.seed)
     se = math.sqrt(max(bound * (1 - bound), 1e-12) / args.rate_trials)
     ok = empirical >= bound - 3 * se
-    results.append(CheckResult(
+    rows.append(CheckResult(
         "good_subset_rate", f"K={k};trials={args.rate_trials}",
         Verdict.PASS if ok else Verdict.FAIL, empirical - (bound - 3 * se),
         note=f"empirical={empirical!r};bound={bound!r}"))
+    return rows
 
-    # sensitivity calculus fuzzing
-    report = sensitivity_fuzz(args.fuzz_trials, seed=args.seed)
+
+def _cmd_verify(args) -> int:
+    for flag, least in (("fuzz_trials", 1), ("subset_draws", 1), ("rate_trials", 1), ("seed", 0)):
+        if getattr(args, flag) < least:
+            raise ValueError(
+                f"--{flag.replace('_', '-')} must be >= {least}, got {getattr(args, flag)}")
+    consts = _load_constants(args.constants) or MechanismConstants()
+    _check_writable(args.out)
+
+    # The sampler checks run on a worker thread while this one runs the
+    # Python-bound ones.  The worker keeps its rows or its exception, and this
+    # thread raises that exception where the serial order reaches it: after
+    # the grid and the exact sweeps, before the fuzz.
+    sampled = {}
+
+    def sample() -> None:
+        try:
+            sampled["rows"] = _sampler_rows(args)
+        except BaseException as exc:  # re-raised on the main thread
+            sampled["error"] = exc
+
+    worker = threading.Thread(target=sample, name="privsel-verify-samplers")
+    worker.start()
+    results = None
+    try:
+        results = _grid_rows(consts, args.grid)
+        report = sensitivity_fuzz(args.fuzz_trials, seed=args.seed)
+    finally:
+        worker.join()
+        if results is not None and "error" in sampled:
+            raise sampled["error"]
+    results.extend(sampled["rows"])
     ok = report.violations == 0
     results.append(CheckResult(
         "sensitivity_fuzz", f"trials={args.fuzz_trials}",

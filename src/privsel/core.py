@@ -105,7 +105,7 @@ class LossInstance:
         arr = np.array(losses, dtype=np.float64)
         if arr.ndim != 1 or arr.size == 0:
             raise ValueError("instance must be a non-empty vector of losses")
-        if not np.all(np.isfinite(arr)):
+        if not np.isfinite(arr).all():
             raise ValueError("all losses must be finite")
         arr.setflags(write=False)
         object.__setattr__(self, "_array", arr)

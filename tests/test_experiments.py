@@ -639,6 +639,69 @@ class TestCli:
                           "subset_event_dp_match", "subset_event_enum_match",
                           "subset_event_mc", "good_subset_rate", "sensitivity_fuzz"}
 
+    # small counts: every check runs, each in a few milliseconds
+    VERIFY_SMALL = ["verify", "--grid", "quick", "--fuzz-trials", "10", "--subset-draws", "100",
+                    "--rate-trials", "10"]
+
+    def test_verify_worker_error_is_one_config_line(self, tmp_path, monkeypatch, capsys):
+        # the suite's filterwarnings = ["error"] turns an exception left
+        # unhandled on a thread into a failure, so this also checks that the
+        # worker hands its exception to the main thread and prints nothing
+        def rate(*args, **kwargs):
+            raise ValueError("rate ran")
+        monkeypatch.setattr(cli, "check_good_subset_rate", rate)
+        out = tmp_path / "report.csv"
+        threads = threading.active_count()
+        assert main([*self.VERIFY_SMALL, "--out", str(out)]) == 2
+        assert threading.active_count() == threads
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == "config error: rate ran\n"
+        assert not out.exists()
+
+    @pytest.mark.parametrize("first, second", [
+        ("appendix_grid", "subset_event_mc"),
+        ("subset_event_probability_enum", "check_good_subset_rate"),
+        ("subset_event_mc", "sensitivity_fuzz"),
+        ("check_good_subset_rate", "sensitivity_fuzz"),
+    ])
+    def test_verify_reports_the_first_failure_in_serial_order(self, monkeypatch, capsys,
+                                                              first, second):
+        # serial order: grid, exact sweeps, Monte Carlo, rate, fuzz, whichever
+        # thread fails first in time; the suite's filterwarnings = ["error"]
+        # fails this test if either exception escapes its thread unhandled
+        for name in (first, second):
+            def fail(*args, name=name, **kwargs):
+                raise ValueError(f"{name} ran")
+            monkeypatch.setattr(cli, name, fail)
+        threads = threading.active_count()
+        assert main(self.VERIFY_SMALL) == 2
+        assert threading.active_count() == threads
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == f"config error: {first} ran\n"
+
+    def test_verify_runs_each_sampler_check_once(self, tmp_path, monkeypatch):
+        # the worker calls every check through cli's names, once each, and the
+        # report keeps its bytes (tests/test_golden.py pins this digest); the
+        # suite's filterwarnings = ["error"] fails this test on a thread error
+        calls = {}
+        for name in ("subset_event_mc", "check_good_subset_rate", "generate_instance"):
+            def counted(*args, fn=getattr(cli, name), name=name, **kwargs):
+                calls[name] = calls.get(name, 0) + 1
+                return fn(*args, **kwargs)
+            monkeypatch.setattr(cli, name, counted)
+        out = tmp_path / "report.csv"
+        threads = threading.active_count()
+        assert main(["verify", "--grid", "quick", "--fuzz-trials", "300",
+                     "--subset-draws", "20000", "--rate-trials", "3000",
+                     "--out", str(out)]) == 0
+        assert threading.active_count() == threads
+        assert calls == {"subset_event_mc": 1, "check_good_subset_rate": 1,
+                         "generate_instance": 1}
+        assert hashlib.sha256(out.read_bytes()).hexdigest() == (
+            "4a288600c16e34cc7701a3bc1377738e89d403761361d6720283e37e32d910a0")
+
     def test_simulate_equal_budget(self, tmp_path):
         cfg = self._write_config(tmp_path)
         out = tmp_path / "eq.csv"

@@ -434,13 +434,33 @@ class TestSampleCounts:
         assert type(report.trials) is int and report == sensitivity_fuzz(20, seed=4)
 
 
-def test_only_certification_imports_mpmath():
+def _fresh_stdout(code: str) -> str:
     # a fresh interpreter, since this one has imported mpmath already
     src = os.path.dirname(os.path.dirname(privsel.__file__))
     env = dict(os.environ, PYTHONPATH=os.pathsep.join(
         filter(None, (src, os.environ.get("PYTHONPATH")))))
+    return subprocess.run([sys.executable, "-c", code], env=env, capture_output=True,
+                          text=True, check=True).stdout
+
+
+def test_only_certification_imports_mpmath():
     code = ("import sys, privsel, privsel.cli, privsel.experiments; "
             "print('mpmath' in sys.modules)")
-    out = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True,
-                         text=True, check=True).stdout
-    assert out == "False\n"
+    assert _fresh_stdout(code) == "False\n"
+
+
+def test_sampler_checks_do_not_import_mpmath():
+    # privsel verify runs these checks on a worker thread while the main
+    # thread sets mpmath's precision, which is process-global: so they must
+    # not use mpmath at all
+    code = ("import sys\n"
+            "from privsel.core import MechanismConstants, generate_instance\n"
+            "from privsel.verify import (check_good_subset_rate, subset_event_mc,\n"
+            "                            subset_event_probability)\n"
+            "subset_event_probability(16, 2, 6)\n"
+            "subset_event_mc(16, 2, 6, 100, seed=0)\n"
+            "inst = generate_instance('layered', 1 << 10, scale=1.0, seed=0)\n"
+            "check_good_subset_rate(10, inst, MechanismConstants(c_xi=1.0, p_xi=1,\n"
+            "                       base_threshold_log=6), trials=10, seed=0)\n"
+            "print('mpmath' in sys.modules)")
+    assert _fresh_stdout(code) == "False\n"
