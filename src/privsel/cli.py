@@ -60,16 +60,26 @@ def _check_writable(*paths: str | None) -> None:
     until _write_text no output file exists, and a command that fails at any
     step creates none.  A named pipe is only checked for write permission:
     opening it would block until a reader came, and closing it would end
-    that reader's input."""
+    that reader's input.  Two paths that name one regular file, or one new
+    file, are refused: the second write would replace the first."""
+    files = {}
     for path in filter(None, paths):
         if not os.path.exists(path):
-            target = os.path.realpath(path)
-            open(target, "x").close()
-            os.remove(target)
-        elif not stat.S_ISFIFO(os.stat(path).st_mode):
-            open(path, "a").close()
-        elif not os.access(path, os.W_OK):
-            raise PermissionError(errno.EACCES, os.strerror(errno.EACCES), path)
+            file = os.path.realpath(path)
+            open(file, "x").close()
+            os.remove(file)
+        else:
+            st = os.stat(path)
+            if not stat.S_ISFIFO(st.st_mode):
+                open(path, "a").close()
+            elif not os.access(path, os.W_OK):
+                raise PermissionError(errno.EACCES, os.strerror(errno.EACCES), path)
+            if not stat.S_ISREG(st.st_mode):
+                continue  # a pipe or a device takes each write in turn
+            file = (st.st_dev, st.st_ino)
+        if file in files:
+            raise ConfigError(f"{files[file]} and {path} name the same file")
+        files[file] = path
 
 
 def _load_constants(path: str | None) -> MechanismConstants | None:

@@ -286,12 +286,12 @@ def loss_scale(k: int, rho: float, beta: float,
     """
     k = _integer("k", k, 1)
     rho, beta = _positive("rho", rho), _positive("beta", beta)
-    arg = consts.c_xi * (k + 1) / beta
-    if not arg > 1:
-        raise ValueError(f"log argument must exceed 1, got {arg}")
     try:
+        arg = consts.c_xi * (k + 1) / beta
+        if not arg > 1:
+            raise ValueError(f"log argument must exceed 1, got {arg}")
         xi = (consts.c_xi / math.sqrt(rho)) * (1.0 + math.log2(k)) ** consts.p_xi * math.log2(arg)
-    except OverflowError:  # float ** int raises where float * float gives inf
+    except OverflowError:  # a k past every float, or float ** int; float * float gives inf
         xi = math.inf
     if not math.isfinite(xi):
         raise ValueError(f"loss scale overflows at k={k}, rho={rho}, beta={beta}, {consts}")
@@ -333,17 +333,12 @@ def generate_instance(family: str, size: int, scale: float, seed: int) -> LossIn
         raise ValueError(f"scale must be finite and >= 0, got {scale!r}")
     scale = real
 
+    if family == "uniform":
+        return LossInstance(np.random.default_rng(seed).uniform(0.0, scale, size))
+    losses = np.zeros(size)  # the constant family; a size no array holds is numpy's ValueError
     if family == "layered":
-        k = ceil_log2(size)
-        vals = [0.0]
-        for i in range(1, k + 1):
-            vals.extend([i * scale] * (1 << (i - 1)))
-        losses = tuple(vals[:size])
+        for i in range(1, ceil_log2(size) + 1):  # the last level's slice clips at size
+            losses[1 << (i - 1):1 << i] = i * scale
     elif family == "gapped":
-        losses = (0.0,) + (scale,) * (size - 1)
-    elif family == "uniform":
-        rng = np.random.default_rng(seed)
-        losses = rng.uniform(0.0, scale, size)
-    else:  # constant
-        losses = (0.0,) * size
+        losses[1:] = scale
     return LossInstance(losses)

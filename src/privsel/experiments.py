@@ -222,6 +222,8 @@ class ExperimentConfig:
             doc = _known_fields(doc, cls, "config")
             doc["instance"] = InstanceSpec(**_known_fields(doc["instance"], InstanceSpec,
                                                            "instance"))
+            if not isinstance(doc["mechanisms"], (list, tuple)):  # to_json gives a tuple
+                raise ConfigError(f"mechanisms must be a JSON array, got {doc['mechanisms']!r}")
             mechanisms = []
             for m in doc["mechanisms"]:
                 m = _known_fields(m, MechanismSpec, "mechanism")

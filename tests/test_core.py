@@ -1,6 +1,8 @@
 """Domain types and closed-form quantities."""
 
 import dataclasses
+import hashlib
+import itertools
 import math
 import tracemalloc
 
@@ -181,6 +183,9 @@ class TestLossScale:
         for consts in (MechanismConstants(c_xi=1e307), MechanismConstants(p_xi=1000)):
             with pytest.raises(ValueError, match="overflows"):
                 loss_scale(10, 1.0, 0.1, consts)
+        # a k beyond every float overflows the log argument
+        with pytest.raises(ValueError, match="overflows"):
+            loss_scale(10**400, 1.0, 0.1)
 
 
 class TestErrorScale:
@@ -266,6 +271,34 @@ class TestGenerateInstance:
         assert inst.losses == (0.0, 2.0, 4.0, 4.0, 6.0, 6.0, 6.0, 6.0)
         truncated = generate_instance("layered", 5, 2.0, seed=0)
         assert truncated.losses == (0.0, 2.0, 4.0, 4.0, 6.0)
+
+    def test_families_bytes_pinned(self):
+        # one digest over the float64 bytes of every family at sizes around
+        # the levels' powers of two, signed and extreme scales, two seeds
+        sizes = [*range(1, 18), *range(31, 34), *range(63, 66), *range(1023, 1026),
+                 *range(4095, 4098)]
+        digest = hashlib.sha256()
+        for family, size, scale, seed in itertools.product(
+                INSTANCE_FAMILIES, sizes, (0.0, -0.0, 0.1, 1.0, 3.0, 5e-324, 1e307), (0, 7)):
+            if family == "uniform" and math.copysign(1.0, scale) < 0:
+                continue  # numpy refuses a uniform range from 0 to -0.0
+            digest.update(generate_instance(family, size, scale, seed).as_array().tobytes())
+        assert digest.hexdigest() == (
+            "f093db4d148c2975869affec99739af84b4ae4f765a444e21b87525775dc4b5c")
+
+    def test_layered_is_built_in_place(self):
+        # the zeros the levels are written into, the instance's copy and a
+        # bool mask of n bytes: nothing past size, no Python float per loss
+        n = (1 << 20) + 1
+        generate_instance("layered", 33, 1.0, 0)  # warm up numpy's caches
+        tracemalloc.start()
+        try:
+            inst = generate_instance("layered", n, 1.0, 0)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert len(inst) == n
+        assert peak <= 2.5 * 8 * n
 
     def test_uniform_range_and_reproducibility(self):
         a = generate_instance("uniform", 64, 10.0, seed=5)

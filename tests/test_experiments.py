@@ -5,6 +5,7 @@ import hashlib
 import json
 import os
 import re
+import stat
 import subprocess
 import sys
 import threading
@@ -15,7 +16,7 @@ import pytest
 
 from privsel import cli, experiments
 from privsel.cli import build_parser, main
-from privsel.core import LossInstance, MechanismConstants
+from privsel.core import INSTANCE_FAMILIES, LossInstance, MechanismConstants
 from privsel.experiments import (
     ConfigError, EmptyRecordsError, ExperimentConfig, InstanceSpec,
     MechanismSpec, SUMMARY_CSV_HEADER, TrialRecord, nearest_rank_quantile,
@@ -426,7 +427,10 @@ class TestCli:
                                                           "constant": {"c_xi": 1.0}}]),
                             "constant"),
                            (dict(CONFIG_DOC, fresh_instance_per_trial="false"),
-                            "fresh_instance_per_trial")):
+                            "fresh_instance_per_trial"),
+                           (dict(CONFIG_DOC, mechanisms="binary_tree"), "mechanisms"),
+                           (dict(CONFIG_DOC, mechanisms={"name": "binary_tree"}),
+                            "mechanisms")):
             assert main(["run", self._write_config(tmp_path, bad)]) == 2
             assert field in capsys.readouterr().err
 
@@ -447,16 +451,23 @@ class TestCli:
         ["gen", "uniform", "4", "1.0", "0", "--out", "DIR"],
         ["verify", "--grid", "quick", "--fuzz-trials", "10", "--subset-draws", "100",
          "--rate-trials", "10", "--out", "DIR"],
+        # a size no array can hold
+        *(["gen", family, str(10**20), "1", "0"] for family in INSTANCE_FAMILIES),
+        ["run", "HUGE"],
     ], ids=["gen-inf-scale", "gen-nan-scale", "subset-draws-0", "run-nonfinite-loss",
             "equal-budget-nonfinite-loss", "exponential-inf-eps", "gen-size-0",
             "fuzz-trials-0", "rate-trials-0", "run-trials-0", "run-config-dir", "gen-out-dir",
-            "verify-out-dir"])
+            "verify-out-dir", *(f"gen-{family}-huge-size" for family in INSTANCE_FAMILIES),
+            "run-huge-size"])
     def test_bad_input_exits_2_with_one_line(self, tmp_path, capsys, argv):
         (tmp_path / "nonfinite.json").write_text(json.dumps(NONFINITE_DOC))
         (tmp_path / "inf_eps.json").write_text(json.dumps(INF_EPS_DOC))
+        (tmp_path / "huge.json").write_text(json.dumps(dict(
+            CONFIG_DOC, instance={"family": "gapped", "size": 10**20, "scale": 10.0})))
         files = {"CONFIG": self._write_config(tmp_path),
                  "NONFINITE": str(tmp_path / "nonfinite.json"),
-                 "INF_EPS": str(tmp_path / "inf_eps.json"), "DIR": str(tmp_path)}
+                 "INF_EPS": str(tmp_path / "inf_eps.json"),
+                 "HUGE": str(tmp_path / "huge.json"), "DIR": str(tmp_path)}
         assert main([files.get(arg, arg) for arg in argv]) == 2
         captured = capsys.readouterr()
         assert captured.out == ""
@@ -546,6 +557,29 @@ class TestCli:
         assert link.is_symlink()
         assert target.read_text().split("\n")[0] == SUMMARY_CSV_HEADER
 
+    def test_out_and_records_naming_one_file_exit_2(self, tmp_path, monkeypatch, capsys):
+        # the records would replace the summary: refused before any trial
+        def no_trials(*args, **kwargs):
+            raise AssertionError("a trial ran")
+        monkeypatch.setattr(cli, "run_trials", no_trials)
+        cfg = self._write_config(tmp_path)
+        kept, link, new = tmp_path / "kept.csv", tmp_path / "link", tmp_path / "new.csv"
+        kept.write_text("kept\n")
+        link.symlink_to(kept.name)
+        for out, records in ((kept, kept), (kept, link), (new, new)):
+            assert main(["run", cfg, "--out", str(out), "--records", str(records)]) == 2
+            captured = capsys.readouterr()
+            assert captured.out == ""
+            assert captured.err == f"config error: {out} and {records} name the same file\n"
+        assert kept.read_text() == "kept\n"
+        assert link.is_symlink() and not new.exists()
+
+    def test_one_device_for_out_and_records(self, tmp_path, capsys):
+        # a device takes each write in turn, so it may stand for both
+        cfg = self._write_config(tmp_path)
+        assert main(["run", cfg, "--out", os.devnull, "--records", os.devnull]) == 0
+        assert capsys.readouterr() == ("", "")
+
     def test_exponential_overflow_to_zero_weight_is_silent(self, tmp_path, capsys):
         # at scale 1e308 most logits overflow to -inf, which only zeroes their
         # weights; numpy's warning of it is neither printed nor raised
@@ -583,6 +617,22 @@ class TestCli:
                 reader.join(0.1)
         assert (proc.returncode, proc.stderr) == (0, "")
         assert got[0].decode().split("\n")[0] == SUMMARY_CSV_HEADER
+
+    @pytest.mark.skipif(not hasattr(os, "mkfifo"), reason="no named pipes here")
+    def test_unwritable_fifo_out_exit_2(self, tmp_path, monkeypatch, capsys):
+        # a pipe is checked for write permission only, which root always
+        # has: so the check is made to refuse
+        def no_trials(*args, **kwargs):
+            raise AssertionError("a trial ran")
+        monkeypatch.setattr(cli, "run_trials", no_trials)
+        monkeypatch.setattr(os, "access", lambda *args, **kwargs: False)
+        fifo = tmp_path / "out.fifo"
+        os.mkfifo(fifo)
+        assert main(["run", self._write_config(tmp_path), "--out", str(fifo)]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == f"config error: [Errno 13] Permission denied: '{fifo}'\n"
+        assert stat.S_ISFIFO(os.stat(fifo).st_mode)
 
     def test_parser_is_built_once(self):
         assert build_parser() is build_parser()
