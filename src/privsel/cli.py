@@ -26,7 +26,6 @@ import math
 import os
 import stat
 import sys
-import threading
 
 import numpy as np
 
@@ -192,29 +191,19 @@ def _cmd_verify(args) -> int:
     consts = _load_constants(args.constants) or MechanismConstants()
     _check_writable(args.out)
 
-    # The sampler checks run on a worker thread while this one runs the
-    # Python-bound ones.  The worker keeps its rows or its exception, and this
-    # thread raises that exception where the serial order reaches it: after
-    # the grid and the exact sweeps, before the fuzz.
-    sampled = {}
+    from concurrent.futures import ThreadPoolExecutor  # loads logging: only verify pays for it
 
-    def sample() -> None:
-        try:
-            sampled["rows"] = _sampler_rows(args)
-        except BaseException as exc:  # re-raised on the main thread
-            sampled["error"] = exc
-
-    worker = threading.Thread(target=sample, name="privsel-verify-samplers")
-    worker.start()
-    results = None
-    try:
+    # The sampler checks run on one worker while this thread runs the
+    # Python-bound ones, and the first failure in serial order is raised: an
+    # error in the grid or the exact sweeps leaves before the worker's result
+    # is read, and a worker error, raised in the finally, replaces the fuzz's.
+    with ThreadPoolExecutor(max_workers=1) as pool:
+        sampled = pool.submit(_sampler_rows, args)
         results = _grid_rows(consts, args.grid)
-        report = sensitivity_fuzz(args.fuzz_trials, seed=args.seed)
-    finally:
-        worker.join()
-        if results is not None and "error" in sampled:
-            raise sampled["error"]
-    results.extend(sampled["rows"])
+        try:
+            report = sensitivity_fuzz(args.fuzz_trials, seed=args.seed)
+        finally:
+            results.extend(sampled.result())
     ok = report.violations == 0
     results.append(CheckResult(
         "sensitivity_fuzz", f"trials={args.fuzz_trials}",

@@ -319,7 +319,7 @@ def generate_instance(family: str, size: int, scale: float, seed: int) -> LossIn
               the single optimum at 0), levels concatenated in loss order and
               truncated to exactly `size`.
     gapped:   one candidate at 0, all others at `scale`.
-    uniform:  i.i.d. uniform on [0, scale], seeded.
+    uniform:  i.i.d. uniform on [0, scale], seeded; a -0.0 scale is read as 0.0.
     constant: all zeros.
     size >= 1 and seed >= 0 are integers by _integer's rule, for every
     family; scale is a finite real >= 0 read through _real.
@@ -333,8 +333,8 @@ def generate_instance(family: str, size: int, scale: float, seed: int) -> LossIn
         raise ValueError(f"scale must be finite and >= 0, got {scale!r}")
     scale = real
 
-    if family == "uniform":
-        return LossInstance(np.random.default_rng(seed).uniform(0.0, scale, size))
+    if family == "uniform":  # + 0.0 turns -0.0 into 0.0, which numpy takes as a high end
+        return LossInstance(np.random.default_rng(seed).uniform(0.0, scale + 0.0, size))
     losses = np.zeros(size)  # the constant family; a size no array holds is numpy's ValueError
     if family == "layered":
         for i in range(1, ceil_log2(size) + 1):  # the last level's slice clips at size

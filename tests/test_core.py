@@ -281,7 +281,7 @@ class TestGenerateInstance:
         for family, size, scale, seed in itertools.product(
                 INSTANCE_FAMILIES, sizes, (0.0, -0.0, 0.1, 1.0, 3.0, 5e-324, 1e307), (0, 7)):
             if family == "uniform" and math.copysign(1.0, scale) < 0:
-                continue  # numpy refuses a uniform range from 0 to -0.0
+                continue  # the same bytes as at 0.0: test_uniform_reads_negative_zero_as_zero
             digest.update(generate_instance(family, size, scale, seed).as_array().tobytes())
         assert digest.hexdigest() == (
             "f093db4d148c2975869affec99739af84b4ae4f765a444e21b87525775dc4b5c")
@@ -307,6 +307,12 @@ class TestGenerateInstance:
         assert a.losses == b.losses
         assert a.losses != c.losses
         assert all(0 <= x <= 10.0 for x in a.losses)
+
+    def test_uniform_reads_negative_zero_as_zero(self):
+        # numpy refuses a range from 0 to -0.0, which the other families take
+        for size, seed in itertools.product((1, 5, 1025), (0, 7)):
+            assert (generate_instance("uniform", size, -0.0, seed).as_array().tobytes()
+                    == generate_instance("uniform", size, 0.0, seed).as_array().tobytes())
 
     def test_families_reproducible_bitwise(self):
         for family in ("layered", "gapped", "uniform", "constant"):

@@ -665,6 +665,12 @@ class TestCli:
         assert main(["gen", "bogus", "4", "2.5", "0", "--out", str(out)]) == 2
         assert out.read_text() == "index,loss\n0,0.0\n1,2.5\n2,2.5\n3,2.5\n"
 
+    def test_uniform_at_negative_zero_scale(self, tmp_path, capsys):
+        assert main(["gen", "uniform", "3", "-0.0", "0"]) == 0
+        assert capsys.readouterr().out == "index,loss\n0,0.0\n1,0.0\n2,0.0\n"
+        doc = dict(CONFIG_DOC, instance={"family": "uniform", "size": 32, "scale": -0.0})
+        assert main(["run", self._write_config(tmp_path, doc)]) == 0
+
     @pytest.mark.parametrize("argv, sha256", [
         (["uniform", "7", "1000.0", "3"],
          "f5c4d70e69cb49fc5bc5da8c2409e6dc2a12b1e06235f1d68ffc7b973af63177"),
@@ -707,6 +713,22 @@ class TestCli:
         captured = capsys.readouterr()
         assert captured.out == ""
         assert captured.err == "config error: rate ran\n"
+        assert not out.exists()
+
+    def test_verify_worker_base_exception_reaches_the_caller(self, tmp_path, monkeypatch):
+        # main catches only OSError and ValueError, so the worker's exception
+        # must come out of main as it was raised, with the thread joined
+        class Stop(BaseException):
+            pass
+
+        def mc(*args, **kwargs):
+            raise Stop
+        monkeypatch.setattr(cli, "subset_event_mc", mc)
+        out = tmp_path / "report.csv"
+        threads = threading.active_count()
+        with pytest.raises(Stop):
+            main([*self.VERIFY_SMALL, "--out", str(out)])
+        assert threading.active_count() == threads
         assert not out.exists()
 
     @pytest.mark.parametrize("first, second", [

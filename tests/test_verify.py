@@ -443,9 +443,12 @@ def _fresh_stdout(code: str) -> str:
                           text=True, check=True).stdout
 
 
-def test_only_certification_imports_mpmath():
+@pytest.mark.parametrize("module", ["mpmath", "concurrent.futures"])
+def test_only_certification_imports(module):
+    # concurrent.futures loads logging; a plain import, and so every command
+    # but verify, pays for neither module
     code = ("import sys, privsel, privsel.cli, privsel.experiments; "
-            "print('mpmath' in sys.modules)")
+            f"print({module!r} in sys.modules)")
     assert _fresh_stdout(code) == "False\n"
 
 
